@@ -5,7 +5,7 @@
 //   BM_CacheServing_<trace>_<policy>   closed-loop single client replaying a
 //       deterministic 4096-reference trace of 1-row requests through a live
 //       serving::Server, cache capacity 50 rows = 10% of the 500-key hot
-//       population. Policies: off (baseline), lru, lru-k (K=2), clock, arc.
+//       population. Policies: off (baseline), lru, arc.
 //       Traces:
 //         zipf08   Zipf(s=0.8) over the hot population — mild skew
 //         zipf11   Zipf(s=1.1) — production-shaped skew; the acceptance
@@ -14,8 +14,8 @@
 //                  policy at 10% capacity
 //         scan     bursts of Zipf(1.1) hot traffic interleaved with
 //                  sequential sweeps over a 400-key cold range — the
-//                  classic LRU-thrashing pattern; LRU-K and ARC keep the
-//                  hot set resident where LRU churns
+//                  classic LRU-thrashing pattern; ARC keeps the hot set
+//                  resident where LRU churns
 //       Counters: hit_rate (cache rows answered / rows looked up), p50_us /
 //       p99_us from the server's own latency histogram, items/s from the
 //       closed loop.
@@ -95,8 +95,7 @@ std::vector<int> uniform_trace(std::uint64_t seed) {
 /// 24 Zipf(1.1) references, then 40 consecutive keys of a cycling 400-key
 /// scan (offset past the hot range, so scan keys never alias hot keys).
 /// The sweeps carry no short-term reuse — exactly the traffic that flushes
-/// a plain LRU while LRU-K's K-reference barrier and ARC's T1/T2 split
-/// keep the hot set resident.
+/// a plain LRU while ARC's T1/T2 split keeps the hot set resident.
 std::vector<int> scan_trace(std::uint64_t seed) {
   ZipfSampler zipf(1.1, seed);
   std::vector<int> trace;
@@ -159,7 +158,7 @@ std::shared_ptr<const rt::CompiledTicket> cache_bench_plan() {
   return plan;
 }
 
-/// policy_id 0 = cache off; 1..4 = lru, lru-k, clock, arc.
+/// policy_id 0 = cache off; 1 = lru; 2 = arc.
 void run_cache_serving(benchmark::State& state, int trace_id, int policy_id) {
   const std::vector<int> trace = make_trace(trace_id);
   const std::vector<rt::Tensor>& rows = key_rows();
@@ -171,8 +170,7 @@ void run_cache_serving(benchmark::State& state, int trace_id, int policy_id) {
   if (policy_id > 0) {
     opt.cache.capacity_rows = kCapacity;
     static constexpr rt::serving::CachePolicy kPolicies[] = {
-        rt::serving::CachePolicy::kLru, rt::serving::CachePolicy::kLruK,
-        rt::serving::CachePolicy::kClock, rt::serving::CachePolicy::kArc};
+        rt::serving::CachePolicy::kLru, rt::serving::CachePolicy::kArc};
     opt.cache.policy = kPolicies[policy_id - 1];
   }
   rt::serving::Server server(cache_bench_plan(), opt);
@@ -233,13 +231,13 @@ void BM_CacheLookupMiss(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheLookupMiss);
 
-/// Registers the 4 traces x 5 policies grid under readable names (the
+/// Registers the 4 traces x 3 policies grid under readable names (the
 /// BENCHMARK macro would only give numeric Args).
 const int kRegisterCacheServing = [] {
   const char* traces[] = {"zipf08", "zipf11", "uniform", "scan"};
-  const char* policies[] = {"off", "lru", "lruk", "clock", "arc"};
+  const char* policies[] = {"off", "lru", "arc"};
   for (int t = 0; t < 4; ++t) {
-    for (int p = 0; p < 5; ++p) {
+    for (int p = 0; p < 3; ++p) {
       const std::string name =
           std::string("BM_CacheServing_") + traces[t] + "_" + policies[p];
       benchmark::RegisterBenchmark(

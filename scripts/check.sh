@@ -88,10 +88,10 @@ fi
 
 if [[ "${TSAN}" == 1 ]]; then
   # TSan only observes races that actually interleave, so the pass is
-  # meaningless at RT_THREADS=1 (this dev container is single-CPU; see
-  # ROADMAP.md "ops notes"). Force at least two workers: on one CPU the
-  # threads still time-slice across every synchronization point, which is
-  # exactly the traffic TSan instruments.
+  # meaningless at RT_THREADS=1, which is the default on a one-CPU host.
+  # Force at least two workers: on one CPU the threads still time-slice
+  # across every synchronization point, which is exactly the traffic TSan
+  # instruments; on a multicore host they also run truly in parallel.
   RT_THREADS="$(( RT_THREADS > 2 ? RT_THREADS : 2 ))" \
     run_sanitizer_pass ThreadSanitizer build-tsan thread
 fi

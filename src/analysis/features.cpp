@@ -6,7 +6,7 @@
 #include <map>
 #include <stdexcept>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/sym_eig.hpp"
 
@@ -96,7 +96,8 @@ float knn_probe_accuracy(const Tensor& train_features,
 
   // Test points are independent; each chunk gets its own distance scratch.
   std::atomic<std::int64_t> correct{0};
-  parallel_for(n_test, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n_test, [&](std::int64_t begin, std::int64_t end) {
     std::vector<std::pair<float, int>> dist(static_cast<std::size_t>(n_train));
     std::int64_t local_correct = 0;
     for (std::int64_t t = begin; t < end; ++t) {

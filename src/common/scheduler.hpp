@@ -1,6 +1,6 @@
 #pragma once
 // Work-stealing task scheduler: the substrate under every parallel loop in
-// the library (ThreadPool::parallel_for is a thin wrapper over it).
+// the library (every loop calls Scheduler::current().parallel_for).
 //
 // The old flat pool partitioned each parallel_for into one chunk per thread
 // and ran nested calls inline-serial, so batch-level and kernel-level
@@ -100,8 +100,8 @@ struct Worker;
 }  // namespace detail
 
 /// Fixed-size work-stealing scheduler. Construct explicitly for tests and
-/// benches; use Scheduler::instance() (or the ThreadPool wrapper) for the
-/// process-wide pool.
+/// benches; library code runs on Scheduler::current(), which defaults to
+/// the process-wide Scheduler::instance().
 class Scheduler {
  public:
   explicit Scheduler(int num_threads);
@@ -243,8 +243,8 @@ class TaskGroup {
   detail::TaskGroupState state_;
 };
 
-/// Redirects Scheduler::current() — and through it rt::parallel_for and
-/// every kernel — to a specific scheduler for the calling thread's scope.
+/// Redirects Scheduler::current() — and through it every library loop and
+/// kernel — to a specific scheduler for the calling thread's scope.
 /// Benches use this to measure fixed thread counts without touching the
 /// process-wide instance.
 class SchedulerScope {

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "common/audit.hpp"
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"
@@ -239,7 +239,7 @@ Path resolve_path(const ConvKernelOpts& opts, const float* weight,
 template <typename Tiles>
 void for_each_tile(std::int64_t count, bool parallel, const Tiles& tiles) {
   if (parallel && count > 1) {
-    parallel_for(count, tiles, /*grain=*/1);
+    Scheduler::current().parallel_for(count, tiles, /*grain=*/1);
   } else {
     tiles(0, count);
   }

@@ -6,7 +6,6 @@
 
 #include "common/audit.hpp"
 #include "common/scheduler.hpp"
-#include "common/threadpool.hpp"
 #include "linalg/microkernel.hpp"
 
 namespace rt {
@@ -218,10 +217,10 @@ void dispatch(std::int64_t m, std::int64_t n, std::int64_t k, float* c,
     // leaf at no less than one micro-panel of rows — below that the packed
     // path would re-pack B once per sliver of C and the repack traffic
     // would swamp the extra parallelism.
-    const auto threads =
-        static_cast<std::int64_t>(Scheduler::current().num_threads());
+    Scheduler& sched = Scheduler::current();
+    const auto threads = static_cast<std::int64_t>(sched.num_threads());
     const std::int64_t grain = std::max(kMr, m / (4 * threads));
-    parallel_for(m, core, grain);
+    sched.parallel_for(m, core, grain);
   } else {
     core(0, m);
   }

@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
 
@@ -34,10 +34,11 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
   std::vector<float> mean(static_cast<std::size_t>(c), 0.0f);
   std::vector<float> var(static_cast<std::size_t>(c), 0.0f);
   forward_used_batch_stats_ = training_;
+  Scheduler& sched = Scheduler::current();
   if (training_) {
     // Each channel's statistics are independent; chunk the channel range
     // across the pool.
-    parallel_for(c, [&](std::int64_t begin, std::int64_t end) {
+    sched.parallel_for(c, [&](std::int64_t begin, std::int64_t end) {
       for (std::int64_t ch = begin; ch < end; ++ch) {
         double acc = 0.0;
         for (std::int64_t i = 0; i < n; ++i) {
@@ -79,7 +80,7 @@ Tensor BatchNorm2d::forward(const Tensor& x) {
 
   cached_xhat_ = Tensor({n, c, h, w});
   Tensor y({n, c, h, w});
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const std::int64_t ch = p % c;
       const float mu = mean[static_cast<std::size_t>(ch)];
@@ -111,7 +112,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
 
   // Channels are independent: each iteration only touches its own slice of
   // dx and its own gamma/beta grad entry.
-  parallel_for(c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ch = begin; ch < end; ++ch) {
       double sum_dy = 0.0, sum_dy_xhat = 0.0;
       for (std::int64_t i = 0; i < n; ++i) {

@@ -1,13 +1,22 @@
 #include "nn/conv.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
+
+namespace {
+
+/// Samples per weight-gradient partial in Conv2d::backward. The partial
+/// count — and so the float summation order — follows the batch size
+/// alone, never the lane count, so training bits do not depend on the host.
+/// At the default batch of 32 this is 4 partials.
+constexpr std::int64_t kWgradSamplesPerSlot = 8;
+
+}  // namespace
 
 void im2col(const Tensor& x, std::int64_t sample, const ConvGeometry& g,
             float* col) {
@@ -83,9 +92,10 @@ Tensor Conv2d::forward(const Tensor& x) {
   // Batch-level tasks fill the machine when n >= lanes; below that, let the
   // kernels split their output tiles so the idle lanes steal intra-plane
   // work (bitwise-identical either way).
-  kopts.parallel_tiles = n < Scheduler::current().num_threads();
+  Scheduler& sched = Scheduler::current();
+  kopts.parallel_tiles = n < sched.num_threads();
 
-  parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
+  sched.parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin; i < end; ++i) {
       conv2d_forward_plane(xd + i * in_plane, in_channels_, h, w, geom_, wd,
                            out_channels_, yd + i * out_plane, bd,
@@ -121,21 +131,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                          /*dgrad=*/true);
     kopts.packed_weights = &packed_weights_;
   }
-  const std::int64_t threads = Scheduler::current().num_threads();
-  kopts.parallel_tiles = n < threads;
+  Scheduler& sched = Scheduler::current();
+  kopts.parallel_tiles = n < sched.num_threads();
 
   // Weight-gradient accumulation: each slot owns a contiguous sample range
   // and a private partial, then the partials are combined with an
   // atomic-free pairwise tree — no mutex serializes the workers. The slot
-  // count is fixed by the scheduler width (not by which worker ran what),
-  // so the tree's summation order — and the resulting bits — are stable
-  // under arbitrary stealing.
-  const std::int64_t slots = std::min<std::int64_t>(threads, n);
+  // count is fixed by the batch size (not by the scheduler width or by
+  // which worker ran what), so the tree's summation order — and the
+  // resulting bits — are the same on every host and under any stealing.
+  const std::int64_t slots =
+      (n + kWgradSamplesPerSlot - 1) / kWgradSamplesPerSlot;
   std::vector<std::vector<float>> dw_part(static_cast<std::size_t>(slots));
   std::vector<std::vector<float>> db_part(
       has_bias_ ? static_cast<std::size_t>(slots) : 0u);
 
-  parallel_for(slots, [&](std::int64_t s0, std::int64_t s1) {
+  sched.parallel_for(slots, [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t s = s0; s < s1; ++s) {
       std::vector<float>& dw_local = dw_part[static_cast<std::size_t>(s)];
       dw_local.assign(static_cast<std::size_t>(out_channels_ * ckk), 0.0f);
@@ -170,7 +181,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // an independent buffer sum, so rounds parallelize without atomics.
   for (std::int64_t stride = 1; stride < slots; stride *= 2) {
     const std::int64_t pairs = (slots - stride + 2 * stride - 1) / (2 * stride);
-    parallel_for(pairs, [&](std::int64_t p0, std::int64_t p1) {
+    sched.parallel_for(pairs, [&](std::int64_t p0, std::int64_t p1) {
       for (std::int64_t p = p0; p < p1; ++p) {
         const auto dst = static_cast<std::size_t>(p * 2 * stride);
         const auto src = dst + static_cast<std::size_t>(stride);
@@ -192,10 +203,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // Fold the root partial into the parameter gradients, element-parallel.
   float* dw = weight_.grad.data();
   const float* root = dw_part[0].data();
-  parallel_for(static_cast<std::int64_t>(dw_part[0].size()),
-               [&](std::int64_t j0, std::int64_t j1) {
-                 for (std::int64_t j = j0; j < j1; ++j) dw[j] += root[j];
-               });
+  sched.parallel_for(static_cast<std::int64_t>(dw_part[0].size()),
+                     [&](std::int64_t j0, std::int64_t j1) {
+                       for (std::int64_t j = j0; j < j1; ++j) {
+                         dw[j] += root[j];
+                       }
+                     });
   if (has_bias_) {
     float* db = bias_.grad.data();
     for (std::size_t j = 0; j < db_part[0].size(); ++j) db[j] += db_part[0][j];

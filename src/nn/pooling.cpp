@@ -3,7 +3,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
 
@@ -20,7 +20,8 @@ Tensor MaxPool2d::forward(const Tensor& x) {
   const std::int64_t oh = h / kernel_, ow = w / kernel_;
   Tensor y({n, c, oh, ow});
   argmax_.assign(static_cast<std::size_t>(y.numel()), 0);
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const float* xp = x.data() + p * h * w;
       std::int64_t out_idx = p * oh * ow;
@@ -54,7 +55,8 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
   const std::int64_t map_out = grad_out.numel() / (n * c);
   // Pooling windows are disjoint (stride == kernel), so scatter writes from
   // one map never alias another map's — chunking by map keeps this race-free.
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t i = begin * map_out; i < end * map_out; ++i) {
       dx[argmax_[static_cast<std::size_t>(i)]] += grad_out[i];
     }
@@ -70,7 +72,8 @@ Tensor GlobalAvgPool::forward(const Tensor& x) {
   const std::int64_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
   Tensor y({n, c});
   const float inv = 1.0f / static_cast<float>(hw);
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const float* xp = x.data() + p * hw;
       float acc = 0.0f;
@@ -87,7 +90,8 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   const std::int64_t n = in_shape_[0], c = in_shape_[1],
                      hw = in_shape_[2] * in_shape_[3];
   const float inv = 1.0f / static_cast<float>(hw);
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const float g = grad_out[p] * inv;
       float* dp = dx.data() + p * hw;
@@ -105,7 +109,8 @@ Tensor NearestUpsample::forward(const Tensor& x) {
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const std::int64_t oh = h * factor_, ow = w * factor_;
   Tensor y({n, c, oh, ow});
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const float* xp = x.data() + p * h * w;
       float* yp = y.data() + p * oh * ow;
@@ -128,7 +133,8 @@ Tensor NearestUpsample::backward(const Tensor& grad_out) {
   const std::int64_t n = in_shape_[0], c = in_shape_[1], h = in_shape_[2],
                      w = in_shape_[3];
   const std::int64_t oh = h * factor_, ow = w * factor_;
-  parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
+  Scheduler& sched = Scheduler::current();
+  sched.parallel_for(n * c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t p = begin; p < end; ++p) {
       const float* gp = grad_out.data() + p * oh * ow;
       float* dp = dx.data() + p * h * w;

@@ -40,15 +40,15 @@ std::uint64_t plan_key_hash(const std::string& key) {
 
 }  // namespace
 
-PlanCache::PlanCache(std::int64_t capacity, serving::CachePolicy policy)
-    : capacity_(capacity) {
+PlanCache::PlanCache(std::int64_t capacity) : capacity_(capacity) {
   if (capacity < 0) {
     throw std::invalid_argument(
         "registry::PlanCache: capacity must be >= 0, got " +
         std::to_string(capacity));
   }
   if (capacity > 0) {
-    policy_ = serving::make_eviction_policy(policy, capacity);
+    policy_ = serving::make_eviction_policy(serving::CachePolicy::kLru,
+                                            capacity);
   }
 }
 
@@ -161,7 +161,7 @@ std::string compile_options_fingerprint(const CompileOptions& options) {
 Registry::Registry(RegistryOptions options)
     : options_(std::move(options)),
       store_(options_.cache_root),
-      plans_(options_.plan_cache_capacity, options_.plan_cache_policy) {}
+      plans_(options_.plan_cache_capacity) {}
 
 Registry::~Registry() = default;
 

@@ -29,10 +29,9 @@
 // share one plan, and a kernel-source change (kKernelSourceHash) silently
 // invalidates everything. The memoization is a two-layer PlanCache: a weak
 // sharing layer (concurrent demands for a live plan converge on one copy)
-// plus a bounded strong retention layer driven by the same EvictionPolicy
-// implementations the serving prediction cache uses — up to
-// plan_cache_capacity recently-used tickets survive every external
-// reference dropping, so rolling back to a recent version skips
+// plus a bounded strong retention layer driven by the serving cache's LRU
+// EvictionPolicy — up to plan_cache_capacity recently-used tickets survive
+// every external reference dropping, so rolling back to a recent version skips
 // recompilation entirely. plan_cache_capacity = 0 restores the pure weak
 // behavior: a swapped-out fleet's plan is truly freed at drain.
 //
@@ -98,24 +97,22 @@ struct RegistryOptions {
   /// drops (so re-deploying a recently-served version skips compilation).
   /// 0 = pure weak memoization: plans are freed the moment the last fleet
   /// or caller lets go.
+  /// Retained tickets are ranked by LRU: plan reuse is dominated by
+  /// recency (rollback to the previous version).
   std::int64_t plan_cache_capacity = 8;
-  /// Eviction policy ranking the retained tickets. Plan reuse is dominated
-  /// by recency (rollback to the previous version), so plain LRU is the
-  /// default.
-  serving::CachePolicy plan_cache_policy = serving::CachePolicy::kLru;
 };
 
 /// Two-layer compiled-ticket cache: a weak map that makes concurrent
 /// demands for a live plan share one copy (and costs nothing once the plan
-/// dies), plus a bounded strong layer — driven by a serving::EvictionPolicy
-/// — that pins the `capacity` most valuable tickets so they survive
-/// swap-out drains. NOT internally synchronized: the Registry serializes
-/// all access under its compile mutex.
+/// dies), plus a bounded strong layer — driven by an LRU
+/// serving::EvictionPolicy — that pins the `capacity` most recently used
+/// tickets so they survive swap-out drains. NOT internally synchronized: the
+/// Registry serializes all access under its compile mutex.
 class PlanCache {
  public:
   /// capacity 0 disables retention (the weak layer still shares);
-  /// otherwise the policy ranks which tickets stay pinned.
-  PlanCache(std::int64_t capacity, serving::CachePolicy policy);
+  /// otherwise LRU ranks which tickets stay pinned.
+  explicit PlanCache(std::int64_t capacity);
   ~PlanCache();
 
   PlanCache(const PlanCache&) = delete;

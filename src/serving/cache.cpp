@@ -5,10 +5,8 @@
 #include <list>
 #include <map>
 #include <mutex>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "common/audit.hpp"
 
@@ -19,10 +17,6 @@ const char* cache_policy_name(CachePolicy policy) {
   switch (policy) {
     case CachePolicy::kLru:
       return "lru";
-    case CachePolicy::kLruK:
-      return "lru-k";
-    case CachePolicy::kClock:
-      return "clock";
     case CachePolicy::kArc:
       return "arc";
   }
@@ -76,123 +70,6 @@ class LruPolicy final : public EvictionPolicy {
   std::int64_t capacity_;
   std::list<std::uint64_t> order_;
   std::map<std::uint64_t, std::list<std::uint64_t>::iterator> where_;
-};
-
-// ---- LRU-K ------------------------------------------------------------------
-// O'Neil et al.: rank every key by its Kth-most-recent access time on a
-// per-policy logical clock (each access ticks it once) and evict the
-// minimum. Keys with fewer than K accesses rank as 0 — below every key with
-// K — and order among themselves by oldest last access. This is the scan
-// barrier: a key must be referenced K times before it can displace any key
-// that already has K references, so one sweep of cold keys only ever
-// churns the cold cohort.
-//
-// The rank set holds (kth_last, last, key) tuples. Access times are unique
-// (one clock tick per access) so (kth_last, last) never collides across
-// keys and ordering is total and deterministic.
-class LruKPolicy final : public EvictionPolicy {
- public:
-  LruKPolicy(std::int64_t capacity, int k) : capacity_(capacity), k_(k) {}
-
-  void on_hit(std::uint64_t key) override {
-    Node& node = nodes_.at(key);
-    rank_.erase(rank_key(node, key));
-    touch(node);
-    rank_.insert(rank_key(node, key));
-  }
-
-  void on_insert(std::uint64_t key,
-                 std::vector<std::uint64_t>& evicted) override {
-    Node& node = nodes_[key];
-    touch(node);
-    rank_.insert(rank_key(node, key));
-    if (static_cast<std::int64_t>(nodes_.size()) > capacity_) {
-      const auto victim = *rank_.begin();
-      rank_.erase(rank_.begin());
-      nodes_.erase(std::get<2>(victim));
-      evicted.push_back(std::get<2>(victim));
-    }
-  }
-
-  std::int64_t tracked() const override {
-    return static_cast<std::int64_t>(nodes_.size());
-  }
-  const char* name() const override { return "lru-k"; }
-
- private:
-  struct Node {
-    std::vector<std::uint64_t> hist;  ///< last <= K access times, oldest first
-  };
-
-  void touch(Node& node) {
-    node.hist.push_back(++clock_);
-    if (static_cast<int>(node.hist.size()) > k_) {
-      node.hist.erase(node.hist.begin());
-    }
-  }
-
-  std::tuple<std::uint64_t, std::uint64_t, std::uint64_t> rank_key(
-      const Node& node, std::uint64_t key) const {
-    const std::uint64_t kth =
-        static_cast<int>(node.hist.size()) >= k_ ? node.hist.front() : 0;
-    return {kth, node.hist.back(), key};
-  }
-
-  std::int64_t capacity_;
-  int k_;
-  std::uint64_t clock_ = 0;
-  std::map<std::uint64_t, Node> nodes_;
-  std::set<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t>> rank_;
-};
-
-// ---- CLOCK ------------------------------------------------------------------
-// Second-chance: `capacity` slots on a ring, one reference bit each, a hand
-// that sweeps on eviction. Hit: set the bit (O(1), no list surgery). Insert
-// into a full ring: the hand clears set bits as it passes and evicts the
-// first clear slot, placing the new key there cold (ref = 0) and moving on
-// — so a new key must be re-referenced before the hand's next lap to
-// survive it.
-class ClockPolicy final : public EvictionPolicy {
- public:
-  explicit ClockPolicy(std::int64_t capacity) : capacity_(capacity) {
-    slots_.reserve(static_cast<std::size_t>(capacity));
-  }
-
-  void on_hit(std::uint64_t key) override { slots_[where_.at(key)].ref = true; }
-
-  void on_insert(std::uint64_t key,
-                 std::vector<std::uint64_t>& evicted) override {
-    if (static_cast<std::int64_t>(slots_.size()) < capacity_) {
-      where_[key] = slots_.size();
-      slots_.push_back({key, false});
-      return;
-    }
-    while (slots_[hand_].ref) {
-      slots_[hand_].ref = false;
-      hand_ = (hand_ + 1) % slots_.size();
-    }
-    evicted.push_back(slots_[hand_].key);
-    where_.erase(slots_[hand_].key);
-    slots_[hand_] = {key, false};
-    where_[key] = hand_;
-    hand_ = (hand_ + 1) % slots_.size();
-  }
-
-  std::int64_t tracked() const override {
-    return static_cast<std::int64_t>(slots_.size());
-  }
-  const char* name() const override { return "clock"; }
-
- private:
-  struct Slot {
-    std::uint64_t key;
-    bool ref;
-  };
-
-  std::int64_t capacity_;
-  std::size_t hand_ = 0;
-  std::vector<Slot> slots_;
-  std::map<std::uint64_t, std::size_t> where_;
 };
 
 // ---- ARC --------------------------------------------------------------------
@@ -327,25 +204,15 @@ class ArcPolicy final : public EvictionPolicy {
 }  // namespace
 
 std::unique_ptr<EvictionPolicy> make_eviction_policy(CachePolicy policy,
-                                                     std::int64_t capacity,
-                                                     int lru_k) {
+                                                     std::int64_t capacity) {
   if (capacity < 1) {
     throw std::invalid_argument(
         "make_eviction_policy: capacity must be >= 1, got " +
         std::to_string(capacity));
   }
-  if (lru_k < 2) {
-    throw std::invalid_argument("make_eviction_policy: lru_k must be >= 2, "
-                                "got " +
-                                std::to_string(lru_k));
-  }
   switch (policy) {
     case CachePolicy::kLru:
       return std::make_unique<LruPolicy>(capacity);
-    case CachePolicy::kLruK:
-      return std::make_unique<LruKPolicy>(capacity, lru_k);
-    case CachePolicy::kClock:
-      return std::make_unique<ClockPolicy>(capacity);
     case CachePolicy::kArc:
       return std::make_unique<ArcPolicy>(capacity);
   }
@@ -399,8 +266,7 @@ PredictionCache::PredictionCache(const CacheOptions& options,
   shards_.reserve(static_cast<std::size_t>(count));
   for (std::int64_t i = 0; i < count; ++i) {
     auto shard = std::make_unique<Shard>();
-    shard->policy = make_eviction_policy(options.policy, base + (i < rem),
-                                         options.lru_k);
+    shard->policy = make_eviction_policy(options.policy, base + (i < rem));
     shards_.push_back(std::move(shard));
   }
 }

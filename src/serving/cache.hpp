@@ -1,5 +1,5 @@
 #pragma once
-// rt::serving — prediction cache with pluggable eviction policies.
+// rt::serving — prediction cache with ARC (or LRU) eviction.
 //
 // Transfer-learning fleets re-see inputs constantly: monitoring probes replay
 // fixed rows, eval batteries re-run identical batches, and edge deployments
@@ -25,18 +25,17 @@
 // collision (~2^-64 per pair), which this layer accepts by design rather
 // than storing and comparing 3 KiB of row payload per entry.
 //
-// Eviction is pluggable behind EvictionPolicy — LRU, LRU-K, CLOCK, and ARC
-// ship as real implementations (see cache.cpp for the per-policy contracts)
-// — and the cache is sharded: keys hash to one of `shards` independently
-// locked segments, each with its own policy instance over a slice of the
-// capacity, so concurrent hit traffic from many client threads does not
-// serialize on one mutex. bench/bench_cache.cpp races the four policies
-// under Zipf, uniform, and scan traffic; tests/test_cache.cpp pins each
-// policy's eviction order against a naive reference simulator.
+// Eviction sits behind EvictionPolicy, with two implementations: ARC (the
+// default here) and LRU. The cache is sharded: keys hash to one of `shards`
+// independently locked segments, each with its own policy instance over a
+// slice of the capacity, so concurrent hit traffic from many client threads
+// does not serialize on one mutex. bench/bench_cache.cpp races ARC against
+// LRU and cache-off under Zipf, uniform, and scan traffic;
+// tests/test_cache.cpp pins both policies' eviction order against naive
+// reference simulators.
 //
-// The same policy layer backs registry::PlanCache (bounded retention of
-// compiled tickets across hot-swap drains), so "which eviction policy" is
-// answered once, here, for both row-level and plan-level caching.
+// LRU also backs registry::PlanCache (bounded retention of compiled tickets
+// across hot-swap drains), where reuse is rollback to a recent version.
 
 #include <cstdint>
 #include <memory>
@@ -47,14 +46,11 @@ namespace serving {
 
 /// The shipped eviction policies.
 enum class CachePolicy {
-  kLru,    ///< evict the least-recently-used entry
-  kLruK,   ///< O'Neil LRU-K: evict by oldest Kth-most-recent access
-  kClock,  ///< second-chance clock: reference bits under a sweeping hand
-  kArc,    ///< adaptive replacement: recency/frequency lists + ghost history
+  kLru,  ///< evict the least-recently-used entry
+  kArc,  ///< adaptive replacement: recency/frequency lists + ghost history
 };
 
-/// Stable lowercase name ("lru", "lru-k", "clock", "arc") for bench labels
-/// and logs.
+/// Stable lowercase name ("lru", "arc") for bench labels and logs.
 const char* cache_policy_name(CachePolicy policy);
 
 /// One cache segment's eviction brain. The cache layer calls on_hit for a
@@ -80,12 +76,10 @@ class EvictionPolicy {
   virtual const char* name() const = 0;
 };
 
-/// Factory for the shipped policies. `capacity` must be >= 1; `lru_k` (the
-/// K of LRU-K, ignored by the others) must be >= 2. Throws
+/// Factory for the shipped policies. `capacity` must be >= 1; throws
 /// std::invalid_argument otherwise.
 std::unique_ptr<EvictionPolicy> make_eviction_policy(CachePolicy policy,
-                                                     std::int64_t capacity,
-                                                     int lru_k = 2);
+                                                     std::int64_t capacity);
 
 /// Prediction-cache configuration, embedded in ServerOptions.
 struct CacheOptions {
@@ -98,8 +92,6 @@ struct CacheOptions {
   /// Lock shards. The effective count is clamped to [1, capacity_rows];
   /// capacity divides across shards (remainder to the first shards).
   int shards = 8;
-  /// K for CachePolicy::kLruK (>= 2); ignored by the other policies.
-  int lru_k = 2;
 };
 
 /// Point-in-time cache counters, aggregated across shards.
@@ -126,7 +118,7 @@ std::uint64_t cache_key(std::uint64_t row_fingerprint,
 class PredictionCache {
  public:
   /// Throws std::invalid_argument unless capacity_rows >= 1, shards >= 1,
-  /// lru_k >= 2, and value_floats >= 1.
+  /// and value_floats >= 1.
   PredictionCache(const CacheOptions& options, std::int64_t value_floats);
   ~PredictionCache();
 

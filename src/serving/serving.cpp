@@ -261,7 +261,7 @@ void validate_options(const ServerOptions& options) {
         std::to_string(options.cache.capacity_rows));
   }
   // With the cache enabled, PredictionCache's constructor validates the
-  // remaining cache fields (shards, lru_k).
+  // remaining cache field (shards).
 }
 
 std::vector<std::shared_ptr<const CompiledTicket>> replicate(

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "attack/trades.hpp"
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {
@@ -131,7 +131,7 @@ float evaluate_accuracy(Session& session, const Dataset& test) {
   const std::int64_t chunk = session.max_batch();
   const std::int64_t shards = (n + chunk - 1) / chunk;
   std::vector<std::int64_t> correct(static_cast<std::size_t>(shards), 0);
-  parallel_for(
+  Scheduler::current().parallel_for(
       shards,
       [&](std::int64_t s0, std::int64_t s1) {
         for (std::int64_t s = s0; s < s1; ++s) {

@@ -4,11 +4,10 @@
 //   1. rt::Pcg32 is the canonical PCG32: the first outputs of the reference
 //      (seed 42, stream 54) pin conformance, and a constexpr evaluation pins
 //      that traces can be generated at compile time.
-//   2. Each eviction policy's eviction ORDER equals a naive reference
-//      simulator's on randomized traces (plus handcrafted cases: the LRU-K
-//      K-reference scan barrier, ARC ghost-list transitions, CLOCK hand
-//      wrap), so the optimized index structures cannot drift from the
-//      textbook algorithms.
+//   2. Each eviction policy's (LRU, ARC) eviction ORDER equals a naive
+//      reference simulator's on randomized traces (plus handcrafted cases:
+//      ARC ghost-list transitions and scan resistance), so the optimized
+//      index structures cannot drift from the textbook algorithms.
 //   3. Through a live serving::Server, cache-on responses are BITWISE
 //      identical to cache-off / direct Session output — including partial
 //      hits, duplicate rows inside one request, hot swaps (a swapped-in
@@ -123,80 +122,6 @@ class NaiveLru {
   std::vector<std::uint64_t> order_;  // MRU first
 };
 
-class NaiveLruK {
- public:
-  NaiveLruK(int capacity, int k) : capacity_(capacity), k_(k) {}
-
-  void on_hit(std::uint64_t key) { hist_[key].push_back(++clock_); }
-
-  std::vector<std::uint64_t> on_insert(std::uint64_t key) {
-    hist_[key].push_back(++clock_);
-    if (static_cast<int>(hist_.size()) <= capacity_) return {};
-    // Victim: smallest (Kth-most-recent access, last access, key); keys
-    // with fewer than K accesses rank 0 — below every K-referenced key.
-    std::uint64_t victim = 0;
-    std::array<std::uint64_t, 3> best{~0ULL, ~0ULL, ~0ULL};
-    for (const auto& [k2, hist] : hist_) {
-      const std::uint64_t kth =
-          static_cast<int>(hist.size()) >= k_ ? hist[hist.size() - k_] : 0;
-      const std::array<std::uint64_t, 3> rank{kth, hist.back(), k2};
-      if (rank < best) {
-        best = rank;
-        victim = k2;
-      }
-    }
-    hist_.erase(victim);
-    return {victim};
-  }
-
-  std::int64_t tracked() const { return static_cast<std::int64_t>(hist_.size()); }
-
- private:
-  int capacity_;
-  int k_;
-  std::uint64_t clock_ = 0;
-  std::map<std::uint64_t, std::vector<std::uint64_t>> hist_;  // full history
-};
-
-class NaiveClock {
- public:
-  explicit NaiveClock(int capacity) : capacity_(capacity) {}
-
-  void on_hit(std::uint64_t key) {
-    for (auto& slot : slots_) {
-      if (slot.key == key) slot.ref = true;
-    }
-  }
-
-  std::vector<std::uint64_t> on_insert(std::uint64_t key) {
-    if (static_cast<int>(slots_.size()) < capacity_) {
-      slots_.push_back({key, false});
-      return {};
-    }
-    while (slots_[hand_].ref) {
-      slots_[hand_].ref = false;
-      hand_ = (hand_ + 1) % slots_.size();
-    }
-    const std::uint64_t victim = slots_[hand_].key;
-    slots_[hand_] = {key, false};
-    hand_ = (hand_ + 1) % slots_.size();
-    return {victim};
-  }
-
-  std::int64_t tracked() const {
-    return static_cast<std::int64_t>(slots_.size());
-  }
-
- private:
-  struct Slot {
-    std::uint64_t key;
-    bool ref;
-  };
-  int capacity_;
-  std::size_t hand_ = 0;
-  std::vector<Slot> slots_;
-};
-
 /// Literal transcription of Megiddo & Modha's ARC(c) pseudocode over plain
 /// vectors (MRU at the front), including the library's defensive
 /// "T2 empty -> take T1" arm of REPLACE.
@@ -287,9 +212,9 @@ class NaiveArc {
 /// trace and asserts identical eviction sets at every step.
 template <typename Naive>
 void expect_trace_parity(CachePolicy kind, Naive naive, std::int64_t capacity,
-                         int lru_k, std::uint32_t universe,
-                         std::uint64_t seed, int refs) {
-  auto policy = serving::make_eviction_policy(kind, capacity, lru_k);
+                         std::uint32_t universe, std::uint64_t seed,
+                         int refs) {
+  auto policy = serving::make_eviction_policy(kind, capacity);
   std::set<std::uint64_t> live;
   Pcg32 rng(seed);
   for (int i = 0; i < refs; ++i) {
@@ -319,96 +244,25 @@ void expect_trace_parity(CachePolicy kind, Naive naive, std::int64_t capacity,
 }
 
 TEST(EvictionPolicyParity, LruMatchesNaiveOnRandomizedTraces) {
-  expect_trace_parity(CachePolicy::kLru, NaiveLru(8), 8, 2, 24, 101, 4000);
-  expect_trace_parity(CachePolicy::kLru, NaiveLru(5), 5, 2, 100, 102, 4000);
-}
-
-TEST(EvictionPolicyParity, LruKMatchesNaiveOnRandomizedTraces) {
-  expect_trace_parity(CachePolicy::kLruK, NaiveLruK(8, 2), 8, 2, 24, 103,
-                      4000);
-  expect_trace_parity(CachePolicy::kLruK, NaiveLruK(5, 3), 5, 3, 100, 104,
-                      4000);
-}
-
-TEST(EvictionPolicyParity, ClockMatchesNaiveOnRandomizedTraces) {
-  expect_trace_parity(CachePolicy::kClock, NaiveClock(8), 8, 2, 24, 105,
-                      4000);
-  expect_trace_parity(CachePolicy::kClock, NaiveClock(5), 5, 2, 100, 106,
-                      4000);
+  expect_trace_parity(CachePolicy::kLru, NaiveLru(8), 8, 24, 101, 4000);
+  expect_trace_parity(CachePolicy::kLru, NaiveLru(5), 5, 100, 102, 4000);
 }
 
 TEST(EvictionPolicyParity, ArcMatchesNaiveOnRandomizedTraces) {
   // The small-universe trace keeps ghosts hot (constant B1/B2 hits and p
   // adaptation); the large-universe one churns keys clean through both
   // ghost lists.
-  expect_trace_parity(CachePolicy::kArc, NaiveArc(8), 8, 2, 24, 107, 4000);
-  expect_trace_parity(CachePolicy::kArc, NaiveArc(5), 5, 2, 100, 108, 4000);
+  expect_trace_parity(CachePolicy::kArc, NaiveArc(8), 8, 24, 107, 4000);
+  expect_trace_parity(CachePolicy::kArc, NaiveArc(5), 5, 100, 108, 4000);
 }
 
 // ---- handcrafted policy semantics ------------------------------------------
-
-TEST(EvictionPolicy, LruKScanBarrierProtectsKReferencedKeys) {
-  // Capacity 4, K=2: keys 1..4 get two references each; a sweep of cold
-  // singletons may only ever displace other cold keys, never the
-  // K-referenced working set — O'Neil's scan barrier.
-  auto policy = serving::make_eviction_policy(CachePolicy::kLruK, 4, 2);
-  std::vector<std::uint64_t> evicted;
-  for (std::uint64_t key = 1; key <= 4; ++key) {
-    policy->on_insert(key, evicted);
-    policy->on_hit(key);
-  }
-  ASSERT_TRUE(evicted.empty());
-  for (std::uint64_t cold = 100; cold < 140; ++cold) {
-    policy->on_insert(cold, evicted);
-  }
-  ASSERT_EQ(evicted.size(), 40u);  // every insert past capacity evicts one
-  for (const std::uint64_t victim : evicted) {
-    EXPECT_GE(victim, 100u) << "scan evicted a K-referenced hot key";
-  }
-}
-
-TEST(EvictionPolicy, LruKBreaksTiesAmongColdKeysByOldestAccess) {
-  // Capacity 2, K=2: "a" earns its second reference; "b" and "c" stay cold.
-  auto policy = serving::make_eviction_policy(CachePolicy::kLruK, 2, 2);
-  std::vector<std::uint64_t> evicted;
-  policy->on_insert(1, evicted);  // a
-  policy->on_hit(1);
-  policy->on_insert(2, evicted);  // b
-  ASSERT_TRUE(evicted.empty());
-  policy->on_insert(3, evicted);  // c: b is the only other rank-0 key
-  ASSERT_EQ(evicted, std::vector<std::uint64_t>{2});
-  evicted.clear();
-  policy->on_insert(2, evicted);  // b again: c (older last access) goes
-  ASSERT_EQ(evicted, std::vector<std::uint64_t>{3});
-}
-
-TEST(EvictionPolicy, ClockSecondChanceAndHandWrap) {
-  // Capacity 3: a, b, c fill the ring; a's reference bit saves it on the
-  // first sweep (the hand clears it and takes b), and the hand then wraps
-  // past the end back to slot 0.
-  auto policy = serving::make_eviction_policy(CachePolicy::kClock, 3, 2);
-  std::vector<std::uint64_t> evicted;
-  policy->on_insert(1, evicted);  // slot 0
-  policy->on_insert(2, evicted);  // slot 1
-  policy->on_insert(3, evicted);  // slot 2
-  ASSERT_TRUE(evicted.empty());
-  policy->on_hit(1);
-  policy->on_insert(4, evicted);  // hand: clears 1's bit, evicts 2 (slot 1)
-  ASSERT_EQ(evicted, std::vector<std::uint64_t>{2});
-  evicted.clear();
-  policy->on_insert(5, evicted);  // hand at slot 2: 3 is cold -> evicted
-  ASSERT_EQ(evicted, std::vector<std::uint64_t>{3});
-  evicted.clear();
-  // Hand wrapped to slot 0; 1's bit was already spent, so it goes next.
-  policy->on_insert(6, evicted);
-  ASSERT_EQ(evicted, std::vector<std::uint64_t>{1});
-}
 
 TEST(EvictionPolicy, ArcGhostHitsAdaptAndPromoteStraightToT2) {
   // c=2 walkthrough of the paper's Case II/III. x is promoted to T2 via a
   // hit; y is demoted to the B1 ghost list; re-demanding y must (a) evict
   // from T2 (p grew toward recency), (b) revive y directly into T2.
-  auto policy = serving::make_eviction_policy(CachePolicy::kArc, 2, 2);
+  auto policy = serving::make_eviction_policy(CachePolicy::kArc, 2);
   std::vector<std::uint64_t> evicted;
   policy->on_insert(10, evicted);  // x -> T1
   policy->on_hit(10);              // x -> T2
@@ -431,8 +285,8 @@ TEST(EvictionPolicy, ArcSurvivesScansThatFlushLru) {
   // keep every hot key resident (scans live and die in T1), while LRU by
   // construction loses all of them.
   const std::int64_t kCapacity = 8;
-  auto arc = serving::make_eviction_policy(CachePolicy::kArc, kCapacity, 2);
-  auto lru = serving::make_eviction_policy(CachePolicy::kLru, kCapacity, 2);
+  auto arc = serving::make_eviction_policy(CachePolicy::kArc, kCapacity);
+  auto lru = serving::make_eviction_policy(CachePolicy::kLru, kCapacity);
   std::vector<std::uint64_t> arc_evicted, lru_evicted;
   for (std::uint64_t key = 1; key <= 4; ++key) {
     arc->on_insert(key, arc_evicted);
@@ -459,11 +313,7 @@ TEST(EvictionPolicy, ArcSurvivesScansThatFlushLru) {
 TEST(EvictionPolicy, FactoryValidatesAndNames) {
   EXPECT_THROW(serving::make_eviction_policy(CachePolicy::kLru, 0),
                std::invalid_argument);
-  EXPECT_THROW(serving::make_eviction_policy(CachePolicy::kLruK, 4, 1),
-               std::invalid_argument);
   EXPECT_STREQ(serving::cache_policy_name(CachePolicy::kLru), "lru");
-  EXPECT_STREQ(serving::cache_policy_name(CachePolicy::kLruK), "lru-k");
-  EXPECT_STREQ(serving::cache_policy_name(CachePolicy::kClock), "clock");
   EXPECT_STREQ(serving::cache_policy_name(CachePolicy::kArc), "arc");
   EXPECT_STREQ(serving::make_eviction_policy(CachePolicy::kArc, 2)->name(),
                "arc");
@@ -498,9 +348,6 @@ TEST(PredictionCacheUnit, ValidatesConstruction) {
   EXPECT_THROW(PredictionCache(opt, 10), std::invalid_argument);
   opt.shards = 1;
   EXPECT_THROW(PredictionCache(opt, 0), std::invalid_argument);
-  opt.policy = CachePolicy::kLruK;
-  opt.lru_k = 1;
-  EXPECT_THROW(PredictionCache(opt, 10), std::invalid_argument);
 }
 
 TEST(PredictionCacheUnit, RoundTripsAndFirstInsertWins) {
@@ -740,12 +587,6 @@ TEST(ServingCache, ServerValidatesCacheOptions) {
   bad_shards.cache.capacity_rows = 4;
   bad_shards.cache.shards = 0;
   EXPECT_THROW(serving::Server(plan, bad_shards), std::invalid_argument);
-
-  serving::ServerOptions bad_k;
-  bad_k.cache.capacity_rows = 4;
-  bad_k.cache.policy = CachePolicy::kLruK;
-  bad_k.cache.lru_k = 1;
-  EXPECT_THROW(serving::Server(plan, bad_k), std::invalid_argument);
 
   // Cache off (capacity 0): stats stay all-zero and nothing is cached.
   serving::Server off(plan, serving::ServerOptions{});

@@ -1,4 +1,4 @@
-// Unit tests for common utilities: RNG, thread pool, tables.
+// Unit tests for common utilities: RNG, scheduler parallel_for, tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,7 +7,7 @@
 
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/threadpool.hpp"
+#include "common/scheduler.hpp"
 
 namespace rt {
 namespace {
@@ -90,8 +90,8 @@ TEST(Rng, PermutationIsBijective) {
   EXPECT_EQ(*seen.rbegin(), 99);
 }
 
-TEST(ThreadPool, CoversFullRangeOnce) {
-  ThreadPool pool(4);
+TEST(Scheduler, CoversFullRangeOnce) {
+  Scheduler pool(4);
   std::vector<std::atomic<int>> hits(1000);
   pool.parallel_for(1000, [&](std::int64_t b, std::int64_t e) {
     for (std::int64_t i = b; i < e; ++i) hits[static_cast<std::size_t>(i)]++;
@@ -99,8 +99,8 @@ TEST(ThreadPool, CoversFullRangeOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, HandlesEmptyAndSingle) {
-  ThreadPool pool(2);
+TEST(Scheduler, HandlesEmptyAndSingle) {
+  Scheduler pool(2);
   int calls = 0;
   pool.parallel_for(0, [&](std::int64_t, std::int64_t) { ++calls; });
   EXPECT_EQ(calls, 0);
@@ -112,11 +112,11 @@ TEST(ThreadPool, HandlesEmptyAndSingle) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  // A worker that re-enters parallel_for on its own pool must run the nested
-  // call inline; enqueueing would deadlock once every worker blocks on the
-  // shared pending counter. Each (outer, inner) pair must still fire once.
-  ThreadPool pool(4);
+TEST(Scheduler, NestedParallelForDoesNotDeadlock) {
+  // A worker that re-enters parallel_for on its own scheduler must not
+  // deadlock once every worker is inside an outer leaf waiting on its
+  // nested region. Each (outer, inner) pair must still fire once.
+  Scheduler pool(4);
   std::vector<std::atomic<int>> hits(64 * 16);
   pool.parallel_for(64, [&](std::int64_t ob, std::int64_t oe) {
     for (std::int64_t o = ob; o < oe; ++o) {
@@ -130,8 +130,8 @@ TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-TEST(ThreadPool, ManySmallInvocations) {
-  ThreadPool pool(3);
+TEST(Scheduler, ManySmallInvocations) {
+  Scheduler pool(3);
   std::atomic<std::int64_t> total{0};
   for (int round = 0; round < 50; ++round) {
     pool.parallel_for(7, [&](std::int64_t b, std::int64_t e) {

@@ -152,7 +152,6 @@ TEST(RegistryCompileCache, BoundedRetentionSurvivesRefDropAndEvictsLru) {
   // recompiling. The third version evicts the least-recently-used line.
   registry::RegistryOptions opt = memory_only();
   opt.plan_cache_capacity = 2;
-  opt.plan_cache_policy = serving::CachePolicy::kLru;
   registry::Registry reg(opt);
   auto m1 = tiny_model(81);
   auto m2 = tiny_model(82);

@@ -1,8 +1,8 @@
 // Work-stealing scheduler tests: nested parallel_for correctness under
 // contention, TaskGroup exception propagation, bitwise determinism of
 // fixed-tree reductions and of the tile-parallel conv kernels under
-// arbitrary stealing, and a multi-session engine stress test over one shared
-// scheduler.
+// arbitrary stealing, training bits that do not depend on the lane count,
+// and a multi-session engine stress test over one shared scheduler.
 //
 // Every test constructs its own Scheduler so thread counts are explicit and
 // independent of RT_THREADS; oversubscription relative to the host's cores
@@ -22,12 +22,13 @@
 
 #include "common/function_ref.hpp"
 #include "common/scheduler.hpp"
-#include "common/threadpool.hpp"
 #include "data/synth.hpp"
 #include "engine/engine.hpp"
 #include "linalg/conv.hpp"
 #include "linalg/gemm.hpp"
 #include "models/resnet.hpp"
+#include "nn/loss.hpp"
+#include "nn/optim.hpp"
 #include "prune/baselines.hpp"
 
 namespace rt {
@@ -319,6 +320,51 @@ TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
   EXPECT_EQ(std::memcmp(dx_ref.data(), dx_pack.data(), bytes), 0);
 }
 
+/// Trains a freshly seeded micro-r18 for `steps` SGD steps on `batch`-row
+/// batches under a `lanes`-wide scheduler and returns every parameter value.
+std::vector<float> train_micro_r18(int lanes, std::int64_t batch, int steps) {
+  Scheduler sched(lanes);
+  SchedulerScope scope(sched);
+  Rng rng(77);
+  auto model = make_micro_resnet18(10, rng);
+  model->set_training(true);
+  Sgd sgd(model->parameters(), SgdConfig{0.05f, 0.9f, 1e-4f});
+  const Dataset data = generate_dataset(
+      source_task_spec(), static_cast<int>(batch) * steps, 78);
+  for (int step = 0; step < steps; ++step) {
+    const std::int64_t begin = step * batch;
+    const std::vector<int> labels(data.labels.begin() + begin,
+                                  data.labels.begin() + begin + batch);
+    sgd.zero_grad();
+    const LossResult loss = softmax_cross_entropy(
+        model->forward(data.images.slice_rows(begin, batch)), labels);
+    model->backward(loss.grad_logits);
+    sgd.step();
+  }
+  std::vector<float> values;
+  for (const Parameter* p : model->parameters()) {
+    values.insert(values.end(), p->value.data(),
+                  p->value.data() + p->value.numel());
+  }
+  return values;
+}
+
+TEST(Scheduler, TrainingBitsIndependentOfLaneCount) {
+  // Every reduction partition (the conv wgrad partials above all) follows
+  // the batch, never the lane count, so a model trains to the same bits on
+  // any host. Batch 32 is the default training batch; 12 leaves a ragged
+  // last partial; 2 runs below the lane count, where the conv kernels
+  // switch to parallel_tiles.
+  for (const std::int64_t batch : {32, 12, 2}) {
+    const std::vector<float> one = train_micro_r18(1, batch, 2);
+    const std::vector<float> four = train_micro_r18(4, batch, 2);
+    ASSERT_EQ(one.size(), four.size());
+    EXPECT_EQ(std::memcmp(one.data(), four.data(), one.size() * sizeof(float)),
+              0)
+        << "batch " << batch;
+  }
+}
+
 TEST(Scheduler, DefaultThreadCountHonorsRtThreadsEnv) {
   const char* saved = std::getenv("RT_THREADS");
   const std::string restore = saved != nullptr ? saved : "";
@@ -335,18 +381,23 @@ TEST(Scheduler, DefaultThreadCountHonorsRtThreadsEnv) {
   }
 }
 
-TEST(ThreadPool, WrapperStillComposesNestedLoops) {
-  // The legacy entry point over the scheduler: nested calls decompose
-  // rather than flatten, and results cover the range exactly once.
-  ThreadPool pool(4);
+TEST(Scheduler, CurrentComposesNestedLoops) {
+  // The entry point every library loop uses: Scheduler::current() resolves
+  // to the scoped scheduler on the calling thread and inside its workers,
+  // nested calls decompose rather than flatten, and results cover the range
+  // exactly once.
+  Scheduler sched(4);
+  SchedulerScope scope(sched);
   std::vector<std::atomic<int>> hits(48 * 32);
-  pool.parallel_for(48, [&](std::int64_t ob, std::int64_t oe) {
+  Scheduler::current().parallel_for(48, [&](std::int64_t ob, std::int64_t oe) {
+    EXPECT_EQ(&Scheduler::current(), &sched);
     for (std::int64_t o = ob; o < oe; ++o) {
-      pool.parallel_for(32, [&, o](std::int64_t ib, std::int64_t ie) {
+      const auto inner = [&, o](std::int64_t ib, std::int64_t ie) {
         for (std::int64_t i = ib; i < ie; ++i) {
           hits[static_cast<std::size_t>(o * 32 + i)]++;
         }
-      });
+      };
+      Scheduler::current().parallel_for(32, inner);
     }
   });
   for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
