@@ -20,8 +20,10 @@
 //       p99_us from the server's own latency histogram, items/s from the
 //       closed loop.
 //   BM_CacheLookupHit / BM_CacheLookupMiss   raw PredictionCache probe cost
-//       (fingerprint + shard lock + map walk + 10-float copy), the floor a
-//       hit pays instead of the full coalesce->dispatch->kernel path.
+//       (3 KiB row fingerprint + key mix + shard lock + map walk, plus the
+//       10-float copy on a hit), the floor a hit pays instead of the full
+//       coalesce->dispatch->kernel path. Both time the same fingerprint, so
+//       their difference is the probe outcome alone.
 //
 // Every trace is generated by the constexpr-capable rt::Pcg32, so the
 // reference streams are bit-identical across hosts and toolchains; numbers
@@ -222,10 +224,17 @@ void BM_CacheLookupMiss(benchmark::State& state) {
   rt::serving::CacheOptions copt;
   copt.capacity_rows = kCapacity;
   rt::serving::PredictionCache cache(copt, 10);
+  const rt::Tensor& row = key_rows()[0];
+  const std::int64_t plane = row.numel();
   std::vector<float> out(10);
-  std::uint64_t key = 0;
+  std::uint64_t tag = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(cache.lookup(++key, out.data()));
+    // Same work as BM_CacheLookupHit (fingerprint + key mix + probe); a
+    // fresh epoch tag per probe keeps every lookup a miss on an empty cache.
+    const std::uint64_t k = rt::serving::cache_key(
+        rt::row_fingerprint(row.data(), static_cast<std::size_t>(plane)),
+        ++tag);
+    benchmark::DoNotOptimize(cache.lookup(k, out.data()));
   }
   state.SetItemsProcessed(state.iterations());
 }

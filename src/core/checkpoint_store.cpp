@@ -10,24 +10,9 @@
 #include <mutex>
 #include <set>
 
+#include "common/hash.hpp"
+
 namespace rt {
-
-namespace {
-
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-std::uint64_t fnv1a(const void* data, std::size_t bytes, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-}  // namespace
 
 CheckpointKey& CheckpointKey::add(const std::string& field,
                                   const std::string& value) {
@@ -50,7 +35,7 @@ CheckpointKey& CheckpointKey::add(const std::string& field, double value) {
 }
 
 std::uint64_t CheckpointKey::hash() const {
-  return fnv1a(key_.data(), key_.size(), kFnvOffset);
+  return hash64(key_.data(), key_.size());
 }
 
 std::string CheckpointKey::filename() const {
@@ -70,32 +55,32 @@ std::string CheckpointKey::filename() const {
 }
 
 std::uint64_t state_dict_fingerprint(const StateDict& state) {
-  std::uint64_t h = kFnvOffset;
+  std::uint64_t h = 0;
   for (const auto& [name, tensor] : state) {
-    h = fnv1a(name.data(), name.size(), h);
+    h = hash64(name.data(), name.size(), h);
     const std::size_t ndim = tensor.ndim();
-    h = fnv1a(&ndim, sizeof(ndim), h);
+    h = hash64(&ndim, sizeof(ndim), h);
     for (std::size_t d = 0; d < ndim; ++d) {
       const std::int64_t extent = tensor.dim(d);
-      h = fnv1a(&extent, sizeof(extent), h);
+      h = hash64(&extent, sizeof(extent), h);
     }
-    h = fnv1a(tensor.data(),
-              static_cast<std::size_t>(tensor.numel()) * sizeof(float), h);
+    h = hash64(tensor.data(),
+               static_cast<std::size_t>(tensor.numel()) * sizeof(float), h);
   }
   return h;
 }
 
 std::uint64_t dataset_fingerprint(const Dataset& data) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv1a(data.images.data(),
-            static_cast<std::size_t>(data.images.numel()) * sizeof(float), h);
-  h = fnv1a(data.labels.data(), data.labels.size() * sizeof(int), h);
-  h = fnv1a(&data.num_classes, sizeof(data.num_classes), h);
+  std::uint64_t h = hash64(
+      data.images.data(),
+      static_cast<std::size_t>(data.images.numel()) * sizeof(float));
+  h = hash64(data.labels.data(), data.labels.size() * sizeof(int), h);
+  h = hash64(&data.num_classes, sizeof(data.num_classes), h);
   return h;
 }
 
 std::uint64_t row_fingerprint(const float* row, std::size_t floats) {
-  return fnv1a(row, floats * sizeof(float), kFnvOffset);
+  return hash64(row, floats * sizeof(float));
 }
 
 CheckpointStore::CheckpointStore(std::string root) : root_(std::move(root)) {}

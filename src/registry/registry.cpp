@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/audit.hpp"
+#include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "core/kernel_version.hpp"
 #include "engine/engine.hpp"
@@ -26,16 +27,11 @@ std::string version_label(const std::string& name, int version) {
   return name + "@" + std::to_string(version);
 }
 
-/// FNV-1a over a plan cache key string — the 64-bit handle the eviction
-/// policy tracks (the full string stays stored next to the plan, so an
+/// hash64 of a plan cache key string — the 64-bit handle the eviction policy
+/// tracks (the full string stays stored next to the plan, so an
 /// astronomically-unlikely hash alias degrades to a miss, never a mix-up).
 std::uint64_t plan_key_hash(const std::string& key) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : key) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
+  return hash64(key.data(), key.size());
 }
 
 }  // namespace

@@ -12,8 +12,8 @@
 //   opt.cache.policy = serving::CachePolicy::kArc;
 //   serving::Server server(plan, opt);       // hits now bypass the coalescer
 //
-// Key derivation: a row's cache key is core::row_fingerprint (the FNV-1a
-// byte hash behind dataset_fingerprint) over its float payload, mixed with
+// Key derivation: a row's cache key is core::row_fingerprint (the XXH64
+// content hash behind dataset_fingerprint) over its float payload, mixed with
 // the serving epoch's tag via cache_key(). Every installed fleet (primary,
 // candidate, each hot-swap generation) gets a fresh tag, so a swapped-in
 // version can never serve a predecessor's logits — stale entries become
@@ -21,7 +21,7 @@
 // pressure. Within one epoch, cached logits are the bitwise output of that
 // epoch's Session::run_rows on the row (the engine is deterministic), so a
 // hit is indistinguishable from a fresh execution. The one caveat is the
-// 64-bit fingerprint itself: two distinct rows alias only on an FNV-1a
+// 64-bit fingerprint itself: two distinct rows alias only on a 64-bit XXH64
 // collision (~2^-64 per pair), which this layer accepts by design rather
 // than storing and comparing 3 KiB of row payload per entry.
 //

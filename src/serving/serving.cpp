@@ -527,14 +527,19 @@ std::future<Tensor> Server::submit(Tensor rows) {
   if (cache_ != nullptr) {
     const std::int64_t plane = in_channels_ * height_ * width_;
     output = Tensor({n, num_classes_});
-    fill_keys.reserve(static_cast<std::size_t>(n));
-    row_map.reserve(static_cast<std::size_t>(n));
     for (std::int64_t i = 0; i < n; ++i) {
       const std::uint64_t key =
           cache_key(row_fingerprint(rows.data() + i * plane,
                                     static_cast<std::size_t>(plane)),
                     epoch->cache_tag);
       if (cache_->lookup(key, output.data() + i * num_classes_)) continue;
+      if (row_map.empty()) {
+        // First miss: reserve here, so an all-hit request never allocates
+        // the miss bookkeeping. Rows before i all hit.
+        const auto remaining = static_cast<std::size_t>(n - i);
+        fill_keys.reserve(remaining);
+        row_map.reserve(remaining);
+      }
       row_map.push_back(i);
       fill_keys.push_back(key);
     }
