@@ -7,7 +7,8 @@
 #   scripts/check.sh               # gate only (human-readable smoke output)
 #   scripts/check.sh --bench-json  # additionally write BENCH_kernels.json —
 #                                  # GEMM + conv + engine throughput (single-
-#                                  # and multi-thread) in google-benchmark's
+#                                  # and multi-thread) and the PGD / TRADES
+#                                  # attack steps in google-benchmark's
 #                                  # JSON schema, so the kernel perf
 #                                  # trajectory is machine-readable across
 #                                  # PRs.
@@ -20,7 +21,8 @@
 #                                  # concurrency-heavy suites (scheduler,
 #                                  # engine, serving, registry, common, gemm,
 #                                  # quant kernels, prediction cache, socket
-#                                  # front-end) under ThreadSanitizer.
+#                                  # front-end, attacks, TRADES) under
+#                                  # ThreadSanitizer.
 #   scripts/check.sh --asan        # same suites under AddressSanitizer
 #                                  # (-DRT_SANITIZE=address).
 #   scripts/check.sh --ubsan       # same suites under UBSan with
@@ -58,11 +60,21 @@ ctest --test-dir build --output-on-failure -j"${JOBS}"
 
 # The concurrency-heavy suites every sanitizer pass exercises, plus the
 # quantized kernel suite (int8 packing/requant arithmetic is where UB —
-# narrowing, shifts, aliasing — would live). One list so the echo, the build
-# targets, and the ctest filter cannot drift apart.
+# narrowing, shifts, aliasing — would live) and the attack suites (PGD and
+# TRADES run Conv2d::backward with frozen weights: dgrad in the wgrad slot
+# loop, no partials). One list so the echo, the build targets, and the ctest
+# filter cannot drift apart.
 SAN_SUITES=(test_scheduler test_engine test_serving test_registry test_common
-            test_gemm test_quant_kernels test_cache test_net)
+            test_gemm test_quant_kernels test_cache test_net test_attack
+            test_trades)
 SAN_FILTER="$(IFS='|'; echo "${SAN_SUITES[*]}")"
+# The sanitizer builds are portable (-DRT_MARCH_NATIVE=OFF), so their training
+# bits differ from the native build's. The excluded test asserts a robustness
+# margin after 6 epochs on 200 rows, and on portable bits the margin is missed
+# (robust 0.067 vs natural 0.117 adversarial accuracy on an x86-64 host). It
+# checks training quality, not memory or races, and tier 1 runs it on the
+# native build above.
+SAN_GTEST_FILTER='-AdversarialTraining.ImprovesRobustAccuracy'
 
 # run_sanitizer_pass <name> <build_dir> <rt_sanitize_value>
 run_sanitizer_pass() {
@@ -71,7 +83,8 @@ run_sanitizer_pass() {
   cmake -B "${dir}" -S . -DRT_SANITIZE="${value}" -DRT_BUILD_BENCHES=OFF \
         -DRT_BUILD_EXAMPLES=OFF -DRT_MARCH_NATIVE=OFF
   cmake --build "${dir}" -j"${JOBS}" --target "${SAN_SUITES[@]}"
-  ctest --test-dir "${dir}" --output-on-failure -j1 -R "${SAN_FILTER}"
+  GTEST_FILTER="${SAN_GTEST_FILTER}" \
+    ctest --test-dir "${dir}" --output-on-failure -j1 -R "${SAN_FILTER}"
 }
 
 if [[ "${LINT}" == 1 ]]; then
@@ -138,8 +151,9 @@ run_bench_smoke() {
   fi
 }
 
-run_bench_smoke bench_kernels 'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_EngineThroughput' \
-  BENCH_kernels.json "GEMM + conv + engine throughput"
+run_bench_smoke bench_kernels \
+  'BM_Matmul|BM_Gemm|BM_ConvTrain|BM_EngineThroughput|BM_PgdAttack|BM_TradesStep' \
+  BENCH_kernels.json "GEMM + conv + engine throughput + attack steps"
 run_bench_smoke bench_serving 'BM_Server|BM_Registry|BM_Cache|BM_Net' \
   BENCH_serving.json \
   "async micro-batching front-end + registry hot swap + prediction cache + socket front-end"

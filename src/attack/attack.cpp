@@ -1,5 +1,6 @@
 #include "attack/attack.hpp"
 
+#include "attack/eval_mode_guard.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {
@@ -13,23 +14,6 @@ Tensor input_gradient(Module& model, const Tensor& x,
   const LossResult loss = softmax_cross_entropy(logits, y);
   return model.backward(loss.grad_logits);
 }
-
-class EvalModeGuard {
- public:
-  explicit EvalModeGuard(Module& m) : model_(m), was_training_(m.training()) {
-    model_.set_training(false);
-  }
-  ~EvalModeGuard() {
-    model_.set_training(was_training_);
-    model_.zero_grad();  // attack gradients must not leak into training
-  }
-  EvalModeGuard(const EvalModeGuard&) = delete;
-  EvalModeGuard& operator=(const EvalModeGuard&) = delete;
-
- private:
-  Module& model_;
-  bool was_training_;
-};
 
 }  // namespace
 

@@ -20,10 +20,13 @@ struct AttackConfig {
   bool random_start = true; ///< uniform init inside the ball
 };
 
-/// Multi-step PGD on the cross-entropy loss. The model is put in eval mode
-/// during generation (so batch-norm statistics are neither polluted nor
-/// recomputed per step) and restored afterwards; accumulated parameter
-/// gradients are cleared before returning. Output stays in [0,1].
+/// Multi-step PGD on the cross-entropy loss. The model runs in eval mode
+/// (batch-norm statistics are neither polluted nor recomputed per step) with
+/// every parameter frozen, so each step's backward computes only the input
+/// gradient; the output is bitwise identical to running the same steps with
+/// every parameter trainable. On return, also by exception, the mode and each
+/// parameter's `trainable` flag are restored and all parameter gradients are
+/// cleared. Output stays in [0,1].
 Tensor pgd_attack(Module& model, const Tensor& x, const std::vector<int>& y,
                   const AttackConfig& config, Rng& rng);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "attack/eval_mode_guard.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {
@@ -27,25 +28,11 @@ std::vector<float> margins(Module& model, const Tensor& x,
   return out;
 }
 
-class EvalGuard {
- public:
-  explicit EvalGuard(Module& m) : model_(m), was_training_(m.training()) {
-    model_.set_training(false);
-  }
-  ~EvalGuard() { model_.set_training(was_training_); }
-  EvalGuard(const EvalGuard&) = delete;
-  EvalGuard& operator=(const EvalGuard&) = delete;
-
- private:
-  Module& model_;
-  bool was_training_;
-};
-
 }  // namespace
 
 Tensor square_attack(Module& model, const Tensor& x, const std::vector<int>& y,
                      const SquareAttackConfig& config, Rng& rng) {
-  const EvalGuard guard(model);
+  const EvalModeGuard guard(model);
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
 
   // Vertical-stripe initialization (as in the original attack).
@@ -114,8 +101,7 @@ Tensor momentum_pgd_attack(Module& model, const Tensor& x,
                            const std::vector<int>& y,
                            const MomentumPgdConfig& config, Rng& rng) {
   (void)rng;
-  const bool was_training = model.training();
-  model.set_training(false);
+  const EvalModeGuard guard(model);
   Tensor adv = x;
   Tensor momentum(x.shape());
   for (int step = 0; step < config.steps; ++step) {
@@ -145,16 +131,13 @@ Tensor momentum_pgd_attack(Module& model, const Tensor& x,
     }
     adv.clamp_(0.0f, 1.0f);
   }
-  model.zero_grad();
-  model.set_training(was_training);
   return adv;
 }
 
 Tensor targeted_pgd_attack(Module& model, const Tensor& x,
                            const std::vector<int>& targets,
                            const AttackConfig& config, Rng& rng) {
-  const bool was_training = model.training();
-  model.set_training(false);
+  const EvalModeGuard guard(model);
   Tensor adv = x;
   if (config.random_start) {
     for (std::int64_t i = 0; i < adv.numel(); ++i) {
@@ -175,8 +158,6 @@ Tensor targeted_pgd_attack(Module& model, const Tensor& x,
     }
     adv.clamp_(0.0f, 1.0f);
   }
-  model.zero_grad();
-  model.set_training(was_training);
   return adv;
 }
 

@@ -6,7 +6,10 @@
 // This module provides a square-attack-style random-search adversary (no
 // gradients, score-based), a momentum-PGD variant (MI-FGSM), and targeted
 // PGD — used by the attack-strength ablation and available to users for
-// robustness audits of drawn tickets.
+// robustness audits of drawn tickets. Every attack here handles the model
+// like pgd_attack: eval mode and frozen parameters inside; mode and
+// `trainable` flags restored and parameter gradients cleared on the way out,
+// also when forward throws.
 
 #include <vector>
 

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "attack/attack.hpp"
+#include "attack/eval_mode_guard.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {
@@ -67,8 +68,7 @@ namespace {
 /// Per-sample vote histograms under Gaussian noise.
 std::vector<std::vector<int>> vote(Module& model, const Tensor& x,
                                    const SmoothingConfig& config, Rng& rng) {
-  const bool was_training = model.training();
-  model.set_training(false);
+  const EvalModeGuard guard(model);
   const std::int64_t n = x.dim(0);
   std::vector<std::vector<int>> counts(static_cast<std::size_t>(n));
   for (int s = 0; s < config.samples; ++s) {
@@ -82,7 +82,6 @@ std::vector<std::vector<int>> vote(Module& model, const Tensor& x,
       ++hist[static_cast<std::size_t>(pred[static_cast<std::size_t>(i)])];
     }
   }
-  model.set_training(was_training);
   return counts;
 }
 

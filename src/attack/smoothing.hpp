@@ -5,7 +5,8 @@
 // alternative robust pretraining scheme (Fig. 6). This module completes the
 // technique: the smoothed classifier g(x) = argmax_c P(f(x + N(0, s^2)) = c)
 // with Monte-Carlo prediction and a certified L2 radius derived from a
-// lower confidence bound on the top-class probability.
+// lower confidence bound on the top-class probability. Voting handles the
+// model like pgd_attack (eval mode inside, gradients cleared on exit).
 
 #include <vector>
 

@@ -1,29 +1,9 @@
 #include "attack/trades.hpp"
 
+#include "attack/eval_mode_guard.hpp"
 #include "nn/loss.hpp"
 
 namespace rt {
-
-namespace {
-
-class EvalModeGuard {
- public:
-  explicit EvalModeGuard(Module& m) : model_(m), was_training_(m.training()) {
-    model_.set_training(false);
-  }
-  ~EvalModeGuard() {
-    model_.set_training(was_training_);
-    model_.zero_grad();
-  }
-  EvalModeGuard(const EvalModeGuard&) = delete;
-  EvalModeGuard& operator=(const EvalModeGuard&) = delete;
-
- private:
-  Module& model_;
-  bool was_training_;
-};
-
-}  // namespace
 
 Tensor trades_attack(Module& model, const Tensor& x, const AttackConfig& config,
                      Rng& rng) {

@@ -24,9 +24,9 @@ struct TradesConfig {
   AttackConfig attack;   ///< inner-maximization budget
 };
 
-/// Inner maximization of TRADES: PGD on KL(p(x) || p(x')) wrt x'. The model
-/// is run in eval mode and parameter gradients are cleared afterwards, like
-/// pgd_attack.
+/// Inner maximization of TRADES: PGD on KL(p(x) || p(x')) wrt x'. Handles
+/// the model like pgd_attack: eval mode, input-only backward, mode and flags
+/// restored and parameter gradients cleared afterwards.
 Tensor trades_attack(Module& model, const Tensor& x, const AttackConfig& config,
                      Rng& rng);
 

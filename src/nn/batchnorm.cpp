@@ -110,22 +110,28 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   const std::int64_t m = n * hw;
   Tensor dx({n, c, h, w});
 
+  // The per-channel sums feed the gamma/beta gradients and the batch-stats
+  // dx; with frozen statistics and frozen parameters nothing reads them.
+  const bool want_sums =
+      forward_used_batch_stats_ || gamma_.trainable || beta_.trainable;
   // Channels are independent: each iteration only touches its own slice of
   // dx and its own gamma/beta grad entry.
   Scheduler& sched = Scheduler::current();
   sched.parallel_for(c, [&](std::int64_t begin, std::int64_t end) {
     for (std::int64_t ch = begin; ch < end; ++ch) {
       double sum_dy = 0.0, sum_dy_xhat = 0.0;
-      for (std::int64_t i = 0; i < n; ++i) {
-        const float* gp = grad_out.data() + (i * c + ch) * hw;
-        const float* hp = cached_xhat_.data() + (i * c + ch) * hw;
-        for (std::int64_t j = 0; j < hw; ++j) {
-          sum_dy += gp[j];
-          sum_dy_xhat += static_cast<double>(gp[j]) * hp[j];
+      if (want_sums) {
+        for (std::int64_t i = 0; i < n; ++i) {
+          const float* gp = grad_out.data() + (i * c + ch) * hw;
+          const float* hp = cached_xhat_.data() + (i * c + ch) * hw;
+          for (std::int64_t j = 0; j < hw; ++j) {
+            sum_dy += gp[j];
+            sum_dy_xhat += static_cast<double>(gp[j]) * hp[j];
+          }
         }
       }
-      gamma_.grad[ch] += static_cast<float>(sum_dy_xhat);
-      beta_.grad[ch] += static_cast<float>(sum_dy);
+      if (gamma_.trainable) gamma_.grad[ch] += static_cast<float>(sum_dy_xhat);
+      if (beta_.trainable) beta_.grad[ch] += static_cast<float>(sum_dy);
 
       const float g = gamma_.value[ch];
       const float is = cached_inv_std_[ch];

@@ -140,17 +140,24 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // count is fixed by the batch size (not by the scheduler width or by
   // which worker ran what), so the tree's summation order — and the
   // resulting bits — are the same on every host and under any stealing.
+  // A frozen parameter's partials stay empty, so it gets no wgrad and no
+  // fold; dgrad runs in the same slot loop either way, so dx has the same
+  // bits.
+  const bool want_dw = weight_.trainable;
+  const bool want_db = has_bias_ && bias_.trainable;
   const std::int64_t slots =
       (n + kWgradSamplesPerSlot - 1) / kWgradSamplesPerSlot;
   std::vector<std::vector<float>> dw_part(static_cast<std::size_t>(slots));
   std::vector<std::vector<float>> db_part(
-      has_bias_ ? static_cast<std::size_t>(slots) : 0u);
+      want_db ? static_cast<std::size_t>(slots) : 0u);
 
   sched.parallel_for(slots, [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t s = s0; s < s1; ++s) {
       std::vector<float>& dw_local = dw_part[static_cast<std::size_t>(s)];
-      dw_local.assign(static_cast<std::size_t>(out_channels_ * ckk), 0.0f);
-      if (has_bias_) {
+      if (want_dw) {
+        dw_local.assign(static_cast<std::size_t>(out_channels_ * ckk), 0.0f);
+      }
+      if (want_db) {
         db_part[static_cast<std::size_t>(s)].assign(
             static_cast<std::size_t>(out_channels_), 0.0f);
       }
@@ -159,12 +166,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       for (std::int64_t i = begin; i < end; ++i) {
         const float* gi = gd + i * out_channels_ * ohw;
         // dW += gout_i * col(x_i)^T, fused — no im2col materialization.
-        conv2d_wgrad_plane(gi, xd + i * in_plane, in_channels_, h, w, geom_,
-                           out_channels_, dw_local.data(), kopts);
+        if (want_dw) {
+          conv2d_wgrad_plane(gi, xd + i * in_plane, in_channels_, h, w, geom_,
+                             out_channels_, dw_local.data(), kopts);
+        }
         // dx_i += W^T * gout_i, computed in tiles scattered while cache-hot.
         conv2d_dgrad_plane(wd, out_channels_, gi, in_channels_, h, w, geom_,
                            dx.data() + i * in_plane, kopts);
-        if (has_bias_) {
+        if (want_db) {
           float* db_local = db_part[static_cast<std::size_t>(s)].data();
           for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
             const float* grow = gi + oc * ohw;
@@ -176,6 +185,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       }
     }
   });
+  if (!want_dw && !want_db) return dx;
 
   // Pairwise tree: round r folds partial s+2^r into partial s. Each pair is
   // an independent buffer sum, so rounds parallelize without atomics.
@@ -189,7 +199,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         float* d = dw_part[dst].data();
         const float* sbuf = dw_part[src].data();
         for (std::size_t j = 0; j < dw_part[dst].size(); ++j) d[j] += sbuf[j];
-        if (has_bias_) {
+        if (want_db) {
           float* db = db_part[dst].data();
           const float* sb = db_part[src].data();
           for (std::size_t j = 0; j < db_part[dst].size(); ++j) {
@@ -200,7 +210,8 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     });
   }
 
-  // Fold the root partial into the parameter gradients, element-parallel.
+  // Fold the root partial into the parameter gradients, element-parallel
+  // (an empty loop for a frozen weight).
   float* dw = weight_.grad.data();
   const float* root = dw_part[0].data();
   sched.parallel_for(static_cast<std::int64_t>(dw_part[0].size()),
@@ -209,7 +220,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                          dw[j] += root[j];
                        }
                      });
-  if (has_bias_) {
+  if (want_db) {
     float* db = bias_.grad.data();
     for (std::size_t j = 0; j < db_part[0].size(); ++j) db[j] += db_part[0][j];
   }

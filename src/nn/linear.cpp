@@ -57,11 +57,14 @@ Tensor Linear::backward(const Tensor& grad_out) {
   if (cached_input_.empty()) {
     throw std::logic_error("Linear::backward before forward");
   }
-  // dW += gout^T x ; dx = gout W ; db += column sums of gout.
+  // dW += gout^T x ; dx = gout W ; db += column sums of gout. Frozen
+  // parameters skip their gradient.
   const std::int64_t n = grad_out.dim(0);
-  gemm_tn(out_features_, in_features_, n, grad_out.data(),
-          cached_input_.data(), weight_.grad.data(), {.accumulate = true});
-  if (has_bias_) {
+  if (weight_.trainable) {
+    gemm_tn(out_features_, in_features_, n, grad_out.data(),
+            cached_input_.data(), weight_.grad.data(), {.accumulate = true});
+  }
+  if (has_bias_ && bias_.trainable) {
     for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t j = 0; j < out_features_; ++j) {
         bias_.grad[j] += grad_out.at(i, j);

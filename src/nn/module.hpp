@@ -2,11 +2,11 @@
 // Layer abstraction with explicit manual backpropagation.
 //
 // Every layer caches what it needs during forward() and implements
-// backward(grad_out) -> grad_in, accumulating parameter gradients as a side
-// effect. Manual backprop (instead of an autograd tape) is a deliberate
-// choice: PGD attacks need input gradients, LMP needs straight-through
-// estimation on masks, and IMP needs weight rewinding — all of which want
-// direct control over the backward pass.
+// backward(grad_out) -> grad_in, accumulating the gradients of trainable
+// parameters as a side effect. Manual backprop (instead of an autograd tape)
+// is a deliberate choice: PGD attacks need input gradients, LMP needs
+// straight-through estimation on masks, and IMP needs weight rewinding — all
+// of which want direct control over the backward pass.
 
 #include <cstdint>
 #include <memory>
@@ -41,6 +41,9 @@ struct Parameter {
   Tensor value;
   Tensor grad;
   Tensor mask;  ///< empty => dense
+  /// Frozen (false): backward skips its gradient, optimizers skip its
+  /// update. PyTorch's requires_grad; the input gradient a layer returns is
+  /// the same bits either way.
   bool trainable = true;
 
   // Conv geometry, needed to map the flattened weight matrix onto
@@ -76,8 +79,9 @@ class Module {
   virtual Tensor forward(const Tensor& x) = 0;
 
   /// Propagates grad_out (same shape as the last forward output) back to the
-  /// input, accumulating parameter .grad along the way. Must be called after
-  /// a matching forward().
+  /// input, accumulating .grad of every trainable parameter along the way
+  /// (frozen ones are skipped; the returned input gradient does not depend
+  /// on the flags). Must be called after a matching forward().
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   /// Appends raw pointers to all parameters owned (transitively) by this

@@ -2,9 +2,12 @@
 // satisfaction, effectiveness, and mode/grad hygiene.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "attack/attack.hpp"
+#include "attack/trades.hpp"
 #include "data/synth.hpp"
 #include "models/resnet.hpp"
 #include "nn/loss.hpp"
@@ -97,6 +100,68 @@ TEST_F(AttackTest, RestoresModeAndClearsGradients) {
   model_->set_training(false);
   fgsm_attack(*model_, x_, y_, 0.02f);
   EXPECT_FALSE(model_->training());
+}
+
+/// PGD exactly as pgd_attack runs it, but with every parameter left
+/// trainable, so each step's backward also computes the weight gradients.
+Tensor reference_pgd(Module& model, const Tensor& x, const std::vector<int>& y,
+                     const AttackConfig& config, Rng& rng) {
+  const bool was_training = model.training();
+  model.set_training(false);
+  Tensor adv = x;
+  if (config.random_start) {
+    for (std::int64_t i = 0; i < adv.numel(); ++i) {
+      adv[i] += rng.uniform(-config.epsilon, config.epsilon);
+    }
+    adv.clamp_(0.0f, 1.0f);
+  }
+  for (int step = 0; step < config.steps; ++step) {
+    const LossResult loss = softmax_cross_entropy(model.forward(adv), y);
+    Tensor g = model.backward(loss.grad_logits);
+    g.sign_();
+    adv.axpy_(config.step_size, g);
+    for (std::int64_t i = 0; i < adv.numel(); ++i) {
+      adv[i] = std::clamp(adv[i], x[i] - config.epsilon, x[i] + config.epsilon);
+    }
+    adv.clamp_(0.0f, 1.0f);
+  }
+  model.zero_grad();
+  model.set_training(was_training);
+  return adv;
+}
+
+TEST_F(AttackTest, PgdMatchesPlainBackwardBitwise) {
+  AttackConfig cfg;
+  cfg.steps = 5;
+  Rng rng_ref(12);
+  const Tensor expected = reference_pgd(*model_, x_, y_, cfg, rng_ref);
+  for (Parameter* p : model_->parameters()) ASSERT_TRUE(p->trainable);
+  Rng rng(12);
+  const Tensor adv = pgd_attack(*model_, x_, y_, cfg, rng);
+  ASSERT_TRUE(adv.same_shape(expected));
+  EXPECT_EQ(std::memcmp(adv.data(), expected.data(),
+                        static_cast<std::size_t>(adv.numel()) * sizeof(float)),
+            0);
+  EXPECT_GT(adv.linf_distance(x_), 0.0f);
+}
+
+TEST_F(AttackTest, GuardKeepsPreFrozenParameterFrozen) {
+  const std::vector<Parameter*> params = model_->parameters();
+  ASSERT_GT(params.size(), 2u);
+  params[1]->trainable = false;
+  auto expect_flags = [&](const char* after) {
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(params[i]->trainable, i != 1)
+          << after << ": " << params[i]->name;
+    }
+  };
+  AttackConfig cfg;
+  cfg.steps = 2;
+  Rng rng(13);
+  pgd_attack(*model_, x_, y_, cfg, rng);
+  expect_flags("pgd_attack");
+  trades_attack(*model_, x_, cfg, rng);
+  expect_flags("trades_attack");
 }
 
 TEST_F(AttackTest, ZeroStepsPgdIsJustProjection) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "attack/blackbox.hpp"
 #include "attack/smoothing.hpp"
@@ -101,6 +102,33 @@ TEST_F(BlackboxTest, TargetedPgdMovesTowardsTarget) {
       softmax_cross_entropy(model_->forward(adv), targets).loss;
   EXPECT_LT(after, before) << "targeted attack failed to reduce target loss";
   EXPECT_LE(adv.linf_distance(x_), cfg.epsilon + 1e-5f);
+}
+
+TEST_F(BlackboxTest, GradientAttacksRestoreStateWhenForwardThrows) {
+  // One input channel instead of three: the stem conv throws mid-attack.
+  Rng rng(12);
+  const Tensor bad =
+      Tensor::uniform({2, 1, x_.dim(2), x_.dim(3)}, rng, 0.0f, 1.0f);
+  const std::vector<int> labels = {0, 1};
+  const std::vector<Parameter*> params = model_->parameters();
+  params[0]->trainable = false;
+  auto expect_restored = [&](const char* attack) {
+    EXPECT_TRUE(model_->training()) << attack;
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      EXPECT_EQ(params[i]->trainable, i != 0) << attack << ": "
+                                              << params[i]->name;
+      EXPECT_EQ(params[i]->grad.sum_sq(), 0.0f) << attack << ": "
+                                                << params[i]->name;
+    }
+  };
+  model_->set_training(true);
+  EXPECT_THROW(momentum_pgd_attack(*model_, bad, labels, MomentumPgdConfig{},
+                                   rng),
+               std::invalid_argument);
+  expect_restored("momentum_pgd_attack");
+  EXPECT_THROW(targeted_pgd_attack(*model_, bad, labels, AttackConfig{}, rng),
+               std::invalid_argument);
+  expect_restored("targeted_pgd_attack");
 }
 
 TEST(NormalQuantile, KnownValues) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
@@ -222,6 +223,99 @@ TEST(BatchNorm, AffineParamsScaleOutput) {
   bn.set_training(false);  // running stats are (0, 1)
   const Tensor x = Tensor::full({1, 1, 1, 1}, 3.0f);
   EXPECT_NEAR(bn.forward(x)[0], 7.0f, 1e-4f);
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+             0;
+}
+
+/// Runs forward+backward with every parameter of `layer` trainable, then
+/// again with every parameter frozen: the frozen pass must return the same
+/// dx bits and leave each .grad exactly as it was.
+void expect_frozen_backward_parity(Module& layer, const Tensor& x,
+                                   const Tensor& grad_out) {
+  layer.forward(x);
+  const Tensor dx_trainable = layer.backward(grad_out);
+  const std::vector<Parameter*> params = layer.parameters();
+  ASSERT_FALSE(params.empty());
+  for (Parameter* p : params) {
+    p->grad.fill_(0.25f);
+    p->trainable = false;
+  }
+  layer.forward(x);
+  const Tensor dx_frozen = layer.backward(grad_out);
+  EXPECT_TRUE(same_bits(dx_frozen, dx_trainable));
+  for (Parameter* p : params) {
+    EXPECT_TRUE(same_bits(p->grad, Tensor::full(p->grad.shape(), 0.25f)))
+        << p->name;
+    p->trainable = true;
+  }
+}
+
+TEST(FrozenBackward, Conv2dDenseAndMaskedMatchTrainableDx) {
+  // 17 samples: three uneven wgrad slots, so the fold has an odd leaf.
+  for (const bool masked : {false, true}) {
+    Rng rng(11);
+    Conv2d conv(4, 6, 3, 1, 1, /*with_bias=*/true, rng, "c");
+    conv.bias()->value = Tensor::randn({6}, rng);
+    if (masked) {
+      // 90% zeros: dgrad takes the sparse-tap path instead of packed panels.
+      Tensor mask(conv.weight().value.shape());
+      for (std::int64_t i = 0; i < mask.numel(); ++i) {
+        mask[i] = rng.uniform(0.0f, 1.0f) < 0.1f ? 1.0f : 0.0f;
+      }
+      conv.weight().set_mask(mask);
+      ASSERT_GE(weight_zero_fraction(conv.weight().value.data(),
+                                     conv.weight().value.numel()),
+                kConvSparseWeightFraction);
+    }
+    const Tensor x = Tensor::randn({17, 4, 7, 7}, rng);
+    const Tensor g = Tensor::randn({17, 6, 7, 7}, rng);
+    SCOPED_TRACE(masked ? "masked" : "dense");
+    expect_frozen_backward_parity(conv, x, g);
+
+    // Weight frozen, bias trainable: the bias gradient is the one the
+    // all-trainable pass accumulates, bit for bit.
+    conv.zero_grad();
+    conv.forward(x);
+    const Tensor dx_ref = conv.backward(g);
+    const Tensor db_ref = conv.bias()->grad;
+    conv.zero_grad();
+    conv.weight().trainable = false;
+    conv.forward(x);
+    EXPECT_TRUE(same_bits(conv.backward(g), dx_ref));
+    EXPECT_TRUE(same_bits(conv.bias()->grad, db_ref));
+    EXPECT_EQ(conv.weight().grad.sum_sq(), 0.0f);
+  }
+}
+
+TEST(FrozenBackward, LinearMatchesTrainableDx) {
+  Rng rng(12);
+  Linear fc(9, 5, /*with_bias=*/true, rng, "fc");
+  const Tensor x = Tensor::randn({6, 9}, rng);
+  const Tensor g = Tensor::randn({6, 5}, rng);
+  expect_frozen_backward_parity(fc, x, g);
+}
+
+TEST(FrozenBackward, BatchNormMatchesTrainableDxInBothModes) {
+  Rng rng(13);
+  BatchNorm2d bn(3, "bn");
+  bn.set_training(true);
+  for (int i = 0; i < 5; ++i) {
+    bn.forward(Tensor::randn({4, 3, 5, 5}, rng, 2.0f));
+  }
+  bn.gamma().value = Tensor::randn({3}, rng);
+  bn.beta().value = Tensor::randn({3}, rng);
+  const Tensor x = Tensor::randn({4, 3, 5, 5}, rng, 2.0f);
+  const Tensor g = Tensor::randn({4, 3, 5, 5}, rng);
+  for (const bool training : {false, true}) {
+    SCOPED_TRACE(training ? "train mode" : "eval mode");
+    bn.set_training(training);
+    expect_frozen_backward_parity(bn, x, g);
+  }
 }
 
 TEST(Softmax, RowsSumToOne) {
