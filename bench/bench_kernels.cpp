@@ -384,10 +384,12 @@ BENCHMARK(BM_ShrunkVsMaskedForward)->Arg(0)->Arg(1);
 // Serving-path throughput on a micro-r18 ticket. Arg 0 is the execution
 // mode: 0 = eager Module::forward, 1 = compiled engine (fp32 kernels),
 // 2 = compiled engine with native int8 execution (s8 weights, u8 offset
-// activations, int32 accumulation, fused requant). Arg 1 is the element
-// sparsity percentage (90 -> every conv packs as CSR taps; 0 -> dense
-// implicit-GEMM panels, the shape where int8 shows its kernel speedup).
-// items_per_second of {2, s} over {1, s} is the end-to-end int8 win.
+// activations, int32 accumulation, fused requant). Arg 1 is the layerwise
+// element sparsity percentage: 90 and 98 pack every conv as CSR, 0 as
+// dense. fp32 CSR always runs taps; int8 CSR picks its executor per layer
+// (s8_csr_runs_taps): 90 runs every conv on panels expanded from CSR, 98
+// keeps every conv on the integer tap loop. items_per_second of {2, s}
+// over {1, s} is the end-to-end int8 win.
 void BM_EngineThroughput(benchmark::State& state) {
   const auto mode = state.range(0);
   const float sparsity = static_cast<float>(state.range(1)) / 100.0f;
@@ -418,6 +420,7 @@ BENCHMARK(BM_EngineThroughput)
     ->Args({0, 90})
     ->Args({1, 90})
     ->Args({2, 90})
+    ->Args({2, 98})
     ->Args({1, 0})
     ->Args({2, 0});
 

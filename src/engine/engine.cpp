@@ -31,6 +31,23 @@ std::string base_name(const std::string& param_name) {
   return param_name;
 }
 
+/// Expands a CSR layer's int8 values into the row-major (rows, cols) matrix
+/// the panel packers consume: CSR is the shippable encoding, panels are one
+/// of its executors.
+std::vector<std::int8_t> expand_csr_s8(const CsrMatrix& csr,
+                                       const std::vector<std::int8_t>& q) {
+  std::vector<std::int8_t> dense(static_cast<std::size_t>(csr.rows * csr.cols),
+                                 0);
+  for (std::int64_t r = 0; r < csr.rows; ++r) {
+    for (std::int32_t t = csr.row_ptr[static_cast<std::size_t>(r)];
+         t < csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++t) {
+      const auto ti = static_cast<std::size_t>(t);
+      dense[static_cast<std::size_t>(r * csr.cols + csr.col_idx[ti])] = q[ti];
+    }
+  }
+  return dense;
+}
+
 /// Packs a folded (rows, cols) weight matrix + bias into the chosen format,
 /// fills the int8 sidecar, and appends the layer's plan record. The weight
 /// buffer is consumed.
@@ -149,17 +166,25 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     // encoding (the kernels' offset arithmetic assumes q in [-127, 127]);
     // narrower bit-width sweeps keep the simulated float path.
     if (options.int8_native && options.int8_bits == 8) {
+      p.int8_exec = true;
       if constexpr (requires { p.taps; }) {
-        // Convs execute natively in every format: dense and channel-compact
-        // through the quantized implicit-GEMM (quad panels + offset
-        // corrections + per-packed-row scales), CSR through the integer tap
-        // path, which consumes qvalues/qscales directly.
-        p.int8_exec = true;
-        if (format != PackedFormat::kCsr) {
+        // Convs execute natively in every format. Dense and channel-compact
+        // layers run the quantized implicit-GEMM (quad panels + offset
+        // corrections + per-packed-row scales). CSR stays the shippable
+        // encoding but picks its executor here: the integer tap loop over
+        // qvalues/qscales while the layer is sparse enough for its plane
+        // (s8_csr_runs_taps), otherwise panels expanded from the CSR int8
+        // values through the same implicit GEMM as dense layers.
+        if (format != PackedFormat::kCsr ||
+            !s8_csr_runs_taps(nnz, rows, cols, p.out_h * p.out_w)) {
           const std::int64_t exec_rows =
-              cols > 0 ? static_cast<std::int64_t>(p.qvalues.size()) / cols
-                       : 0;
-          p.qpacked.pack(p.qvalues.data(), exec_rows, cols);
+              format == PackedFormat::kChannelCompact
+                  ? static_cast<std::int64_t>(kept.size())
+                  : rows;
+          p.qpacked.pack(format == PackedFormat::kCsr
+                             ? expand_csr_s8(p.csr, p.qvalues).data()
+                             : p.qvalues.data(),
+                         exec_rows, cols);
           p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
           for (std::int64_t r = 0; r < exec_rows; ++r) {
             const std::int64_t src = format == PackedFormat::kChannelCompact
@@ -183,18 +208,21 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
                 static_cast<std::int64_t>(p.qgather.size()) * 4;
           }
         }
-      } else if (format == PackedFormat::kDense) {
-        // The head executes natively only when dense; a CSR head keeps the
-        // simulated float path (tiny layer, spmm already skips zeros).
-        p.int8_exec = true;
+      } else {
+        // The head runs full-depth quad slivers in either format (a CSR
+        // head's values expand first; the layer is tiny), so its executor
+        // never depends on the shippable encoding.
+        const std::vector<std::int8_t> q =
+            format == PackedFormat::kCsr ? expand_csr_s8(p.csr, p.qvalues)
+                                         : p.qvalues;
         const std::int64_t rows8 = round_up4(cols) *
                                    ((rows + kNrS8 - 1) / kNrS8 * kNrS8);
         p.qslivers.assign(static_cast<std::size_t>(rows8), 0);
-        pack_b_quads_s8_nt(p.qvalues.data(), rows, cols, p.qslivers.data());
+        pack_b_quads_s8_nt(q.data(), rows, cols, p.qslivers.data());
         p.qcorr.resize(static_cast<std::size_t>(rows));
         for (std::int64_t r = 0; r < rows; ++r) {
           p.qcorr[static_cast<std::size_t>(r)] =
-              quad_row_offset_sum(p.qvalues.data() + r * cols, cols);
+              quad_row_offset_sum(q.data() + r * cols, cols);
         }
         plan.prepacked_bytes =
             static_cast<std::int64_t>(p.qslivers.size()) + rows * 4;
@@ -262,10 +290,12 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
     // encoding, so they are reported separately from packed_bytes.
     plans.back().prepacked_bytes = p.prepacked.bytes();
   }
-  if (p.format == PackedFormat::kCsr) {
-    // Decode each nonzero's CSR column (= in_ch * k^2 + ki * k + kj, the
-    // Conv2d weight layout) into a fully resolved implicit-conv tap: base
-    // input offset plus the output range whose input taps stay in bounds.
+  if (p.format == PackedFormat::kCsr && p.qpacked.empty()) {
+    // Tap-executed CSR (fp32, simulated int8, and int8-native layers left
+    // on taps): decode each nonzero's CSR column (= in_ch * k^2 + ki * k +
+    // kj, the Conv2d weight layout) into a fully resolved implicit-conv tap:
+    // base input offset plus the output range whose input taps stay in
+    // bounds.
     const std::int64_t k2 = p.geom.kernel * p.geom.kernel;
     const std::int64_t stride = p.geom.stride, pad = p.geom.padding;
     p.taps.reserve(p.csr.values.size());
@@ -325,7 +355,9 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
   pack_weights(p, std::move(w), p.out_features, p.in_features, 1, options,
                plans, /*allow_compact=*/false);
   if (p.int8_exec) {
-    std::vector<float>().swap(p.weight);  // the slivers are the executable
+    // The slivers are the executable.
+    std::vector<float>().swap(p.weight);
+    std::vector<float>().swap(p.csr.values);
   }
   return p;
 }

@@ -66,6 +66,15 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
   return PackedFormat::kDense;
 }
 
+bool s8_csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                      std::int64_t out_pixels) {
+  if (rows <= 0 || cols <= 0 || out_pixels <= 0) return true;
+  const double density = static_cast<double>(nnz) /
+                         static_cast<double>(rows * cols);
+  return density <= kS8TapDensityPerOctave *
+                        std::log2(static_cast<double>(out_pixels));
+}
+
 // ---- Workspace --------------------------------------------------------------
 
 Workspace::Workspace(const CompiledTicket& plan, int max_batch)
@@ -83,8 +92,8 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
                                          (plan.max_plane_floats() + 4)),
                 0);
     // int32 accumulator: the per-plane conv accumulation (<= the largest
-    // activation plane), the CSR tap path's whole-batch row plane, and the
-    // head's (n, num_classes) logits block all drain through it.
+    // activation plane), a tap-executed CSR layer's whole-batch row plane,
+    // and the head's (n, num_classes) logits block all drain through it.
     const std::int64_t acc = std::max(
         {plan.max_plane_floats(), max_batch_ * plan.max_ohw(),
          max_batch_ * static_cast<std::int64_t>(plan.num_classes())});
@@ -216,8 +225,9 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   const std::int64_t in_f = in_floats(), out_f = out_floats();
   const float sx = act_scale_for(in_amax);
   if (out_amax != nullptr) *out_amax = 0.0f;
-  if (format == PackedFormat::kCsr) {
-    // Integer tap path over SIGNED s8 activations: tap windows give border
+  if (qpacked.empty() && format != PackedFormat::kChannelCompact) {
+    // No panels: a CSR layer compile left on the integer tap loop
+    // (s8_csr_runs_taps). SIGNED s8 activations: tap windows give border
     // pixels per-pixel tap subsets, so the u8 offset trick's per-row
     // constant correction does not apply here — signed input needs none.
     // Structure mirrors the float tap path (batch inside tap, fixed
@@ -301,19 +311,16 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
     if (out_amax != nullptr) *out_amax = amax;
     return;
   }
-  // Dense / channel-compact: quantized implicit-GEMM per sample over the
-  // offset-u8 batch, fused requant epilogue straight into the activation
-  // buffer (dense) or the epilogue scratch for the kept-row scatter.
+  // Panels: quantized implicit-GEMM over the offset-u8 batch, fused requant
+  // epilogue straight into the activation buffer (dense and panel-executed
+  // CSR, whose panels hold every output row) or the epilogue scratch for
+  // the kept-row scatter (channel-compact).
   quantize_u8(in, n * in_f, sx, ws.qin());
-  const std::int64_t kr = format == PackedFormat::kChannelCompact
-                              ? static_cast<std::int64_t>(kept.size())
-                              : out_ch;
   S8Epilogue ep;
   ep.scales = qexec_scales.data();
   ep.act_scale = sx;
   ep.corr = qpacked.corr();
-  float amax = out_amax != nullptr ? *out_amax : 0.0f;
-  if (format == PackedFormat::kDense) {
+  if (format != PackedFormat::kChannelCompact) {
     // Whole batch as one implicit GEMM: (sample, pixel) columns amortize
     // staging and tile fixed costs that dominate the network's tiny planes.
     ep.bias = bias.data();
@@ -324,6 +331,8 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
                             ep, qgather.empty() ? nullptr : qgather.data());
     return;
   }
+  const auto kr = static_cast<std::int64_t>(kept.size());
+  float amax = 0.0f;
   for (std::int64_t i = 0; i < n; ++i) {
     const std::uint8_t* qxi = ws.qin() + i * in_f;
     float* yi = out + i * out_f;
@@ -358,9 +367,7 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
       }
     }
   }
-  if (out_amax != nullptr && format == PackedFormat::kChannelCompact) {
-    *out_amax = amax;
-  }
+  if (out_amax != nullptr) *out_amax = amax;
 }
 
 // ---- PackedLinear -----------------------------------------------------------

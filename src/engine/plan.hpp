@@ -46,6 +46,23 @@ enum class PackedFormat { kDense, kChannelCompact, kCsr };
 
 const char* packed_format_name(PackedFormat format);
 
+/// Executor crossover for int8-native CSR convs. CSR stays such a layer's
+/// shippable encoding, but compile picks what runs it: the integer tap loop
+/// (cost ~ nnz * OH*OW, scalar on narrow planes) or quad panels expanded
+/// from the CSR values through the dense implicit GEMM (cost ~ dense MACs,
+/// VNNI-wide). Taps win only while the layer's density is at or below a
+/// crossover that grows with the output plane: measured ~0.10 at OH*OW=256,
+/// ~0.07 at 64, ~0.04 at 16 and ~0.025 at 4, which
+/// density <= kS8TapDensityPerOctave * log2(OH*OW) fits. Next to
+/// CompileOptions::csr_max_density, which picks the encoding.
+inline constexpr double kS8TapDensityPerOctave = 0.012;
+
+/// True when an int8-native CSR conv with `nnz` nonzeros in a (rows, cols)
+/// folded weight and `out_pixels` = OH*OW runs the integer tap loop; false
+/// when it runs expanded quad panels.
+bool s8_csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                      std::int64_t out_pixels);
+
 struct CompileOptions {
   /// Frozen input geometry. Serving engines trade shape flexibility for
   /// exact buffer planning; predict() rejects other extents.
@@ -117,7 +134,7 @@ class Workspace {
   /// int8-native plans only (empty otherwise): the quantized-activation
   /// staging buffer — each layer quantizes its float input batch here in the
   /// flavor its kernel consumes (offset-u8 for the implicit-GEMM and head
-  /// paths, signed s8 for the CSR tap path).
+  /// paths, signed s8 for tap-executed CSR layers).
   std::uint8_t* qin() { return qin_.data(); }
   /// int8-native plans only: the int32 accumulation plane the fused requant
   /// epilogues drain (sized for the largest conv plane, the CSR batch
@@ -151,13 +168,15 @@ struct PackedConv {
   float weight_zero_fraction = 0.0f;
   /// Micro-kernel weight panels, packed once at Engine::compile time for
   /// layers the packed implicit-GEMM path will execute — serve-time calls
-  /// skip the per-call panel re-pack entirely. Empty for CSR and tap-path
-  /// layers, which never consume panels.
+  /// skip the per-call panel re-pack entirely. Empty for CSR, tap-path and
+  /// int8-native layers, which never consume fp32 panels.
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
   CsrMatrix csr;                   ///< kCsr
-  /// kCsr implicit-conv tap, one per nonzero: everything the inner loop
-  /// needs, resolved at compile time from the frozen geometry. The sparse
+  /// Tap-executed kCsr layers (every fp32 CSR layer; int8-native ones only
+  /// when s8_csr_runs_taps) carry one implicit-conv tap per nonzero:
+  /// everything the inner loop needs, resolved at compile time from the
+  /// frozen geometry. The sparse
   /// conv path slides each nonzero directly over the input — no im2col
   /// materialization and no per-nonzero index arithmetic at runtime — so
   /// cost is O(nnz * out_h * out_w) flat.
@@ -170,7 +189,7 @@ struct PackedConv {
     /// as one long vectorizable axpy.
     std::int32_t rows, cols;
   };
-  std::vector<SparseTap> taps;  ///< parallel to csr.values
+  std::vector<SparseTap> taps;  ///< parallel to csr.values, or empty
   std::vector<float> bias;         ///< per out_ch, from BN folding
 
   // Shippable int8 sidecar (populated when CompileOptions::int8_weights):
@@ -179,11 +198,14 @@ struct PackedConv {
   std::vector<float> qscales;
 
   // True int8 execution (CompileOptions::int8_native): the sidecar packed
-  // into executable operands at compile time. Dense/channel-compact layers
-  // carry quad panels + offset corrections (qpacked) and the per-packed-row
-  // scale vector the requant epilogue indexes; the CSR tap path executes
-  // qvalues + qscales directly over signed-s8 activations. Native layers
-  // drop the dequantized float weights — the integers ARE the executable.
+  // into executable operands at compile time. The shippable format does not
+  // fix the executor: dense, channel-compact and panel-executed CSR layers
+  // carry quad panels + offset corrections (qpacked, expanded from the CSR
+  // values for CSR) and the per-packed-row scale vector the requant
+  // epilogue indexes; a tap-executed CSR layer (s8_csr_runs_taps) has no
+  // panels and runs qvalues + qscales directly over signed-s8 activations.
+  // Native layers drop the dequantized float weights — the integers ARE the
+  // executable.
   bool int8_exec = false;
   PackedS8 qpacked;
   std::vector<float> qexec_scales;
@@ -206,8 +228,8 @@ struct PackedConv {
 
  private:
   /// The int8-native executor behind run(): quantizes the input batch into
-  /// the workspace staging buffer and dispatches to the quantized
-  /// implicit-GEMM or the integer tap path.
+  /// the workspace staging buffer and runs the quantized implicit-GEMM when
+  /// the layer has panels, the integer tap loop otherwise.
   void run_s8(const float* in, float* out, std::int64_t n, Workspace& ws,
               float in_amax, float* out_amax) const;
 };
@@ -224,10 +246,9 @@ struct PackedLinear {
   std::vector<std::int8_t> qvalues;
   std::vector<float> qscales;
 
-  // True int8 execution (dense heads only; a CSR head under a native plan
-  // keeps the simulated float path — the layer is tiny and spmm already
-  // skips zeros): full-depth quad slivers of the (out, in) weights plus the
-  // per-output-feature offset correction.
+  // True int8 execution, in either format (a CSR head's values expand into
+  // the slivers at compile time): full-depth quad slivers of the (out, in)
+  // weights plus the per-output-feature offset correction.
   bool int8_exec = false;
   std::vector<std::int8_t> qslivers;
   std::vector<std::int32_t> qcorr;

@@ -17,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "linalg/gemm.hpp"
 #include "models/resnet.hpp"
+#include "prune/omp.hpp"
 
 namespace rt {
 namespace {
@@ -125,29 +126,46 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
   cfg.name = "audit8";
   ResNet model(cfg, rng);
   model.set_training(false);
-
-  CompileOptions options;
-  options.height = 8;
-  options.width = 8;
-  options.int8_weights = true;  // int8-native execution (the default path)
-  const CompiledTicket plan = Engine::compile(model, options);
-  ASSERT_TRUE(plan.int8_native());
-  Session session(plan, /*max_batch=*/4);
-
   const Tensor x = Tensor::uniform({4, 3, 8, 8}, rng, 0.0f, 1.0f);
-  Tensor logits({4, 10});
-  // Warm-up: DecodeTable growth plus first touch of the quantized scratch
-  // (qin/acc arena slabs, the kernels' thread_local staging buffers).
-  session.run_rows(x.data(), 4, logits.data());
-  audit::AllocGuard guard("Session::run_rows int8");
-  session.run_rows(x.data(), 4, logits.data());
-  EXPECT_EQ(guard.allocations(), 0)
-      << "int8 run_rows steady state must run out of the arena workspace "
-         "and fixed thread_local staging (no per-call gather/acc buffers)";
-  Tensor again({4, 10});
-  session.run_rows(x.data(), 4, again.data());
-  EXPECT_EQ(logits.linf_distance(again), 0.0f)
-      << "int8 repeat runs must be bitwise deterministic";
+
+  // The dense model on panels, then the same model 90%-pruned with every
+  // layer forced to CSR: compile splits its convs between the integer tap
+  // loop and panels expanded from the CSR values (s8_csr_runs_taps).
+  for (const bool csr : {false, true}) {
+    SCOPED_TRACE(csr ? "forced CSR" : "dense");
+    if (csr) omp_prune(model, OmpConfig{0.9f, Granularity::kElement, false});
+    CompileOptions options;
+    options.height = 8;
+    options.width = 8;
+    options.int8_weights = true;  // int8-native execution (the default path)
+    if (csr) options.force_format = PackedFormat::kCsr;
+    const CompiledTicket plan = Engine::compile(model, options);
+    ASSERT_TRUE(plan.int8_native());
+    if (csr) {
+      int taps = 0, panels = 0;
+      for (const LayerPlan& l : plan.layers()) {
+        if (l.name == "audit8.head") continue;
+        ++(l.prepacked_bytes == 0 ? taps : panels);
+      }
+      EXPECT_GT(taps, 0);
+      EXPECT_GT(panels, 0);
+    }
+    Session session(plan, /*max_batch=*/4);
+
+    Tensor logits({4, 10});
+    // Warm-up: DecodeTable growth plus first touch of the quantized scratch
+    // (qin/acc arena slabs, the kernels' thread_local staging buffers).
+    session.run_rows(x.data(), 4, logits.data());
+    audit::AllocGuard guard("Session::run_rows int8");
+    session.run_rows(x.data(), 4, logits.data());
+    EXPECT_EQ(guard.allocations(), 0)
+        << "int8 run_rows steady state must run out of the arena workspace "
+           "and fixed thread_local staging (no per-call gather/acc buffers)";
+    Tensor again({4, 10});
+    session.run_rows(x.data(), 4, again.data());
+    EXPECT_EQ(logits.linf_distance(again), 0.0f)
+        << "int8 repeat runs must be bitwise deterministic";
+  }
 }
 
 }  // namespace

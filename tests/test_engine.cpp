@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -261,6 +262,40 @@ TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
   const CompiledTicket plan = Engine::compile(*model, options);
   Workspace ws(plan, 6);
   EXPECT_LE(eager.linf_distance(plan.predict(x, ws)), 1e-4f);
+}
+
+TEST(EngineParity, TinyGeometryInt8CsrMatchesDenseBitwise) {
+  // The int8-native twin of the test above: the forced-CSR plan picks each
+  // conv's executor (tap loop or expanded panels, s8_csr_runs_taps) down to
+  // the 1x1 input of the last stride-2 conv, and must reproduce the
+  // forced-dense int8 plan bit for bit.
+  auto model = tiny_model(false, 91);
+  train_briefly(*model, false, 92);
+  OmpConfig prune_cfg;
+  prune_cfg.sparsity = 0.9f;
+  omp_prune(*model, prune_cfg);
+  model->set_training(false);
+
+  Rng rng(93);
+  const Tensor x = Tensor::uniform({6, 3, 4, 4}, rng, 0.0f, 1.0f);
+
+  CompileOptions options;
+  options.height = 4;
+  options.width = 4;
+  options.int8_weights = true;
+  options.force_format = PackedFormat::kCsr;
+  const CompiledTicket plan = Engine::compile(*model, options);
+  ASSERT_TRUE(plan.int8_native());
+  options.force_format = PackedFormat::kDense;
+  const CompiledTicket dense = Engine::compile(*model, options);
+  Workspace ws(plan, 6), dense_ws(dense, 6);
+  const Tensor got = plan.predict(x, ws);
+  const Tensor want = dense.predict(x, dense_ws);
+  ASSERT_EQ(got.numel(), want.numel());
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
+            0)
+      << "linf " << got.linf_distance(want);
 }
 
 TEST(EngineCompile, RejectsMismatchedGeometry) {

@@ -8,13 +8,15 @@
 //  - the three gather strategies (clipped runs, padded plane, index table)
 //    and the batched entry point must agree bitwise,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
-//    documented tolerance, bitwise determinism across runs, and <= 1% top-1
+//    documented tolerance, bitwise determinism across runs, <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
-//    tickets.
+//    tickets, and both int8 CSR executors (tap loop, expanded panels)
+//    bitwise equal to the forced-dense plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -25,6 +27,7 @@
 #include "linalg/gemm_s8.hpp"
 #include "linalg/microkernel_s8.hpp"
 #include "models/resnet.hpp"
+#include "prune/baselines.hpp"
 #include "prune/omp.hpp"
 #include "train/loop.hpp"
 
@@ -437,6 +440,67 @@ TEST(QuantEndToEnd, Top1DeltaWithinOnePercentOnEvalBattery) {
     EXPECT_LE(fp32_acc - int8_acc, 0.01 + 1e-9)
         << "sparsity=" << sparsity << " fp32=" << fp32_acc
         << " int8=" << int8_acc;
+  }
+}
+
+TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
+  // The CSR executor choice (s8_csr_runs_taps) must be invisible in the
+  // logits: the tap loop and panels expanded from the CSR values both
+  // accumulate the exact signed dot product, and both drains apply the same
+  // float expression. The forced-dense int8 plan is the reference.
+  Rng omp_rng(9);  // the serving benchmark's r18_omp90 ticket
+  auto omp90 = make_micro_resnet18(10, omp_rng);
+  omp_prune(*omp90, OmpConfig{0.9f, Granularity::kElement,
+                              /*include_head=*/false});
+  omp90->set_training(false);
+  Rng lw_rng(9);
+  auto lw98 = make_micro_resnet18(10, lw_rng);
+  layerwise_magnitude_prune(*lw98, 0.98f, Granularity::kElement);
+  lw98->set_training(false);
+
+  Rng rng(101);
+  const Tensor x = Tensor::uniform({37, 3, 16, 16}, rng, 0.0f, 1.0f);
+  for (const ResNet* model : {omp90.get(), lw98.get()}) {
+    const bool is_omp90 = model == omp90.get();
+    CompileOptions options;
+    options.int8_weights = true;
+    const CompiledTicket plan = Engine::compile(*model, options);
+    ASSERT_TRUE(plan.int8_native());
+    options.force_format = PackedFormat::kDense;
+    const CompiledTicket dense = Engine::compile(*model, options);
+
+    // prepacked_bytes is nonzero exactly when a conv carries panels. The
+    // head is the last layer record; only convs choose an executor.
+    const std::vector<LayerPlan>& layers = plan.layers();
+    int csr = 0, csr_taps = 0;
+    for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+      const LayerPlan& l = layers[i];
+      if (l.format != PackedFormat::kCsr) continue;
+      ++csr;
+      if (l.prepacked_bytes == 0) ++csr_taps;
+      const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
+      EXPECT_EQ(l.prepacked_bytes == 0,
+                s8_csr_runs_taps(l.nnz, l.rows, l.cols, ohw))
+          << l.name;
+    }
+    if (is_omp90) {
+      EXPECT_GT(csr, 0);
+      EXPECT_EQ(csr_taps, 0) << "every r18_omp90 CSR conv runs on panels";
+    } else {
+      EXPECT_GT(csr_taps, 0) << "layerwise-98% keeps tap-executed CSR convs";
+    }
+
+    // Uneven chunking (37 = 16 + 16 + 5) also covers partial tiles.
+    Workspace ws(plan, 16), dense_ws(dense, 16);
+    const Tensor got = plan.predict(x, ws);
+    const Tensor want = dense.predict(x, dense_ws);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << (is_omp90 ? "omp90" : "layerwise98") << " linf "
+        << got.linf_distance(want);
   }
 }
 
