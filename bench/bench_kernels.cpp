@@ -424,6 +424,33 @@ BENCHMARK(BM_EngineThroughput)
     ->Args({1, 0})
     ->Args({2, 0});
 
+// int8 serving at one batch size: the r18_omp90 ticket the serving
+// benchmark deploys (OMP 90%, head unpruned), compiled int8-native, run
+// through an int8 Session whose max_batch is the Arg. Arg 1 is the
+// per-request edge shape, Arg 64 the bulk shape; items are rows.
+void BM_EngineRowsInt8(benchmark::State& state) {
+  const auto batch = state.range(0);
+  rt::Rng rng(9);
+  auto model = rt::make_micro_resnet18(10, rng);
+  rt::omp_prune(*model, rt::OmpConfig{0.9f, rt::Granularity::kElement,
+                                      /*include_head=*/false});
+  model->set_training(false);
+  rt::CompileOptions options;
+  options.int8_weights = true;
+  rt::Session session(rt::Engine::compile(*model, options),
+                      static_cast<int>(batch));
+  const rt::Tensor x =
+      rt::Tensor::uniform({batch, 3, 16, 16}, rng, 0.0f, 1.0f);
+  rt::Tensor logits({batch, 10});
+  for (auto _ : state) {
+    session.run_rows(x.data(), batch, logits.data());
+    benchmark::DoNotOptimize(logits.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_EngineRowsInt8)->Arg(1)->Arg(64);
+
 // Session scaling: Arg concurrent threads hammering one shared Session.
 // Near-linear items/sec scaling (up to the core count) is the target; on a
 // single-core host this degenerates to a contention check.

@@ -192,6 +192,9 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
                                          : r;
             p.qexec_scales[static_cast<std::size_t>(r)] =
                 p.qscales[static_cast<std::size_t>(src)];
+            if (format == PackedFormat::kChannelCompact) {
+              p.qexec_bias.push_back(p.bias[static_cast<std::size_t>(src)]);
+            }
           }
           // Panels are host-side acceleration like the fp32 prepack (which
           // native layers skip), reported on the same line.
@@ -201,8 +204,9 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
             // source-index table: their image rows are too short to amortize
             // even the padded-plane gather's per-row memcpy. Strided planes
             // take it too — their gather has no contiguous runs to memcpy.
-            // Everything else uses the padded-plane staging inside the
-            // kernel (see kPadPlaneCapS8 in linalg/conv.cpp).
+            // Everything else stages from padded planes in the Workspace
+            // (the input itself for pad-0 convs; see
+            // conv2d_forward_batch_s8).
             p.qgather = build_s8_gather_index(p.in_ch, p.in_h, p.in_w, p.geom);
             plan.prepacked_bytes +=
                 static_cast<std::int64_t>(p.qgather.size()) * 4;
@@ -364,15 +368,25 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
 
 /// Tracks the sizing maxima a Workspace needs. The implicit-GEMM conv path
 /// gathers its panels into fixed-size kernel-layer scratch, so no im2col
-/// extent is planned anymore — only activation planes and the
-/// channel-compact epilogue buffer.
+/// extent is planned — only activation planes, the channel-compact epilogue
+/// buffer, and the int8 kernel's padded planes and deep-k accumulator.
 struct ScratchExtents {
-  std::int64_t plane = 0, tmp = 0, ohw = 0;
+  std::int64_t plane = 0, tmp = 0, ohw = 0, s8_pad = 0, s8_deep_rows = 0;
 
   void cover(const PackedConv& c) {
     plane = std::max({plane, c.in_floats(), c.out_floats()});
     tmp = std::max(tmp, c.out_floats());
     ohw = std::max(ohw, c.out_h * c.out_w);
+    if (c.int8_exec && !c.qpacked.empty()) {
+      const ConvGeometry& g = c.geom;
+      if (c.qgather.empty() && g.padding > 0) {
+        s8_pad = std::max(s8_pad, c.in_ch * (c.in_h + 2 * g.padding) *
+                                      (c.in_w + 2 * g.padding));
+      }
+      if (round_up4(c.in_ch * g.kernel * g.kernel) > kKcFullS8) {
+        s8_deep_rows = std::max(s8_deep_rows, c.qpacked.rows());
+      }
+    }
   }
 };
 
@@ -477,6 +491,8 @@ CompiledTicket Engine::compile(const ResNet& model,
   t.max_plane_floats_ = extents.plane;
   t.tmp_floats_ = extents.tmp;
   t.max_ohw_ = extents.ohw;
+  t.s8_pad_bytes_ = extents.s8_pad;
+  t.s8_deep_rows_ = extents.s8_deep_rows;
   t.int8_native_ = options.int8_weights && options.int8_native &&
                    options.int8_bits == 8;
   return t;

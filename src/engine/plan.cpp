@@ -86,16 +86,20 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
   act_[2] = arena_.data() + 2 * act;
   tmp_ = arena_.data() + 3 * act;
   if (plan.int8_native()) {
-    // Quantized-activation staging: one batch of the largest plane, +4 bytes
-    // per sample so the head can quad-pad its feature rows in place.
-    qin_.assign(static_cast<std::size_t>(max_batch_ *
-                                         (plan.max_plane_floats() + 4)),
-                0);
-    // int32 accumulator: the per-plane conv accumulation (<= the largest
-    // activation plane), a tap-executed CSR layer's whole-batch row plane,
-    // and the head's (n, num_classes) logits block all drain through it.
+    // One byte slab: quantized-activation staging (one batch of the largest
+    // plane, +4 bytes per sample so the head can quad-pad its feature rows
+    // in place), then the int8 convs' padded planes.
+    const std::int64_t qin = max_batch_ * (plan.max_plane_floats() + 4);
+    bytes_.assign(
+        static_cast<std::size_t>(qin + max_batch_ * plan.s8_pad_bytes()), 0);
+    qin_ = bytes_.data();
+    pad_ = bytes_.data() + qin;
+    // int32 accumulator: a deep-k conv's (rows, column tile) block, a
+    // tap-executed CSR layer's whole-batch row plane, and the head's
+    // (n, num_classes) logits block all drain through it.
     const std::int64_t acc = std::max(
-        {plan.max_plane_floats(), max_batch_ * plan.max_ohw(),
+        {plan.s8_deep_rows() * std::min(kNcS8, max_batch_ * plan.max_ohw()),
+         max_batch_ * plan.max_ohw(),
          max_batch_ * static_cast<std::int64_t>(plan.num_classes())});
     acc_.assign(static_cast<std::size_t>(acc), 0);
   }
@@ -311,60 +315,48 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
     if (out_amax != nullptr) *out_amax = amax;
     return;
   }
-  // Panels: quantized implicit-GEMM over the offset-u8 batch, fused requant
-  // epilogue straight into the activation buffer (dense and panel-executed
-  // CSR, whose panels hold every output row) or the epilogue scratch for
-  // the kept-row scatter (channel-compact).
+  // Panels: the whole batch as one quantized implicit GEMM over the
+  // offset-u8 input, with (sample, pixel) columns amortizing the staging and
+  // tile fixed costs that dominate the network's tiny planes. The fused
+  // requant epilogue writes straight into the activation buffer: every
+  // output row for dense and panel-executed CSR layers, the leading kept
+  // rows of each sample for channel-compact ones.
   quantize_u8(in, n * in_f, sx, ws.qin());
+  const bool compact = format == PackedFormat::kChannelCompact;
   S8Epilogue ep;
   ep.scales = qexec_scales.data();
   ep.act_scale = sx;
   ep.corr = qpacked.corr();
-  if (format != PackedFormat::kChannelCompact) {
-    // Whole batch as one implicit GEMM: (sample, pixel) columns amortize
-    // staging and tile fixed costs that dominate the network's tiny planes.
-    ep.bias = bias.data();
-    ep.relu = relu;
-    ep.amax = out_amax;
-    conv2d_forward_batch_s8(ws.qin(), n, in_f, in_ch, in_h, in_w, geom,
-                            qpacked.panels(), out_ch, ws.acc(), out, out_f,
-                            ep, qgather.empty() ? nullptr : qgather.data());
-    return;
-  }
-  const auto kr = static_cast<std::int64_t>(kept.size());
-  float amax = 0.0f;
+  ep.bias = compact ? qexec_bias.data() : bias.data();
+  ep.relu = relu;
+  ep.amax = out_amax;
+  conv2d_forward_batch_s8(ws.qin(), n, in_f, in_ch, in_h, in_w, geom,
+                          qpacked.panels(), qpacked.rows(), ws.acc(),
+                          ws.pad(), out, out_f, ep,
+                          qgather.empty() ? nullptr : qgather.data());
+  if (!compact) return;
+  // Kept-row scatter, in place: kept row ki moves to channel kept[ki] >= ki,
+  // so walking the channels downward never overwrites a row still to move.
+  // Pruned channels carry relu(bias): their dense rows are all zero, and a
+  // dense layer's epilogue gives exactly that.
+  float amax = out_amax != nullptr ? *out_amax : 0.0f;
   for (std::int64_t i = 0; i < n; ++i) {
-    const std::uint8_t* qxi = ws.qin() + i * in_f;
     float* yi = out + i * out_f;
-    if (kr > 0) {
-      ep.bias = nullptr;
-      ep.relu = false;
-      ep.amax = nullptr;
-      conv2d_forward_plane_s8(qxi, in_ch, in_h, in_w, geom, qpacked.panels(),
-                              kr, ws.acc(), ws.tmp(), ep,
-                              qgather.empty() ? nullptr : qgather.data());
-    }
-    // Kept-row scatter, same as the float path but tracking the batch amax.
-    std::int64_t ki = 0;
-    for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-      const float b = bias[static_cast<std::size_t>(oc)];
+    auto ki = static_cast<std::int64_t>(kept.size()) - 1;
+    for (std::int64_t oc = out_ch - 1; oc >= 0; --oc) {
       float* yrow = yi + oc * ohw;
-      if (ki < kr && kept[static_cast<std::size_t>(ki)] == oc) {
-        const float* trow = ws.tmp() + ki * ohw;
-        for (std::int64_t j = 0; j < ohw; ++j) {
-          float y = trow[j] + b;
-          if (relu && y < 0.0f) y = 0.0f;
-          yrow[j] = y;
-          const float a = std::fabs(y);
-          if (a > amax) amax = a;
+      if (ki >= 0 && kept[static_cast<std::size_t>(ki)] == oc) {
+        if (ki != oc) {
+          std::memcpy(yrow, yi + ki * ohw,
+                      static_cast<std::size_t>(ohw) * sizeof(float));
         }
-        ++ki;
-      } else {
-        const float v = relu ? std::max(b, 0.0f) : b;
-        for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
-        const float a = std::fabs(v);
-        if (a > amax) amax = a;
+        --ki;
+        continue;
       }
+      const float b = bias[static_cast<std::size_t>(oc)];
+      const float v = relu ? std::max(b, 0.0f) : b;
+      for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
+      amax = std::max(amax, std::fabs(v));
     }
   }
   if (out_amax != nullptr) *out_amax = amax;

@@ -119,10 +119,12 @@ class CompiledTicket;
 
 /// Pre-allocated scratch for one in-flight prediction: three rotating
 /// full-batch activation buffers plus the channel-compact epilogue scratch,
-/// all carved from one contiguous arena sized at construction. The conv
-/// kernels gather their packed panels into fixed-size thread-local buffers
-/// (no per-layer im2col extent to plan), so steady-state predict() calls
-/// perform no heap allocation.
+/// all carved from one contiguous arena sized at construction, and for
+/// int8-native plans the quantized-activation, int32 and padded-plane
+/// buffers, sized from the compiled extents. The conv kernels stage their
+/// packed panels in fixed-size thread-local buffers (no per-layer im2col
+/// extent to plan), so steady-state predict() calls perform no heap
+/// allocation.
 class Workspace {
  public:
   Workspace(const CompiledTicket& plan, int max_batch);
@@ -135,16 +137,21 @@ class Workspace {
   /// staging buffer — each layer quantizes its float input batch here in the
   /// flavor its kernel consumes (offset-u8 for the implicit-GEMM and head
   /// paths, signed s8 for tap-executed CSR layers).
-  std::uint8_t* qin() { return qin_.data(); }
+  std::uint8_t* qin() { return qin_; }
   /// int8-native plans only: the int32 accumulation plane the fused requant
-  /// epilogues drain (sized for the largest conv plane, the CSR batch
+  /// epilogues drain (sized for the deep-k conv tiles, the CSR batch
   /// accumulator, and the head's logits block).
   std::int32_t* acc() { return acc_.data(); }
+  /// int8-native plans only: the padded input planes of the int8 convs that
+  /// stage their B operand from them (conv2d_forward_batch_s8's `pad`).
+  std::uint8_t* pad() { return pad_; }
 
  private:
   std::vector<float> arena_;
-  std::vector<std::uint8_t> qin_;
+  std::vector<std::uint8_t> bytes_;
   std::vector<std::int32_t> acc_;
+  std::uint8_t* qin_ = nullptr;
+  std::uint8_t* pad_ = nullptr;
   float* act_[3] = {nullptr, nullptr, nullptr};
   float* tmp_ = nullptr;
   int max_batch_ = 0;
@@ -209,9 +216,13 @@ struct PackedConv {
   bool int8_exec = false;
   PackedS8 qpacked;
   std::vector<float> qexec_scales;
+  /// kChannelCompact panel layers: the folded bias of the kept rows, indexed
+  /// like qexec_scales, so the bias fuses into the requant epilogue exactly
+  /// as it does for a dense layer. Empty otherwise.
+  std::vector<float> qexec_bias;
   /// Precomputed im2col source-index table (build_s8_gather_index) for
-  /// narrow-plane layers, where it beats the run-decomposed gather; empty
-  /// otherwise.
+  /// narrow or strided layers, where it beats the padded-plane gather;
+  /// empty otherwise.
   std::vector<std::int32_t> qgather;
 
   std::int64_t in_floats() const { return in_ch * in_h * in_w; }
@@ -304,6 +315,12 @@ class CompiledTicket {
   std::int64_t tmp_floats() const { return tmp_floats_; }
   /// Largest conv output spatial plane (Workspace int8 accumulator sizing).
   std::int64_t max_ohw() const { return max_ohw_; }
+  /// Per-sample bytes of the largest padded input plane an int8 conv
+  /// stages from (Workspace::pad sizing); 0 when none does.
+  std::int64_t s8_pad_bytes() const { return s8_pad_bytes_; }
+  /// Most output rows of an int8 conv deep enough to block over k
+  /// (Workspace int8 accumulator sizing); 0 when none is.
+  std::int64_t s8_deep_rows() const { return s8_deep_rows_; }
   /// True when this plan executes the int8 kernel layer natively (the
   /// Workspace then carves the quantized-activation and int32 arenas).
   bool int8_native() const { return int8_native_; }
@@ -319,6 +336,7 @@ class CompiledTicket {
   std::int64_t feat_h_ = 0, feat_w_ = 0;  ///< spatial extent entering GAP
   int num_classes_ = 0, feature_dim_ = 0;
   std::int64_t max_plane_floats_ = 0, tmp_floats_ = 0, max_ohw_ = 0;
+  std::int64_t s8_pad_bytes_ = 0, s8_deep_rows_ = 0;
   bool int8_native_ = false;
   std::vector<LayerPlan> layers_;
 };

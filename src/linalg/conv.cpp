@@ -553,82 +553,10 @@ void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
 #define RT_S8_DIAG_PUSHED 1
 #endif
 
-/// gather_col_row at int8 width: gathers `count` consecutive virtual-im2col
-/// values of one offset-u8 column row (fixed channel plane + kernel offset)
-/// into a CONTIGUOUS byte buffer. Interior stride-1 runs collapse to a
-/// memcpy (the input plane is already u8), pad rows to a memset of 128 —
-/// the offset-u8 encoding of zero.
-void gather_col_row_u8(const std::uint8_t* xplane, std::int64_t h,
-                       std::int64_t w, std::int64_t stride, std::int64_t pad,
-                       std::int64_t ki, std::int64_t kj, std::int64_t ow,
-                       std::int64_t pixel0, std::int64_t count,
-                       std::uint8_t* dst) {
-  // Output-row decomposition with the div/mod done ONCE per call: within an
-  // image row every source offset is affine in the output column, so each
-  // row reduces to (pad memset | memcpy | pad memset) for stride 1 and a
-  // strided copy otherwise. This gather runs per plane per layer on the
-  // serving path — the per-row constant work is what it is measured by.
-  std::int64_t oi = pixel0 / ow;
-  std::int64_t oj = pixel0 - oi * ow;
-  const std::int64_t jj_base = kj - pad;
-  std::int64_t t = 0;
-  while (t < count) {
-    const std::int64_t run = std::min(count - t, ow - oj);
-    const std::int64_t ii = oi * stride - pad + ki;
-    std::uint8_t* d = dst + t;
-    if (ii < 0 || ii >= h) {
-      std::memset(d, 128, static_cast<std::size_t>(run));
-    } else {
-      const std::uint8_t* xrow = xplane + ii * w;
-      if (stride == 1) {
-        const std::int64_t j0 = oj + jj_base;  // first source column
-        // Clip [j0, j0 + run) to the image width; lead/tail take the pad.
-        const std::int64_t lead =
-            std::min(run, std::max<std::int64_t>(0, -j0));
-        const std::int64_t mid =
-            std::max<std::int64_t>(0, std::min(run, w - j0) - lead);
-        if (lead > 0) std::memset(d, 128, static_cast<std::size_t>(lead));
-        if (mid > 0) {
-          std::memcpy(d + lead, xrow + j0 + lead,
-                      static_cast<std::size_t>(mid));
-        }
-        if (lead + mid < run) {
-          std::memset(d + lead + mid, 128,
-                      static_cast<std::size_t>(run - lead - mid));
-        }
-      } else {
-        const std::int64_t jj = oj * stride + jj_base;
-        for (std::int64_t r = 0; r < run; ++r) {
-          const std::int64_t j2 = jj + r * stride;
-          d[r] = (j2 >= 0 && j2 < w) ? xrow[j2] : std::uint8_t{128};
-        }
-      }
-    }
-    t += run;
-    oj = 0;
-    ++oi;
-  }
-}
-
-/// Cap of the thread_local padded-plane staging buffer: a stride-1 conv
-/// first copies its input into a (c_in, h+2p, w+2p) plane whose border holds
-/// the zero encoding 128, after which EVERY row gather is one branch-free
-/// memcpy per image row — the lead/mid/tail clipping of gather_col_row_u8
-/// disappears from the per-(tap, row) inner loop and is paid once per plane
-/// instead (1x the input volume against k*k gathered copies of it). 128 KiB
-/// covers small-image serving layers up to e.g. 64ch x 34x34; larger planes
-/// fall back to the clipped gather.
-inline constexpr std::int64_t kPadPlaneCapS8 = 128 * 1024;
-
-/// Batch variant of the cap for conv2d_forward_batch_s8, which pads every
-/// sample's plane up front (n x the per-sample footprint). 256 KiB covers
-/// batch 16 of the small-image layers the engine serves.
-inline constexpr std::int64_t kPadPlaneBatchCapS8 = 256 * 1024;
-
 /// Interleaves 4 contiguous k-row buffers into the quad position `dst`
 /// (64 bytes: 16 lanes x 4 quad bytes): dst dword j = r0[j] | r1[j] << 8 |
 /// r2[j] << 16 | r3[j] << 24. This is the transform between the linear
-/// gather above and the sliver layout the micro-kernel consumes; writes are
+/// row gather and the sliver layout the micro-kernel consumes; writes are
 /// a single contiguous 64-byte store per quad on the wide path.
 inline void interleave_quad16(const std::uint8_t* r0, const std::uint8_t* r1,
                               const std::uint8_t* r2, const std::uint8_t* r3,
@@ -657,23 +585,48 @@ inline void interleave_quad16(const std::uint8_t* r0, const std::uint8_t* r1,
 #endif
 }
 
-/// Packs rows [kc, kc+kb) x pixels [jc, jc+nb) of the offset-u8 virtual
-/// im2col matrix into kNrS8-lane QUAD slivers at `bp` (sliver depth
-/// round_up4(kb)) — the int8 forward's B operand. Each k row is gathered
-/// once across the whole pixel tile into a linear staging row (memcpy runs),
-/// then quad-interleaved into every sliver with wide stores; edge lanes and
-/// the k tail pad with 128.
-void pack_col_panel_u8q(const std::uint8_t* xq, std::int64_t h, std::int64_t w,
-                        const ConvGeometry& g, const DecodeTable& dec,
-                        std::int64_t kc, std::int64_t kb, std::int64_t jc,
-                        std::int64_t nb, std::int64_t ow, std::uint8_t* bp,
-                        const std::int32_t* gather_idx, std::int64_t ohw,
-                        const std::uint8_t* padded, std::int64_t pw) {
+/// Where conv2d_forward_batch_s8 reads its B operand from, fixed per call.
+/// Table staging reads the input batch through the compile-time index table
+/// (build_s8_gather_index). Padded staging reads (c_in, ph, pw) planes whose
+/// border holds the zero encoding 128: the caller's pad buffer when the conv
+/// pads, the input planes themselves when it does not.
+struct ColSource {
+  const std::uint8_t* base;    ///< sample 0's input (table) or padded plane
+  std::int64_t sample_stride;  ///< bytes from one sample's plane to the next
+  const std::int32_t* table;   ///< index table, or null for padded staging
+  std::int64_t ohw, ow, stride;
+  std::int64_t plane, pw;  ///< padded: channel plane bytes, row pitch
+};
+
+/// A stretch of a column tile inside one sample: tile columns
+/// [off, off + len) are output pixels [pix, pix + len) of the sample whose
+/// plane starts at `src`, the first of them at output row oi, column oj.
+struct ColRun {
+  const std::uint8_t* src;
+  std::int64_t off, len, pix, oi, oj;
+};
+
+/// Packs rows [kc, kc+kb) of the offset-u8 virtual im2col matrix over the
+/// column tile `runs` (nb columns in all) into kNrS8-lane QUAD slivers at
+/// `bp` (sliver depth round_up4(kb)) — the int8 forward's B operand. Each k
+/// row is gathered once across the tile into a linear staging row, then
+/// quad-interleaved into every sliver with wide stores; edge lanes and the
+/// k tail pad with 128. The caller splits the tile into samples once, so a
+/// tile inside one sample is one run per k row. Cache-line aligned, like the
+/// kernel below: their loops' speed otherwise depends on where the linker
+/// places them (measured 10-15% on bulk_int8 between two links).
+__attribute__((aligned(64))) void pack_col_batch_u8q(
+    const ColSource& cs, const DecodeTable& dec, std::int64_t kc,
+    std::int64_t kb, const ColRun* runs, std::int64_t nruns, std::int64_t nb,
+    std::uint8_t* bp) {
   const std::int64_t kb4 = round_up4(kb);
   // 4 linear k-rows, padded to whole lane groups so the interleave reads
   // defined bytes past nb. 1 KiB, fixed — never allocates on the hot path.
   alignas(64) thread_local std::uint8_t rowbuf[4][kNcS8];
   const std::int64_t nb16 = (nb + kNrS8 - 1) / kNrS8 * kNrS8;
+  // Byte stores may alias anything, so everything the gather loops read is
+  // held in locals, not re-read through `cs` and `runs` after each store.
+  const std::int64_t ow = cs.ow, stride = cs.stride, pitch = stride * cs.pw;
   for (std::int64_t q = 0; q < kb4 / 4; ++q) {
     for (std::int64_t t = 0; t < 4; ++t) {
       const std::int64_t p = 4 * q + t;
@@ -681,119 +634,48 @@ void pack_col_panel_u8q(const std::uint8_t* xq, std::int64_t h, std::int64_t w,
         std::memset(rowbuf[t], 128, static_cast<std::size_t>(nb16));
         continue;
       }
-      if (gather_idx != nullptr) {
-        // Table path: one guarded byte load per element, no per-row setup —
-        // the win on narrow planes whose image rows are a few bytes wide.
-        const std::int32_t* ri = gather_idx + (kc + p) * ohw + jc;
-        std::uint8_t* d = rowbuf[t];
-        for (std::int64_t j = 0; j < nb; ++j) {
-          const std::int32_t s = ri[j];
-          d[j] = s >= 0 ? xq[s] : std::uint8_t{128};
-        }
-      } else if (padded != nullptr) {
-        // Padded-plane path (stride 1): the border already holds 128, so
-        // each image row is one unconditional memcpy — padding cancels in
-        // the source coordinates ((oi - p + ki) + p rows, likewise columns).
-        const auto row = static_cast<std::size_t>(kc + p);
-        const std::uint8_t* plane =
-            padded + static_cast<std::int64_t>(dec.c[row]) *
-                         (h + 2 * g.padding) * pw;
-        std::int64_t oi = jc / ow;
-        std::int64_t oj = jc - oi * ow;
-        const std::uint8_t* src =
-            plane + (oi + dec.ki[row]) * pw + dec.kj[row];
-        std::uint8_t* d = rowbuf[t];
-        std::int64_t done = 0;
-        while (done < nb) {
-          const std::int64_t run = std::min(nb - done, ow - oj);
-          std::memcpy(d + done, src + oj, static_cast<std::size_t>(run));
-          done += run;
-          oj = 0;
-          src += pw;
+      const std::int64_t row = kc + p;
+      if (cs.table != nullptr) {
+        // Table: one guarded byte load per element, no per-row setup — the
+        // win on narrow planes whose image rows are a few bytes wide, and
+        // on strided planes, which have no contiguous runs to copy.
+        const std::int32_t* ri = cs.table + row * cs.ohw;
+        for (std::int64_t r = 0; r < nruns; ++r) {
+          const std::int32_t* src = ri + runs[r].pix;
+          const std::uint8_t* x = runs[r].src;
+          const std::int64_t len = runs[r].len;
+          std::uint8_t* d = rowbuf[t] + runs[r].off;
+          for (std::int64_t j = 0; j < len; ++j) {
+            const std::int32_t s = src[j];
+            d[j] = s >= 0 ? x[s] : std::uint8_t{128};
+          }
         }
       } else {
-        const auto row = static_cast<std::size_t>(kc + p);
-        const std::uint8_t* xplane =
-            xq + static_cast<std::int64_t>(dec.c[row]) * h * w;
-        gather_col_row_u8(xplane, h, w, g.stride, g.padding, dec.ki[row],
-                          dec.kj[row], ow, jc, nb, rowbuf[t]);
-      }
-      if (nb < nb16) {
-        std::memset(rowbuf[t] + nb, 128, static_cast<std::size_t>(nb16 - nb));
-      }
-    }
-    for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-      interleave_quad16(rowbuf[0] + jr, rowbuf[1] + jr, rowbuf[2] + jr,
-                        rowbuf[3] + jr, bp + jr * kb4 + q * kNrS8 * 4);
-    }
-  }
-}
-
-/// Batch-column packer: as pack_col_panel_u8q, but the column space is the
-/// whole batch — global column j = sample * OH*OW + pixel, sample i's plane
-/// at xq + i * x_stride (or its padded copy at padded + i * pstride). Each
-/// k row decomposes into per-sample pixel runs, gathered with the same
-/// three strategies as the per-sample packer.
-void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
-                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
-                        const DecodeTable& dec, std::int64_t kb,
-                        std::int64_t jc, std::int64_t nb, std::int64_t ow,
-                        std::int64_t ohw, std::uint8_t* bp,
-                        const std::int32_t* gather_idx,
-                        const std::uint8_t* padded, std::int64_t pstride,
-                        std::int64_t pw) {
-  const std::int64_t kb4 = round_up4(kb);
-  alignas(64) thread_local std::uint8_t rowbuf[4][kNcS8];
-  const std::int64_t nb16 = (nb + kNrS8 - 1) / kNrS8 * kNrS8;
-  const std::int64_t ph = h + 2 * g.padding;
-  for (std::int64_t q = 0; q < kb4 / 4; ++q) {
-    for (std::int64_t t = 0; t < 4; ++t) {
-      const std::int64_t p = 4 * q + t;
-      if (p >= kb) {
-        std::memset(rowbuf[t], 128, static_cast<std::size_t>(nb16));
-        continue;
-      }
-      const auto row = static_cast<std::size_t>(p);
-      std::uint8_t* d = rowbuf[t];
-      std::int64_t done = 0;
-      std::int64_t i = jc / ohw;
-      std::int64_t pix = jc - i * ohw;
-      while (done < nb) {
-        const std::int64_t run = std::min(nb - done, ohw - pix);
-        if (gather_idx != nullptr) {
-          const std::int32_t* ri = gather_idx + p * ohw + pix;
-          const std::uint8_t* base = xq + i * x_stride;
-          for (std::int64_t j = 0; j < run; ++j) {
-            const std::int32_t s = ri[j];
-            d[done + j] = s >= 0 ? base[s] : std::uint8_t{128};
+        // Padded plane: the border already holds 128, so output (oi, oj)
+        // reads row oi * stride + ki, column oj * stride + kj with no bounds
+        // check (padding cancels in the source coordinates), and at stride
+        // 1 each image row is one unconditional memcpy.
+        const auto dr = static_cast<std::size_t>(row);
+        const std::int64_t rowoff = dec.c[dr] * cs.plane +
+                                    dec.ki[dr] * cs.pw + dec.kj[dr];
+        for (std::int64_t r = 0; r < nruns; ++r) {
+          const std::uint8_t* src = runs[r].src + rowoff + runs[r].oi * pitch;
+          std::uint8_t* d = rowbuf[t] + runs[r].off;
+          std::int64_t oj = runs[r].oj;
+          for (std::int64_t left = runs[r].len; left > 0;
+               src += pitch, oj = 0) {
+            const std::int64_t seg = std::min(left, ow - oj);
+            if (stride == 1) {
+              std::memcpy(d, src + oj, static_cast<std::size_t>(seg));
+            } else {
+              for (std::int64_t j = 0; j < seg; ++j) {
+                d[j] = src[(oj + j) * stride];
+              }
+            }
+            d += seg;
+            left -= seg;
           }
-        } else if (padded != nullptr) {
-          const std::uint8_t* plane =
-              padded + i * pstride +
-              static_cast<std::int64_t>(dec.c[row]) * ph * pw;
-          std::int64_t oi = pix / ow;
-          std::int64_t oj = pix - oi * ow;
-          const std::uint8_t* src =
-              plane + (oi + dec.ki[row]) * pw + dec.kj[row];
-          std::int64_t off = done, left = run;
-          while (left > 0) {
-            const std::int64_t r2 = std::min(left, ow - oj);
-            std::memcpy(d + off, src + oj, static_cast<std::size_t>(r2));
-            off += r2;
-            left -= r2;
-            oj = 0;
-            src += pw;
-          }
-        } else {
-          const std::uint8_t* xplane =
-              xq + i * x_stride +
-              static_cast<std::int64_t>(dec.c[row]) * h * w;
-          gather_col_row_u8(xplane, h, w, g.stride, g.padding, dec.ki[row],
-                            dec.kj[row], ow, pix, run, d + done);
         }
-        done += run;
-        pix = 0;
-        ++i;
       }
       if (nb < nb16) {
         std::memset(rowbuf[t] + nb, 128, static_cast<std::size_t>(nb16 - nb));
@@ -810,214 +692,130 @@ void pack_col_batch_u8q(const std::uint8_t* xq, std::int64_t x_stride,
 
 // ---- public entry points ----------------------------------------------------
 
-RT_HOT void conv2d_forward_plane_s8(const std::uint8_t* xq, std::int64_t c_in,
-                                    std::int64_t h, std::int64_t w,
-                                    const ConvGeometry& g,
-                                    const std::int8_t* w_panels,
-                                    std::int64_t out_ch, std::int32_t* acc,
-                                    float* y, const S8Epilogue& ep,
-                                    const std::int32_t* gather_idx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  if (out_ch <= 0 || ohw <= 0) return;
+__attribute__((aligned(64))) RT_HOT void conv2d_forward_batch_s8(
+    const std::uint8_t* xq, std::int64_t n, std::int64_t x_stride,
+    std::int64_t c_in, std::int64_t h, std::int64_t w, const ConvGeometry& g,
+    const std::int8_t* w_panels, std::int64_t out_ch, std::int32_t* acc,
+    std::uint8_t* pad, float* y, std::int64_t y_stride, const S8Epilogue& ep,
+    const std::int32_t* gather_idx) {
+  const std::int64_t ow = g.out_extent(w), ohw = g.out_extent(h) * ow;
+  if (out_ch <= 0 || ohw <= 0 || n <= 0) return;
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
   const std::int64_t ckk4 = round_up4(ckk);
   const DecodeTable& dec = decode_table(c_in, g.kernel);
-  std::int32_t tile[kMrS8 * kNrS8];
 
-  // Stage the padded input plane for stride-1 convs with real padding (see
-  // kPadPlaneCapS8); strided layers come in with the index table instead.
-  const std::uint8_t* padded = nullptr;
-  std::int64_t pw = 0;
-  if (gather_idx == nullptr && g.stride == 1 && g.padding > 0) {
-    const std::int64_t pad = g.padding;
-    const std::int64_t ph2 = h + 2 * pad, pw2 = w + 2 * pad;
-    if (c_in * ph2 * pw2 <= kPadPlaneCapS8) {
-      alignas(64) thread_local std::uint8_t padbuf[kPadPlaneCapS8];
+  ColSource cs{xq, x_stride, gather_idx, ohw, ow, g.stride, h * w, w};
+  if (gather_idx == nullptr && g.padding > 0) {
+    // Padded staging: copy every sample's planes once into `pad` with a
+    // border of 128s (1x the input volume, against the k*k gathered copies
+    // of it), so no row gather ever clips at an image edge.
+    const std::int64_t p = g.padding;
+    const std::int64_t ph = h + 2 * p, pw = w + 2 * p;
+    cs = {pad, c_in * ph * pw, nullptr, ohw, ow, g.stride, ph * pw, pw};
+    for (std::int64_t i = 0; i < n; ++i) {
       for (std::int64_t c = 0; c < c_in; ++c) {
-        std::uint8_t* dstp = padbuf + c * ph2 * pw2;
-        std::memset(dstp, 128, static_cast<std::size_t>(pad * pw2));
+        // Each border run between two image rows is one memset: the right
+        // border of a row and the left border of the next are adjacent.
+        const std::uint8_t* src = xq + i * x_stride + c * h * w;
+        std::uint8_t* d = pad + i * cs.sample_stride + c * cs.plane;
+        std::memset(d, 128, static_cast<std::size_t>(p * pw + p));
         for (std::int64_t ii = 0; ii < h; ++ii) {
-          std::uint8_t* row = dstp + (pad + ii) * pw2;
-          std::memset(row, 128, static_cast<std::size_t>(pad));
-          std::memcpy(row + pad, xq + (c * h + ii) * w,
-                      static_cast<std::size_t>(w));
-          std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
+          d += ii == 0 ? p * pw + p : pw;
+          std::memcpy(d, src + ii * w, static_cast<std::size_t>(w));
+          const std::int64_t gap = ii + 1 < h ? 2 * p : p * pw + p;
+          std::memset(d + w, 128, static_cast<std::size_t>(gap));
         }
-        std::memset(dstp + (pad + h) * pw2, 128,
-                    static_cast<std::size_t>(pad * pw2));
       }
-      padded = padbuf;
-      pw = pw2;
     }
   }
 
-  if (ckk4 <= kKcFullS8) {
-    // Full-depth fast path: the whole k extent fits one staged B tile, so
-    // each 8x16 output block accumulates entirely in registers and requants
-    // straight from the register tile — the int32 accumulator plane, its
-    // memset, and the add/re-read passes all disappear. Covers every layer
-    // of the small-image models the engine serves (ckk <= kKcFullS8);
-    // int32 sums are exact, so results are bitwise identical to the
-    // blocked path below.
-    alignas(64) thread_local std::uint8_t bqfull[kKcFullS8 * kNcS8];
-    for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
-      const std::int64_t nb = std::min(kNcS8, ohw - jc);
-      pack_col_panel_u8q(xq, h, w, g, dec, 0, ckk, jc, nb, ow, bqfull,
-                         gather_idx, ohw, padded, pw);
+  // Full depth (round_up4(C*k*k) <= kKcFullS8, every layer of the
+  // small-image models the engine serves): the whole k extent stages as one
+  // B tile, and each 8x16 block accumulates in registers and requants
+  // straight from the register tile. Deep k: kKcS8-deep blocks accumulate
+  // into `acc`, laid out (out_ch, nb) for the current column tile, and each
+  // block requants once its last k block is in. int32 sums are exact, so
+  // the two give the same bits.
+  const bool full = ckk4 <= kKcFullS8;
+  const std::int64_t kblock = full ? ckk : kKcS8;
+  alignas(64) thread_local std::uint8_t bq[kKcFullS8 * kNcS8];
+  std::int32_t tile[kMrS8 * kNrS8];
+  ColRun runs[kNcS8];
+
+  // Requantizes an mr x nr int32 block (leading dimension lds) into output
+  // channels [ir, ir + mr) of sample i from pixel pix on: straight into the
+  // sample's activation rows when the block lies inside it, else through a
+  // register-sized scratch scattered per sample run.
+  const auto store = [&](const std::int32_t* src, std::int64_t lds,
+                         const S8Epilogue& es, std::int64_t ir,
+                         std::int64_t mr, std::int64_t i, std::int64_t pix,
+                         std::int64_t nr) {
+    if (pix + nr <= ohw) {
+      requant_rows(src, lds, mr, nr, es, y + i * y_stride + ir * ohw + pix,
+                   ohw);
+      return;
+    }
+    float ytile[kMrS8 * kNrS8];
+    requant_rows(src, lds, mr, nr, es, ytile, kNrS8);
+    for (std::int64_t toff = 0; toff < nr; ++i, pix = 0) {
+      const std::int64_t seg = std::min(nr - toff, ohw - pix);
+      float* yb = y + i * y_stride + ir * ohw + pix;
+      for (std::int64_t r = 0; r < mr; ++r) {
+        std::memcpy(yb + r * ohw, ytile + r * kNrS8 + toff,
+                    static_cast<std::size_t>(seg) * sizeof(float));
+      }
+      toff += seg;
+    }
+  };
+
+  const std::int64_t nj = n * ohw;
+  for (std::int64_t jc = 0; jc < nj; jc += kNcS8) {
+    const std::int64_t nb = std::min(kNcS8, nj - jc);
+    // Per-sample runs of the tile (column = sample * OH*OW + pixel), with
+    // one division per tile: every run after the first starts at pixel 0.
+    const std::int64_t i0 = jc / ohw, pix0 = jc % ohw;
+    std::int64_t nruns = 0;
+    for (std::int64_t off = 0, i = i0, pix = pix0, oi = pix / ow, oj = pix % ow;
+         off < nb; ++nruns, ++i, pix = oi = oj = 0) {
+      const std::int64_t len = std::min(nb - off, ohw - pix);
+      runs[nruns] = {cs.base + i * cs.sample_stride, off, len, pix, oi, oj};
+      off += len;
+    }
+    // Sample and first pixel of each 16-column block, for the epilogue.
+    std::int64_t blk_i[kNcS8 / kNrS8], blk_pix[kNcS8 / kNrS8];
+    for (std::int64_t jr = 0, i = i0, pix = pix0; jr < nb; jr += kNrS8) {
+      blk_i[jr / kNrS8] = i;
+      blk_pix[jr / kNrS8] = pix;
+      for (pix += kNrS8; pix >= ohw; pix -= ohw) ++i;
+    }
+    if (!full) {
+      std::memset(acc, 0,
+                  static_cast<std::size_t>(out_ch * nb) * sizeof(std::int32_t));
+    }
+    for (std::int64_t kc = 0; kc < ckk; kc += kblock) {
+      const std::int64_t kb = std::min(kblock, ckk - kc);
+      const std::int64_t kb4 = round_up4(kb);
+      pack_col_batch_u8q(cs, dec, kc, kb, runs, nruns, nb, bq);
       for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
         const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-        const std::int8_t* ap = w_panels + ir * ckk4;
-        // Slice the per-row epilogue fields to this channel block; the
-        // running amax pointer is shared across all tiles of the plane.
-        S8Epilogue es = ep;
+        // Panels are quad-major at full depth, so the k block at kc (kKcS8
+        // is a multiple of 4) starts kc * kMrS8 bytes into panel ir.
+        const std::int8_t* ap = w_panels + ir * ckk4 + kc * kMrS8;
+        S8Epilogue es = ep;  // per-row fields advanced to channel ir
         es.scales = ep.scales + ir;
         if (ep.corr) es.corr = ep.corr + ir;
         if (ep.bias) es.bias = ep.bias + ir;
         for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
           const std::int64_t nr = std::min(kNrS8, nb - jr);
-          detail::micro_s8_block(ckk4 / 4, ap, bqfull + jr * ckk4, tile);
-          requant_rows(tile, kNrS8, mr, nr, es, y + ir * ohw + jc + jr, ohw);
-        }
-      }
-    }
-    return;
-  }
-
-  // Deep-k path: block over k through the caller's int32 accumulator plane.
-  // Fixed per-thread sliver staging, same 64 KiB footprint as the fp32
-  // path's bbuf — sized once, so the serving path stays allocation-free.
-  thread_local std::uint8_t bqbuf[kKcS8 * kNcS8];
-  std::memset(acc, 0, static_cast<std::size_t>(out_ch * ohw) *
-                          sizeof(std::int32_t));
-  for (std::int64_t jc = 0; jc < ohw; jc += kNcS8) {
-    const std::int64_t nb = std::min(kNcS8, ohw - jc);
-    for (std::int64_t kc = 0; kc < ckk; kc += kKcS8) {
-      const std::int64_t kb = std::min(kKcS8, ckk - kc);
-      const std::int64_t kb4 = round_up4(kb);
-      pack_col_panel_u8q(xq, h, w, g, dec, kc, kb, jc, nb, ow, bqbuf,
-                         gather_idx, ohw, padded, pw);
-      for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
-        const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-        // Panel slice: quad-major full-depth panels, so the k block at kc
-        // (kKcS8 is a multiple of 4) starts kc * kMrS8 bytes into panel ir.
-        const std::int8_t* ap = w_panels + ir * ckk4 + kc * kMrS8;
-        for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-          const std::int64_t nr = std::min(kNrS8, nb - jr);
-          detail::micro_s8_block(kb4 / 4, ap, bqbuf + jr * kb4, tile);
-          acc_block_add(tile, acc + ir * ohw + jc + jr, ohw, mr, nr);
-        }
-      }
-    }
-    // Requantize this pixel tile while its accumulator columns are still
-    // cache-hot; epilogue rows are output channels (leading dimension ohw).
-    requant_rows(acc + jc, ohw, out_ch, nb, ep, y + jc, ohw);
-  }
-}
-
-RT_HOT void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
-                                    std::int64_t x_stride, std::int64_t c_in,
-                                    std::int64_t h, std::int64_t w,
-                                    const ConvGeometry& g,
-                                    const std::int8_t* w_panels,
-                                    std::int64_t out_ch, std::int32_t* acc,
-                                    float* y, std::int64_t y_stride,
-                                    const S8Epilogue& ep,
-                                    const std::int32_t* gather_idx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  if (out_ch <= 0 || ohw <= 0 || n <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t ckk4 = round_up4(ckk);
-  if (ckk4 > kKcFullS8) {
-    // Deep-k planes go through the blocked per-sample path (they are large
-    // enough that per-sample fixed costs no longer matter).
-    for (std::int64_t i = 0; i < n; ++i) {
-      conv2d_forward_plane_s8(xq + i * x_stride, c_in, h, w, g, w_panels,
-                              out_ch, acc, y + i * y_stride, ep, gather_idx);
-    }
-    return;
-  }
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  std::int32_t tile[kMrS8 * kNrS8];
-
-  // Stage padded copies of every sample's plane up front (one borders-hold-
-  // 128 copy each, see kPadPlaneCapS8); the whole batch shares the buffer.
-  const std::uint8_t* padded = nullptr;
-  std::int64_t pw = 0, pstride = 0;
-  if (gather_idx == nullptr && g.stride == 1 && g.padding > 0) {
-    const std::int64_t pad = g.padding;
-    const std::int64_t ph2 = h + 2 * pad, pw2 = w + 2 * pad;
-    const std::int64_t per_sample = c_in * ph2 * pw2;
-    if (n * per_sample <= kPadPlaneBatchCapS8) {
-      alignas(64) thread_local std::uint8_t padbuf[kPadPlaneBatchCapS8];
-      for (std::int64_t i = 0; i < n; ++i) {
-        const std::uint8_t* src0 = xq + i * x_stride;
-        for (std::int64_t c = 0; c < c_in; ++c) {
-          std::uint8_t* dstp = padbuf + i * per_sample + c * ph2 * pw2;
-          std::memset(dstp, 128, static_cast<std::size_t>(pad * pw2));
-          for (std::int64_t ii = 0; ii < h; ++ii) {
-            std::uint8_t* row = dstp + (pad + ii) * pw2;
-            std::memset(row, 128, static_cast<std::size_t>(pad));
-            std::memcpy(row + pad, src0 + (c * h + ii) * w,
-                        static_cast<std::size_t>(w));
-            std::memset(row + pad + w, 128, static_cast<std::size_t>(pad));
+          const std::int64_t bi = blk_i[jr / kNrS8], bp = blk_pix[jr / kNrS8];
+          detail::micro_s8_block(kb4 / 4, ap, bq + jr * kb4, tile);
+          if (full) {
+            store(tile, kNrS8, es, ir, mr, bi, bp, nr);
+            continue;
           }
-          std::memset(dstp + (pad + h) * pw2, 128,
-                      static_cast<std::size_t>(pad * pw2));
-        }
-      }
-      padded = padbuf;
-      pw = pw2;
-      pstride = per_sample;
-    }
-  }
-
-  alignas(64) thread_local std::uint8_t bqfull[kKcFullS8 * kNcS8];
-  const std::int64_t nj = n * ohw;
-  // When kNrS8 divides OH*OW every 16-column tile lies inside one sample
-  // and requants straight into its activation rows; otherwise the tile is
-  // requantized into a register-sized scratch and scattered per sample run.
-  const bool col_aligned = (ohw % kNrS8) == 0;
-  for (std::int64_t jc = 0; jc < nj; jc += kNcS8) {
-    const std::int64_t nb = std::min(kNcS8, nj - jc);
-    pack_col_batch_u8q(xq, x_stride, h, w, g, dec, ckk, jc, nb, ow, ohw,
-                       bqfull, gather_idx, padded, pstride, pw);
-    for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
-      const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-      const std::int8_t* ap = w_panels + ir * ckk4;
-      S8Epilogue es = ep;
-      es.scales = ep.scales + ir;
-      if (ep.corr) es.corr = ep.corr + ir;
-      if (ep.bias) es.bias = ep.bias + ir;
-      for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-        const std::int64_t nr = std::min(kNrS8, nb - jr);
-        detail::micro_s8_block(ckk4 / 4, ap, bqfull + jr * ckk4, tile);
-        if (col_aligned) {
-          const std::int64_t col = jc + jr;
-          const std::int64_t i = col / ohw;
-          const std::int64_t pix = col - i * ohw;
-          requant_rows(tile, kNrS8, mr, nr, es,
-                       y + i * y_stride + ir * ohw + pix, ohw);
-        } else {
-          float ytile[kMrS8 * kNrS8];
-          requant_rows(tile, kNrS8, mr, nr, es, ytile, kNrS8);
-          std::int64_t col = jc + jr, left = nr, toff = 0;
-          while (left > 0) {
-            const std::int64_t i = col / ohw;
-            const std::int64_t pix = col - i * ohw;
-            const std::int64_t seg = std::min(left, ohw - pix);
-            float* yb = y + i * y_stride + ir * ohw + pix;
-            for (std::int64_t r = 0; r < mr; ++r) {
-              std::memcpy(yb + r * ohw, ytile + r * kNrS8 + toff,
-                          static_cast<std::size_t>(seg) * sizeof(float));
-            }
-            col += seg;
-            toff += seg;
-            left -= seg;
-          }
+          std::int32_t* blk = acc + ir * nb + jr;
+          acc_block_add(tile, blk, nb, mr, nr);
+          if (kc + kb == ckk) store(blk, nb, es, ir, mr, bi, bp, nr);
         }
       }
     }
@@ -1040,8 +838,7 @@ std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
   const DecodeTable& dec = decode_table(c_in, g.kernel);
   for (std::int64_t p = 0; p < ckk; ++p) {
     const auto row = static_cast<std::size_t>(p);
-    const std::int64_t base =
-        static_cast<std::int64_t>(dec.c[row]) * h * w;
+    const std::int64_t base = dec.c[row] * h * w;
     const std::int64_t ki = dec.ki[row], kj = dec.kj[row];
     for (std::int64_t oi = 0; oi < oh; ++oi) {
       const std::int64_t ii = oi * g.stride - g.padding + ki;

@@ -135,50 +135,45 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
                           const float* bias = nullptr, bool relu = false,
                           const ConvKernelOpts& opts = {});
 
-/// True int8 forward (serving only): y (out_ch, OH, OW) float =
-/// requant(W_q (out_ch, C*k*k) * col(X_q)) over one offset-u8 input plane
-/// `xq`. Reuses the virtual-im2col gather path — panels of col(X_q) are
-/// gathered straight into the int8 kernel's quad-sliver layout, with
-/// out-of-image taps reading as the zero encoding 128. `w_panels` are the
-/// weight's quad panels (PackedS8 / pack_a_quads_s8, packed at compile
-/// time); `acc` is caller scratch of at least out_ch * OH*OW int32 (used
-/// only when round_up4(C*k*k) exceeds kKcFullS8 — smaller extents
-/// accumulate in registers). `gather_idx`, when non-null, is a precomputed
-/// C*k*k x OH*OW source-index table (build_s8_gather_index) that replaces
-/// the run-decomposed gather — worth it for narrow planes where image rows
-/// are too short to amortize per-row setup. The epilogue's per-row fields
-/// index output channels. Serial per plane, bitwise deterministic (integer
-/// accumulation in a fixed order, identical with and without the table).
-void conv2d_forward_plane_s8(const std::uint8_t* xq, std::int64_t c_in,
-                             std::int64_t h, std::int64_t w,
-                             const ConvGeometry& g, const std::int8_t* w_panels,
-                             std::int64_t out_ch, std::int32_t* acc, float* y,
-                             const S8Epilogue& ep,
-                             const std::int32_t* gather_idx = nullptr);
-
-/// Batched variant of conv2d_forward_plane_s8 for the serving engine: runs
-/// the whole batch as one implicit GEMM whose column space is
-/// (sample, output pixel) — sample i's plane starts at xq + i * x_stride and
-/// its output at y + i * y_stride. Tiny planes (OH*OW of 4-16) are where
-/// this pays: B-staging, micro-tile, and epilogue fixed costs amortize over
-/// n * OH*OW columns instead of one sample's, and the kNrS8-lane tile pad
-/// vanishes. Bitwise identical to the per-sample loop (integer accumulation
-/// in the same per-column order; one float expression per output). Falls
-/// back to per-sample calls when round_up4(C*k*k) exceeds kKcFullS8 (then
-/// `acc` is used, sized as for the plane call).
+/// True int8 forward (serving only), the one int8 conv entry point: runs a
+/// batch of n offset-u8 input planes as one implicit GEMM whose column space
+/// is (sample, output pixel) — sample i's (c_in, h, w) plane starts at
+/// xq + i * x_stride and its float output (out_ch, OH, OW) at
+/// y + i * y_stride, with y = requant(W_q (out_ch, C*k*k) * col(X_q)).
+/// `w_panels` are the weight's quad panels (PackedS8 / pack_a_quads_s8,
+/// packed at compile time); the epilogue's per-row fields index output
+/// channels. Tiny planes (OH*OW of 4-16) are where batching pays: B-staging,
+/// micro-tile and epilogue fixed costs amortize over n * OH*OW columns.
+///
+/// Panels of col(X_q) are staged on the fly in one of two ways, with
+/// out-of-image taps reading as the zero encoding 128:
+///   - `gather_idx` non-null: the index table (build_s8_gather_index), one
+///     guarded byte load per element. Engine::compile gives it to narrow
+///     (w <= 4) and strided layers.
+///   - otherwise, padded planes: each row gather is a memcpy per image row
+///     at stride 1. A conv with padding first copies the batch into `pad`
+///     (at least n * c_in * (h+2p) * (w+2p) bytes) with a border of 128s;
+///     a pad-0 conv reads its input in place and `pad` may be null.
+/// `acc` is int32 scratch of at least out_ch * min(kNcS8, n * OH*OW), used
+/// only when round_up4(C*k*k) exceeds kKcFullS8 (the kernel then blocks over
+/// k); shallower layers accumulate in registers and `acc` may be null.
+/// Serial, allocation-free, bitwise deterministic: integer accumulation in
+/// a fixed order and one float expression per output, so the bits do not
+/// depend on n, on the staging, or on the k blocking.
 void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
                              std::int64_t x_stride, std::int64_t c_in,
                              std::int64_t h, std::int64_t w,
                              const ConvGeometry& g, const std::int8_t* w_panels,
-                             std::int64_t out_ch, std::int32_t* acc, float* y,
+                             std::int64_t out_ch, std::int32_t* acc,
+                             std::uint8_t* pad, float* y,
                              std::int64_t y_stride, const S8Epilogue& ep,
                              const std::int32_t* gather_idx = nullptr);
 
 /// Precomputes the virtual-im2col source-index table for
-/// conv2d_forward_plane_s8: entry [p * OH*OW + j] is the flat input-plane
+/// conv2d_forward_batch_s8: entry [p * OH*OW + j] is the flat input-plane
 /// offset feeding column row p at output pixel j, or -1 for out-of-image
 /// taps (the gather substitutes the zero encoding 128). Compile-time only —
-/// the engine builds one per narrow-plane int8 conv layer.
+/// the engine builds one per narrow or strided int8 conv layer.
 std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
                                                 std::int64_t h, std::int64_t w,
                                                 const ConvGeometry& g);

@@ -143,29 +143,6 @@ RT_HOT void requant_rows(const std::int32_t* acc, std::int64_t lda,
   if (ep.amax) *ep.amax = amax;
 }
 
-RT_HOT void requant_rows_u8(const std::int32_t* acc, std::int64_t lda,
-                            std::int64_t rows, std::int64_t cols,
-                            const S8Epilogue& ep, float out_scale,
-                            std::uint8_t* yq, std::int64_t ldy) {
-  const float inv = out_scale > 0.0f ? 1.0f / out_scale : 0.0f;
-  float amax = ep.amax ? *ep.amax : 0.0f;
-  for (std::int64_t r = 0; r < rows; ++r) {
-    const std::int32_t corr = ep.corr ? ep.corr[r] : 0;
-    const float s = ep.act_scale * ep.scales[r];
-    const float b = ep.bias ? ep.bias[r] : 0.0f;
-    const std::int32_t* arow = acc + r * lda;
-    std::uint8_t* yrow = yq + r * ldy;
-    for (std::int64_t j = 0; j < cols; ++j) {
-      float v = static_cast<float>(arow[j] - corr) * s + b;
-      if (ep.relu && v < 0.0f) v = 0.0f;
-      yrow[j] = static_cast<std::uint8_t>(quantize_clamp(v, inv) + 128);
-      const float a = std::fabs(v);
-      if (a > amax) amax = a;
-    }
-  }
-  if (ep.amax) *ep.amax = amax;
-}
-
 RT_HOT void axpy_s8_s32(const std::int8_t* x, std::int32_t v, std::int32_t* y,
                         std::int64_t n) {
 #ifdef RT_S8_AVX512
@@ -214,13 +191,13 @@ namespace {
 // bodies stay allocation-free after first use per thread.
 thread_local std::uint8_t bq_tile[kKcS8 * kNcS8];
 
-/// The shared nn driver: accumulates A_q * B_q into acc (m x n int32,
-/// overwritten), then hands each finished n-tile to `emit` for the fused
-/// epilogue while the accumulator slice is still cache-hot.
-template <typename EmitTile>
-RT_HOT void gemm_s8_nn_core(std::int64_t m, std::int64_t n, std::int64_t k,
-                            const PackedS8& a, const std::uint8_t* b,
-                            std::int32_t* acc, EmitTile&& emit) {
+}  // namespace
+
+RT_HOT void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
+                       const PackedS8& a, const std::uint8_t* b,
+                       std::int32_t* acc, float* c, const S8Epilogue& ep) {
+  S8Epilogue e = ep;
+  if (!e.corr) e.corr = a.corr();
   const std::int64_t k4 = round_up4(k);
   std::memset(acc, 0, static_cast<std::size_t>(m * n) * sizeof(std::int32_t));
   std::int32_t tile[kMrS8 * kNrS8];
@@ -242,33 +219,11 @@ RT_HOT void gemm_s8_nn_core(std::int64_t m, std::int64_t n, std::int64_t k,
         }
       }
     }
-    emit(jc, nb);
-  }
-}
-
-}  // namespace
-
-RT_HOT void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
-                       const PackedS8& a, const std::uint8_t* b,
-                       std::int32_t* acc, float* c, const S8Epilogue& ep) {
-  S8Epilogue e = ep;
-  if (!e.corr) e.corr = a.corr();
-  gemm_s8_nn_core(m, n, k, a, b, acc, [&](std::int64_t jc, std::int64_t nb) {
-    // corr/scales/bias index rows; the column slice shifts only the data
-    // pointers. requant_rows itself carries the running amax across tiles.
+    // Requantize the finished n-tile while its accumulator slice is still
+    // cache-hot. corr/scales/bias index rows; the column slice shifts only
+    // the data pointers, and requant_rows carries the running amax.
     requant_rows(acc + jc, n, m, nb, e, c + jc, n);
-  });
-}
-
-RT_HOT void gemm_s8_nn_u8(std::int64_t m, std::int64_t n, std::int64_t k,
-                          const PackedS8& a, const std::uint8_t* b,
-                          std::int32_t* acc, float out_scale,
-                          std::uint8_t* cq, const S8Epilogue& ep) {
-  S8Epilogue e = ep;
-  if (!e.corr) e.corr = a.corr();
-  gemm_s8_nn_core(m, n, k, a, b, acc, [&](std::int64_t jc, std::int64_t nb) {
-    requant_rows_u8(acc + jc, n, m, nb, e, out_scale, cq + jc, n);
-  });
+  }
 }
 
 RT_HOT void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,

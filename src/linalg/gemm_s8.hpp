@@ -19,7 +19,7 @@
 // Requant epilogue (float multiply, no shift rounding — exact and
 // UBSan-clean): y = (acc - corr) * (s_x * s_w[row]) + bias[row], optional
 // ReLU, optional running amax tracking (feeds the NEXT layer's dynamic
-// activation scale), optional re-quantize to s8 for chained int8 layers.
+// activation scale).
 
 #include <cstdint>
 #include <vector>
@@ -74,14 +74,6 @@ void requant_rows(const std::int32_t* acc, std::int64_t lda,
 void axpy_s8_s32(const std::int8_t* x, std::int32_t v, std::int32_t* y,
                  std::int64_t n);
 
-/// As requant_rows, but re-quantizes the float result straight to offset-u8
-/// with `out_scale` for a chained int8 consumer (no float round trip through
-/// memory). The float value is still tracked in ep.amax if set.
-void requant_rows_u8(const std::int32_t* acc, std::int64_t lda,
-                     std::int64_t rows, std::int64_t cols,
-                     const S8Epilogue& ep, float out_scale, std::uint8_t* yq,
-                     std::int64_t ldy);
-
 /// Prepacked s8 left-hand operand: quad panels (see linalg/microkernel_s8)
 /// plus the per-row offset correction. Rows are weight output channels.
 class PackedS8 {
@@ -117,13 +109,6 @@ class PackedS8 {
 void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
                 const PackedS8& a, const std::uint8_t* b, std::int32_t* acc,
                 float* c, const S8Epilogue& ep);
-
-/// As gemm_s8_nn with the chained-int8 epilogue: C emerges as offset-u8 at
-/// out_scale instead of float.
-void gemm_s8_nn_u8(std::int64_t m, std::int64_t n, std::int64_t k,
-                   const PackedS8& a, const std::uint8_t* b,
-                   std::int32_t* acc, float out_scale, std::uint8_t* cq,
-                   const S8Epilogue& ep);
 
 /// The head shape: C(m,n) float = requant(X_q(m,k) * W_q(n,k)^T). X is
 /// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows

@@ -9,6 +9,7 @@
 // test cannot observe without death-test machinery).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -128,19 +129,30 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
   model.set_training(false);
   const Tensor x = Tensor::uniform({4, 3, 8, 8}, rng, 0.0f, 1.0f);
 
-  // The dense model on panels, then the same model 90%-pruned with every
-  // layer forced to CSR: compile splits its convs between the integer tap
-  // loop and panels expanded from the CSR values (s8_csr_runs_taps).
-  for (const bool csr : {false, true}) {
-    SCOPED_TRACE(csr ? "forced CSR" : "dense");
+  // The dense model on panels; then the same model 90%-pruned with every
+  // layer forced to CSR, where compile splits its convs between the integer
+  // tap loop and panels expanded from the CSR values (s8_csr_runs_taps);
+  // then a 70%-channel-pruned model, whose compact layers run the kernel
+  // over their kept rows and scatter in place. Every variant stages some
+  // convs from the Workspace's padded planes.
+  ResNet chan_model(cfg, rng);
+  omp_prune(chan_model,
+            OmpConfig{0.7f, Granularity::kChannel, /*include_head=*/false});
+  chan_model.set_training(false);
+  for (const char* variant : {"dense", "forced CSR", "channel"}) {
+    SCOPED_TRACE(variant);
+    const bool csr = std::strcmp(variant, "forced CSR") == 0;
+    const bool chan = std::strcmp(variant, "channel") == 0;
     if (csr) omp_prune(model, OmpConfig{0.9f, Granularity::kElement, false});
     CompileOptions options;
     options.height = 8;
     options.width = 8;
     options.int8_weights = true;  // int8-native execution (the default path)
     if (csr) options.force_format = PackedFormat::kCsr;
-    const CompiledTicket plan = Engine::compile(model, options);
+    const CompiledTicket plan =
+        Engine::compile(chan ? chan_model : model, options);
     ASSERT_TRUE(plan.int8_native());
+    EXPECT_GT(plan.s8_pad_bytes(), 0);
     if (csr) {
       int taps = 0, panels = 0;
       for (const LayerPlan& l : plan.layers()) {
@@ -150,11 +162,18 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
       EXPECT_GT(taps, 0);
       EXPECT_GT(panels, 0);
     }
+    if (chan) {
+      int compact = 0;
+      for (const LayerPlan& l : plan.layers()) {
+        if (l.format == PackedFormat::kChannelCompact) ++compact;
+      }
+      EXPECT_GT(compact, 0);
+    }
     Session session(plan, /*max_batch=*/4);
 
     Tensor logits({4, 10});
     // Warm-up: DecodeTable growth plus first touch of the quantized scratch
-    // (qin/acc arena slabs, the kernels' thread_local staging buffers).
+    // (qin/acc/pad workspace slabs, the kernels' thread_local staging).
     session.run_rows(x.data(), 4, logits.data());
     audit::AllocGuard guard("Session::run_rows int8");
     session.run_rows(x.data(), 4, logits.data());

@@ -5,13 +5,13 @@
 //    (the int32 accumulator is exact, so the raw sums must match EXACTLY;
 //    the float requant is one expression per output and is compared at float
 //    rounding tolerance — FMA contraction may associate it differently),
-//  - the three gather strategies (clipped runs, padded plane, index table)
-//    and the batched entry point must agree bitwise,
+//  - the two B stagings (padded plane, index table) must agree bitwise, at
+//    full depth and deep k, and a batch must equal its samples run alone,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
 //    documented tolerance, bitwise determinism across runs, <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
-//    tickets, and both int8 CSR executors (tap loop, expanded panels)
-//    bitwise equal to the forced-dense plan.
+//    tickets, and both int8 CSR executors (tap loop, expanded panels) and
+//    channel-compact layers bitwise equal to the forced-dense plan.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -244,105 +244,161 @@ std::vector<float> conv_s8_reference(const std::vector<std::uint8_t>& xq,
   return y;
 }
 
-TEST(QuantConv, PlaneMatchesReferenceAndGatherPathsAgreeBitwise) {
+/// Runs conv2d_forward_batch_s8 over n samples (sample stride x_stride in,
+/// y_stride out, slack filled with -7) with its scratch sized exactly as the
+/// kernel documents. `table` selects index-table staging, else padded planes.
+std::vector<float> run_conv_s8(const std::vector<std::uint8_t>& xq,
+                               std::int64_t n, std::int64_t x_stride,
+                               std::int64_t ci, std::int64_t h, std::int64_t w,
+                               const ConvGeometry& g, const PackedS8& packed,
+                               std::int64_t y_stride, const S8Epilogue& ep,
+                               bool table) {
+  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
+  const std::int64_t co = packed.rows();
+  std::vector<std::int32_t> acc(
+      static_cast<std::size_t>(co * std::min(kNcS8, n * ohw)));
+  std::vector<std::uint8_t> pad(static_cast<std::size_t>(
+      n * ci * (h + 2 * g.padding) * (w + 2 * g.padding)));
+  const std::vector<std::int32_t> idx =
+      table ? build_s8_gather_index(ci, h, w, g) : std::vector<std::int32_t>{};
+  std::vector<float> y(static_cast<std::size_t>(n * y_stride), -7.0f);
+  conv2d_forward_batch_s8(xq.data(), n, x_stride, ci, h, w, g, packed.panels(),
+                          co, acc.data(), pad.data(), y.data(), y_stride, ep,
+                          table ? idx.data() : nullptr);
+  return y;
+}
+
+/// One sample against conv_s8_reference under both B stagings: padded
+/// planes within the requant tolerance, the index table bitwise equal.
+void check_conv_s8_sample(std::int64_t ci, std::int64_t h, std::int64_t w,
+                          std::int64_t co, const ConvGeometry& g, Rng& rng) {
+  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
+  const std::int64_t ckk = ci * g.kernel * g.kernel;
+  const auto xq = random_u8(ci * h * w, rng);
+  const auto qw = random_s8(co * ckk, rng, 0.0f);
+  PackedS8 packed;
+  packed.pack(qw.data(), co, ckk);
+  std::vector<float> scales(static_cast<std::size_t>(co));
+  std::vector<float> bias(static_cast<std::size_t>(co));
+  for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
+  for (auto& b : bias) b = rng.uniform(-0.5f, 0.5f);
+  const float sx = 0.009f;
+  S8Epilogue ep;
+  ep.scales = scales.data();
+  ep.act_scale = sx;
+  ep.corr = packed.corr();
+  ep.bias = bias.data();
+  ep.relu = true;
+
+  const std::vector<float> got =
+      run_conv_s8(xq, 1, ci * h * w, ci, h, w, g, packed, co * ohw, ep, false);
+  const std::vector<float> want =
+      conv_s8_reference(xq, ci, h, w, g, qw, co, scales, sx, bias, true);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    expect_requant_near(got[i], want[i], "conv_s8",
+                        static_cast<std::int64_t>(i));
+  }
+  // The index table must reproduce the padded-plane staging EXACTLY — same
+  // integer sums, same single float expression per output.
+  const std::vector<float> got_table =
+      run_conv_s8(xq, 1, ci * h * w, ci, h, w, g, packed, co * ohw, ep, true);
+  ASSERT_EQ(got, got_table) << "table staging diverged";
+}
+
+TEST(QuantConv, MatchesReferenceAndStagingsAgreeBitwise) {
   Rng rng(17);
   const struct { std::int64_t ci, h, w, co; std::int64_t k, s, p; } cases[] = {
       {3, 16, 16, 8, 3, 1, 1},  {8, 16, 16, 16, 3, 2, 1},
       {16, 8, 8, 16, 3, 1, 1},  {64, 2, 2, 64, 3, 1, 1},
       {8, 16, 16, 16, 1, 2, 0}, {5, 7, 9, 11, 3, 1, 1},
-      {4, 5, 5, 6, 5, 2, 2},
+      {4, 5, 5, 6, 5, 2, 2},    {16, 8, 8, 12, 1, 1, 0},
   };
   for (const auto& c : cases) {
+    SCOPED_TRACE(testing::Message() << "ci=" << c.ci << " h=" << c.h
+                                    << " k=" << c.k << " s=" << c.s);
     ConvGeometry g;
     g.kernel = c.k;
     g.stride = c.s;
     g.padding = c.p;
-    const std::int64_t ohw = g.out_extent(c.h) * g.out_extent(c.w);
-    const std::int64_t ckk = c.ci * c.k * c.k;
-    const auto xq = random_u8(c.ci * c.h * c.w, rng);
-    const auto qw = random_s8(c.co * ckk, rng, 0.0f);
-    PackedS8 packed;
-    packed.pack(qw.data(), c.co, ckk);
-    std::vector<float> scales(static_cast<std::size_t>(c.co));
-    std::vector<float> bias(static_cast<std::size_t>(c.co));
-    for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
-    for (auto& b : bias) b = rng.uniform(-0.5f, 0.5f);
-    const float sx = 0.009f;
-    S8Epilogue ep;
-    ep.scales = scales.data();
-    ep.act_scale = sx;
-    ep.corr = packed.corr();
-    ep.bias = bias.data();
-    ep.relu = true;
-
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(c.co * ohw));
-    std::vector<float> got(static_cast<std::size_t>(c.co * ohw));
-    conv2d_forward_plane_s8(xq.data(), c.ci, c.h, c.w, g, packed.panels(),
-                            c.co, acc.data(), got.data(), ep);
-
-    const std::vector<float> want = conv_s8_reference(
-        xq, c.ci, c.h, c.w, g, qw, c.co, scales, sx, bias, true);
-    for (std::size_t i = 0; i < want.size(); ++i) {
-      expect_requant_near(got[i], want[i], "conv_s8",
-                          static_cast<std::int64_t>(i));
-    }
-
-    // The index-table gather must reproduce the run-gather EXACTLY — same
-    // integer sums, same single float expression per output.
-    const std::vector<std::int32_t> table =
-        build_s8_gather_index(c.ci, c.h, c.w, g);
-    std::vector<float> got_table(static_cast<std::size_t>(c.co * ohw));
-    conv2d_forward_plane_s8(xq.data(), c.ci, c.h, c.w, g, packed.panels(),
-                            c.co, acc.data(), got_table.data(), ep,
-                            table.data());
-    ASSERT_EQ(got, got_table) << "table gather diverged";
+    check_conv_s8_sample(c.ci, c.h, c.w, c.co, g, rng);
   }
 }
 
-TEST(QuantConv, BatchEntryPointMatchesPerSamplePlaneBitwise) {
+TEST(QuantConv, DeepKMatchesReference) {
+  // round_up4(C*k*k) = 1152 > kKcFullS8: the kernel blocks over k through
+  // its int32 accumulator instead of accumulating in registers.
+  Rng rng(23);
+  for (const std::int64_t stride : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << "stride=" << stride);
+    ConvGeometry g;
+    g.stride = stride;
+    ASSERT_GT(round_up4(128 * 9), kKcFullS8);
+    check_conv_s8_sample(128, 9, 9, 20, g, rng);
+  }
+}
+
+TEST(QuantConv, BatchMatchesPerSampleBitwise) {
+  // batch(n) must be memcmp-equal to n calls of batch(1): the bits may not
+  // depend on which samples share a column tile. The 3x3 case stages
+  // 17 * 16 KiB of padded planes (more than 256 KiB, so the staging must
+  // scale with the caller's buffer); the deep-k case's 12 * 25 columns
+  // cross a 256-column tile.
   Rng rng(19);
-  const std::int64_t n = 5, ci = 6, h = 7, w = 7, co = 11;
-  ConvGeometry g;  // 3x3 stride 1 pad 1; ohw = 49, not a multiple of 16
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = ci * 9;
-  const std::int64_t x_stride = ci * h * w + 3;  // sample stride with slack
-  const std::int64_t y_stride = co * ohw + 5;
-  std::vector<std::uint8_t> xq(static_cast<std::size_t>(n * x_stride), 128);
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto plane = random_u8(ci * h * w, rng);
-    std::copy(plane.begin(), plane.end(),
-              xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride));
-  }
-  const auto qw = random_s8(co * ckk, rng, 0.3f);
-  PackedS8 packed;
-  packed.pack(qw.data(), co, ckk);
-  std::vector<float> scales(static_cast<std::size_t>(co), 0.01f);
-  std::vector<float> bias(static_cast<std::size_t>(co), 0.25f);
-  S8Epilogue ep;
-  ep.scales = scales.data();
-  ep.act_scale = 0.012f;
-  ep.corr = packed.corr();
-  ep.bias = bias.data();
-  ep.relu = true;
+  const struct { std::int64_t n, ci, h, w, co, s; } cases[] = {
+      {17, 16, 30, 30, 11, 1},
+      {12, 128, 9, 9, 20, 2},
+  };
+  for (const auto& c : cases) {
+    for (const bool table : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "ci=" << c.ci << " table=" << table);
+      ConvGeometry g;  // 3x3, pad 1
+      g.stride = c.s;
+      const std::int64_t ohw = g.out_extent(c.h) * g.out_extent(c.w);
+      const std::int64_t ckk = c.ci * 9;
+      const std::int64_t x_stride = c.ci * c.h * c.w + 3;  // sample slack
+      const std::int64_t y_stride = c.co * ohw + 5;
+      std::vector<std::uint8_t> xq(static_cast<std::size_t>(c.n * x_stride),
+                                   128);
+      for (std::int64_t i = 0; i < c.n; ++i) {
+        const auto plane = random_u8(c.ci * c.h * c.w, rng);
+        std::copy(plane.begin(), plane.end(),
+                  xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride));
+      }
+      const auto qw = random_s8(c.co * ckk, rng, 0.3f);
+      PackedS8 packed;
+      packed.pack(qw.data(), c.co, ckk);
+      std::vector<float> scales(static_cast<std::size_t>(c.co), 0.01f);
+      std::vector<float> bias(static_cast<std::size_t>(c.co), 0.25f);
+      S8Epilogue ep;
+      ep.scales = scales.data();
+      ep.act_scale = 0.012f;
+      ep.corr = packed.corr();
+      ep.bias = bias.data();
+      ep.relu = true;
 
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(co * ohw));
-  std::vector<float> want(static_cast<std::size_t>(n * y_stride), -7.0f);
-  float amax_plane = 0.0f;
-  ep.amax = &amax_plane;
-  for (std::int64_t i = 0; i < n; ++i) {
-    conv2d_forward_plane_s8(xq.data() + i * x_stride, ci, h, w, g,
-                            packed.panels(), co, acc.data(),
-                            want.data() + i * y_stride, ep);
+      float amax_single = 0.0f;
+      ep.amax = &amax_single;
+      std::vector<float> want;
+      for (std::int64_t i = 0; i < c.n; ++i) {
+        const std::vector<std::uint8_t> xi(
+            xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride),
+            xq.begin() + static_cast<std::ptrdiff_t>((i + 1) * x_stride));
+        const std::vector<float> yi = run_conv_s8(
+            xi, 1, x_stride, c.ci, c.h, c.w, g, packed, y_stride, ep, table);
+        want.insert(want.end(), yi.begin(), yi.end());
+      }
+      float amax_batch = 0.0f;
+      ep.amax = &amax_batch;
+      const std::vector<float> got = run_conv_s8(
+          xq, c.n, x_stride, c.ci, c.h, c.w, g, packed, y_stride, ep, table);
+      ASSERT_EQ(got.size(), want.size());
+      EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "batched conv diverged from per-sample calls";
+      EXPECT_EQ(amax_batch, amax_single);
+    }
   }
-
-  std::vector<float> got(static_cast<std::size_t>(n * y_stride), -7.0f);
-  float amax_batch = 0.0f;
-  ep.amax = &amax_batch;
-  conv2d_forward_batch_s8(xq.data(), n, x_stride, ci, h, w, g,
-                          packed.panels(), co, acc.data(), got.data(),
-                          y_stride, ep);
-  ASSERT_EQ(got, want) << "batched conv diverged from per-sample planes";
-  EXPECT_EQ(amax_batch, amax_plane);
 }
 
 std::unique_ptr<ResNet> trained_micro_r18(float sparsity, std::uint64_t seed) {
@@ -501,6 +557,57 @@ TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
               0)
         << (is_omp90 ? "omp90" : "layerwise98") << " linf "
         << got.linf_distance(want);
+  }
+}
+
+TEST(QuantEndToEnd, ChannelCompactMatchesDenseBitwise) {
+  // A channel-compact layer runs the dense layer's kernel over its kept
+  // rows with the same fused requant epilogue, and its pruned rows carry
+  // relu(bias), exactly what a dense epilogue computes over an all-zero row.
+  // So the compact plan must reproduce the forced-dense int8 plan bit for
+  // bit. Perturbed BN affine parameters give every channel its own nonzero
+  // folded bias, which is where a separate bias add would round apart.
+  Rng rng(9);
+  auto model = make_micro_resnet18(10, rng);
+  omp_prune(*model, OmpConfig{0.7f, Granularity::kChannel,
+                              /*include_head=*/false});
+  for (Parameter* p : model->parameters()) {
+    if (p->kind != ParamKind::kBnGamma && p->kind != ParamKind::kBnBeta) {
+      continue;
+    }
+    const bool gamma = p->kind == ParamKind::kBnGamma;
+    for (std::int64_t i = 0; i < p->value.numel(); ++i) {
+      p->value.data()[i] =
+          gamma ? rng.uniform(0.5f, 1.5f) : rng.uniform(-0.5f, 0.5f);
+    }
+  }
+  model->set_training(false);
+
+  CompileOptions options;
+  options.int8_weights = true;
+  auto plan =
+      std::make_shared<const CompiledTicket>(Engine::compile(*model, options));
+  ASSERT_TRUE(plan->int8_native());
+  int compact = 0;
+  for (const LayerPlan& l : plan->layers()) {
+    if (l.format == PackedFormat::kChannelCompact) ++compact;
+  }
+  EXPECT_GT(compact, 0);
+  options.force_format = PackedFormat::kDense;
+  auto dense =
+      std::make_shared<const CompiledTicket>(Engine::compile(*model, options));
+
+  const Tensor x = Tensor::uniform({37, 3, 16, 16}, rng, 0.0f, 1.0f);
+  for (const int batch : {1, 16}) {
+    Session session(plan, batch), dense_session(dense, batch);
+    const Tensor got = session.predict(x);
+    const Tensor want = dense_session.predict(x);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "batch " << batch << " linf " << got.linf_distance(want);
   }
 }
 
