@@ -3,8 +3,10 @@
 // regressions in the substrate rather than reproducing a paper figure.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/scheduler.hpp"
@@ -175,7 +177,7 @@ void BM_ConvTrain(benchmark::State& state) {
   }
   rt::ConvKernelOpts opts;
   opts.algo =
-      implicit ? rt::ConvAlgo::kImplicit : rt::ConvAlgo::kIm2colReference;
+      implicit ? rt::ConvAlgo::kPacked : rt::ConvAlgo::kIm2colReference;
 
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -238,7 +240,7 @@ void BM_ConvTrainMT(benchmark::State& state) {
   rt::Scheduler sched(threads);
   rt::SchedulerScope scope(sched);
   rt::ConvKernelOpts opts;
-  opts.algo = rt::ConvAlgo::kImplicit;
+  opts.algo = rt::ConvAlgo::kPacked;
   opts.parallel_tiles = nested;
 
   for (auto _ : state) {
@@ -278,6 +280,88 @@ void BM_ConvTrainMT(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvTrainMT)->Args({4, 0})->Args({4, 1})->UseRealTime();
 
+// Masked 3x3 stride-1 conv on both training-path executors: the zero-skipping
+// tap loop and the packed implicit GEMM. Args: output plane side (OH = OW),
+// channels (c_in = out_ch), percent zero weights. The reported time is
+// forward + dgrad over kBatch samples on the executor Conv2d would pick; the
+// counters give each executor's forward and dgrad µs per sample and their
+// taps/packed ratios (< 1: taps win). The grid the tap rule is fit from.
+void BM_ConvTapsVsPacked(benchmark::State& state) {
+  using Clock = std::chrono::steady_clock;
+  const std::int64_t side = state.range(0);
+  const std::int64_t ch = state.range(1);
+  const float zero_fraction = static_cast<float>(state.range(2)) / 100.0f;
+  constexpr std::int64_t kBatch = 8;
+  const rt::ConvGeometry geom{3, 1, 1};
+  const std::int64_t ckk = ch * 9;
+  const std::int64_t plane = ch * side * side;
+
+  rt::Rng rng(17);
+  const rt::Tensor x = rt::Tensor::randn({kBatch, ch, side, side}, rng);
+  const rt::Tensor g = rt::Tensor::randn({kBatch, ch, side, side}, rng);
+  rt::Tensor w = rt::Tensor::randn({ch, ckk}, rng, 0.05f);
+  for (std::int64_t i = 0; i < w.numel(); ++i) {
+    if (rng.uniform(0.0f, 1.0f) < zero_fraction) w[i] = 0.0f;
+  }
+  rt::Tensor y({kBatch, ch, side, side});
+  rt::Tensor dx({kBatch, ch, side, side});
+
+  rt::PackedWeights packed;
+  packed.pack(w.data(), ch, ckk, /*forward=*/true, /*dgrad=*/true);
+  rt::ConvKernelOpts packed_opts;
+  packed_opts.algo = rt::ConvAlgo::kPacked;
+  packed_opts.packed_weights = &packed;
+  const rt::ConvKernelOpts taps_opts{rt::ConvAlgo::kTaps};
+  const bool rule_taps = rt::conv_runs_taps(
+      rt::count_nonzeros(w.data(), w.numel()), ch, ckk, side * side);
+
+  // Seconds of forward (first) and dgrad (second) over the batch.
+  const auto run = [&](const rt::ConvKernelOpts& opts) {
+    const auto t0 = Clock::now();
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      rt::conv2d_forward_plane(x.data() + i * plane, ch, side, side, geom,
+                               w.data(), ch, y.data() + i * plane, nullptr,
+                               false, opts);
+    }
+    const auto t1 = Clock::now();
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      rt::conv2d_dgrad_plane(w.data(), ch, g.data() + i * plane, ch, side,
+                             side, geom, dx.data() + i * plane, opts);
+    }
+    const auto t2 = Clock::now();
+    benchmark::DoNotOptimize(y.data());
+    benchmark::DoNotOptimize(dx.data());
+    benchmark::ClobberMemory();
+    return std::pair<double, double>{
+        std::chrono::duration<double>(t1 - t0).count(),
+        std::chrono::duration<double>(t2 - t1).count()};
+  };
+
+  double taps_fwd = 0.0, taps_dgrad = 0.0, packed_fwd = 0.0, packed_dgrad = 0.0;
+  for (auto _ : state) {
+    const auto [tf, td] = run(taps_opts);
+    const auto [pf, pd] = run(packed_opts);
+    taps_fwd += tf;
+    taps_dgrad += td;
+    packed_fwd += pf;
+    packed_dgrad += pd;
+    state.SetIterationTime(rule_taps ? tf + td : pf + pd);
+  }
+  const double per_sample_us =
+      1e6 / static_cast<double>(state.iterations() * kBatch);
+  state.counters["taps_fwd_us"] = taps_fwd * per_sample_us;
+  state.counters["taps_dgrad_us"] = taps_dgrad * per_sample_us;
+  state.counters["packed_fwd_us"] = packed_fwd * per_sample_us;
+  state.counters["packed_dgrad_us"] = packed_dgrad * per_sample_us;
+  state.counters["fwd_ratio"] = taps_fwd / packed_fwd;
+  state.counters["dgrad_ratio"] = taps_dgrad / packed_dgrad;
+  state.counters["rule_taps"] = rule_taps ? 1.0 : 0.0;
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_ConvTapsVsPacked)
+    ->ArgsProduct({{4, 8, 16, 32}, {16, 64}, {90, 97, 99}})
+    ->UseManualTime();
+
 void BM_ResNetForward(benchmark::State& state) {
   rt::Rng rng(2);
   auto model = state.range(0) == 18 ? rt::make_micro_resnet18(10, rng)
@@ -291,10 +375,20 @@ void BM_ResNetForward(benchmark::State& state) {
 }
 BENCHMARK(BM_ResNetForward)->Arg(18)->Arg(50);
 
+// One training step (forward + backward, no optimizer) at batch 16. Arg 0
+// is the model depth, Arg 1 the OMP element sparsity percentage (0 = dense):
+// the {18, 90} arm is the masked ticket a finetune trains, whose layers past
+// 80% zeros sit on 4x4 and 2x2 planes.
 void BM_ResNetTrainStep(benchmark::State& state) {
   rt::Rng rng(3);
   auto model = state.range(0) == 18 ? rt::make_micro_resnet18(10, rng)
                                     : rt::make_micro_resnet50(10, rng);
+  if (state.range(1) > 0) {
+    rt::omp_prune(*model,
+                  rt::OmpConfig{static_cast<float>(state.range(1)) / 100.0f,
+                                rt::Granularity::kElement,
+                                /*include_head=*/false});
+  }
   const rt::Tensor x = rt::Tensor::uniform({16, 3, 16, 16}, rng, 0.0f, 1.0f);
   std::vector<int> y(16);
   for (std::size_t i = 0; i < y.size(); ++i) y[i] = static_cast<int>(i % 10);
@@ -306,7 +400,7 @@ void BM_ResNetTrainStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_ResNetTrainStep)->Arg(18)->Arg(50);
+BENCHMARK(BM_ResNetTrainStep)->Args({18, 0})->Args({50, 0})->Args({18, 90});
 
 void BM_PgdAttack(benchmark::State& state) {
   rt::Rng rng(4);

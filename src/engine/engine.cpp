@@ -278,21 +278,24 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
   }
   pack_weights(p, std::move(w), p.out_ch, ckk, p.out_h * p.out_w, options,
                plans, /*allow_compact=*/true);
-  // Dense-style formats dispatch between the packed implicit-GEMM kernel and
-  // its zero-skipping tap path at run time; freeze the deciding statistic,
-  // and when the packed path will run, pay the weight-panel pack here — once
-  // per compile instead of once per serve-time plane call.
-  p.weight_zero_fraction = weight_zero_fraction(
-      p.weight.data(), static_cast<std::int64_t>(p.weight.size()));
-  if (p.format != PackedFormat::kCsr && !p.int8_exec && !p.weight.empty() &&
-      p.weight_zero_fraction < kConvSparseWeightFraction) {
+  // fp32 dense-style formats run the packed implicit GEMM or the tap loop;
+  // freeze the choice here with the rule Conv2d applies per batch (a
+  // channel-compact layer's kept rows hold all its nonzeros), and when the
+  // packed path will run, pay the weight-panel pack here — once per compile
+  // instead of once per serve-time plane call.
+  if (p.format != PackedFormat::kCsr && !p.int8_exec && !p.weight.empty()) {
     const auto rows = static_cast<std::int64_t>(p.weight.size()) / ckk;
-    p.prepacked.pack(p.weight.data(), rows, ckk, /*forward=*/true,
-                     /*dgrad=*/false);
-    // The panels stay resident next to the raw weights for the plan's
-    // lifetime. They are host-side acceleration, not part of the shippable
-    // encoding, so they are reported separately from packed_bytes.
-    plans.back().prepacked_bytes = p.prepacked.bytes();
+    if (conv_runs_taps(plans.back().nnz, rows, ckk, p.out_h * p.out_w)) {
+      p.algo = ConvAlgo::kTaps;
+    } else {
+      p.prepacked.pack(p.weight.data(), rows, ckk, /*forward=*/true,
+                       /*dgrad=*/false);
+      // The panels stay resident next to the raw weights for the plan's
+      // lifetime. They are host-side acceleration, not part of the
+      // shippable encoding, so they are reported separately from
+      // packed_bytes.
+      plans.back().prepacked_bytes = p.prepacked.bytes();
+    }
   }
   if (p.format == PackedFormat::kCsr && p.qpacked.empty()) {
     // Tap-executed CSR (fp32, simulated int8, and int8-native layers left
@@ -331,7 +334,7 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
   }
   if (p.int8_exec) {
     // Native layers execute the integer encoding; the dequantized floats
-    // are dead weight once the zero fraction and taps are resolved — drop
+    // are dead weight once the executor and taps are resolved — drop
     // them, so int8 plans are genuinely smaller resident, not just on wire.
     if (p.format == PackedFormat::kCsr) {
       std::vector<float>().swap(p.csr.values);

@@ -171,12 +171,12 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
   }
   // Dense-style formats run the fused implicit-GEMM forward: virtual im2col
   // panels are gathered on the fly into the packed micro-kernel layout, so
-  // the per-sample column buffer is never materialized. The compile-time
-  // zero fraction steers the kernel onto its tap path for weights that are
-  // masked but not sparse enough for CSR; layers the packed path executes
-  // carry compile-time pre-packed weight panels.
+  // the per-sample column buffer is never materialized. A compile-time
+  // choice puts masked layers on planes large enough for it onto the tap
+  // loop instead; layers the packed path executes carry compile-time
+  // pre-packed weight panels.
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction = weight_zero_fraction;
+  kopts.algo = algo;
   kopts.packed_weights = &prepacked;
   for (std::int64_t i = 0; i < n; ++i) {
     const float* xi = in + i * in_floats();

@@ -169,10 +169,9 @@ struct PackedConv {
 
   /// kDense: (out_ch, ckk); kChannelCompact: (kept_rows.size(), ckk).
   std::vector<float> weight;
-  /// Zero fraction of `weight`, counted once at compile time so the conv
-  /// kernel dispatch (packed implicit GEMM vs zero-skipping taps) never
-  /// re-probes the weights at serve time.
-  float weight_zero_fraction = 0.0f;
+  /// Executor of the fp32 dense-format kernels (kDense, kChannelCompact),
+  /// frozen at compile time by conv_runs_taps: kTaps or kPacked.
+  ConvAlgo algo = ConvAlgo::kPacked;
   /// Micro-kernel weight panels, packed once at Engine::compile time for
   /// layers the packed implicit-GEMM path will execute — serve-time calls
   /// skip the per-call panel re-pack entirely. Empty for CSR, tap-path and

@@ -1,6 +1,7 @@
 #include "linalg/conv.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <vector>
 
@@ -19,13 +20,10 @@ namespace {
 // then reused — the full dcol buffer never exists.
 constexpr std::int64_t kMcScatter = 64;
 
-// The tap-path crossover is kConvSparseWeightFraction (conv.hpp): past ~80%
-// zeros, skipping weights wholesale beats the packed path's ~5x dense
-// throughput advantage — the same reasoning as the GEMM dispatch in
-// gemm.cpp, and it matches the serving engine's CSR cutoff (density <= 0.2)
-// so training and serving flip to sparse execution at the same sparsity.
-
-enum class Path { kPacked, kTaps, kRef };
+// Which executor runs forward and dgrad is the caller's ConvKernelOpts::algo,
+// chosen once per layer by conv_runs_taps (conv.hpp): taps only while the
+// weight density is at or below 0.045 * log2(OH*OW / out_ch), fit from the
+// BM_ConvTapsVsPacked grid. The kernels below never count zeros themselves.
 
 /// Decode table for flattened weight columns: column index r of the
 /// (out_ch, C*k*k) weight matrix touches input channel c[r] at kernel
@@ -220,17 +218,6 @@ void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
       for (std::int64_t j = 0; j < plane; ++j) row[j] += b;
     }
   }
-}
-
-Path resolve_path(const ConvKernelOpts& opts, const float* weight,
-                  std::int64_t count, bool taps_available) {
-  if (opts.algo == ConvAlgo::kIm2colReference) return Path::kRef;
-  if (opts.algo == ConvAlgo::kImplicit || !taps_available) {
-    return Path::kPacked;
-  }
-  float zf = opts.weight_zero_fraction;
-  if (zf < 0.0f) zf = weight_zero_fraction(weight, count);
-  return zf >= kConvSparseWeightFraction ? Path::kTaps : Path::kPacked;
 }
 
 /// Runs `tiles(t0, t1)` over the `count` output-column tiles of a packed
@@ -862,16 +849,17 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
   std::memset(y, 0, static_cast<std::size_t>(out_ch * oh * ow) *
                         sizeof(float));
-  switch (resolve_path(opts, weight, out_ch * ckk, /*taps_available=*/true)) {
-    case Path::kPacked:
+  switch (opts.algo) {
+    case ConvAlgo::kPacked:
       forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
       break;
-    case Path::kTaps: forward_taps(x, c_in, h, w, g, weight, out_ch, y);
+    case ConvAlgo::kTaps: forward_taps(x, c_in, h, w, g, weight, out_ch, y);
       break;
-    case Path::kRef: forward_ref(x, c_in, h, w, g, weight, out_ch, y); break;
+    case ConvAlgo::kIm2colReference:
+      forward_ref(x, c_in, h, w, g, weight, out_ch, y);
+      break;
   }
   bias_relu_epilogue(y, bias, out_ch, oh * ow, relu);
 }
@@ -883,14 +871,14 @@ void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  switch (resolve_path(opts, weight, out_ch * ckk, /*taps_available=*/true)) {
-    case Path::kPacked:
+  switch (opts.algo) {
+    case ConvAlgo::kPacked:
       dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
       break;
-    case Path::kTaps: dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
+    case ConvAlgo::kTaps: dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
       break;
-    case Path::kRef: dgrad_ref(weight, out_ch, gout, c_in, h, w, g, dx);
+    case ConvAlgo::kIm2colReference:
+      dgrad_ref(weight, out_ch, gout, c_in, h, w, g, dx);
       break;
   }
 }
@@ -996,13 +984,22 @@ TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,
   return win;
 }
 
-float weight_zero_fraction(const float* weight, std::int64_t count) {
-  if (count <= 0) return 0.0f;
-  std::int64_t zeros = 0;
+std::int64_t count_nonzeros(const float* weight, std::int64_t count) {
+  std::int64_t nnz = 0;
   for (std::int64_t i = 0; i < count; ++i) {
-    if (weight[i] == 0.0f) ++zeros;
+    if (weight[i] != 0.0f) ++nnz;
   }
-  return static_cast<float>(zeros) / static_cast<float>(count);
+  return nnz;
+}
+
+bool conv_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                    std::int64_t out_pixels) {
+  if (rows <= 0 || cols <= 0 || out_pixels <= 0) return false;
+  const double density = static_cast<double>(nnz) /
+                         static_cast<double>(rows * cols);
+  return density <= kConvTapDensityPerOctave *
+                        std::log2(static_cast<double>(out_pixels) /
+                                  static_cast<double>(rows));
 }
 
 }  // namespace rt

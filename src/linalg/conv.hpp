@@ -17,11 +17,13 @@
 // (C*k*k * OH*OW floats, the dominant memory traffic of small-image
 // training) is gone from the hot path.
 //
-// Masked tickets keep their fast path: when the weight matrix is zeroed past
-// the sparsity crossover, forward and dgrad switch to a tap loop that slides
-// each nonzero weight's valid output window directly over the input — the
-// training-path analogue of the engine's compiled implicit sparse conv —
-// skipping zero weights wholesale.
+// Masked tickets keep a second executor: forward and dgrad can run a tap
+// loop that slides each nonzero weight's valid output window directly over
+// the input, skipping zero weights wholesale — the training-path analogue of
+// the engine's compiled implicit sparse conv. The caller picks it per layer
+// with conv_runs_taps, from the weight's density and the shape: the loop
+// scans every weight and resolves two tap windows per nonzero on each plane
+// call, so it only wins where planes are large next to the channel count.
 //
 // The kernels are serial by default: batch-level parallelism (one sample per
 // scheduler task, one Session workspace per predict) composes better than
@@ -50,25 +52,41 @@ struct ConvGeometry {
   }
 };
 
-/// Algorithm selection for the plane-level conv kernels.
+/// Executor of the plane-level conv kernels. Callers choose it per layer;
+/// the kernels never inspect the weights to choose for themselves.
 enum class ConvAlgo {
-  /// Packed implicit GEMM for dense-ish weights, the zero-skipping tap path
-  /// once the weight's zero fraction crosses the sparsity threshold.
-  kAuto,
-  /// Always the packed implicit-GEMM path.
-  kImplicit,
+  /// Packed implicit GEMM (the default).
+  kPacked,
+  /// Zero-skipping tap loop, for masked weights where conv_runs_taps holds.
+  /// Forward and dgrad only: wgrad runs packed (its gradient is dense).
+  kTaps,
   /// Materialize the full im2col buffer and run the legacy streaming GEMM
   /// cores — the pre-fusion baseline, kept for parity tests and as the
   /// speedup reference in bench_kernels.
   kIm2colReference,
 };
 
-/// Weight zero fraction past which the zero-skipping tap path overtakes the
-/// packed implicit-GEMM path's higher dense throughput (~5x dense advantage,
-/// same reasoning as the GEMM dispatch crossover). Exported so batch loops
-/// and Engine::compile can predict the dispatch — e.g. to pre-pack weight
-/// panels only when the packed path will actually run.
-inline constexpr float kConvSparseWeightFraction = 0.80f;
+/// Tap-loop crossover for fp32 convs. The tap loop costs ~ nnz * OH*OW plus
+/// a scan of every weight and two tap windows per nonzero on each plane;
+/// the packed implicit GEMM costs ~ out_ch * C*k*k * OH*OW at full SIMD
+/// width, with B-panel gathers amortized over out_ch rows. Measured on the
+/// BM_ConvTapsVsPacked grid (3x3 stride 1, forward + dgrad, OH=OW in
+/// {2,4,8,16,32}, c_in = out_ch in {8,16,32,64}, 80-99% zeros), taps win
+/// while the density is at or below a crossover that grows with the plane
+/// and shrinks with the channel count: ~0.2 at OH*OW/out_ch = 16, ~0.1 at
+/// 4, 0.04-0.15 at 2 and at most 0.04 at or below 1 (4x4 c64 loses 2-6x
+/// even at 99% zeros). density <= kConvTapDensityPerOctave * log2(OH*OW / out_ch) fits
+/// it: over the 100-shape grid it runs within 1.6% of the per-shape best
+/// (geometric mean) against 53% for the fixed 80%-zeros cutoff it replaces.
+inline constexpr double kConvTapDensityPerOctave = 0.045;
+
+/// True when a conv whose (rows, cols) = (out_ch, C*k*k) weight holds `nnz`
+/// nonzeros and whose output plane has `out_pixels` = OH*OW positions runs
+/// the tap loop (ConvAlgo::kTaps); false when it runs packed. The one
+/// definition behind Conv2d's per-batch choice and Engine::compile's frozen
+/// per-layer choice.
+bool conv_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                    std::int64_t out_pixels);
 
 /// Weight panels in the packed micro-kernel layout, gathered once and reused
 /// across every plane call that shares the weight — per batch in Conv2d, per
@@ -109,11 +127,7 @@ class PackedWeights {
 };
 
 struct ConvKernelOpts {
-  ConvAlgo algo = ConvAlgo::kAuto;
-  /// Fraction of zero entries in the weight matrix; negative = unknown, in
-  /// which case kAuto counts it per call. Batch loops should count once
-  /// (weights are shared across samples) and pass the value down.
-  float weight_zero_fraction = -1.0f;
+  ConvAlgo algo = ConvAlgo::kPacked;
   /// Pre-packed panels for this weight (see PackedWeights). Consulted only
   /// when the packed implicit-GEMM path runs and the extents match; the
   /// kernels fall back to local packing otherwise.
@@ -206,9 +220,10 @@ void im2col_plane(const float* x, std::int64_t c_in, std::int64_t h,
 void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
                       std::int64_t w, const ConvGeometry& g, float* dx);
 
-/// Exact zero fraction of a weight matrix — the value batch loops pass as
-/// ConvKernelOpts::weight_zero_fraction.
-float weight_zero_fraction(const float* weight, std::int64_t count);
+/// Number of nonzero entries in `weight` — the `nnz` batch loops pass to
+/// conv_runs_taps, counted once per batch (the weight is shared by every
+/// sample).
+std::int64_t count_nonzeros(const float* weight, std::int64_t count);
 
 /// Output positions whose input tap at kernel offset `kpos` stays in
 /// bounds: the half-open range [o0, o1) (empty => o0 == o1). One definition

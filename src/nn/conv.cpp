@@ -76,17 +76,17 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::int64_t in_plane = in_channels_ * h * w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
 
-  // The weight is shared across the batch: count its zero fraction once so
-  // every sample's kernel call dispatches without re-probing it, and when
-  // the packed path will run, pack the weight panels once instead of once
-  // per sample.
+  // The weight is shared across the batch: choose the executor once for
+  // every sample's kernel call, and when the packed path runs, pack the
+  // weight panels once instead of once per sample.
+  const std::int64_t ckk = in_channels_ * geom_.kernel * geom_.kernel;
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction =
-      weight_zero_fraction(wd, weight_.value.numel());
-  if (kopts.weight_zero_fraction < kConvSparseWeightFraction) {
-    packed_weights_.pack(wd, out_channels_,
-                         in_channels_ * geom_.kernel * geom_.kernel,
-                         /*forward=*/true, /*dgrad=*/false);
+  if (conv_runs_taps(count_nonzeros(wd, weight_.value.numel()), out_channels_,
+                     ckk, oh * ow)) {
+    kopts.algo = ConvAlgo::kTaps;
+  } else {
+    packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/true,
+                         /*dgrad=*/false);
     kopts.packed_weights = &packed_weights_;
   }
   // Batch-level tasks fill the machine when n >= lanes; below that, let the
@@ -122,10 +122,12 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* gd = grad_out.data();
   const float* xd = x.data();
 
+  // The same per-batch choice as forward (wgrad runs packed either way).
   ConvKernelOpts kopts;
-  kopts.weight_zero_fraction =
-      weight_zero_fraction(wd, weight_.value.numel());
-  if (kopts.weight_zero_fraction < kConvSparseWeightFraction) {
+  if (conv_runs_taps(count_nonzeros(wd, weight_.value.numel()), out_channels_,
+                     ckk, ohw)) {
+    kopts.algo = ConvAlgo::kTaps;
+  } else {
     // dgrad consumes W^T panels; pre-pack them once for the whole batch.
     packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/false,
                          /*dgrad=*/true);

@@ -4,15 +4,16 @@
 //
 // Forward and backward parallelize over the batch dimension; each sample
 // runs the plane kernels, so all convolution arithmetic (including the
-// masked-weight tap fast path) lives in the linalg kernel layer. No
-// per-sample im2col/col2im buffer is materialized on the training path —
-// the per-batch weight zero fraction is counted once and passed down so the
-// kernels pick the packed or tap path without re-probing per sample, and
-// when the packed path will run, the weight panels are pre-packed once per
-// batch (linalg::PackedWeights) instead of once per sample. When the batch
-// has fewer samples than the scheduler has lanes, the kernels additionally
-// split their output-column tiles into stealable subtasks, so batch-level
-// and tile-level parallelism compose instead of leaving lanes idle.
+// masked-weight tap loop) lives in the linalg kernel layer. No per-sample
+// im2col/col2im buffer is materialized on the training path. Each forward
+// and backward counts the weight's nonzeros once and picks the executor for
+// the whole batch (conv_runs_taps: taps only for sparse weights on planes
+// large next to the channel count), and when the packed path runs, the
+// weight panels are pre-packed once per batch (linalg::PackedWeights)
+// instead of once per sample. When the batch has fewer samples than the
+// scheduler has lanes, the kernels additionally split their output-column
+// tiles into stealable subtasks, so batch-level and tile-level parallelism
+// compose instead of leaving lanes idle.
 
 #include <cstdint>
 #include <memory>

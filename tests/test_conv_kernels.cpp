@@ -45,7 +45,9 @@ void expect_near(const std::vector<float>& got, const std::vector<float>& want,
 }
 
 /// Runs forward/dgrad/wgrad through `algo` and through the im2col reference
-/// on the same random problem and demands agreement at <= 1e-4.
+/// on the same random problem and demands agreement at <= 1e-4. A kTaps
+/// case must be a shape conv_runs_taps routes to taps, so a refit of the
+/// rule cannot leave the tap loop tested only where no layer runs it.
 void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
                 Rng& rng) {
   const std::int64_t oh = c.g.out_extent(c.h);
@@ -58,9 +60,15 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
       random_vec(c.out_ch * ckk, rng, weight_zero_fraction);
   const std::vector<float> gout = random_vec(c.out_ch * oh * ow, rng, 0.0f);
   const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
+  if (algo == ConvAlgo::kTaps) {
+    ASSERT_TRUE(conv_runs_taps(count_nonzeros(w.data(), c.out_ch * ckk),
+                               c.out_ch, ckk, oh * ow))
+        << "not a taps-routed shape: c_in=" << c.c_in << " out=" << c.out_ch
+        << " h=" << c.h << " w=" << c.w << " s=" << c.g.stride;
+  }
 
-  const ConvKernelOpts test_opts{algo, -1.0f};
-  const ConvKernelOpts ref_opts{ConvAlgo::kIm2colReference, -1.0f};
+  const ConvKernelOpts test_opts{algo};
+  const ConvKernelOpts ref_opts{ConvAlgo::kIm2colReference};
 
   for (const bool relu : {false, true}) {
     std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow), -3.0f);
@@ -99,7 +107,7 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
       for (const std::int64_t padding : {0, 1, 3}) {
         const Case c{5, 9, 13, 11, ConvGeometry{kernel, stride, padding}};
         if (c.g.out_extent(c.h) <= 0 || c.g.out_extent(c.w) <= 0) continue;
-        check_case(c, 0.0f, ConvAlgo::kImplicit, rng);
+        check_case(c, 0.0f, ConvAlgo::kPacked, rng);
       }
     }
   }
@@ -108,51 +116,65 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
 TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   Rng rng(0xB16);
   check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f,
-             ConvAlgo::kImplicit, rng);
+             ConvAlgo::kPacked, rng);
   check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, 0.0f,
-             ConvAlgo::kImplicit, rng);
-  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kImplicit,
+             ConvAlgo::kPacked, rng);
+  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
              rng);
   // Wide-plane stem shape: ohw crosses several kNc panels.
-  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kImplicit,
+  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
              rng);
 }
 
 TEST(ConvKernels, TapPathMatchesReferenceOnMaskedWeights) {
   Rng rng(0x7A9);
-  // >= 85% zeroed weights: kAuto must route onto the tap path (verified
-  // separately below via exact-zero skipping semantics) and still agree
-  // with the reference bit-for-tolerance.
+  // 85-90% zeroed weights on planes large next to the channel count: shapes
+  // the rule routes onto the tap loop (check_case asserts it), which must
+  // agree with the reference bit-for-tolerance.
   for (const std::int64_t stride : {1, 2}) {
-    const Case c{6, 10, 15, 13, ConvGeometry{3, stride, 1}};
-    check_case(c, 0.9f, ConvAlgo::kAuto, rng);
+    const Case c{6, 10, 29, 27, ConvGeometry{3, stride, 1}};
+    check_case(c, 0.9f, ConvAlgo::kTaps, rng);
   }
-  check_case({4, 12, 9, 9, ConvGeometry{7, 1, 3}}, 0.85f, ConvAlgo::kAuto,
+  check_case({4, 6, 19, 17, ConvGeometry{7, 1, 3}}, 0.85f, ConvAlgo::kTaps,
              rng);
 }
 
-TEST(ConvKernels, AutoDispatchHonorsPrecomputedZeroFraction) {
-  // Passing the batch-level zero fraction must not change results, only the
-  // chosen path; both extremes must agree with the reference.
+TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
+  // The executor is the caller's per-layer choice; it must change only the
+  // path, never the result. On a shape the rule routes to taps, forward and
+  // dgrad through taps and through packed (local and pre-packed panels) all
+  // agree with the reference.
   Rng rng(0x11E);
-  const Case c{4, 8, 11, 11, ConvGeometry{3, 1, 1}};
+  const Case c{4, 8, 23, 23, ConvGeometry{3, 1, 1}};
   const std::int64_t ckk = c.c_in * 9;
+  const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
   const std::vector<float> x = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
-  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.5f);
-  const std::int64_t out_count = c.out_ch * c.g.out_extent(c.h) *
-                                 c.g.out_extent(c.w);
-  std::vector<float> y_ref(static_cast<std::size_t>(out_count));
+  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.9f);
+  const std::vector<float> gout = random_vec(c.out_ch * ohw, rng, 0.0f);
+  ASSERT_TRUE(conv_runs_taps(count_nonzeros(w.data(), c.out_ch * ckk),
+                             c.out_ch, ckk, ohw));
+  std::vector<float> y_ref(static_cast<std::size_t>(c.out_ch * ohw));
+  std::vector<float> dx_ref(static_cast<std::size_t>(c.c_in * c.h * c.w));
   conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
                        y_ref.data(), nullptr, false,
-                       {ConvAlgo::kIm2colReference, -1.0f});
-  for (const float hint : {0.0f, 1.0f}) {  // force packed resp. tap path
-    std::vector<float> y(static_cast<std::size_t>(out_count));
+                       {ConvAlgo::kIm2colReference});
+  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
+                     dx_ref.data(), {ConvAlgo::kIm2colReference});
+  PackedWeights packed;
+  packed.pack(w.data(), c.out_ch, ckk, /*forward=*/true, /*dgrad=*/true);
+  ConvKernelOpts prepacked;
+  prepacked.packed_weights = &packed;
+  for (const ConvKernelOpts& opts :
+       {ConvKernelOpts{ConvAlgo::kTaps}, ConvKernelOpts{ConvAlgo::kPacked},
+        prepacked}) {
+    std::vector<float> y(y_ref.size());
+    std::vector<float> dx(dx_ref.size());
     conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), nullptr, false, {ConvAlgo::kAuto, hint});
-    for (std::size_t i = 0; i < y.size(); ++i) {
-      const float scale = std::max(1.0f, std::fabs(y_ref[i]));
-      ASSERT_NEAR(y[i], y_ref[i], 1e-4f * scale) << "hint=" << hint;
-    }
+                         y.data(), nullptr, false, opts);
+    conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w,
+                       c.g, dx.data(), opts);
+    expect_near(y, y_ref, "forward", c);
+    expect_near(dx, dx_ref, "dgrad", c);
   }
 }
 

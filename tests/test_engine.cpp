@@ -17,6 +17,7 @@
 #include "engine/engine.hpp"
 #include "hw/quant.hpp"
 #include "models/resnet.hpp"
+#include "prune/baselines.hpp"
 #include "prune/omp.hpp"
 #include "train/loop.hpp"
 
@@ -296,6 +297,51 @@ TEST(EngineParity, TinyGeometryInt8CsrMatchesDenseBitwise) {
                         static_cast<std::size_t>(got.numel()) * sizeof(float)),
             0)
       << "linf " << got.linf_distance(want);
+}
+
+TEST(ConvTapRule, SmallPlanesRunPackedAndSparseWidePlanesRunTaps) {
+  // conv_runs_taps is the one rule Conv2d applies per batch and
+  // Engine::compile freezes per dense-format layer. The serving benchmark's
+  // r18_omp90 ticket keeps its sparsest convs (86% and 96% zeros) on 4x4
+  // and 2x2 planes, where the tap loop loses 2-6x to the packed GEMM:
+  // compiled at 16x16 with every conv dense-format, each conv must run
+  // packed and carry pre-packed panels.
+  Rng omp_rng(9);
+  auto r18_omp90 = make_micro_resnet18(10, omp_rng);
+  omp_prune(*r18_omp90, OmpConfig{0.9f, Granularity::kElement,
+                                  /*include_head=*/false});
+  r18_omp90->set_training(false);
+  CompileOptions options;
+  options.force_format = PackedFormat::kDense;
+  const CompiledTicket plan = Engine::compile(*r18_omp90, options);
+  const std::vector<LayerPlan>& layers = plan.layers();
+  int past_old_cutoff = 0;
+  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {  // head is last
+    const LayerPlan& l = layers[i];
+    const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
+    EXPECT_FALSE(conv_runs_taps(l.nnz, l.rows, l.cols, ohw)) << l.name;
+    EXPECT_GT(l.prepacked_bytes, 0) << l.name;
+    if (5 * l.nnz <= l.rows * l.cols) ++past_old_cutoff;  // >= 80% zeros
+  }
+  EXPECT_GT(past_old_cutoff, 0);
+
+  // A 32x32 conv with 97% zeros is where the tap loop wins (4x at c64).
+  Rng rng(41);
+  auto wide = make_micro_resnet18(10, rng);
+  layerwise_magnitude_prune(*wide, 0.97f, Granularity::kElement);
+  wide->set_training(false);
+  options.height = 32;
+  options.width = 32;
+  const CompiledTicket wide_plan = Engine::compile(*wide, options);
+  const LayerPlan& first = wide_plan.layers()[1];  // stage0, 8 channels
+  ASSERT_EQ(first.dense_macs / (first.rows * first.cols), 32 * 32);
+  ASSERT_LE(first.nnz, (first.rows * first.cols * 3 + 99) / 100);
+  EXPECT_TRUE(conv_runs_taps(first.nnz, first.rows, first.cols, 32 * 32));
+  EXPECT_EQ(first.prepacked_bytes, 0) << "runs the tap loop";
+  EXPECT_TRUE(conv_runs_taps(64 * 576 * 3 / 100, 64, 576, 32 * 32));
+  const Tensor x = Tensor::uniform({3, 3, 32, 32}, rng, 0.0f, 1.0f);
+  Workspace ws(wide_plan, 3);
+  EXPECT_LE(wide->forward(x).linf_distance(wide_plan.predict(x, ws)), 1e-4f);
 }
 
 TEST(EngineCompile, RejectsMismatchedGeometry) {

@@ -262,18 +262,19 @@ TEST(FrozenBackward, Conv2dDenseAndMaskedMatchTrainableDx) {
     Conv2d conv(4, 6, 3, 1, 1, /*with_bias=*/true, rng, "c");
     conv.bias()->value = Tensor::randn({6}, rng);
     if (masked) {
-      // 90% zeros: dgrad takes the sparse-tap path instead of packed panels.
+      // 90% zeros on a 12x12 plane: the rule routes forward and dgrad onto
+      // the tap loop instead of packed panels.
       Tensor mask(conv.weight().value.shape());
       for (std::int64_t i = 0; i < mask.numel(); ++i) {
         mask[i] = rng.uniform(0.0f, 1.0f) < 0.1f ? 1.0f : 0.0f;
       }
       conv.weight().set_mask(mask);
-      ASSERT_GE(weight_zero_fraction(conv.weight().value.data(),
-                                     conv.weight().value.numel()),
-                kConvSparseWeightFraction);
+      ASSERT_TRUE(conv_runs_taps(count_nonzeros(conv.weight().value.data(),
+                                                conv.weight().value.numel()),
+                                 6, 4 * 9, 12 * 12));
     }
-    const Tensor x = Tensor::randn({17, 4, 7, 7}, rng);
-    const Tensor g = Tensor::randn({17, 6, 7, 7}, rng);
+    const Tensor x = Tensor::randn({17, 4, 12, 12}, rng);
+    const Tensor g = Tensor::randn({17, 6, 12, 12}, rng);
     SCOPED_TRACE(masked ? "masked" : "dense");
     expect_frozen_backward_parity(conv, x, g);
 

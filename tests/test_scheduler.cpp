@@ -279,7 +279,7 @@ TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
   const Tensor g = Tensor::randn({kCh, kH, kW}, rng);
 
   ConvKernelOpts serial;
-  serial.algo = ConvAlgo::kImplicit;
+  serial.algo = ConvAlgo::kPacked;
   ConvKernelOpts tiled = serial;
   tiled.parallel_tiles = true;
   PackedWeights packed;
