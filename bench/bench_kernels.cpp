@@ -17,7 +17,6 @@
 #include "hw/shrink.hpp"
 #include "linalg/conv.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/gemm_s8.hpp"
 #include "models/resnet.hpp"
 #include "nn/loss.hpp"
 #include "nn/optim.hpp"
@@ -85,42 +84,6 @@ void BM_GemmNT(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
 }
 BENCHMARK(BM_GemmNT)->Args({256, 0})->Args({256, 70})->Args({512, 0});
-
-// True int8 GEMM: packed s8 weights x u8 offset activations with int32
-// accumulation and the fused requant+bias epilogue, i.e. exactly what a
-// native int8 conv layer executes per tile. Items == integer MACs * 2 so
-// items_per_second is directly comparable against BM_GemmNN at the same
-// size; the ratio is the kernel-level int8 speedup (VNNI when the build
-// targets it, the portable integer core otherwise).
-void BM_GemmS8(benchmark::State& state) {
-  const auto n = state.range(0);
-  const float sparsity = static_cast<float>(state.range(1)) / 100.0f;
-  rt::Rng rng(4);
-  std::vector<std::int8_t> qa(static_cast<std::size_t>(n * n));
-  for (auto& v : qa) {
-    v = rng.uniform() < sparsity
-            ? std::int8_t{0}
-            : static_cast<std::int8_t>(rng.uniform_int(-127, 127));
-  }
-  rt::PackedS8 packed;
-  packed.pack(qa.data(), n, n);
-  std::vector<std::uint8_t> bq(static_cast<std::size_t>(n * n));
-  for (auto& v : bq) {
-    v = static_cast<std::uint8_t>(128 + rng.uniform_int(-127, 127));
-  }
-  std::vector<float> scales(static_cast<std::size_t>(n), 1.0f / 127.0f);
-  std::vector<float> c(static_cast<std::size_t>(n * n));
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(n * n));
-  rt::S8Epilogue ep;
-  ep.scales = scales.data();
-  ep.act_scale = 1.0f / 127.0f;
-  for (auto _ : state) {
-    rt::gemm_s8_nn(n, n, n, packed, bq.data(), acc.data(), c.data(), ep);
-    benchmark::DoNotOptimize(c.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
-}
-BENCHMARK(BM_GemmS8)->Args({256, 0})->Args({256, 90})->Args({512, 0});
 
 // Multi-thread GEMM scaling on a private work-stealing scheduler: Arg 0 is
 // the scheduler's lane count. Row-block leaves are stolen dynamically, so

@@ -181,10 +181,17 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
               format == PackedFormat::kChannelCompact
                   ? static_cast<std::int64_t>(kept.size())
                   : rows;
-          p.qpacked.pack(format == PackedFormat::kCsr
-                             ? expand_csr_s8(p.csr, p.qvalues).data()
-                             : p.qvalues.data(),
-                         exec_rows, cols);
+          // k reordered to (ki, kj, channel quad): the kernel reads each
+          // quad of the operand straight from channel-quad input planes.
+          const std::vector<std::int8_t> quads = conv_s8_quad_weights(
+              format == PackedFormat::kCsr
+                  ? expand_csr_s8(p.csr, p.qvalues).data()
+                  : p.qvalues.data(),
+              exec_rows, p.in_ch, p.geom.kernel);
+          p.qpacked.pack(quads.data(), exec_rows,
+                         p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
+          p.qoffsets =
+              conv_s8_quad_offsets(p.in_ch, p.in_h, p.in_w, p.geom);
           p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
           for (std::int64_t r = 0; r < exec_rows; ++r) {
             const std::int64_t src = format == PackedFormat::kChannelCompact
@@ -198,19 +205,9 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
           }
           // Panels are host-side acceleration like the fp32 prepack (which
           // native layers skip), reported on the same line.
-          plan.prepacked_bytes = p.qpacked.bytes();
-          if (p.in_w <= 4 || p.geom.stride > 1) {
-            // Very narrow planes gather faster through a precomputed
-            // source-index table: their image rows are too short to amortize
-            // even the padded-plane gather's per-row memcpy. Strided planes
-            // take it too — their gather has no contiguous runs to memcpy.
-            // Everything else stages from padded planes in the Workspace
-            // (the input itself for pad-0 convs; see
-            // conv2d_forward_batch_s8).
-            p.qgather = build_s8_gather_index(p.in_ch, p.in_h, p.in_w, p.geom);
-            plan.prepacked_bytes +=
-                static_cast<std::int64_t>(p.qgather.size()) * 4;
-          }
+          plan.prepacked_bytes =
+              p.qpacked.bytes() +
+              static_cast<std::int64_t>(p.qoffsets.size()) * 4;
         }
       } else {
         // The head runs full-depth quad slivers in either format (a CSR
@@ -372,23 +369,17 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
 /// Tracks the sizing maxima a Workspace needs. The implicit-GEMM conv path
 /// gathers its panels into fixed-size kernel-layer scratch, so no im2col
 /// extent is planned — only activation planes, the channel-compact epilogue
-/// buffer, and the int8 kernel's padded planes and deep-k accumulator.
+/// buffer, and the int8 convs' channel-quad inputs.
 struct ScratchExtents {
-  std::int64_t plane = 0, tmp = 0, ohw = 0, s8_pad = 0, s8_deep_rows = 0;
+  std::int64_t plane = 0, tmp = 0, ohw = 0, s8_quad = 0;
 
   void cover(const PackedConv& c) {
     plane = std::max({plane, c.in_floats(), c.out_floats()});
     tmp = std::max(tmp, c.out_floats());
     ohw = std::max(ohw, c.out_h * c.out_w);
-    if (c.int8_exec && !c.qpacked.empty()) {
-      const ConvGeometry& g = c.geom;
-      if (c.qgather.empty() && g.padding > 0) {
-        s8_pad = std::max(s8_pad, c.in_ch * (c.in_h + 2 * g.padding) *
-                                      (c.in_w + 2 * g.padding));
-      }
-      if (round_up4(c.in_ch * g.kernel * g.kernel) > kKcFullS8) {
-        s8_deep_rows = std::max(s8_deep_rows, c.qpacked.rows());
-      }
+    if (!c.qoffsets.empty()) {
+      s8_quad = std::max(s8_quad, s8_quad_plane_bytes(c.in_ch, c.in_h, c.in_w,
+                                                      c.geom.padding));
     }
   }
 };
@@ -494,8 +485,7 @@ CompiledTicket Engine::compile(const ResNet& model,
   t.max_plane_floats_ = extents.plane;
   t.tmp_floats_ = extents.tmp;
   t.max_ohw_ = extents.ohw;
-  t.s8_pad_bytes_ = extents.s8_pad;
-  t.s8_deep_rows_ = extents.s8_deep_rows;
+  t.s8_quad_bytes_ = extents.s8_quad;
   t.int8_native_ = options.int8_weights && options.int8_native &&
                    options.int8_bits == 8;
   return t;

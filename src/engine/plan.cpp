@@ -86,21 +86,18 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
   act_[2] = arena_.data() + 2 * act;
   tmp_ = arena_.data() + 3 * act;
   if (plan.int8_native()) {
-    // One byte slab: quantized-activation staging (one batch of the largest
-    // plane, +4 bytes per sample so the head can quad-pad its feature rows
-    // in place), then the int8 convs' padded planes.
-    const std::int64_t qin = max_batch_ * (plan.max_plane_floats() + 4);
-    bytes_.assign(
-        static_cast<std::size_t>(qin + max_batch_ * plan.s8_pad_bytes()), 0);
-    qin_ = bytes_.data();
-    pad_ = bytes_.data() + qin;
-    // int32 accumulator: a deep-k conv's (rows, column tile) block, a
-    // tap-executed CSR layer's whole-batch row plane, and the head's
-    // (n, num_classes) logits block all drain through it.
-    const std::int64_t acc = std::max(
-        {plan.s8_deep_rows() * std::min(kNcS8, max_batch_ * plan.max_ohw()),
-         max_batch_ * plan.max_ohw(),
-         max_batch_ * static_cast<std::int64_t>(plan.num_classes())});
+    // Quantized-activation staging: one batch of the largest plane (+4
+    // bytes per sample so the head can quad-pad its feature rows in place)
+    // or of the largest channel-quad conv input, whichever is larger.
+    qin_.assign(static_cast<std::size_t>(
+                    max_batch_ * std::max(plan.max_plane_floats() + 4,
+                                          plan.s8_quad_bytes())),
+                0);
+    // int32 accumulator: a tap-executed CSR layer's whole-batch row plane
+    // and the head's (n, num_classes) logits block drain through it.
+    const std::int64_t acc =
+        max_batch_ * std::max(plan.max_ohw(),
+                              static_cast<std::int64_t>(plan.num_classes()));
     acc_.assign(static_cast<std::size_t>(acc), 0);
   }
 }
@@ -229,7 +226,7 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   const std::int64_t in_f = in_floats(), out_f = out_floats();
   const float sx = act_scale_for(in_amax);
   if (out_amax != nullptr) *out_amax = 0.0f;
-  if (qpacked.empty() && format != PackedFormat::kChannelCompact) {
+  if (qoffsets.empty()) {
     // No panels: a CSR layer compile left on the integer tap loop
     // (s8_csr_runs_taps). SIGNED s8 activations: tap windows give border
     // pixels per-pixel tap subsets, so the u8 offset trick's per-row
@@ -304,7 +301,7 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
           const std::int32_t* arow = acc + i * ohw;
           float* yrow = out + i * out_f + r * ohw;
           for (std::int64_t j = 0; j < ohw; ++j) {
-            float y = static_cast<float>(arow[j]) * s + b;
+            float y = std::fma(static_cast<float>(arow[j]), s, b);
             if (relu) y = std::max(y, 0.0f);
             yrow[j] = y;
             amax = std::max(amax, std::fabs(y));
@@ -316,12 +313,12 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
     return;
   }
   // Panels: the whole batch as one quantized implicit GEMM over the
-  // offset-u8 input, with (sample, pixel) columns amortizing the staging and
+  // batch's channel-quad planes, with (sample, pixel) columns amortizing the
   // tile fixed costs that dominate the network's tiny planes. The fused
   // requant epilogue writes straight into the activation buffer: every
   // output row for dense and panel-executed CSR layers, the leading kept
   // rows of each sample for channel-compact ones.
-  quantize_u8(in, n * in_f, sx, ws.qin());
+  quantize_u8_quads(in, n, in_ch, in_h, in_w, geom.padding, sx, ws.qin());
   const bool compact = format == PackedFormat::kChannelCompact;
   S8Epilogue ep;
   ep.scales = qexec_scales.data();
@@ -330,10 +327,8 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   ep.bias = compact ? qexec_bias.data() : bias.data();
   ep.relu = relu;
   ep.amax = out_amax;
-  conv2d_forward_batch_s8(ws.qin(), n, in_f, in_ch, in_h, in_w, geom,
-                          qpacked.panels(), qpacked.rows(), ws.acc(),
-                          ws.pad(), out, out_f, ep,
-                          qgather.empty() ? nullptr : qgather.data());
+  conv2d_forward_s8(ws.qin(), n, in_ch, in_h, in_w, geom, qpacked.panels(),
+                    qoffsets.data(), qpacked.rows(), out, out_f, ep);
   if (!compact) return;
   // Kept-row scatter, in place: kept row ki moves to channel kept[ki] >= ki,
   // so walking the channels downward never overwrites a row still to move.

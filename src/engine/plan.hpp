@@ -120,11 +120,11 @@ class CompiledTicket;
 /// Pre-allocated scratch for one in-flight prediction: three rotating
 /// full-batch activation buffers plus the channel-compact epilogue scratch,
 /// all carved from one contiguous arena sized at construction, and for
-/// int8-native plans the quantized-activation, int32 and padded-plane
-/// buffers, sized from the compiled extents. The conv kernels stage their
-/// packed panels in fixed-size thread-local buffers (no per-layer im2col
-/// extent to plan), so steady-state predict() calls perform no heap
-/// allocation.
+/// int8-native plans the quantized-activation and int32 buffers, sized from
+/// the compiled extents. The fp32 conv kernels stage their packed panels in
+/// fixed-size thread-local buffers and the int8 conv kernel stages nothing
+/// (no per-layer im2col extent to plan), so steady-state predict() calls
+/// perform no heap allocation.
 class Workspace {
  public:
   Workspace(const CompiledTicket& plan, int max_batch);
@@ -135,23 +135,18 @@ class Workspace {
 
   /// int8-native plans only (empty otherwise): the quantized-activation
   /// staging buffer — each layer quantizes its float input batch here in the
-  /// flavor its kernel consumes (offset-u8 for the implicit-GEMM and head
-  /// paths, signed s8 for tap-executed CSR layers).
-  std::uint8_t* qin() { return qin_; }
-  /// int8-native plans only: the int32 accumulation plane the fused requant
-  /// epilogues drain (sized for the deep-k conv tiles, the CSR batch
-  /// accumulator, and the head's logits block).
+  /// flavor its kernel consumes (offset-u8 channel-quad planes for the
+  /// implicit-GEMM convs, offset-u8 rows for the head, signed s8 for
+  /// tap-executed CSR layers).
+  std::uint8_t* qin() { return qin_.data(); }
+  /// int8-native plans only: the int32 accumulation plane the tap-executed
+  /// CSR layers and the head drain through their requant epilogues.
   std::int32_t* acc() { return acc_.data(); }
-  /// int8-native plans only: the padded input planes of the int8 convs that
-  /// stage their B operand from them (conv2d_forward_batch_s8's `pad`).
-  std::uint8_t* pad() { return pad_; }
 
  private:
   std::vector<float> arena_;
-  std::vector<std::uint8_t> bytes_;
+  std::vector<std::uint8_t> qin_;
   std::vector<std::int32_t> acc_;
-  std::uint8_t* qin_ = nullptr;
-  std::uint8_t* pad_ = nullptr;
   float* act_[3] = {nullptr, nullptr, nullptr};
   float* tmp_ = nullptr;
   int max_batch_ = 0;
@@ -219,10 +214,10 @@ struct PackedConv {
   /// like qexec_scales, so the bias fuses into the requant epilogue exactly
   /// as it does for a dense layer. Empty otherwise.
   std::vector<float> qexec_bias;
-  /// Precomputed im2col source-index table (build_s8_gather_index) for
-  /// narrow or strided layers, where it beats the padded-plane gather;
-  /// empty otherwise.
-  std::vector<std::int32_t> qgather;
+  /// Panel layers: the per-quad byte offsets into the channel-quad input
+  /// planes (conv_s8_quad_offsets); qpacked holds the weight in the
+  /// matching (ki, kj, channel quad) k order. Empty otherwise.
+  std::vector<std::int32_t> qoffsets;
 
   std::int64_t in_floats() const { return in_ch * in_h * in_w; }
   std::int64_t out_floats() const { return out_ch * out_h * out_w; }
@@ -238,8 +233,9 @@ struct PackedConv {
 
  private:
   /// The int8-native executor behind run(): quantizes the input batch into
-  /// the workspace staging buffer and runs the quantized implicit-GEMM when
-  /// the layer has panels, the integer tap loop otherwise.
+  /// the workspace staging buffer and runs the quantized implicit-GEMM over
+  /// channel-quad planes when the layer has panels, the integer tap loop
+  /// otherwise.
   void run_s8(const float* in, float* out, std::int64_t n, Workspace& ws,
               float in_amax, float* out_amax) const;
 };
@@ -314,12 +310,9 @@ class CompiledTicket {
   std::int64_t tmp_floats() const { return tmp_floats_; }
   /// Largest conv output spatial plane (Workspace int8 accumulator sizing).
   std::int64_t max_ohw() const { return max_ohw_; }
-  /// Per-sample bytes of the largest padded input plane an int8 conv
-  /// stages from (Workspace::pad sizing); 0 when none does.
-  std::int64_t s8_pad_bytes() const { return s8_pad_bytes_; }
-  /// Most output rows of an int8 conv deep enough to block over k
-  /// (Workspace int8 accumulator sizing); 0 when none is.
-  std::int64_t s8_deep_rows() const { return s8_deep_rows_; }
+  /// Per-sample bytes of the largest channel-quad input an int8 panel conv
+  /// quantizes into (Workspace::qin sizing); 0 when none does.
+  std::int64_t s8_quad_bytes() const { return s8_quad_bytes_; }
   /// True when this plan executes the int8 kernel layer natively (the
   /// Workspace then carves the quantized-activation and int32 arenas).
   bool int8_native() const { return int8_native_; }
@@ -335,7 +328,7 @@ class CompiledTicket {
   std::int64_t feat_h_ = 0, feat_w_ = 0;  ///< spatial extent entering GAP
   int num_classes_ = 0, feature_dim_ = 0;
   std::int64_t max_plane_floats_ = 0, tmp_floats_ = 0, max_ohw_ = 0;
-  std::int64_t s8_pad_bytes_ = 0, s8_deep_rows_ = 0;
+  std::int64_t s8_quad_bytes_ = 0;
   bool int8_native_ = false;
   std::vector<LayerPlan> layers_;
 };

@@ -527,12 +527,13 @@ void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
            .packed = false});
 }
 
-// ---- int8 forward -----------------------------------------------------------
+}  // namespace
 
-// GCC's AVX512 widening/shift intrinsics expand through an undef
-// pass-through operand that trips -Wmaybe-uninitialized false positives at
-// -O3 (GCC PR105593). Scoped to the int8 section; popped after the s8
-// forward entry point below.
+// ---- public entry points ----------------------------------------------------
+
+// GCC's AVX512 gather, masked-move and reduction intrinsics expand through
+// an undef pass-through operand that trips -Wmaybe-uninitialized false
+// positives at -O3 (GCC PR105593). Scoped to the int8 kernel.
 #if defined(RT_MICROKERNEL_S8_VNNI) && defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -540,270 +541,73 @@ void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
 #define RT_S8_DIAG_PUSHED 1
 #endif
 
-/// Interleaves 4 contiguous k-row buffers into the quad position `dst`
-/// (64 bytes: 16 lanes x 4 quad bytes): dst dword j = r0[j] | r1[j] << 8 |
-/// r2[j] << 16 | r3[j] << 24. This is the transform between the linear
-/// row gather and the sliver layout the micro-kernel consumes; writes are
-/// a single contiguous 64-byte store per quad on the wide path.
-inline void interleave_quad16(const std::uint8_t* r0, const std::uint8_t* r1,
-                              const std::uint8_t* r2, const std::uint8_t* r3,
-                              std::uint8_t* dst) {
-#ifdef RT_MICROKERNEL_S8_VNNI
-  const __m512i v0 = _mm512_cvtepu8_epi32(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(r0)));
-  const __m512i v1 = _mm512_slli_epi32(
-      _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r1))), 8);
-  const __m512i v2 = _mm512_slli_epi32(
-      _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r2))), 16);
-  const __m512i v3 = _mm512_slli_epi32(
-      _mm512_cvtepu8_epi32(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(r3))), 24);
-  _mm512_storeu_si512(dst, _mm512_or_si512(_mm512_or_si512(v0, v1),
-                                           _mm512_or_si512(v2, v3)));
-#else
-  for (std::int64_t j = 0; j < kNrS8; ++j) {
-    dst[j * 4 + 0] = r0[j];
-    dst[j * 4 + 1] = r1[j];
-    dst[j * 4 + 2] = r2[j];
-    dst[j * 4 + 3] = r3[j];
-  }
-#endif
-}
+RT_HOT void conv2d_forward_s8(
+    const std::uint8_t* xq, std::int64_t n, std::int64_t c_in, std::int64_t h,
+    std::int64_t w, const ConvGeometry& g, const std::int8_t* w_panels,
+    const std::int32_t* quad_offsets, std::int64_t out_ch, float* y,
+    std::int64_t y_stride, const S8Epilogue& ep) {
+  const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
+  const std::int64_t ohw = oh * ow;
+  if (out_ch <= 0 || ohw <= 0 || n <= 0) return;
+  const std::int64_t sample = s8_quad_plane_bytes(c_in, h, w, g.padding);
+  const std::int64_t kq = (c_in + 3) / 4 * g.kernel * g.kernel;
+  const std::int64_t row_step = g.stride * (w + 2 * g.padding) * 4;
+  const std::int64_t col_step = g.stride * 4;
+  std::int32_t lane[kNrS8];
+  float ytile[kMrS8 * kNrS8];
 
-/// Where conv2d_forward_batch_s8 reads its B operand from, fixed per call.
-/// Table staging reads the input batch through the compile-time index table
-/// (build_s8_gather_index). Padded staging reads (c_in, ph, pw) planes whose
-/// border holds the zero encoding 128: the caller's pad buffer when the conv
-/// pads, the input planes themselves when it does not.
-struct ColSource {
-  const std::uint8_t* base;    ///< sample 0's input (table) or padded plane
-  std::int64_t sample_stride;  ///< bytes from one sample's plane to the next
-  const std::int32_t* table;   ///< index table, or null for padded staging
-  std::int64_t ohw, ow, stride;
-  std::int64_t plane, pw;  ///< padded: channel plane bytes, row pitch
-};
-
-/// A stretch of a column tile inside one sample: tile columns
-/// [off, off + len) are output pixels [pix, pix + len) of the sample whose
-/// plane starts at `src`, the first of them at output row oi, column oj.
-struct ColRun {
-  const std::uint8_t* src;
-  std::int64_t off, len, pix, oi, oj;
-};
-
-/// Packs rows [kc, kc+kb) of the offset-u8 virtual im2col matrix over the
-/// column tile `runs` (nb columns in all) into kNrS8-lane QUAD slivers at
-/// `bp` (sliver depth round_up4(kb)) — the int8 forward's B operand. Each k
-/// row is gathered once across the tile into a linear staging row, then
-/// quad-interleaved into every sliver with wide stores; edge lanes and the
-/// k tail pad with 128. The caller splits the tile into samples once, so a
-/// tile inside one sample is one run per k row. Cache-line aligned, like the
-/// kernel below: their loops' speed otherwise depends on where the linker
-/// places them (measured 10-15% on bulk_int8 between two links).
-__attribute__((aligned(64))) void pack_col_batch_u8q(
-    const ColSource& cs, const DecodeTable& dec, std::int64_t kc,
-    std::int64_t kb, const ColRun* runs, std::int64_t nruns, std::int64_t nb,
-    std::uint8_t* bp) {
-  const std::int64_t kb4 = round_up4(kb);
-  // 4 linear k-rows, padded to whole lane groups so the interleave reads
-  // defined bytes past nb. 1 KiB, fixed — never allocates on the hot path.
-  alignas(64) thread_local std::uint8_t rowbuf[4][kNcS8];
-  const std::int64_t nb16 = (nb + kNrS8 - 1) / kNrS8 * kNrS8;
-  // Byte stores may alias anything, so everything the gather loops read is
-  // held in locals, not re-read through `cs` and `runs` after each store.
-  const std::int64_t ow = cs.ow, stride = cs.stride, pitch = stride * cs.pw;
-  for (std::int64_t q = 0; q < kb4 / 4; ++q) {
-    for (std::int64_t t = 0; t < 4; ++t) {
-      const std::int64_t p = 4 * q + t;
-      if (p >= kb) {
-        std::memset(rowbuf[t], 128, static_cast<std::size_t>(nb16));
+  // Column = sample * OH*OW + output pixel, in slivers of kNrS8 lanes. The
+  // next column's sample, output row and column advance lane by lane, so no
+  // lane needs a division.
+  const std::int64_t nj = n * ohw;
+  std::int64_t i = 0, oi = 0, oj = 0;
+  for (std::int64_t j0 = 0; j0 < nj; j0 += kNrS8) {
+    const std::int64_t nr = std::min(kNrS8, nj - j0);
+    const std::int64_t i0 = i, pix0 = oi * ow + oj;
+    // One stride-1 row run: the 16 lanes' quads are consecutive bytes.
+    const bool run = g.stride == 1 && oj + kNrS8 <= ow;
+    // Lane byte offsets from sample i0's planes (a sliver spans at most 16
+    // samples). Tail lanes re-read the last column; the store drops them.
+    for (std::int64_t j = 0; j < kNrS8; ++j) {
+      if (j >= nr) {
+        lane[j] = lane[nr - 1];
         continue;
       }
-      const std::int64_t row = kc + p;
-      if (cs.table != nullptr) {
-        // Table: one guarded byte load per element, no per-row setup — the
-        // win on narrow planes whose image rows are a few bytes wide, and
-        // on strided planes, which have no contiguous runs to copy.
-        const std::int32_t* ri = cs.table + row * cs.ohw;
-        for (std::int64_t r = 0; r < nruns; ++r) {
-          const std::int32_t* src = ri + runs[r].pix;
-          const std::uint8_t* x = runs[r].src;
-          const std::int64_t len = runs[r].len;
-          std::uint8_t* d = rowbuf[t] + runs[r].off;
-          for (std::int64_t j = 0; j < len; ++j) {
-            const std::int32_t s = src[j];
-            d[j] = s >= 0 ? x[s] : std::uint8_t{128};
-          }
-        }
-      } else {
-        // Padded plane: the border already holds 128, so output (oi, oj)
-        // reads row oi * stride + ki, column oj * stride + kj with no bounds
-        // check (padding cancels in the source coordinates), and at stride
-        // 1 each image row is one unconditional memcpy.
-        const auto dr = static_cast<std::size_t>(row);
-        const std::int64_t rowoff = dec.c[dr] * cs.plane +
-                                    dec.ki[dr] * cs.pw + dec.kj[dr];
-        for (std::int64_t r = 0; r < nruns; ++r) {
-          const std::uint8_t* src = runs[r].src + rowoff + runs[r].oi * pitch;
-          std::uint8_t* d = rowbuf[t] + runs[r].off;
-          std::int64_t oj = runs[r].oj;
-          for (std::int64_t left = runs[r].len; left > 0;
-               src += pitch, oj = 0) {
-            const std::int64_t seg = std::min(left, ow - oj);
-            if (stride == 1) {
-              std::memcpy(d, src + oj, static_cast<std::size_t>(seg));
-            } else {
-              for (std::int64_t j = 0; j < seg; ++j) {
-                d[j] = src[(oj + j) * stride];
-              }
-            }
-            d += seg;
-            left -= seg;
-          }
-        }
-      }
-      if (nb < nb16) {
-        std::memset(rowbuf[t] + nb, 128, static_cast<std::size_t>(nb16 - nb));
-      }
-    }
-    for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-      interleave_quad16(rowbuf[0] + jr, rowbuf[1] + jr, rowbuf[2] + jr,
-                        rowbuf[3] + jr, bp + jr * kb4 + q * kNrS8 * 4);
-    }
-  }
-}
-
-}  // namespace
-
-// ---- public entry points ----------------------------------------------------
-
-__attribute__((aligned(64))) RT_HOT void conv2d_forward_batch_s8(
-    const std::uint8_t* xq, std::int64_t n, std::int64_t x_stride,
-    std::int64_t c_in, std::int64_t h, std::int64_t w, const ConvGeometry& g,
-    const std::int8_t* w_panels, std::int64_t out_ch, std::int32_t* acc,
-    std::uint8_t* pad, float* y, std::int64_t y_stride, const S8Epilogue& ep,
-    const std::int32_t* gather_idx) {
-  const std::int64_t ow = g.out_extent(w), ohw = g.out_extent(h) * ow;
-  if (out_ch <= 0 || ohw <= 0 || n <= 0) return;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t ckk4 = round_up4(ckk);
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-
-  ColSource cs{xq, x_stride, gather_idx, ohw, ow, g.stride, h * w, w};
-  if (gather_idx == nullptr && g.padding > 0) {
-    // Padded staging: copy every sample's planes once into `pad` with a
-    // border of 128s (1x the input volume, against the k*k gathered copies
-    // of it), so no row gather ever clips at an image edge.
-    const std::int64_t p = g.padding;
-    const std::int64_t ph = h + 2 * p, pw = w + 2 * p;
-    cs = {pad, c_in * ph * pw, nullptr, ohw, ow, g.stride, ph * pw, pw};
-    for (std::int64_t i = 0; i < n; ++i) {
-      for (std::int64_t c = 0; c < c_in; ++c) {
-        // Each border run between two image rows is one memset: the right
-        // border of a row and the left border of the next are adjacent.
-        const std::uint8_t* src = xq + i * x_stride + c * h * w;
-        std::uint8_t* d = pad + i * cs.sample_stride + c * cs.plane;
-        std::memset(d, 128, static_cast<std::size_t>(p * pw + p));
-        for (std::int64_t ii = 0; ii < h; ++ii) {
-          d += ii == 0 ? p * pw + p : pw;
-          std::memcpy(d, src + ii * w, static_cast<std::size_t>(w));
-          const std::int64_t gap = ii + 1 < h ? 2 * p : p * pw + p;
-          std::memset(d + w, 128, static_cast<std::size_t>(gap));
+      lane[j] = static_cast<std::int32_t>((i - i0) * sample + oi * row_step +
+                                          oj * col_step);
+      if (++oj == ow) {
+        oj = 0;
+        if (++oi == oh) {
+          oi = 0;
+          ++i;
         }
       }
     }
-  }
-
-  // Full depth (round_up4(C*k*k) <= kKcFullS8, every layer of the
-  // small-image models the engine serves): the whole k extent stages as one
-  // B tile, and each 8x16 block accumulates in registers and requants
-  // straight from the register tile. Deep k: kKcS8-deep blocks accumulate
-  // into `acc`, laid out (out_ch, nb) for the current column tile, and each
-  // block requants once its last k block is in. int32 sums are exact, so
-  // the two give the same bits.
-  const bool full = ckk4 <= kKcFullS8;
-  const std::int64_t kblock = full ? ckk : kKcS8;
-  alignas(64) thread_local std::uint8_t bq[kKcFullS8 * kNcS8];
-  std::int32_t tile[kMrS8 * kNrS8];
-  ColRun runs[kNcS8];
-
-  // Requantizes an mr x nr int32 block (leading dimension lds) into output
-  // channels [ir, ir + mr) of sample i from pixel pix on: straight into the
-  // sample's activation rows when the block lies inside it, else through a
-  // register-sized scratch scattered per sample run.
-  const auto store = [&](const std::int32_t* src, std::int64_t lds,
-                         const S8Epilogue& es, std::int64_t ir,
-                         std::int64_t mr, std::int64_t i, std::int64_t pix,
-                         std::int64_t nr) {
-    if (pix + nr <= ohw) {
-      requant_rows(src, lds, mr, nr, es, y + i * y_stride + ir * ohw + pix,
-                   ohw);
-      return;
-    }
-    float ytile[kMrS8 * kNrS8];
-    requant_rows(src, lds, mr, nr, es, ytile, kNrS8);
-    for (std::int64_t toff = 0; toff < nr; ++i, pix = 0) {
-      const std::int64_t seg = std::min(nr - toff, ohw - pix);
-      float* yb = y + i * y_stride + ir * ohw + pix;
-      for (std::int64_t r = 0; r < mr; ++r) {
-        std::memcpy(yb + r * ohw, ytile + r * kNrS8 + toff,
-                    static_cast<std::size_t>(seg) * sizeof(float));
-      }
-      toff += seg;
-    }
-  };
-
-  const std::int64_t nj = n * ohw;
-  for (std::int64_t jc = 0; jc < nj; jc += kNcS8) {
-    const std::int64_t nb = std::min(kNcS8, nj - jc);
-    // Per-sample runs of the tile (column = sample * OH*OW + pixel), with
-    // one division per tile: every run after the first starts at pixel 0.
-    const std::int64_t i0 = jc / ohw, pix0 = jc % ohw;
-    std::int64_t nruns = 0;
-    for (std::int64_t off = 0, i = i0, pix = pix0, oi = pix / ow, oj = pix % ow;
-         off < nb; ++nruns, ++i, pix = oi = oj = 0) {
-      const std::int64_t len = std::min(nb - off, ohw - pix);
-      runs[nruns] = {cs.base + i * cs.sample_stride, off, len, pix, oi, oj};
-      off += len;
-    }
-    // Sample and first pixel of each 16-column block, for the epilogue.
-    std::int64_t blk_i[kNcS8 / kNrS8], blk_pix[kNcS8 / kNrS8];
-    for (std::int64_t jr = 0, i = i0, pix = pix0; jr < nb; jr += kNrS8) {
-      blk_i[jr / kNrS8] = i;
-      blk_pix[jr / kNrS8] = pix;
-      for (pix += kNrS8; pix >= ohw; pix -= ohw) ++i;
-    }
-    if (!full) {
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(out_ch * nb) * sizeof(std::int32_t));
-    }
-    for (std::int64_t kc = 0; kc < ckk; kc += kblock) {
-      const std::int64_t kb = std::min(kblock, ckk - kc);
-      const std::int64_t kb4 = round_up4(kb);
-      pack_col_batch_u8q(cs, dec, kc, kb, runs, nruns, nb, bq);
-      for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
-        const std::int64_t mr = std::min(kMrS8, out_ch - ir);
-        // Panels are quad-major at full depth, so the k block at kc (kKcS8
-        // is a multiple of 4) starts kc * kMrS8 bytes into panel ir.
-        const std::int8_t* ap = w_panels + ir * ckk4 + kc * kMrS8;
-        S8Epilogue es = ep;  // per-row fields advanced to channel ir
-        es.scales = ep.scales + ir;
-        if (ep.corr) es.corr = ep.corr + ir;
-        if (ep.bias) es.bias = ep.bias + ir;
-        for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-          const std::int64_t nr = std::min(kNrS8, nb - jr);
-          const std::int64_t bi = blk_i[jr / kNrS8], bp = blk_pix[jr / kNrS8];
-          detail::micro_s8_block(kb4 / 4, ap, bq + jr * kb4, tile);
-          if (full) {
-            store(tile, kNrS8, es, ir, mr, bi, bp, nr);
-            continue;
-          }
-          std::int32_t* blk = acc + ir * nb + jr;
-          acc_block_add(tile, blk, nb, mr, nr);
-          if (kc + kb == ckk) store(blk, nb, es, ir, mr, bi, bp, nr);
+    const std::uint8_t* base = xq + i0 * sample;
+    // A sliver inside one sample requantizes straight into its activation
+    // rows; one that crosses samples goes through a register-sized scratch
+    // scattered per sample run.
+    const bool inside = pix0 + nr <= ohw;
+    for (std::int64_t ir = 0; ir < out_ch; ir += kMrS8) {
+      const std::int64_t mr = std::min(kMrS8, out_ch - ir);
+      S8Epilogue es = ep;  // per-row fields advanced to channel ir
+      es.scales = ep.scales + ir;
+      if (ep.corr) es.corr = ep.corr + ir;
+      if (ep.bias) es.bias = ep.bias + ir;
+      float* yb = y + i0 * y_stride + ir * ohw + pix0;
+      detail::micro_s8_quads(kq, w_panels + ir * kq * 4, base, quad_offsets,
+                             lane, run, es, mr, nr, inside ? yb : ytile,
+                             inside ? ohw : kNrS8);
+      if (inside) continue;
+      std::int64_t si = i0, pix = pix0;
+      for (std::int64_t toff = 0; toff < nr; ++si, pix = 0) {
+        const std::int64_t seg = std::min(nr - toff, ohw - pix);
+        yb = y + si * y_stride + ir * ohw + pix;
+        for (std::int64_t r = 0; r < mr; ++r) {
+          std::memcpy(yb + r * ohw, ytile + r * kNrS8 + toff,
+                      static_cast<std::size_t>(seg) * sizeof(float));
         }
+        toff += seg;
       }
     }
   }
@@ -814,31 +618,40 @@ __attribute__((aligned(64))) RT_HOT void conv2d_forward_batch_s8(
 #undef RT_S8_DIAG_PUSHED
 #endif
 
-std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
-                                                std::int64_t h, std::int64_t w,
-                                                const ConvGeometry& g) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  std::vector<std::int32_t> idx(static_cast<std::size_t>(ckk * ohw), -1);
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  for (std::int64_t p = 0; p < ckk; ++p) {
-    const auto row = static_cast<std::size_t>(p);
-    const std::int64_t base = dec.c[row] * h * w;
-    const std::int64_t ki = dec.ki[row], kj = dec.kj[row];
-    for (std::int64_t oi = 0; oi < oh; ++oi) {
-      const std::int64_t ii = oi * g.stride - g.padding + ki;
-      if (ii < 0 || ii >= h) continue;
-      for (std::int64_t oj = 0; oj < ow; ++oj) {
-        const std::int64_t jj = oj * g.stride - g.padding + kj;
-        if (jj < 0 || jj >= w) continue;
-        idx[static_cast<std::size_t>(p * ohw + oi * ow + oj)] =
-            static_cast<std::int32_t>(base + ii * w + jj);
+std::vector<std::int8_t> conv_s8_quad_weights(const std::int8_t* q,
+                                              std::int64_t rows,
+                                              std::int64_t c_in,
+                                              std::int64_t kernel) {
+  const std::int64_t cq = (c_in + 3) / 4, kk = kernel * kernel;
+  const std::int64_t cols = kk * cq * 4;
+  std::vector<std::int8_t> out(static_cast<std::size_t>(rows * cols), 0);
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t c = 0; c < c_in; ++c) {
+      for (std::int64_t p = 0; p < kk; ++p) {
+        // Source column (c, ki, kj); destination (ki, kj, c / 4, c % 4).
+        out[static_cast<std::size_t>(r * cols + (p * cq + c / 4) * 4 + c % 4)] =
+            q[(r * c_in + c) * kk + p];
       }
     }
   }
-  return idx;
+  return out;
+}
+
+std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
+                                               std::int64_t h, std::int64_t w,
+                                               const ConvGeometry& g) {
+  const std::int64_t cq = (c_in + 3) / 4;
+  const std::int64_t ph = h + 2 * g.padding, pw = w + 2 * g.padding;
+  std::vector<std::int32_t> off;
+  off.reserve(static_cast<std::size_t>(g.kernel * g.kernel * cq));
+  for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
+    for (std::int64_t kj = 0; kj < g.kernel; ++kj) {
+      for (std::int64_t c = 0; c < cq; ++c) {
+        off.push_back(static_cast<std::int32_t>(((c * ph + ki) * pw + kj) * 4));
+      }
+    }
+  }
+  return off;
 }
 
 void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,

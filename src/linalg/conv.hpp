@@ -150,47 +150,47 @@ void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
                           const ConvKernelOpts& opts = {});
 
 /// True int8 forward (serving only), the one int8 conv entry point: runs a
-/// batch of n offset-u8 input planes as one implicit GEMM whose column space
-/// is (sample, output pixel) — sample i's (c_in, h, w) plane starts at
-/// xq + i * x_stride and its float output (out_ch, OH, OW) at
-/// y + i * y_stride, with y = requant(W_q (out_ch, C*k*k) * col(X_q)).
-/// `w_panels` are the weight's quad panels (PackedS8 / pack_a_quads_s8,
-/// packed at compile time); the epilogue's per-row fields index output
-/// channels. Tiny planes (OH*OW of 4-16) are where batching pays: B-staging,
-/// micro-tile and epilogue fixed costs amortize over n * OH*OW columns.
+/// batch of n samples as one implicit GEMM whose column space is (sample,
+/// output pixel), with y = requant(W_q (out_ch, C*k*k) * col(X_q)). Sample
+/// i's float output (out_ch, OH, OW) starts at y + i * y_stride.
 ///
-/// Panels of col(X_q) are staged on the fly in one of two ways, with
-/// out-of-image taps reading as the zero encoding 128:
-///   - `gather_idx` non-null: the index table (build_s8_gather_index), one
-///     guarded byte load per element. Engine::compile gives it to narrow
-///     (w <= 4) and strided layers.
-///   - otherwise, padded planes: each row gather is a memcpy per image row
-///     at stride 1. A conv with padding first copies the batch into `pad`
-///     (at least n * c_in * (h+2p) * (w+2p) bytes) with a border of 128s;
-///     a pad-0 conv reads its input in place and `pad` may be null.
-/// `acc` is int32 scratch of at least out_ch * min(kNcS8, n * OH*OW), used
-/// only when round_up4(C*k*k) exceeds kKcFullS8 (the kernel then blocks over
-/// k); shallower layers accumulate in registers and `acc` may be null.
-/// Serial, allocation-free, bitwise deterministic: integer accumulation in
-/// a fixed order and one float expression per output, so the bits do not
-/// depend on n, on the staging, or on the k blocking.
-void conv2d_forward_batch_s8(const std::uint8_t* xq, std::int64_t n,
-                             std::int64_t x_stride, std::int64_t c_in,
-                             std::int64_t h, std::int64_t w,
-                             const ConvGeometry& g, const std::int8_t* w_panels,
-                             std::int64_t out_ch, std::int32_t* acc,
-                             std::uint8_t* pad, float* y,
-                             std::int64_t y_stride, const S8Epilogue& ep,
-                             const std::int32_t* gather_idx = nullptr);
+/// The input is the batch's channel-quad planes (quantize_u8_quads with
+/// pad = g.padding; sample i's start at xq + i * s8_quad_plane_bytes), a
+/// layout the VNNI operand reads straight from: each output pixel's four
+/// channels at one kernel tap are one dword, so there is no im2col staging.
+/// `w_panels` are quad panels (PackedS8) of the weight reordered by
+/// conv_s8_quad_weights, and `quad_offsets` the per-quad byte offsets from
+/// conv_s8_quad_offsets, both frozen at compile time; the epilogue's per-row
+/// fields index output channels. Each 16-column sliver computes its lanes'
+/// byte offsets once; every 8-row panel then forms each k quad's operand
+/// with one 64-byte load when the sliver is one stride-1 output row run,
+/// else with one gather, and accumulates the full depth in registers.
+///
+/// Serial, allocation-free, bitwise deterministic: integer accumulation and
+/// one fused multiply-add per output, so the bits do not depend on n, on the
+/// load/gather branch, or on the ISA.
+void conv2d_forward_s8(const std::uint8_t* xq, std::int64_t n,
+                       std::int64_t c_in, std::int64_t h, std::int64_t w,
+                       const ConvGeometry& g, const std::int8_t* w_panels,
+                       const std::int32_t* quad_offsets, std::int64_t out_ch,
+                       float* y, std::int64_t y_stride, const S8Epilogue& ep);
 
-/// Precomputes the virtual-im2col source-index table for
-/// conv2d_forward_batch_s8: entry [p * OH*OW + j] is the flat input-plane
-/// offset feeding column row p at output pixel j, or -1 for out-of-image
-/// taps (the gather substitutes the zero encoding 128). Compile-time only —
-/// the engine builds one per narrow or strided int8 conv layer.
-std::vector<std::int32_t> build_s8_gather_index(std::int64_t c_in,
-                                                std::int64_t h, std::int64_t w,
-                                                const ConvGeometry& g);
+/// Reorders a row-major s8 conv weight (rows, c_in * k * k), columns in
+/// im2col order (c, ki, kj), into the (rows, k * k * ceil(c_in / 4) * 4)
+/// matrix conv2d_forward_s8's panels hold: columns (ki, kj, c / 4, c % 4),
+/// with zero weights for the channels past c_in that fill the last quad.
+/// Compile-time only.
+std::vector<std::int8_t> conv_s8_quad_weights(const std::int8_t* q,
+                                              std::int64_t rows,
+                                              std::int64_t c_in,
+                                              std::int64_t kernel);
+
+/// Byte offset of k quad (ki, kj, cq) within one sample's channel-quad
+/// planes, relative to an output pixel's top-left tap:
+/// ((cq * (h + 2p) + ki) * (w + 2p) + kj) * 4. Compile-time only.
+std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
+                                               std::int64_t h, std::int64_t w,
+                                               const ConvGeometry& g);
 
 /// Input gradient: dx (c_in, h, w) += weight^T applied to gout
 /// (out_ch, OH, OW). Accumulates (callers zero-initialize dx once per batch).

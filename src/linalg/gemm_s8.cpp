@@ -76,6 +76,86 @@ RT_HOT void quantize_u8(const float* x, std::int64_t n, float scale,
   }
 }
 
+namespace {
+
+/// Writes one image row of channel-quad planes: `w` quads at `dst`, byte t
+/// of quad x quantized from rows[t][x]; a null row is a channel past c and
+/// stores the zero encoding.
+inline void quantize_quad_row(const float* const rows[4], std::int64_t w,
+                              float inv, std::uint8_t* dst) {
+#ifdef RT_S8_AVX512
+  const __m512 vinv = _mm512_set1_ps(inv);
+  const __m512 lo = _mm512_set1_ps(-127.0f), hi = _mm512_set1_ps(127.0f);
+  const __m512i v128 = _mm512_set1_epi32(128);
+  for (std::int64_t x = 0; x < w; x += 16) {
+    const __mmask16 k = w - x >= 16
+                            ? static_cast<__mmask16>(0xffff)
+                            : static_cast<__mmask16>((1u << (w - x)) - 1u);
+    __m512i quad = _mm512_setzero_si512();
+    for (int t = 0; t < 4; ++t) {
+      __m512i b = v128;
+      if (rows[t] != nullptr) {
+        // quantize_clamp, 16 lanes at a time: the same product, the same
+        // round-half-even, and the clamp commutes with rounding because
+        // +-127 are integers.
+        const __m512 r = _mm512_roundscale_ps(
+            _mm512_mul_ps(_mm512_maskz_loadu_ps(k, rows[t] + x), vinv),
+            _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
+        b = _mm512_add_epi32(
+            _mm512_cvtps_epi32(_mm512_min_ps(_mm512_max_ps(r, lo), hi)),
+            v128);
+      }
+      quad = _mm512_or_si512(quad, _mm512_slli_epi32(b, 8 * t));
+    }
+    _mm512_mask_storeu_epi32(dst + x * 4, k, quad);
+  }
+#else
+  for (std::int64_t x = 0; x < w; ++x) {
+    for (int t = 0; t < 4; ++t) {
+      dst[x * 4 + t] =
+          rows[t] == nullptr
+              ? std::uint8_t{128}
+              : static_cast<std::uint8_t>(quantize_clamp(rows[t][x], inv) +
+                                          128);
+    }
+  }
+#endif
+}
+
+}  // namespace
+
+RT_HOT void quantize_u8_quads(const float* x, std::int64_t n, std::int64_t c,
+                              std::int64_t h, std::int64_t w, std::int64_t pad,
+                              float scale, std::uint8_t* q) {
+  const std::int64_t cq = (c + 3) / 4, pw = w + 2 * pad;
+  if (scale <= 0.0f) {
+    std::memset(q, 128, static_cast<std::size_t>(
+                            n * s8_quad_plane_bytes(c, h, w, pad)));
+    return;
+  }
+  const float inv = 1.0f / scale;
+  for (std::int64_t i = 0; i < n; ++i) {
+    for (std::int64_t g = 0; g < cq; ++g) {
+      const float* src = x + (i * c + 4 * g) * h * w;
+      // Border runs between two image rows are one memset: the right border
+      // of a row and the left border of the next are adjacent.
+      std::memset(q, 128, static_cast<std::size_t>((pad * pw + pad) * 4));
+      q += (pad * pw + pad) * 4;
+      for (std::int64_t y = 0; y < h; ++y) {
+        const float* rows[4];
+        for (std::int64_t t = 0; t < 4; ++t) {
+          rows[t] = 4 * g + t < c ? src + t * h * w + y * w : nullptr;
+        }
+        quantize_quad_row(rows, w, inv, q);
+        q += w * 4;
+        const std::int64_t gap = y + 1 < h ? 2 * pad : pad * pw + pad;
+        std::memset(q, 128, static_cast<std::size_t>(gap * 4));
+        q += gap * 4;
+      }
+    }
+  }
+}
+
 RT_HOT void quantize_s8(const float* x, std::int64_t n, float scale,
                         std::int8_t* q) {
   if (scale <= 0.0f) {
@@ -133,7 +213,7 @@ RT_HOT void requant_rows(const std::int32_t* acc, std::int64_t lda,
     const std::int32_t* arow = acc + r * lda;
     float* yrow = y + r * ldy;
     for (std::int64_t j = 0; j < cols; ++j) {
-      float v = static_cast<float>(arow[j] - corr) * s + b;
+      float v = std::fma(static_cast<float>(arow[j] - corr), s, b);
       if (ep.relu && v < 0.0f) v = 0.0f;
       yrow[j] = v;
       amax = std::max(amax, std::fabs(v));
@@ -181,48 +261,6 @@ void PackedS8::pack(const std::int8_t* q, std::int64_t rows,
   corr_.resize(static_cast<std::size_t>(rows));
   for (std::int64_t r = 0; r < rows; ++r) {
     corr_[static_cast<std::size_t>(r)] = quad_row_offset_sum(q + r * cols, cols);
-  }
-}
-
-namespace {
-
-// Fixed per-thread B sliver staging for the nn path: one kKcS8 x kNcS8 u8
-// tile (64 KiB), sized once — never grows on the serving path, so RT_HOT
-// bodies stay allocation-free after first use per thread.
-thread_local std::uint8_t bq_tile[kKcS8 * kNcS8];
-
-}  // namespace
-
-RT_HOT void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
-                       const PackedS8& a, const std::uint8_t* b,
-                       std::int32_t* acc, float* c, const S8Epilogue& ep) {
-  S8Epilogue e = ep;
-  if (!e.corr) e.corr = a.corr();
-  const std::int64_t k4 = round_up4(k);
-  std::memset(acc, 0, static_cast<std::size_t>(m * n) * sizeof(std::int32_t));
-  std::int32_t tile[kMrS8 * kNrS8];
-  for (std::int64_t jc = 0; jc < n; jc += kNcS8) {
-    const std::int64_t nb = std::min(kNcS8, n - jc);
-    for (std::int64_t kc = 0; kc < k; kc += kKcS8) {
-      const std::int64_t kb = std::min(kKcS8, k - kc);
-      const std::int64_t kq = round_up4(kb) / 4;
-      pack_b_quads_u8(b, n, kc, kb, jc, nb, bq_tile);
-      for (std::int64_t ir = 0; ir < m; ir += kMrS8) {
-        const std::int64_t mr = std::min(kMrS8, m - ir);
-        // Panel slice for this k block: panels store full depth k4
-        // quad-major, so the block at kc starts kc * kMrS8 bytes in.
-        const std::int8_t* ap = a.panels() + ir * k4 + kc * kMrS8;
-        for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-          const std::int64_t nr = std::min(kNrS8, nb - jr);
-          detail::micro_s8_block(kq, ap, bq_tile + jr * round_up4(kb), tile);
-          acc_block_add(tile, acc + ir * n + jc + jr, n, mr, nr);
-        }
-      }
-    }
-    // Requantize the finished n-tile while its accumulator slice is still
-    // cache-hot. corr/scales/bias index rows; the column slice shifts only
-    // the data pointers, and requant_rows carries the running amax.
-    requant_rows(acc + jc, n, m, nb, e, c + jc, n);
   }
 }
 

@@ -16,8 +16,8 @@
 // inputs, same plan, same bits, on the VNNI and portable fallback paths
 // alike.
 //
-// Requant epilogue (float multiply, no shift rounding — exact and
-// UBSan-clean): y = (acc - corr) * (s_x * s_w[row]) + bias[row], optional
+// Requant epilogue (float fused multiply-add, no shift rounding — exact and
+// UBSan-clean): y = fma(acc - corr, s_x * s_w[row], bias[row]), optional
 // ReLU, optional running amax tracking (feeds the NEXT layer's dynamic
 // activation scale).
 
@@ -55,6 +55,23 @@ float act_scale_for(float amax);
 void quantize_u8(const float* x, std::int64_t n, float scale,
                  std::uint8_t* q);
 
+/// Quantizes n samples of (c, h, w) float planes into the channel-quad
+/// planes the int8 conv kernel reads its operand from (conv2d_forward_s8):
+/// per sample, ceil(c / 4) planes of (h + 2 pad) x (w + 2 pad) four-byte
+/// quads, where byte t of quad (cq, y, x) is channel 4 * cq + t at pixel
+/// (y - pad, x - pad) in quantize_u8's encoding. Border quads and the bytes
+/// of channels >= c hold 128, the zero encoding. Writes n *
+/// s8_quad_plane_bytes(c, h, w, pad) bytes.
+void quantize_u8_quads(const float* x, std::int64_t n, std::int64_t c,
+                       std::int64_t h, std::int64_t w, std::int64_t pad,
+                       float scale, std::uint8_t* q);
+
+/// Bytes of one sample's channel-quad planes (quantize_u8_quads).
+inline std::int64_t s8_quad_plane_bytes(std::int64_t c, std::int64_t h,
+                                        std::int64_t w, std::int64_t pad) {
+  return (c + 3) / 4 * (h + 2 * pad) * (w + 2 * pad) * 4;
+}
+
 /// Quantizes n floats to signed s8 (no offset): the CSR/tap path uses this
 /// flavor because border pixels see per-pixel tap subsets, which would make
 /// a u8 offset correction non-uniform.
@@ -62,8 +79,9 @@ void quantize_s8(const float* x, std::int64_t n, float scale, std::int8_t* q);
 
 /// Applies the requant epilogue to an int32 accumulator block: for each of
 /// `rows` rows (leading dimension `lda`) and `cols` columns,
-/// y = (acc - corr[row]) * act_scale * scales[row] + bias[row], ReLU, amax.
-/// Output rows have leading dimension `ldy`.
+/// y = fma(acc - corr[row], act_scale * scales[row], bias[row]) (one
+/// rounding of the product and sum, on every ISA), ReLU, amax. Output rows
+/// have leading dimension `ldy`.
 void requant_rows(const std::int32_t* acc, std::int64_t lda,
                   std::int64_t rows, std::int64_t cols, const S8Epilogue& ep,
                   float* y, std::int64_t ldy);
@@ -101,14 +119,6 @@ class PackedS8 {
   std::vector<std::int8_t> panels_;
   std::vector<std::int32_t> corr_;
 };
-
-/// C(m,n) float = requant(A_q(m,k) * B_q(k,n)): prepacked s8 A panels times
-/// a row-major offset-u8 B. `acc` is caller-provided scratch of at least
-/// m * n int32 (overwritten) — the engine passes its arena workspace, so the
-/// serving path allocates nothing. ep.corr defaults to a.corr() when null.
-void gemm_s8_nn(std::int64_t m, std::int64_t n, std::int64_t k,
-                const PackedS8& a, const std::uint8_t* b, std::int32_t* acc,
-                float* c, const S8Epilogue& ep);
 
 /// The head shape: C(m,n) float = requant(X_q(m,k) * W_q(n,k)^T). X is
 /// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows

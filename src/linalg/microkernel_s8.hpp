@@ -1,21 +1,20 @@
 #pragma once
-// The int8 register-tiled micro-kernel and quad-panel packing primitives
-// behind the quantized GEMM/conv layer (linalg/gemm_s8.hpp, linalg/conv.cpp).
-// Mirrors the fp32 kernel's BLIS-style structure (linalg/microkernel.hpp) at
-// int8 operand width: one 8 x 16 int32 accumulator block stays in registers
-// while packed A panels and B slivers stream through it.
+// The int8 register-tiled micro-kernels and quad packing primitives behind
+// the quantized conv/head layer (linalg/gemm_s8.hpp, linalg/conv.cpp). One
+// 8 x 16 int32 accumulator block stays in registers while a packed A panel
+// and the B operand stream through it.
 //
 // Layout contract (the "quad" is the unit: 4 consecutive k bytes):
 //   - A is packed into row panels of kMrS8 rows, quad-major: within one
 //     panel, quad q holds rows' bytes a(row0 + i, 4q + t) at
 //     ap[q * kMrS8 * 4 + i * 4 + t]. Rows past the matrix edge and k bytes
 //     past the matrix depth pack as zeros, so the kernel needs no m/k tail.
-//   - B is packed into column slivers of kNrS8 lanes, quad-major: sliver
-//     quad q holds bp[q * kNrS8 * 4 + j * 4 + t] = b(k0 + 4q + t, col0 + j).
-//     Out-of-range bytes take the caller's pad value (128 for offset-u8
-//     activations = real zero; the paired A bytes are zero, so any pad is
-//     arithmetically inert).
-//   - The kernel computes acc(i, j) = sum_q sum_t a_quad(i, q, t) *
+//   - The conv's B operand is never packed: quad q of lane j is the four
+//     bytes at base + lane[j] + qoff[q] of the channel-quad activation planes
+//     (quantize_u8_quads), i.e. one dword per lane — exactly the shape one
+//     vpdpbusd consumes. A lane whose 16 quads are consecutive (one stride-1
+//     output row run) loads them with one 64-byte load, otherwise one gather.
+//   - The kernels compute acc(i, j) = sum_q sum_t a_quad(i, q, t) *
 //     b_quad(j, q, t) with exact int32 arithmetic: results are bitwise
 //     identical across the VNNI and generic paths, which is what lets
 //     sanitizer builds (no -march=native) verify the serving path's bits.
@@ -28,15 +27,17 @@
 // so the corrected accumulator equals the exact signed product.
 //
 // Two call shapes share the arithmetic:
-//   - micro_s8_block: conv/gemm shape — broadcast side is the SIGNED weight
-//     panel, vector side the unsigned activation sliver.
+//   - micro_s8_quads: conv shape — broadcast side is the SIGNED weight
+//     panel, vector side 16 lanes of unsigned activation quads.
 //   - micro_u8x_block: the head's nt shape — broadcast side is the UNSIGNED
 //     activation rows (read row-major, no packing needed: quads are
 //     contiguous), vector side the signed weight sliver.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
+#include "linalg/gemm_s8.hpp"
 #include "linalg/microkernel.hpp"
 
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
@@ -50,15 +51,6 @@ namespace rt {
 // 512-bit accumulator per row), k consumed 4 bytes (one quad) per step.
 inline constexpr std::int64_t kMrS8 = 8;
 inline constexpr std::int64_t kNrS8 = 16;
-// Cache blocking: a kKcS8 x kNcS8 u8 B panel is 64 KiB — L2-resident like
-// the fp32 kernel's panel, at 4x the k depth per byte.
-inline constexpr std::int64_t kKcS8 = 256;
-inline constexpr std::int64_t kNcS8 = 256;
-// Full-depth staging cap for the conv forward fast path: when
-// round_up4(c_in * k * k) fits, the whole k extent stages as one B tile
-// (<= 256 KiB, still L2-resident) and each 8 x 16 output block accumulates
-// entirely in registers — no int32 accumulator plane traffic.
-inline constexpr std::int64_t kKcFullS8 = 1024;
 
 /// Rounds a k extent up to whole quads.
 inline constexpr std::int64_t round_up4(std::int64_t v) {
@@ -69,33 +61,75 @@ namespace detail {
 
 #ifdef RT_MICROKERNEL_S8_VNNI
 
-/// Conv/gemm shape: acc(i, j) = sum over kq quads of
-/// s8 A quad (row i) dot u8 B quad (lane j). `acc` (kMrS8 x kNrS8,
-/// row-major) is overwritten. vpdpbusd takes the unsigned operand first:
-/// the B sliver is the vector, each A quad broadcasts as one 32-bit lane.
-inline void micro_s8_block(std::int64_t kq, const std::int8_t* __restrict ap,
-                           const std::uint8_t* __restrict bp,
-                           std::int32_t* __restrict acc) {
+/// Conv shape: acc(i, j) = sum over kq quads of s8 A quad (row i) dot the
+/// u8 quad at base + lane[j] + qoff[q], requantized straight from the
+/// registers: rows [0, mr) x lanes [0, nr) of y (leading dimension ldy)
+/// receive requant_rows' exact arithmetic, with `ep`'s per-row fields at
+/// the panel's first row, and ep.amax (if set) takes their max |y|.
+/// vpdpbusd takes the unsigned operand first: the 16 lanes' quads are the
+/// vector, each A quad broadcasts as one 32-bit lane. When `run` is set the
+/// lanes are one stride-1 row run (lane[j] = lane[0] + 4j), and each quad
+/// step is one 64-byte load instead of a gather.
+inline void micro_s8_quads(std::int64_t kq, const std::int8_t* __restrict ap,
+                           const std::uint8_t* base,
+                           const std::int32_t* __restrict qoff,
+                           const std::int32_t* __restrict lane, bool run,
+                           const S8Epilogue& ep, std::int64_t mr,
+                           std::int64_t nr, float* __restrict y,
+                           std::int64_t ldy) {
   __m512i c0 = _mm512_setzero_si512(), c1 = c0, c2 = c0, c3 = c0, c4 = c0,
           c5 = c0, c6 = c0, c7 = c0;
-  for (std::int64_t q = 0; q < kq; ++q) {
-    const __m512i bv = _mm512_loadu_si512(bp + q * kNrS8 * 4);
-    const std::int8_t* a = ap + q * kMrS8 * 4;
-    std::int32_t aq[kMrS8];
-    std::memcpy(aq, a, sizeof(aq));
-    c0 = _mm512_dpbusd_epi32(c0, bv, _mm512_set1_epi32(aq[0]));
-    c1 = _mm512_dpbusd_epi32(c1, bv, _mm512_set1_epi32(aq[1]));
-    c2 = _mm512_dpbusd_epi32(c2, bv, _mm512_set1_epi32(aq[2]));
-    c3 = _mm512_dpbusd_epi32(c3, bv, _mm512_set1_epi32(aq[3]));
-    c4 = _mm512_dpbusd_epi32(c4, bv, _mm512_set1_epi32(aq[4]));
-    c5 = _mm512_dpbusd_epi32(c5, bv, _mm512_set1_epi32(aq[5]));
-    c6 = _mm512_dpbusd_epi32(c6, bv, _mm512_set1_epi32(aq[6]));
-    c7 = _mm512_dpbusd_epi32(c7, bv, _mm512_set1_epi32(aq[7]));
+  // Each A quad is its own 32-bit load, so the broadcast folds into the
+  // vpdpbusd memory operand ({1to16}) instead of costing a shuffle uop.
+  const auto aq = [](const std::int8_t* a) {
+    std::int32_t v;
+    std::memcpy(&v, a, sizeof(v));
+    return _mm512_set1_epi32(v);
+  };
+  const auto step = [&](const __m512i bv, const std::int8_t* a) {
+    c0 = _mm512_dpbusd_epi32(c0, bv, aq(a));
+    c1 = _mm512_dpbusd_epi32(c1, bv, aq(a + 4));
+    c2 = _mm512_dpbusd_epi32(c2, bv, aq(a + 8));
+    c3 = _mm512_dpbusd_epi32(c3, bv, aq(a + 12));
+    c4 = _mm512_dpbusd_epi32(c4, bv, aq(a + 16));
+    c5 = _mm512_dpbusd_epi32(c5, bv, aq(a + 20));
+    c6 = _mm512_dpbusd_epi32(c6, bv, aq(a + 24));
+    c7 = _mm512_dpbusd_epi32(c7, bv, aq(a + 28));
+  };
+  if (run) {
+    const std::uint8_t* b = base + lane[0];
+    for (std::int64_t q = 0; q < kq; ++q) {
+      step(_mm512_loadu_si512(b + qoff[q]), ap + q * kMrS8 * 4);
+    }
+  } else {
+    const __m512i vlane = _mm512_loadu_si512(lane);
+    for (std::int64_t q = 0; q < kq; ++q) {
+      step(_mm512_i32gather_epi32(vlane, base + qoff[q], 1),
+           ap + q * kMrS8 * 4);
+    }
   }
+  // The epilogue of requant_rows' vector path, one register per row.
+  const __mmask16 k = static_cast<__mmask16>((1u << nr) - 1u);
+  const __m512 vzero = _mm512_setzero_ps();
+  const __m512 sign_mask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
+  __m512 vamax = vzero;
+  const auto requant = [&](std::int64_t r, const __m512i acc) {
+    const __m512i a =
+        _mm512_sub_epi32(acc, _mm512_set1_epi32(ep.corr ? ep.corr[r] : 0));
+    __m512 v = _mm512_fmadd_ps(_mm512_cvtepi32_ps(a),
+                               _mm512_set1_ps(ep.act_scale * ep.scales[r]),
+                               _mm512_set1_ps(ep.bias ? ep.bias[r] : 0.0f));
+    if (ep.relu) v = _mm512_max_ps(v, vzero);
+    _mm512_mask_storeu_ps(y + r * ldy, k, v);
+    vamax = _mm512_max_ps(vamax,
+                          _mm512_and_ps(sign_mask, _mm512_maskz_mov_ps(k, v)));
+  };
   const __m512i rows[kMrS8] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  for (int i = 0; i < kMrS8; ++i) {
-    _mm512_storeu_si512(acc + i * kNrS8, rows[i]);
+#pragma GCC unroll 8
+  for (std::int64_t r = 0; r < kMrS8; ++r) {
+    if (r < mr) requant(r, rows[r]);
   }
+  if (ep.amax) *ep.amax = std::max(*ep.amax, _mm512_reduce_max_ps(vamax));
 }
 
 /// Head (nt) shape: the broadcast side is unsigned activation rows read
@@ -136,24 +170,28 @@ inline void micro_u8x_block(std::int64_t kq, const std::uint8_t* __restrict x,
 
 #else  // generic fallback: identical integer semantics, portable ISA
 
-inline void micro_s8_block(std::int64_t kq, const std::int8_t* __restrict ap,
-                           const std::uint8_t* __restrict bp,
-                           std::int32_t* __restrict acc) {
-  std::memset(acc, 0, static_cast<std::size_t>(kMrS8 * kNrS8) *
-                          sizeof(std::int32_t));
+inline void micro_s8_quads(std::int64_t kq, const std::int8_t* __restrict ap,
+                           const std::uint8_t* base,
+                           const std::int32_t* __restrict qoff,
+                           const std::int32_t* __restrict lane, bool /*run*/,
+                           const S8Epilogue& ep, std::int64_t mr,
+                           std::int64_t nr, float* __restrict y,
+                           std::int64_t ldy) {
+  std::int32_t acc[kMrS8 * kNrS8] = {};
   for (std::int64_t q = 0; q < kq; ++q) {
     const std::int8_t* a = ap + q * kMrS8 * 4;
-    const std::uint8_t* b = bp + q * kNrS8 * 4;
-    for (int i = 0; i < kMrS8; ++i) {
-      std::int32_t* arow = acc + i * kNrS8;
-      for (int t = 0; t < 4; ++t) {
-        const std::int32_t av = a[i * 4 + t];
-        for (int j = 0; j < kNrS8; ++j) {
-          arow[j] += av * static_cast<std::int32_t>(b[j * 4 + t]);
-        }
+    const std::uint8_t* bq = base + qoff[q];
+    for (int j = 0; j < kNrS8; ++j) {
+      const std::uint8_t* b = bq + lane[j];
+      for (int i = 0; i < kMrS8; ++i) {
+        acc[i * kNrS8 + j] += a[i * 4] * static_cast<std::int32_t>(b[0]) +
+                              a[i * 4 + 1] * static_cast<std::int32_t>(b[1]) +
+                              a[i * 4 + 2] * static_cast<std::int32_t>(b[2]) +
+                              a[i * 4 + 3] * static_cast<std::int32_t>(b[3]);
       }
     }
   }
+  requant_rows(acc, kNrS8, mr, nr, ep, y, ldy);
 }
 
 inline void micro_u8x_block(std::int64_t kq, const std::uint8_t* __restrict x,
@@ -180,27 +218,6 @@ inline void micro_u8x_block(std::int64_t kq, const std::uint8_t* __restrict x,
 #endif  // RT_MICROKERNEL_S8_VNNI
 
 }  // namespace detail
-
-/// Adds the leading mr x nr sub-block of a computed kMrS8 x kNrS8
-/// accumulator tile into C (int32, leading dimension ldc). The packed
-/// operands are zero-padded to full extents, so only the writeback clips.
-inline void acc_block_add(const std::int32_t* __restrict acc,
-                          std::int32_t* __restrict c, std::int64_t ldc,
-                          std::int64_t mr, std::int64_t nr) {
-  if (mr == kMrS8 && nr == kNrS8) {
-    for (std::int64_t i = 0; i < kMrS8; ++i) {
-      std::int32_t* crow = c + i * ldc;
-      const std::int32_t* arow = acc + i * kNrS8;
-      for (std::int64_t j = 0; j < kNrS8; ++j) crow[j] += arow[j];
-    }
-    return;
-  }
-  for (std::int64_t i = 0; i < mr; ++i) {
-    std::int32_t* crow = c + i * ldc;
-    const std::int32_t* arow = acc + i * kNrS8;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
-  }
-}
 
 /// Packs a row-major s8 matrix (rows x cols) into consecutive kMrS8 row
 /// panels at `ap` (size round_up(rows, kMrS8) * round_up4(cols) bytes).
@@ -244,35 +261,6 @@ inline void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
                                ? b[(jr + j) * cols + k]
                                : std::int8_t{0};
         }
-      }
-    }
-  }
-}
-
-/// Packs rows [k0, k0+kb) x cols [j0, j0+nb) of a row-major u8 matrix
-/// (ldb == stored column count) into kNrS8 quad slivers at `bp`. One sliver
-/// occupies round_up4(kb) * kNrS8 bytes; out-of-range bytes take `pad`
-/// (128 == the offset-u8 encoding of zero).
-inline void pack_b_quads_u8(const std::uint8_t* b, std::int64_t ldb,
-                            std::int64_t k0, std::int64_t kb, std::int64_t j0,
-                            std::int64_t nb, std::uint8_t* bp,
-                            std::uint8_t pad = 128) {
-  const std::int64_t kb4 = round_up4(kb);
-  for (std::int64_t jr = 0; jr < nb; jr += kNrS8) {
-    const std::int64_t n_eff = std::min(kNrS8, nb - jr);
-    std::uint8_t* sliver = bp + jr * kb4;
-    for (std::int64_t q = 0; q < kb4 / 4; ++q) {
-      std::uint8_t* dst = sliver + q * kNrS8 * 4;
-      for (std::int64_t t = 0; t < 4; ++t) {
-        const std::int64_t p = 4 * q + t;
-        if (p >= kb) {
-          for (std::int64_t j = 0; j < kNrS8; ++j) dst[j * 4 + t] = pad;
-          continue;
-        }
-        const std::uint8_t* brow = b + (k0 + p) * ldb + j0 + jr;
-        std::int64_t j = 0;
-        for (; j < n_eff; ++j) dst[j * 4 + t] = brow[j];
-        for (; j < kNrS8; ++j) dst[j * 4 + t] = pad;
       }
     }
   }

@@ -133,8 +133,8 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
   // layer forced to CSR, where compile splits its convs between the integer
   // tap loop and panels expanded from the CSR values (s8_csr_runs_taps);
   // then a 70%-channel-pruned model, whose compact layers run the kernel
-  // over their kept rows and scatter in place. Every variant stages some
-  // convs from the Workspace's padded planes.
+  // over their kept rows and scatter in place. Every variant quantizes some
+  // convs' inputs into the Workspace's channel-quad planes.
   ResNet chan_model(cfg, rng);
   omp_prune(chan_model,
             OmpConfig{0.7f, Granularity::kChannel, /*include_head=*/false});
@@ -152,7 +152,7 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
     const CompiledTicket plan =
         Engine::compile(chan ? chan_model : model, options);
     ASSERT_TRUE(plan.int8_native());
-    EXPECT_GT(plan.s8_pad_bytes(), 0);
+    EXPECT_GT(plan.s8_quad_bytes(), 0);
     if (csr) {
       int taps = 0, panels = 0;
       for (const LayerPlan& l : plan.layers()) {
@@ -172,14 +172,14 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
     Session session(plan, /*max_batch=*/4);
 
     Tensor logits({4, 10});
-    // Warm-up: DecodeTable growth plus first touch of the quantized scratch
-    // (qin/acc/pad workspace slabs, the kernels' thread_local staging).
+    // Warm-up: first touch of the quantized scratch (the qin/acc workspace
+    // slabs) and the Session's workspace pool.
     session.run_rows(x.data(), 4, logits.data());
     audit::AllocGuard guard("Session::run_rows int8");
     session.run_rows(x.data(), 4, logits.data());
     EXPECT_EQ(guard.allocations(), 0)
         << "int8 run_rows steady state must run out of the arena workspace "
-           "and fixed thread_local staging (no per-call gather/acc buffers)";
+           "(no per-call quantize/acc buffers)";
     Tensor again({4, 10});
     session.run_rows(x.data(), 4, again.data());
     EXPECT_EQ(logits.linf_distance(again), 0.0f)

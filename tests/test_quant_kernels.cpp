@@ -2,11 +2,12 @@
 // linalg/conv s8 paths, engine int8-native plans):
 //
 //  - kernel-level parity against exact integer references at awkward extents
-//    (the int32 accumulator is exact, so the raw sums must match EXACTLY;
-//    the float requant is one expression per output and is compared at float
-//    rounding tolerance — FMA contraction may associate it differently),
-//  - the two B stagings (padded plane, index table) must agree bitwise, at
-//    full depth and deep k, and a batch must equal its samples run alone,
+//    (the int32 accumulator is exact, and the conv's float requant is one
+//    fused multiply-add per output on every ISA, so conv outputs must match
+//    the std::fma reference EXACTLY),
+//  - the channel-quad quantizer must equal quantize_u8 byte for byte, and a
+//    conv batch must equal its samples run alone, whichever of the 64-byte
+//    load and the gather forms a sliver's operand,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
 //    documented tolerance, bitwise determinism across runs, <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
@@ -53,75 +54,65 @@ std::vector<std::uint8_t> random_u8(std::int64_t count, Rng& rng) {
   return out;
 }
 
-/// The requant expression the kernels implement, spelled exactly once here.
+/// The requant expression requant_rows implements, spelled exactly once
+/// here: one rounding of the product and the bias sum.
 float requant_ref(std::int32_t acc, std::int32_t corr, float sx, float sw,
                   float bias, bool relu) {
-  float y = static_cast<float>(acc - corr) * (sx * sw) + bias;
+  float y = std::fma(static_cast<float>(acc - corr), sx * sw, bias);
   if (relu && y < 0.0f) y = 0.0f;
   return y;
 }
 
-/// Float comparison for requantized outputs: the kernel may contract the
-/// scale multiply and bias add into an FMA, so demand agreement only to a
-/// few ULP of the reference magnitude.
+/// Float comparison for the head's requantized outputs: gemm_s8_nt keeps
+/// its own epilogue, (acc - corr) * sx * sw + bias, which the compiler may
+/// contract into an FMA on native builds, so it agrees with requant_ref
+/// only to a few ULP of the reference magnitude.
 void expect_requant_near(float got, float want, const char* what,
                          std::int64_t index) {
   const float tol = 1e-5f * std::max(1.0f, std::fabs(want));
   ASSERT_NEAR(got, want, tol) << what << " index=" << index;
 }
 
-TEST(QuantGemm, NnMatchesIntegerReferenceAtAwkwardExtents) {
-  Rng rng(7);
-  // Extents straddle the 8x16 tile and quad-of-4 k grouping boundaries.
-  const struct { std::int64_t m, n, k; float zf; } cases[] = {
-      {1, 1, 1, 0.0f},   {3, 5, 2, 0.0f},   {8, 16, 4, 0.0f},
-      {9, 17, 5, 0.0f},  {24, 33, 70, 0.0f}, {13, 40, 129, 0.9f},
-  };
-  for (const auto& c : cases) {
-    const auto qa = random_s8(c.m * c.k, rng, c.zf);
-    const auto qb = random_u8(c.k * c.n, rng);
-    PackedS8 packed;
-    packed.pack(qa.data(), c.m, c.k);
-    std::vector<float> scales(static_cast<std::size_t>(c.m));
-    std::vector<float> bias(static_cast<std::size_t>(c.m));
-    for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
-    for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
-    const float sx = 0.011f;
-
+TEST(QuantHelpers, RequantRowsIsOneFusedMultiplyAdd) {
+  // Outputs where (acc - corr) * s and the bias sum round differently when
+  // rounded twice: a mul-then-add epilogue misses about a third of them by
+  // one ulp, so this pins the vector and scalar paths to the same bits.
+  Rng rng(29);
+  const std::int64_t rows = 8, cols = 37;
+  std::vector<std::int32_t> acc(static_cast<std::size_t>(rows * cols));
+  for (auto& v : acc) v = rng.uniform_int(-200000, 200000);
+  std::vector<std::int32_t> corr(static_cast<std::size_t>(rows));
+  std::vector<float> scales(static_cast<std::size_t>(rows));
+  std::vector<float> bias(static_cast<std::size_t>(rows));
+  for (auto& c : corr) c = 128 * rng.uniform_int(-2000, 2000);
+  for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
+  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
+  const float sx = 0.0137f;
+  for (const bool relu : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "relu=" << relu);
     S8Epilogue ep;
     ep.scales = scales.data();
     ep.act_scale = sx;
+    ep.corr = corr.data();
     ep.bias = bias.data();
-    ep.relu = true;
+    ep.relu = relu;
     float amax = 0.0f;
     ep.amax = &amax;
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(c.m * c.n));
-    std::vector<float> got(static_cast<std::size_t>(c.m * c.n));
-    gemm_s8_nn(c.m, c.n, c.k, packed, qb.data(), acc.data(), got.data(), ep);
-
-    float ref_amax = 0.0f;
-    for (std::int64_t i = 0; i < c.m; ++i) {
-      for (std::int64_t j = 0; j < c.n; ++j) {
-        // Exact integer dot product of the SIGNED operands — the u8 offset
-        // and its packed correction must cancel perfectly.
-        std::int64_t sum = 0;
-        for (std::int64_t p = 0; p < c.k; ++p) {
-          const int xa = qa[static_cast<std::size_t>(i * c.k + p)];
-          const int xb =
-              static_cast<int>(qb[static_cast<std::size_t>(p * c.n + j)]) -
-              128;
-          sum += xa * xb;
-        }
+    std::vector<float> y(static_cast<std::size_t>(rows * cols));
+    requant_rows(acc.data(), cols, rows, cols, ep, y.data(), cols);
+    float want_amax = 0.0f;
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const auto at = static_cast<std::size_t>(r * cols + j);
         const float want = requant_ref(
-            static_cast<std::int32_t>(sum), 0, sx,
-            scales[static_cast<std::size_t>(i)],
-            bias[static_cast<std::size_t>(i)], true);
-        expect_requant_near(got[static_cast<std::size_t>(i * c.n + j)], want,
-                            "gemm_s8_nn", i * c.n + j);
-        ref_amax = std::max(ref_amax, std::fabs(want));
+            acc[at], corr[static_cast<std::size_t>(r)], sx,
+            scales[static_cast<std::size_t>(r)],
+            bias[static_cast<std::size_t>(r)], relu);
+        ASSERT_EQ(y[at], want) << "row=" << r << " col=" << j;
+        want_amax = std::max(want_amax, std::fabs(want));
       }
     }
-    EXPECT_NEAR(amax, ref_amax, 1e-5f * std::max(1.0f, ref_amax));
+    EXPECT_EQ(amax, want_amax);
   }
 }
 
@@ -202,9 +193,10 @@ TEST(QuantHelpers, AxpyMatchesScalarAtAllLengths) {
   }
 }
 
-/// Integer im2col reference for the s8 conv: exact signed accumulation,
-/// then the shared requant expression.
-std::vector<float> conv_s8_reference(const std::vector<std::uint8_t>& xq,
+/// Integer im2col reference for the s8 conv over a plain (c_in, h, w)
+/// offset-u8 plane: exact signed accumulation, then the shared requant
+/// expression.
+std::vector<float> conv_s8_reference(const std::uint8_t* xq,
                                      std::int64_t c_in, std::int64_t h,
                                      std::int64_t w, const ConvGeometry& g,
                                      const std::vector<std::int8_t>& qw,
@@ -227,9 +219,7 @@ std::vector<float> conv_s8_reference(const std::vector<std::uint8_t>& xq,
           const std::int64_t jj = oj * g.stride - g.padding + kj;
           int xb = 0;  // out-of-image taps contribute exact zero
           if (ii >= 0 && ii < h && jj >= 0 && jj < w) {
-            xb = static_cast<int>(
-                     xq[static_cast<std::size_t>((c * h + ii) * w + jj)]) -
-                 128;
+            xb = static_cast<int>(xq[(c * h + ii) * w + jj]) - 128;
           }
           sum += static_cast<int>(qw[static_cast<std::size_t>(r * ckk + p)]) *
                  xb;
@@ -244,159 +234,215 @@ std::vector<float> conv_s8_reference(const std::vector<std::uint8_t>& xq,
   return y;
 }
 
-/// Runs conv2d_forward_batch_s8 over n samples (sample stride x_stride in,
-/// y_stride out, slack filled with -7) with its scratch sized exactly as the
-/// kernel documents. `table` selects index-table staging, else padded planes.
-std::vector<float> run_conv_s8(const std::vector<std::uint8_t>& xq,
-                               std::int64_t n, std::int64_t x_stride,
-                               std::int64_t ci, std::int64_t h, std::int64_t w,
-                               const ConvGeometry& g, const PackedS8& packed,
-                               std::int64_t y_stride, const S8Epilogue& ep,
-                               bool table) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t co = packed.rows();
-  std::vector<std::int32_t> acc(
-      static_cast<std::size_t>(co * std::min(kNcS8, n * ohw)));
-  std::vector<std::uint8_t> pad(static_cast<std::size_t>(
-      n * ci * (h + 2 * g.padding) * (w + 2 * g.padding)));
-  const std::vector<std::int32_t> idx =
-      table ? build_s8_gather_index(ci, h, w, g) : std::vector<std::int32_t>{};
-  std::vector<float> y(static_cast<std::size_t>(n * y_stride), -7.0f);
-  conv2d_forward_batch_s8(xq.data(), n, x_stride, ci, h, w, g, packed.panels(),
-                          co, acc.data(), pad.data(), y.data(), y_stride, ep,
-                          table ? idx.data() : nullptr);
-  return y;
-}
-
-/// One sample against conv_s8_reference under both B stagings: padded
-/// planes within the requant tolerance, the index table bitwise equal.
-void check_conv_s8_sample(std::int64_t ci, std::int64_t h, std::int64_t w,
-                          std::int64_t co, const ConvGeometry& g, Rng& rng) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = ci * g.kernel * g.kernel;
-  const auto xq = random_u8(ci * h * w, rng);
-  const auto qw = random_s8(co * ckk, rng, 0.0f);
+/// One int8 conv layer and a batch of inputs for it: float samples, their
+/// plain offset-u8 planes (quantize_u8, the reference's input) and their
+/// channel-quad planes (quantize_u8_quads, the kernel's), plus the weight
+/// packed in the kernel's quad order.
+struct ConvS8Case {
+  std::int64_t n, ci, h, w, co;
+  ConvGeometry g;
+  float sx = 0.009f;
+  std::vector<std::uint8_t> plain, quads;
+  std::vector<std::int8_t> qw;
   PackedS8 packed;
-  packed.pack(qw.data(), co, ckk);
-  std::vector<float> scales(static_cast<std::size_t>(co));
-  std::vector<float> bias(static_cast<std::size_t>(co));
-  for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
-  for (auto& b : bias) b = rng.uniform(-0.5f, 0.5f);
-  const float sx = 0.009f;
-  S8Epilogue ep;
-  ep.scales = scales.data();
-  ep.act_scale = sx;
-  ep.corr = packed.corr();
-  ep.bias = bias.data();
-  ep.relu = true;
+  std::vector<std::int32_t> offsets;
+  std::vector<float> scales, bias;
 
-  const std::vector<float> got =
-      run_conv_s8(xq, 1, ci * h * w, ci, h, w, g, packed, co * ohw, ep, false);
-  const std::vector<float> want =
-      conv_s8_reference(xq, ci, h, w, g, qw, co, scales, sx, bias, true);
-  for (std::size_t i = 0; i < want.size(); ++i) {
-    expect_requant_near(got[i], want[i], "conv_s8",
-                        static_cast<std::int64_t>(i));
+  ConvS8Case(std::int64_t n_, std::int64_t ci_, std::int64_t h_,
+             std::int64_t w_, std::int64_t co_, const ConvGeometry& g_,
+             float zero_fraction, Rng& rng)
+      : n(n_), ci(ci_), h(h_), w(w_), co(co_), g(g_) {
+    std::vector<float> x(static_cast<std::size_t>(n * ci * h * w));
+    for (auto& v : x) v = rng.uniform(-1.3f, 1.3f);  // some clamp at +-127
+    plain.resize(x.size());
+    quantize_u8(x.data(), n * ci * h * w, sx, plain.data());
+    quads.resize(static_cast<std::size_t>(
+        n * s8_quad_plane_bytes(ci, h, w, g.padding)));
+    quantize_u8_quads(x.data(), n, ci, h, w, g.padding, sx, quads.data());
+    const std::int64_t ckk = ci * g.kernel * g.kernel;
+    qw = random_s8(co * ckk, rng, zero_fraction);
+    const std::vector<std::int8_t> reordered =
+        conv_s8_quad_weights(qw.data(), co, ci, g.kernel);
+    packed.pack(reordered.data(), co,
+                static_cast<std::int64_t>(reordered.size()) / co);
+    offsets = conv_s8_quad_offsets(ci, h, w, g);
+    scales.resize(static_cast<std::size_t>(co));
+    bias.resize(static_cast<std::size_t>(co));
+    for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
+    for (auto& b : bias) b = rng.uniform(-0.5f, 0.5f);
   }
-  // The index table must reproduce the padded-plane staging EXACTLY — same
-  // integer sums, same single float expression per output.
-  const std::vector<float> got_table =
-      run_conv_s8(xq, 1, ci * h * w, ci, h, w, g, packed, co * ohw, ep, true);
-  ASSERT_EQ(got, got_table) << "table staging diverged";
+
+  std::int64_t ohw() const { return g.out_extent(h) * g.out_extent(w); }
+
+  S8Epilogue epilogue(float* amax) const {
+    S8Epilogue ep;
+    ep.scales = scales.data();
+    ep.act_scale = sx;
+    ep.corr = packed.corr();
+    ep.bias = bias.data();
+    ep.relu = true;
+    ep.amax = amax;
+    return ep;
+  }
+
+  /// Runs conv2d_forward_s8 over samples [i0, i0 + count) with output
+  /// sample stride y_stride (slack filled with -7).
+  std::vector<float> run(std::int64_t i0, std::int64_t count,
+                         std::int64_t y_stride, float* amax) const {
+    std::vector<float> y(static_cast<std::size_t>(count * y_stride), -7.0f);
+    conv2d_forward_s8(
+        quads.data() + i0 * s8_quad_plane_bytes(ci, h, w, g.padding), count,
+        ci, h, w, g, packed.panels(), offsets.data(), co, y.data(), y_stride,
+        epilogue(amax));
+    return y;
+  }
+};
+
+/// Every sample of a batch against conv_s8_reference, exactly; also checks
+/// that the u8 offset's packed correction cancels (the reference runs on
+/// signed values with no correction) and that the epilogue's amax equals the
+/// reference outputs' max |y|.
+void check_conv_s8(std::int64_t n, std::int64_t ci, std::int64_t h,
+                   std::int64_t w, std::int64_t co, const ConvGeometry& g,
+                   Rng& rng) {
+  const ConvS8Case c(n, ci, h, w, co, g, 0.0f, rng);
+  const std::int64_t out_f = co * c.ohw();
+  float amax = 0.0f;
+  const std::vector<float> got = c.run(0, n, out_f, &amax);
+  float want_amax = 0.0f;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::vector<float> want =
+        conv_s8_reference(c.plain.data() + i * ci * h * w, ci, h, w, g, c.qw,
+                          co, c.scales, c.sx, c.bias, true);
+    for (std::int64_t j = 0; j < out_f; ++j) {
+      ASSERT_EQ(got[static_cast<std::size_t>(i * out_f + j)],
+                want[static_cast<std::size_t>(j)])
+          << "sample=" << i << " index=" << j;
+      want_amax =
+          std::max(want_amax, std::fabs(want[static_cast<std::size_t>(j)]));
+    }
+  }
+  EXPECT_EQ(amax, want_amax);
 }
 
-TEST(QuantConv, MatchesReferenceAndStagingsAgreeBitwise) {
+TEST(QuantConv, MatchesReference) {
+  // Covers c_in of 3 and 5 (the last channel quad part padding), tail
+  // slivers (n * OH*OW not a multiple of 16), slivers spanning 4 samples
+  // (2x2 outputs), stride 2, 1x1 pad 0, 5x5 pad 2, and both operand forms:
+  // 16-wide stride-1 output row runs load, everything else gathers (21-wide
+  // rows mix the two; 17-wide stride-2 rows must gather).
   Rng rng(17);
-  const struct { std::int64_t ci, h, w, co; std::int64_t k, s, p; } cases[] = {
-      {3, 16, 16, 8, 3, 1, 1},  {8, 16, 16, 16, 3, 2, 1},
-      {16, 8, 8, 16, 3, 1, 1},  {64, 2, 2, 64, 3, 1, 1},
-      {8, 16, 16, 16, 1, 2, 0}, {5, 7, 9, 11, 3, 1, 1},
-      {4, 5, 5, 6, 5, 2, 2},    {16, 8, 8, 12, 1, 1, 0},
+  const struct { std::int64_t n, ci, h, w, co, k, s, p; } cases[] = {
+      {1, 3, 16, 16, 8, 3, 1, 1},  {1, 8, 16, 16, 16, 3, 2, 1},
+      {1, 16, 8, 8, 16, 3, 1, 1},  {1, 64, 2, 2, 64, 3, 1, 1},
+      {1, 8, 16, 16, 16, 1, 2, 0}, {1, 5, 7, 9, 11, 3, 1, 1},
+      {1, 4, 5, 5, 6, 5, 2, 2},    {1, 16, 8, 8, 12, 1, 1, 0},
+      {5, 12, 2, 2, 20, 3, 1, 1},  {3, 5, 19, 21, 9, 3, 1, 1},
+      {2, 3, 16, 16, 8, 3, 1, 1},  {1, 4, 33, 34, 8, 3, 2, 1},
   };
   for (const auto& c : cases) {
-    SCOPED_TRACE(testing::Message() << "ci=" << c.ci << " h=" << c.h
+    SCOPED_TRACE(testing::Message() << "n=" << c.n << " ci=" << c.ci
+                                    << " h=" << c.h << " w=" << c.w
                                     << " k=" << c.k << " s=" << c.s);
     ConvGeometry g;
     g.kernel = c.k;
     g.stride = c.s;
     g.padding = c.p;
-    check_conv_s8_sample(c.ci, c.h, c.w, c.co, g, rng);
+    check_conv_s8(c.n, c.ci, c.h, c.w, c.co, g, rng);
   }
 }
 
-TEST(QuantConv, DeepKMatchesReference) {
-  // round_up4(C*k*k) = 1152 > kKcFullS8: the kernel blocks over k through
-  // its int32 accumulator instead of accumulating in registers.
+TEST(QuantConv, WideChannelsMatchReference) {
+  // round_up4(C*k*k) = 1152: the whole depth accumulates in registers, as
+  // every layer does.
   Rng rng(23);
   for (const std::int64_t stride : {1, 2}) {
     SCOPED_TRACE(testing::Message() << "stride=" << stride);
     ConvGeometry g;
     g.stride = stride;
-    ASSERT_GT(round_up4(128 * 9), kKcFullS8);
-    check_conv_s8_sample(128, 9, 9, 20, g, rng);
+    check_conv_s8(2, 128, 9, 9, 20, g, rng);
   }
 }
 
 TEST(QuantConv, BatchMatchesPerSampleBitwise) {
   // batch(n) must be memcmp-equal to n calls of batch(1): the bits may not
-  // depend on which samples share a column tile. The 3x3 case stages
-  // 17 * 16 KiB of padded planes (more than 256 KiB, so the staging must
-  // scale with the caller's buffer); the deep-k case's 12 * 25 columns
-  // cross a 256-column tile.
+  // depend on which samples share a sliver, nor on whether a sliver's
+  // operand came from the 64-byte load or the gather. 30-wide outputs mix
+  // both forms; 2x2 outputs put 4 samples in every sliver and end on a
+  // partial one.
   Rng rng(19);
   const struct { std::int64_t n, ci, h, w, co, s; } cases[] = {
       {17, 16, 30, 30, 11, 1},
       {12, 128, 9, 9, 20, 2},
+      {9, 5, 2, 2, 12, 1},
   };
-  for (const auto& c : cases) {
-    for (const bool table : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "ci=" << c.ci << " table=" << table);
-      ConvGeometry g;  // 3x3, pad 1
-      g.stride = c.s;
-      const std::int64_t ohw = g.out_extent(c.h) * g.out_extent(c.w);
-      const std::int64_t ckk = c.ci * 9;
-      const std::int64_t x_stride = c.ci * c.h * c.w + 3;  // sample slack
-      const std::int64_t y_stride = c.co * ohw + 5;
-      std::vector<std::uint8_t> xq(static_cast<std::size_t>(c.n * x_stride),
-                                   128);
-      for (std::int64_t i = 0; i < c.n; ++i) {
-        const auto plane = random_u8(c.ci * c.h * c.w, rng);
-        std::copy(plane.begin(), plane.end(),
-                  xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride));
-      }
-      const auto qw = random_s8(c.co * ckk, rng, 0.3f);
-      PackedS8 packed;
-      packed.pack(qw.data(), c.co, ckk);
-      std::vector<float> scales(static_cast<std::size_t>(c.co), 0.01f);
-      std::vector<float> bias(static_cast<std::size_t>(c.co), 0.25f);
-      S8Epilogue ep;
-      ep.scales = scales.data();
-      ep.act_scale = 0.012f;
-      ep.corr = packed.corr();
-      ep.bias = bias.data();
-      ep.relu = true;
+  for (const auto& k : cases) {
+    SCOPED_TRACE(testing::Message() << "ci=" << k.ci << " h=" << k.h);
+    ConvGeometry g;  // 3x3, pad 1
+    g.stride = k.s;
+    const ConvS8Case c(k.n, k.ci, k.h, k.w, k.co, g, 0.3f, rng);
+    const std::int64_t y_stride = k.co * c.ohw() + 5;
+    float amax_single = 0.0f;
+    std::vector<float> want;
+    for (std::int64_t i = 0; i < k.n; ++i) {
+      const std::vector<float> yi = c.run(i, 1, y_stride, &amax_single);
+      want.insert(want.end(), yi.begin(), yi.end());
+    }
+    float amax_batch = 0.0f;
+    const std::vector<float> got = c.run(0, k.n, y_stride, &amax_batch);
+    ASSERT_EQ(got.size(), want.size());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+              0)
+        << "batched conv diverged from per-sample calls";
+    EXPECT_EQ(amax_batch, amax_single);
+  }
+}
 
-      float amax_single = 0.0f;
-      ep.amax = &amax_single;
-      std::vector<float> want;
-      for (std::int64_t i = 0; i < c.n; ++i) {
-        const std::vector<std::uint8_t> xi(
-            xq.begin() + static_cast<std::ptrdiff_t>(i * x_stride),
-            xq.begin() + static_cast<std::ptrdiff_t>((i + 1) * x_stride));
-        const std::vector<float> yi = run_conv_s8(
-            xi, 1, x_stride, c.ci, c.h, c.w, g, packed, y_stride, ep, table);
-        want.insert(want.end(), yi.begin(), yi.end());
+TEST(QuantHelpers, QuadPlanesMatchQuantizeU8) {
+  // Byte t of quad (cq, y, x) must be quantize_u8's byte for channel
+  // 4cq + t at pixel (y - pad, x - pad), and 128 on the border and for
+  // channels past c. Inputs hit exact .5 ties (scales 1 and 0.25 make
+  // x / scale exact), the +-127 clamp, and a 19-wide row (one full and one
+  // partial 16-lane step); scale 0 stores the zero encoding everywhere.
+  Rng rng(31);
+  const std::int64_t n = 2, c = 5, h = 3, w = 19;
+  std::vector<float> x(static_cast<std::size_t>(n * c * h * w));
+  const float ties[] = {0.5f, -0.5f, 1.5f, -2.5f, 126.5f, -126.5f, 127.5f};
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    x[i] = i % 3 == 0 ? ties[i / 3 % 7]
+                      : (i % 3 == 1 ? rng.uniform(-300.0f, 300.0f)
+                                    : rng.uniform(-2.0f, 2.0f));
+  }
+  for (const float scale : {1.0f, 0.25f, 0.013f, 0.0f}) {
+    std::vector<std::uint8_t> plain(x.size());
+    quantize_u8(x.data(), static_cast<std::int64_t>(x.size()), scale,
+                plain.data());
+    for (const std::int64_t pad : {0, 1, 2}) {
+      SCOPED_TRACE(testing::Message() << "scale=" << scale << " pad=" << pad);
+      const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
+      const std::int64_t bytes = s8_quad_plane_bytes(c, h, w, pad);
+      ASSERT_EQ(bytes, 2 * ph * pw * 4);
+      std::vector<std::uint8_t> q(static_cast<std::size_t>(n * bytes), 7);
+      quantize_u8_quads(x.data(), n, c, h, w, pad, scale, q.data());
+      for (std::int64_t i = 0; i < n; ++i) {
+        for (std::int64_t ch = 0; ch < 8; ++ch) {
+          for (std::int64_t yy = 0; yy < ph; ++yy) {
+            for (std::int64_t xx = 0; xx < pw; ++xx) {
+              const std::int64_t iy = yy - pad, ix = xx - pad;
+              const bool inside =
+                  ch < c && iy >= 0 && iy < h && ix >= 0 && ix < w;
+              const std::uint8_t want =
+                  inside ? plain[static_cast<std::size_t>(
+                               ((i * c + ch) * h + iy) * w + ix)]
+                         : std::uint8_t{128};
+              const std::uint8_t got = q[static_cast<std::size_t>(
+                  i * bytes + ((ch / 4 * ph + yy) * pw + xx) * 4 + ch % 4)];
+              ASSERT_EQ(got, want) << "i=" << i << " ch=" << ch << " y=" << yy
+                                   << " x=" << xx;
+            }
+          }
+        }
       }
-      float amax_batch = 0.0f;
-      ep.amax = &amax_batch;
-      const std::vector<float> got = run_conv_s8(
-          xq, c.n, x_stride, c.ci, c.h, c.w, g, packed, y_stride, ep, table);
-      ASSERT_EQ(got.size(), want.size());
-      EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                            got.size() * sizeof(float)),
-                0)
-          << "batched conv diverged from per-sample calls";
-      EXPECT_EQ(amax_batch, amax_single);
     }
   }
 }
