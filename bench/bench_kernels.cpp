@@ -108,9 +108,10 @@ BENCHMARK(BM_GemmNNThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The training-path convolution pair (forward + full backward) across the
 // four ResNet-18 residual-body shapes at 32x32 input resolution, measured at
-// the kernel layer. Arg 0 runs the im2col reference (materialized column
-// buffer + legacy streaming GEMM cores — the pre-fusion baseline), Arg 1 the
-// fused implicit-GEMM kernels. Items == FLOPs, so items_per_second is
+// the kernel layer: forward and dgrad as one batched call each, wgrad per
+// sample, as Conv2d runs them. Arg 0 runs the im2col reference (materialized
+// column buffer + legacy streaming GEMM cores — the pre-fusion baseline),
+// Arg 1 the implicit-GEMM kernels. Items == FLOPs, so items_per_second is
 // directly comparable between the two.
 void BM_ConvTrain(benchmark::State& state) {
   const bool implicit = state.range(0) == 1;
@@ -138,9 +139,13 @@ void BM_ConvTrain(benchmark::State& state) {
     // forward + wgrad + dgrad each cost 2 * ch^2 * 9 * h * w MACs per sample.
     flops_per_iter += 3 * kBatch * 2 * s.ch * ckk * s.h * s.w;
   }
+  rt::ConvScratch scratch;
+  rt::PackedWeights packed;
   rt::ConvKernelOpts opts;
   opts.algo =
       implicit ? rt::ConvAlgo::kPacked : rt::ConvAlgo::kIm2colReference;
+  opts.scratch = &scratch;
+  opts.packed_weights = &packed;
 
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -148,18 +153,18 @@ void BM_ConvTrain(benchmark::State& state) {
       const std::int64_t plane = s.ch * s.h * s.w;
       dws[l].fill_(0.0f);
       dxs[l].fill_(0.0f);
+      // The weight panels, packed once per layer and batch as Conv2d does.
+      if (implicit) packed.pack(ws[l].data(), s.ch, s.ch, geom, true, true);
+      rt::conv2d_forward(xs[l].data(), kBatch, s.ch, s.h, s.w, geom,
+                         ws[l].data(), s.ch, ys[l].data(), nullptr, false,
+                         opts);
       for (std::int64_t i = 0; i < kBatch; ++i) {
-        rt::conv2d_forward_plane(xs[l].data() + i * plane, s.ch, s.h, s.w,
-                                 geom, ws[l].data(), s.ch,
-                                 ys[l].data() + i * plane, nullptr, false,
-                                 opts);
         rt::conv2d_wgrad_plane(gs[l].data() + i * plane, xs[l].data() + i * plane,
                                s.ch, s.h, s.w, geom, s.ch, dws[l].data(),
                                opts);
-        rt::conv2d_dgrad_plane(ws[l].data(), s.ch, gs[l].data() + i * plane,
-                               s.ch, s.h, s.w, geom,
-                               dxs[l].data() + i * plane, opts);
       }
+      rt::conv2d_dgrad(ws[l].data(), s.ch, gs[l].data(), kBatch, s.ch, s.h,
+                       s.w, geom, dxs[l].data(), opts);
       benchmark::DoNotOptimize(ys[l].data());
       benchmark::DoNotOptimize(dws[l].data());
       benchmark::DoNotOptimize(dxs[l].data());
@@ -169,16 +174,24 @@ void BM_ConvTrain(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvTrain)->Arg(0)->Arg(1);
 
-// Nested-parallel conv training step: batch-outer tasks with the batch
-// deliberately smaller than the lane count, so the flat decomposition (Arg 1
-// == 0: batch-level parallel_for only, the old pool's composition limit)
-// strands lanes while the nested one (Arg 1 == 1: kernels additionally
-// split output-column tiles into stealable subtasks) backfills them. Arg 0
-// is the scheduler lane count; both modes produce bitwise-identical
-// results, so items_per_second isolates the composition win.
+/// The executing thread's staging for the packed conv kernels, as Conv2d
+/// keeps one per scheduler thread.
+rt::ConvScratch& thread_conv_scratch() {
+  thread_local rt::ConvScratch scratch;
+  return scratch;
+}
+
+// Multi-lane conv training step with the batch deliberately smaller than
+// the lane count. Arg 1 == 0 runs the batch-outer composition (one task per
+// sample running its forward, wgrad and dgrad serially), which strands the
+// lanes the batch cannot fill; Arg 1 == 1 runs Conv2d's: forward and dgrad
+// split whole slivers of the batch's column space across the lanes, wgrad
+// runs per sample with its output-column tiles split into stealable
+// subtasks. Arg 0 is the scheduler lane count; both modes produce
+// bitwise-identical results, so items_per_second isolates the composition.
 void BM_ConvTrainMT(benchmark::State& state) {
   const auto threads = static_cast<int>(state.range(0));
-  const bool nested = state.range(1) == 1;
+  const bool split = state.range(1) == 1;
   struct Shape {
     std::int64_t ch, h, w;
   };
@@ -202,9 +215,10 @@ void BM_ConvTrainMT(benchmark::State& state) {
   }
   rt::Scheduler sched(threads);
   rt::SchedulerScope scope(sched);
+  rt::PackedWeights packed;
   rt::ConvKernelOpts opts;
-  opts.algo = rt::ConvAlgo::kPacked;
-  opts.parallel_tiles = nested;
+  opts.parallel_tiles = split;
+  opts.packed_weights = &packed;
 
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -213,24 +227,51 @@ void BM_ConvTrainMT(benchmark::State& state) {
       const std::int64_t ckk = s.ch * 9;
       dws[l].fill_(0.0f);
       dxs[l].fill_(0.0f);
-      float* xd = xs[l].data();
-      float* wd = ws[l].data();
-      float* gd = gs[l].data();
+      packed.pack(ws[l].data(), s.ch, s.ch, geom, true, true);
+      const float* xd = xs[l].data();
+      const float* wd = ws[l].data();
+      const float* gd = gs[l].data();
       float* yd = ys[l].data();
       float* dxd = dxs[l].data();
       float* dwd = dws[l].data();
+      if (split) {
+        sched.parallel_for(
+            rt::conv_forward_slivers(kBatch, s.h, s.w, geom),
+            [&](std::int64_t b0, std::int64_t b1) {
+              rt::ConvKernelOpts o = opts;
+              o.sliver_begin = b0;
+              o.sliver_end = b1;
+              o.scratch = &thread_conv_scratch();
+              rt::conv2d_forward(xd, kBatch, s.ch, s.h, s.w, geom, wd, s.ch,
+                                 yd, nullptr, false, o);
+            });
+        sched.parallel_for(
+            rt::conv_dgrad_slivers(kBatch, s.h, s.w, geom),
+            [&](std::int64_t b0, std::int64_t b1) {
+              rt::ConvKernelOpts o = opts;
+              o.sliver_begin = b0;
+              o.sliver_end = b1;
+              o.scratch = &thread_conv_scratch();
+              rt::conv2d_dgrad(wd, s.ch, gd, kBatch, s.ch, s.h, s.w, geom,
+                               dxd, o);
+            });
+      }
       sched.parallel_for(
           kBatch,
-          [&, xd, wd, gd, yd, dxd, dwd](std::int64_t b0, std::int64_t b1) {
+          [&](std::int64_t b0, std::int64_t b1) {
             for (std::int64_t i = b0; i < b1; ++i) {
-              rt::conv2d_forward_plane(xd + i * plane, s.ch, s.h, s.w, geom,
-                                       wd, s.ch, yd + i * plane, nullptr,
-                                       false, opts);
+              rt::ConvKernelOpts o = opts;
+              o.scratch = &thread_conv_scratch();
+              if (!split) {
+                rt::conv2d_forward(xd + i * plane, 1, s.ch, s.h, s.w, geom,
+                                   wd, s.ch, yd + i * plane, nullptr, false,
+                                   o);
+                rt::conv2d_dgrad(wd, s.ch, gd + i * plane, 1, s.ch, s.h, s.w,
+                                 geom, dxd + i * plane, o);
+              }
               rt::conv2d_wgrad_plane(gd + i * plane, xd + i * plane, s.ch,
                                      s.h, s.w, geom, s.ch,
-                                     dwd + i * s.ch * ckk, opts);
-              rt::conv2d_dgrad_plane(wd, s.ch, gd + i * plane, s.ch, s.h,
-                                     s.w, geom, dxd + i * plane, opts);
+                                     dwd + i * s.ch * ckk, o);
             }
           },
           /*grain=*/1);
@@ -257,7 +298,6 @@ void BM_ConvTapsVsPacked(benchmark::State& state) {
   constexpr std::int64_t kBatch = 8;
   const rt::ConvGeometry geom{3, 1, 1};
   const std::int64_t ckk = ch * 9;
-  const std::int64_t plane = ch * side * side;
 
   rt::Rng rng(17);
   const rt::Tensor x = rt::Tensor::randn({kBatch, ch, side, side}, rng);
@@ -270,10 +310,12 @@ void BM_ConvTapsVsPacked(benchmark::State& state) {
   rt::Tensor dx({kBatch, ch, side, side});
 
   rt::PackedWeights packed;
-  packed.pack(w.data(), ch, ckk, /*forward=*/true, /*dgrad=*/true);
+  packed.pack(w.data(), ch, ch, geom, /*forward=*/true, /*dgrad=*/true);
+  rt::ConvScratch scratch;
   rt::ConvKernelOpts packed_opts;
   packed_opts.algo = rt::ConvAlgo::kPacked;
   packed_opts.packed_weights = &packed;
+  packed_opts.scratch = &scratch;
   const rt::ConvKernelOpts taps_opts{rt::ConvAlgo::kTaps};
   const bool rule_taps = rt::conv_runs_taps(
       rt::count_nonzeros(w.data(), w.numel()), ch, ckk, side * side);
@@ -281,16 +323,11 @@ void BM_ConvTapsVsPacked(benchmark::State& state) {
   // Seconds of forward (first) and dgrad (second) over the batch.
   const auto run = [&](const rt::ConvKernelOpts& opts) {
     const auto t0 = Clock::now();
-    for (std::int64_t i = 0; i < kBatch; ++i) {
-      rt::conv2d_forward_plane(x.data() + i * plane, ch, side, side, geom,
-                               w.data(), ch, y.data() + i * plane, nullptr,
-                               false, opts);
-    }
+    rt::conv2d_forward(x.data(), kBatch, ch, side, side, geom, w.data(), ch,
+                       y.data(), nullptr, false, opts);
     const auto t1 = Clock::now();
-    for (std::int64_t i = 0; i < kBatch; ++i) {
-      rt::conv2d_dgrad_plane(w.data(), ch, g.data() + i * plane, ch, side,
-                             side, geom, dx.data() + i * plane, opts);
-    }
+    rt::conv2d_dgrad(w.data(), ch, g.data(), kBatch, ch, side, side, geom,
+                     dx.data(), opts);
     const auto t2 = Clock::now();
     benchmark::DoNotOptimize(y.data());
     benchmark::DoNotOptimize(dx.data());

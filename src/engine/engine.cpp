@@ -102,6 +102,9 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     case PackedFormat::kChannelCompact: {
       if constexpr (requires { p.kept; }) {
         p.kept = kept;
+        for (const std::int32_t r : kept) {
+          p.kept_bias.push_back(p.bias[static_cast<std::size_t>(r)]);
+        }
         p.weight.resize(static_cast<std::size_t>(
             static_cast<std::int64_t>(kept.size()) * cols));
         for (std::size_t k = 0; k < kept.size(); ++k) {
@@ -199,9 +202,6 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
                                          : r;
             p.qexec_scales[static_cast<std::size_t>(r)] =
                 p.qscales[static_cast<std::size_t>(src)];
-            if (format == PackedFormat::kChannelCompact) {
-              p.qexec_bias.push_back(p.bias[static_cast<std::size_t>(src)]);
-            }
           }
           // Panels are host-side acceleration like the fp32 prepack (which
           // native layers skip), reported on the same line.
@@ -285,8 +285,8 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
     if (conv_runs_taps(plans.back().nnz, rows, ckk, p.out_h * p.out_w)) {
       p.algo = ConvAlgo::kTaps;
     } else {
-      p.prepacked.pack(p.weight.data(), rows, ckk, /*forward=*/true,
-                       /*dgrad=*/false);
+      p.prepacked.pack(p.weight.data(), rows, p.in_ch, p.geom,
+                       /*forward=*/true, /*dgrad=*/false);
       // The panels stay resident next to the raw weights for the plan's
       // lifetime. They are host-side acceleration, not part of the
       // shippable encoding, so they are reported separately from
@@ -366,16 +366,14 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
   return p;
 }
 
-/// Tracks the sizing maxima a Workspace needs. The implicit-GEMM conv path
-/// gathers its panels into fixed-size kernel-layer scratch, so no im2col
-/// extent is planned — only activation planes, the channel-compact epilogue
-/// buffer, and the int8 convs' channel-quad inputs.
+/// Tracks the sizing maxima a Workspace needs: activation planes and the
+/// int8 convs' channel-quad inputs. The fp32 convs' staging (ConvScratch)
+/// grows to the plan's layers on a Workspace's first run.
 struct ScratchExtents {
-  std::int64_t plane = 0, tmp = 0, ohw = 0, s8_quad = 0;
+  std::int64_t plane = 0, ohw = 0, s8_quad = 0;
 
   void cover(const PackedConv& c) {
     plane = std::max({plane, c.in_floats(), c.out_floats()});
-    tmp = std::max(tmp, c.out_floats());
     ohw = std::max(ohw, c.out_h * c.out_w);
     if (!c.qoffsets.empty()) {
       s8_quad = std::max(s8_quad, s8_quad_plane_bytes(c.in_ch, c.in_h, c.in_w,
@@ -483,7 +481,6 @@ CompiledTicket Engine::compile(const ResNet& model,
   extents.plane = std::max(extents.plane,
                            static_cast<std::int64_t>(t.feature_dim_));
   t.max_plane_floats_ = extents.plane;
-  t.tmp_floats_ = extents.tmp;
   t.max_ohw_ = extents.ohw;
   t.s8_quad_bytes_ = extents.s8_quad;
   t.int8_native_ = options.int8_weights && options.int8_native &&

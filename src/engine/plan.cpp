@@ -80,11 +80,10 @@ bool s8_csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
 Workspace::Workspace(const CompiledTicket& plan, int max_batch)
     : max_batch_(std::max(1, max_batch)) {
   const std::int64_t act = plan.max_plane_floats() * max_batch_;
-  arena_.assign(static_cast<std::size_t>(3 * act + plan.tmp_floats()), 0.0f);
+  arena_.assign(static_cast<std::size_t>(3 * act), 0.0f);
   act_[0] = arena_.data();
   act_[1] = arena_.data() + act;
   act_[2] = arena_.data() + 2 * act;
-  tmp_ = arena_.data() + 3 * act;
   if (plan.int8_native()) {
     // Quantized-activation staging: one batch of the largest plane (+4
     // bytes per sample so the head can quad-pad its feature rows in place)
@@ -166,57 +165,49 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
     }
     return;
   }
-  // Dense-style formats run the fused implicit-GEMM forward: virtual im2col
-  // panels are gathered on the fly into the packed micro-kernel layout, so
-  // the per-sample column buffer is never materialized. A compile-time
-  // choice puts masked layers on planes large enough for it onto the tap
-  // loop instead; layers the packed path executes carry compile-time
-  // pre-packed weight panels.
+  // Dense-style formats run the whole batch as one conv2d_forward call: the
+  // packed implicit GEMM over the compile-time panels, staging in the
+  // Workspace, or the tap loop a compile-time choice put masked layers on
+  // (planes large enough for it). Channel-compact layers compute their kept
+  // rows, bias and ReLU fused, into each sample's leading rows and expand
+  // them in place.
+  const bool compact = format == PackedFormat::kChannelCompact;
   ConvKernelOpts kopts;
   kopts.algo = algo;
   kopts.packed_weights = &prepacked;
+  kopts.scratch = &ws.conv_scratch();
+  kopts.y_stride = out_floats();
+  conv2d_forward(in, n, in_ch, in_h, in_w, geom, weight.data(),
+                 compact ? static_cast<std::int64_t>(kept.size()) : out_ch,
+                 out, compact ? kept_bias.data() : bias.data(), relu, kopts);
+  if (compact) expand_kept_rows(out, n, 0.0f);
+}
+
+float PackedConv::expand_kept_rows(float* out, std::int64_t n,
+                                   float amax) const {
+  // Kept row ki moves to channel kept[ki] >= ki, so walking the channels
+  // downward never overwrites a row still to move.
+  const std::int64_t ohw = out_h * out_w, out_f = out_floats();
   for (std::int64_t i = 0; i < n; ++i) {
-    const float* xi = in + i * in_floats();
-    float* yi = out + i * out_floats();
-    switch (format) {
-      case PackedFormat::kDense:
-        conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(),
-                             out_ch, yi, bias.data(), relu, kopts);
-        break;
-      case PackedFormat::kCsr:
-        break;  // handled above
-      case PackedFormat::kChannelCompact: {
-        const auto kr = static_cast<std::int64_t>(kept.size());
-        if (kr > 0) {
-          conv2d_forward_plane(xi, in_ch, in_h, in_w, geom, weight.data(), kr,
-                               ws.tmp(), /*bias=*/nullptr, /*relu=*/false,
-                               kopts);
+    float* yi = out + i * out_f;
+    auto ki = static_cast<std::int64_t>(kept.size()) - 1;
+    for (std::int64_t oc = out_ch - 1; oc >= 0; --oc) {
+      float* yrow = yi + oc * ohw;
+      if (ki >= 0 && kept[static_cast<std::size_t>(ki)] == oc) {
+        if (ki != oc) {
+          std::memcpy(yrow, yi + ki * ohw,
+                      static_cast<std::size_t>(ohw) * sizeof(float));
         }
-        // Scatter surviving rows; pruned channels carry only their folded
-        // bias (a zero conv row through BN is a per-channel constant).
-        std::int64_t ki = 0;
-        for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-          const float b = bias[static_cast<std::size_t>(oc)];
-          float* yrow = yi + oc * ohw;
-          if (ki < kr && kept[static_cast<std::size_t>(ki)] == oc) {
-            const float* trow = ws.tmp() + ki * ohw;
-            if (relu) {
-              for (std::int64_t j = 0; j < ohw; ++j) {
-                yrow[j] = std::max(trow[j] + b, 0.0f);
-              }
-            } else {
-              for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = trow[j] + b;
-            }
-            ++ki;
-          } else {
-            const float v = relu ? std::max(b, 0.0f) : b;
-            for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
-          }
-        }
-        break;
+        --ki;
+        continue;
       }
+      const float b = bias[static_cast<std::size_t>(oc)];
+      const float v = relu ? std::max(b, 0.0f) : b;
+      for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
+      amax = std::max(amax, std::fabs(v));
     }
   }
+  return amax;
 }
 
 RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
@@ -324,36 +315,14 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   ep.scales = qexec_scales.data();
   ep.act_scale = sx;
   ep.corr = qpacked.corr();
-  ep.bias = compact ? qexec_bias.data() : bias.data();
+  ep.bias = compact ? kept_bias.data() : bias.data();
   ep.relu = relu;
   ep.amax = out_amax;
   conv2d_forward_s8(ws.qin(), n, in_ch, in_h, in_w, geom, qpacked.panels(),
                     qoffsets.data(), qpacked.rows(), out, out_f, ep);
   if (!compact) return;
-  // Kept-row scatter, in place: kept row ki moves to channel kept[ki] >= ki,
-  // so walking the channels downward never overwrites a row still to move.
-  // Pruned channels carry relu(bias): their dense rows are all zero, and a
-  // dense layer's epilogue gives exactly that.
-  float amax = out_amax != nullptr ? *out_amax : 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* yi = out + i * out_f;
-    auto ki = static_cast<std::int64_t>(kept.size()) - 1;
-    for (std::int64_t oc = out_ch - 1; oc >= 0; --oc) {
-      float* yrow = yi + oc * ohw;
-      if (ki >= 0 && kept[static_cast<std::size_t>(ki)] == oc) {
-        if (ki != oc) {
-          std::memcpy(yrow, yi + ki * ohw,
-                      static_cast<std::size_t>(ohw) * sizeof(float));
-        }
-        --ki;
-        continue;
-      }
-      const float b = bias[static_cast<std::size_t>(oc)];
-      const float v = relu ? std::max(b, 0.0f) : b;
-      for (std::int64_t j = 0; j < ohw; ++j) yrow[j] = v;
-      amax = std::max(amax, std::fabs(v));
-    }
-  }
+  const float amax =
+      expand_kept_rows(out, n, out_amax != nullptr ? *out_amax : 0.0f);
   if (out_amax != nullptr) *out_amax = amax;
 }
 

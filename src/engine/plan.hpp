@@ -117,20 +117,18 @@ struct LayerPlan {
 
 class CompiledTicket;
 
-/// Pre-allocated scratch for one in-flight prediction: three rotating
-/// full-batch activation buffers plus the channel-compact epilogue scratch,
-/// all carved from one contiguous arena sized at construction, and for
-/// int8-native plans the quantized-activation and int32 buffers, sized from
-/// the compiled extents. The fp32 conv kernels stage their packed panels in
-/// fixed-size thread-local buffers and the int8 conv kernel stages nothing
-/// (no per-layer im2col extent to plan), so steady-state predict() calls
-/// perform no heap allocation.
+/// Scratch for one in-flight prediction: three rotating full-batch
+/// activation buffers carved from one contiguous arena and, for int8-native
+/// plans, the quantized-activation and int32 buffers, all sized from the
+/// compiled extents, plus the fp32 convs' staging (padded input planes and
+/// gathered slivers), which the first predict() grows to the plan's layers.
+/// Steady-state predict() calls perform no heap allocation.
 class Workspace {
  public:
   Workspace(const CompiledTicket& plan, int max_batch);
 
   float* act(int i) { return act_[static_cast<std::size_t>(i)]; }
-  float* tmp() { return tmp_; }
+  ConvScratch& conv_scratch() { return conv_; }
   int max_batch() const { return max_batch_; }
 
   /// int8-native plans only (empty otherwise): the quantized-activation
@@ -145,10 +143,10 @@ class Workspace {
 
  private:
   std::vector<float> arena_;
+  ConvScratch conv_;
   std::vector<std::uint8_t> qin_;
   std::vector<std::int32_t> acc_;
   float* act_[3] = {nullptr, nullptr, nullptr};
-  float* tmp_ = nullptr;
   int max_batch_ = 0;
 };
 
@@ -173,6 +171,9 @@ struct PackedConv {
   /// int8-native layers, which never consume fp32 panels.
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
+  /// kChannelCompact: the folded bias of the kept rows, so the bias fuses
+  /// into the kernel epilogue (fp32 or requant) exactly as for a dense layer.
+  std::vector<float> kept_bias;
   CsrMatrix csr;                   ///< kCsr
   /// Tap-executed kCsr layers (every fp32 CSR layer; int8-native ones only
   /// when s8_csr_runs_taps) carry one implicit-conv tap per nonzero:
@@ -210,10 +211,6 @@ struct PackedConv {
   bool int8_exec = false;
   PackedS8 qpacked;
   std::vector<float> qexec_scales;
-  /// kChannelCompact panel layers: the folded bias of the kept rows, indexed
-  /// like qexec_scales, so the bias fuses into the requant epilogue exactly
-  /// as it does for a dense layer. Empty otherwise.
-  std::vector<float> qexec_bias;
   /// Panel layers: the per-quad byte offsets into the channel-quad input
   /// planes (conv_s8_quad_offsets); qpacked holds the weight in the
   /// matching (ki, kj, channel quad) k order. Empty otherwise.
@@ -238,6 +235,11 @@ struct PackedConv {
   /// otherwise.
   void run_s8(const float* in, float* out, std::int64_t n, Workspace& ws,
               float in_amax, float* out_amax) const;
+  /// Channel-compact layers: moves each sample's leading kept rows (final
+  /// values) to their channels in place and fills the pruned channels with
+  /// relu(bias), a dense layer's output for an all-zero weight row. Returns
+  /// the max of `amax` and the fills' magnitudes.
+  float expand_kept_rows(float* out, std::int64_t n, float amax) const;
 };
 
 /// The classifier head with packed weights (dense or CSR).
@@ -306,8 +308,6 @@ class CompiledTicket {
 
   /// Largest per-sample activation plane across the plan (Workspace sizing).
   std::int64_t max_plane_floats() const { return max_plane_floats_; }
-  /// Largest per-sample conv output scratch (channel-compact epilogue).
-  std::int64_t tmp_floats() const { return tmp_floats_; }
   /// Largest conv output spatial plane (Workspace int8 accumulator sizing).
   std::int64_t max_ohw() const { return max_ohw_; }
   /// Per-sample bytes of the largest channel-quad input an int8 panel conv
@@ -327,7 +327,7 @@ class CompiledTicket {
   std::int64_t height_ = 0, width_ = 0, in_channels_ = 0;
   std::int64_t feat_h_ = 0, feat_w_ = 0;  ///< spatial extent entering GAP
   int num_classes_ = 0, feature_dim_ = 0;
-  std::int64_t max_plane_floats_ = 0, tmp_floats_ = 0, max_ohw_ = 0;
+  std::int64_t max_plane_floats_ = 0, max_ohw_ = 0;
   std::int64_t s8_quad_bytes_ = 0;
   bool int8_native_ = false;
   std::vector<LayerPlan> layers_;

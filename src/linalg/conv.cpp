@@ -15,126 +15,27 @@ namespace rt {
 
 namespace {
 
-// dcol tile height for the fused dgrad scatter: one (kMcScatter x kNc) tile
-// (64 KiB) is computed to completion, scattered into dX while cache-hot,
-// then reused — the full dcol buffer never exists.
-constexpr std::int64_t kMcScatter = 64;
-
-// Which executor runs forward and dgrad is the caller's ConvKernelOpts::algo,
-// chosen once per layer by conv_runs_taps (conv.hpp): taps only while the
-// weight density is at or below 0.045 * log2(OH*OW / out_ch), fit from the
-// BM_ConvTapsVsPacked grid. The kernels below never count zeros themselves.
-
-/// Decode table for flattened weight columns: column index r of the
-/// (out_ch, C*k*k) weight matrix touches input channel c[r] at kernel
-/// offset (ki[r], kj[r]). Rebuilt only when the geometry changes.
-struct DecodeTable {
-  std::int64_t c_in = -1, kernel = -1;
-  std::vector<std::int32_t> c, ki, kj;
-};
-
-const DecodeTable& decode_table(std::int64_t c_in, std::int64_t kernel) {
-  thread_local DecodeTable t;
-  if (t.c_in != c_in || t.kernel != kernel) {
-    const std::int64_t ckk = c_in * kernel * kernel;
-    t.c.resize(static_cast<std::size_t>(ckk));
-    t.ki.resize(static_cast<std::size_t>(ckk));
-    t.kj.resize(static_cast<std::size_t>(ckk));
-    for (std::int64_t r = 0; r < ckk; ++r) {
-      const std::int64_t k2 = kernel * kernel;
-      t.c[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(r / k2);
-      t.ki[static_cast<std::size_t>(r)] =
-          static_cast<std::int32_t>((r % k2) / kernel);
-      t.kj[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(r % kernel);
-    }
-    t.c_in = c_in;
-    t.kernel = kernel;
-  }
-  return t;
-}
-
-/// Gathers `count` consecutive virtual-im2col values of one column row
-/// (fixed channel plane + kernel offset) starting at flat output pixel
-/// `pixel0`. Decomposes the pixel range into output-image rows; interior
-/// runs collapse to a memcpy (stride 1) or a strided copy, border runs fall
-/// back to per-element guards.
-void gather_col_row(const float* xplane, std::int64_t h, std::int64_t w,
-                    std::int64_t stride, std::int64_t pad, std::int64_t ki,
-                    std::int64_t kj, std::int64_t ow, std::int64_t pixel0,
-                    std::int64_t count, float* dst) {
-  std::int64_t t = 0;
-  while (t < count) {
-    const std::int64_t pixel = pixel0 + t;
-    const std::int64_t oi = pixel / ow;
-    const std::int64_t oj = pixel % ow;
-    const std::int64_t run = std::min(count - t, ow - oj);
-    const std::int64_t ii = oi * stride - pad + ki;
-    if (ii < 0 || ii >= h) {
-      for (std::int64_t r = 0; r < run; ++r) dst[t + r] = 0.0f;
-      t += run;
-      continue;
-    }
-    const float* xrow = xplane + ii * w;
-    const std::int64_t jj = oj * stride - pad + kj;
-    if (jj >= 0 && jj + (run - 1) * stride < w) {
-      if (stride == 1) {
-        std::memcpy(dst + t, xrow + jj,
-                    static_cast<std::size_t>(run) * sizeof(float));
-      } else {
-        for (std::int64_t r = 0; r < run; ++r) {
-          dst[t + r] = xrow[jj + r * stride];
-        }
-      }
-    } else {
-      for (std::int64_t r = 0; r < run; ++r) {
-        const std::int64_t j2 = jj + r * stride;
-        dst[t + r] = (j2 >= 0 && j2 < w) ? xrow[j2] : 0.0f;
-      }
-    }
-    t += run;
-  }
-}
-
-/// Packs rows [kc, kc+kb) x pixels [jc, jc+nb) of the virtual im2col matrix
-/// into kNr-column slivers at `bp` — the forward path's B operand, gathered
-/// straight from the input plane in packed layout.
-void pack_col_panel(const float* x, std::int64_t h, std::int64_t w,
-                    const ConvGeometry& g, const DecodeTable& dec,
-                    std::int64_t kc, std::int64_t kb, std::int64_t jc,
-                    std::int64_t nb, std::int64_t ow, float* bp) {
-  for (std::int64_t jr = 0; jr < nb; jr += kNr) {
-    const std::int64_t n_eff = std::min(kNr, nb - jr);
-    float* sliver = bp + jr * kb;
-    const std::int64_t pixel0 = jc + jr;
-    for (std::int64_t p = 0; p < kb; ++p) {
-      const auto row = static_cast<std::size_t>(kc + p);
-      const float* xplane = x + static_cast<std::int64_t>(dec.c[row]) * h * w;
-      float* dst = sliver + p * kNr;
-      gather_col_row(xplane, h, w, g.stride, g.padding, dec.ki[row],
-                     dec.kj[row], ow, pixel0, n_eff, dst);
-      for (std::int64_t j = n_eff; j < kNr; ++j) dst[j] = 0.0f;
-    }
-  }
-}
+// Floats in one staging chunk of zero-padded sample planes (64 KiB).
+constexpr std::int64_t kStageFloats = 64 * 1024 / sizeof(float);
 
 /// Packs pixels [pc, pc+kb) x columns [jc, jc+nb) of the TRANSPOSED virtual
 /// im2col matrix (the wgrad path's B operand). The kNr column decodes are
 /// hoisted per sliver; the pixel walk is incremental, so the inner body is
 /// kNr guarded loads.
 void pack_colt_panel(const float* x, std::int64_t h, std::int64_t w,
-                     const ConvGeometry& g, const DecodeTable& dec,
-                     std::int64_t pc, std::int64_t kb, std::int64_t jc,
-                     std::int64_t nb, std::int64_t ow, float* bp) {
+                     const ConvGeometry& g, std::int64_t pc, std::int64_t kb,
+                     std::int64_t jc, std::int64_t nb, std::int64_t ow,
+                     float* bp) {
   for (std::int64_t jr = 0; jr < nb; jr += kNr) {
     const std::int64_t n_eff = std::min(kNr, nb - jr);
     float* sliver = bp + jr * kb;
     std::int64_t ki[kNr], kj[kNr];
     const float* xpl[kNr];
     for (std::int64_t j = 0; j < n_eff; ++j) {
-      const auto row = static_cast<std::size_t>(jc + jr + j);
-      ki[j] = dec.ki[row];
-      kj[j] = dec.kj[row];
-      xpl[j] = x + static_cast<std::int64_t>(dec.c[row]) * h * w;
+      const std::int64_t r = jc + jr + j;  // weight column (c, ki, kj)
+      ki[j] = r % (g.kernel * g.kernel) / g.kernel;
+      kj[j] = r % g.kernel;
+      xpl[j] = x + r / (g.kernel * g.kernel) * h * w;
     }
     std::int64_t oi = pc / ow;
     std::int64_t oj = pc % ow;
@@ -158,52 +59,6 @@ void pack_colt_panel(const float* x, std::int64_t h, std::int64_t w,
   }
 }
 
-/// Scatter-adds a computed dcol tile (rows [row0, row0+rows) x pixels
-/// [pixel0, pixel0+count), leading dimension count) into the dX plane —
-/// col2im restricted to one cache-hot tile.
-void scatter_col_tile(const float* tile, std::int64_t row0, std::int64_t rows,
-                      std::int64_t pixel0, std::int64_t count,
-                      const DecodeTable& dec, const ConvGeometry& g,
-                      std::int64_t h, std::int64_t w, std::int64_t ow,
-                      float* dx) {
-  for (std::int64_t p = 0; p < rows; ++p) {
-    const auto row = static_cast<std::size_t>(row0 + p);
-    float* xplane = dx + static_cast<std::int64_t>(dec.c[row]) * h * w;
-    const std::int64_t ki = dec.ki[row];
-    const std::int64_t kj = dec.kj[row];
-    const float* src = tile + p * count;
-    std::int64_t t = 0;
-    while (t < count) {
-      const std::int64_t pixel = pixel0 + t;
-      const std::int64_t oi = pixel / ow;
-      const std::int64_t oj = pixel % ow;
-      const std::int64_t run = std::min(count - t, ow - oj);
-      const std::int64_t ii = oi * g.stride - g.padding + ki;
-      if (ii < 0 || ii >= h) {
-        t += run;
-        continue;
-      }
-      float* xrow = xplane + ii * w;
-      const std::int64_t jj = oj * g.stride - g.padding + kj;
-      if (jj >= 0 && jj + (run - 1) * g.stride < w) {
-        if (g.stride == 1) {
-          for (std::int64_t r = 0; r < run; ++r) xrow[jj + r] += src[t + r];
-        } else {
-          for (std::int64_t r = 0; r < run; ++r) {
-            xrow[jj + r * g.stride] += src[t + r];
-          }
-        }
-      } else {
-        for (std::int64_t r = 0; r < run; ++r) {
-          const std::int64_t j2 = jj + r * g.stride;
-          if (j2 >= 0 && j2 < w) xrow[j2] += src[t + r];
-        }
-      }
-      t += run;
-    }
-  }
-}
-
 void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
                         std::int64_t plane, bool relu) {
   if (bias == nullptr && !relu) return;
@@ -220,125 +75,275 @@ void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
   }
 }
 
-/// Runs `tiles(t0, t1)` over the `count` output-column tiles of a packed
-/// kernel: as stealable subtasks when the caller asked for tile parallelism
-/// (grain 1 — a tile is already kNc columns of work), serial otherwise.
-template <typename Tiles>
-void for_each_tile(std::int64_t count, bool parallel, const Tiles& tiles) {
-  if (parallel && count > 1) {
-    Scheduler::current().parallel_for(count, tiles, /*grain=*/1);
-  } else {
-    tiles(0, count);
-  }
-}
+// ---- packed implicit GEMM (forward and every dgrad phase) -------------------
 
-// ---- forward ----------------------------------------------------------------
+/// The B operand's source: n samples of `channels` (h, w) planes, read as
+/// (ph, pw) planes with the image at (pad, pad) and zeros around it.
+struct PaddedSource {
+  const float* x;
+  std::int64_t n, channels, h, w;
+  std::int64_t pad, ph, pw;
 
-RT_HOT void forward_packed(const float* x, std::int64_t c_in, std::int64_t h,
-                           std::int64_t w, const ConvGeometry& g,
-                           const float* weight, std::int64_t out_ch, float* y,
-                           const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
+  bool staged() const { return ph != h || pw != w; }
+  std::int64_t plane() const { return channels * ph * pw; }
 
-  // Weight panels: the batch-shared pre-pack when the caller supplied one
-  // (panel ir starts at ir*ckk, its k-slice kc at + kc*kMr), else a local
-  // pack (cost 1/ohw of the MACs). The local pack must be STACK-owned when
-  // tiles go parallel: a worker blocked in the region's wait helps execute
-  // other queued tasks, which can re-enter this function on the same thread
-  // — a thread_local buffer would be republished to still-running tiles of
-  // the first call. The serial path keeps the allocation-free thread_local.
-  const float* wp;
-  thread_local std::vector<float> wpack_tl;
-  std::vector<float> wpack_frame;
-  if (opts.packed_weights != nullptr && opts.packed_weights->has_forward() &&
-      opts.packed_weights->matches(out_ch, ckk)) {
-    wp = opts.packed_weights->forward_panels();
-  } else {
-    std::vector<float>& wpack = opts.parallel_tiles ? wpack_frame : wpack_tl;
-    // Dynamic: panel size follows the layer shape. Serving never takes this
-    // branch (tickets carry pre-packed panels); training pays it per call on
-    // the parallel path only.
-    wpack.resize(  // rtlint: allow(R2) shape-dependent weight panel
-        static_cast<std::size_t>(round_up(out_ch, kMr) * ckk));
-    pack_a_rows(weight, ckk, 0, out_ch, 0, ckk, wpack.data());
-    wp = wpack.data();
-  }
-
-  // Output-column tiles are independent (each writes its own y columns and
-  // accumulates its kc panels in the fixed serial order), so they can run
-  // as stealable subtasks when the batch alone cannot fill the machine.
-  const std::int64_t tiles = (ohw + kNc - 1) / kNc;
-  for_each_tile(tiles, opts.parallel_tiles,
-                [&](std::int64_t t0, std::int64_t t1) {
-    // Per-leaf lookups: the executing thread's own decode table and pack
-    // buffer, never the spawning thread's (whose thread_locals may be
-    // rebuilt under it while it helps with unrelated tasks).
-    const DecodeTable& dec = decode_table(c_in, g.kernel);
-    thread_local float bbuf[kKc * kNc];
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t jc = t * kNc;
-      const std::int64_t nb = std::min(kNc, ohw - jc);
-      for (std::int64_t kc = 0; kc < ckk; kc += kKc) {
-        const std::int64_t kb = std::min(kKc, ckk - kc);
-        pack_col_panel(x, h, w, g, dec, kc, kb, jc, nb, ow, bbuf);
-        for (std::int64_t ir = 0; ir < out_ch; ir += kMr) {
-          const std::int64_t mr = std::min(kMr, out_ch - ir);
-          const float* ap = wp + ir * ckk + kc * kMr;
-          float* crow = y + ir * ohw + jc;
-          for (std::int64_t jr = 0; jr < nb; jr += kNr) {
-            const std::int64_t nr = std::min(kNr, nb - jr);
-            const float* bp = bbuf + jr * kb;
-            if (mr == kMr && nr == kNr) {
-              micro_kernel_full(kb, ap, bp, crow + jr, ohw);
-            } else {
-              micro_kernel_edge(kb, ap, bp, crow + jr, ohw, mr, nr);
-            }
-          }
+  /// Copies samples [s0, s1) into zero-padded planes at `dst`: padded rows
+  /// [y0, ph) of the first sample, [0, y1) of the last, all of the others.
+  void stage(std::int64_t s0, std::int64_t s1, std::int64_t y0,
+             std::int64_t y1, float* dst) const {
+    for (std::int64_t i = s0; i < s1; ++i) {
+      const std::int64_t lo = i == s0 ? y0 : 0;
+      const std::int64_t hi = i == s1 - 1 ? std::min(y1, ph) : ph;
+      for (std::int64_t c = 0; c < channels; ++c) {
+        float* d = dst + ((i - s0) * channels + c) * ph * pw;
+        const float* from = x + (i * channels + c) * h * w;
+        std::memset(d + lo * pw, 0,
+                    static_cast<std::size_t>((hi - lo) * pw) * sizeof(float));
+        for (std::int64_t r = std::max(lo, pad); r < std::min(hi, pad + h);
+             ++r) {
+          std::memcpy(d + r * pw + pad, from + (r - pad) * w,
+                      static_cast<std::size_t>(w) * sizeof(float));
         }
       }
     }
-  });
+  }
+};
+
+/// Column space: per sample a rows x cols grid. Column (i, r, c) reads B at
+/// r * src_row + c * src_col (+ roff[k]) in sample i's padded planes, within
+/// the `reach` padded rows from its first, and writes output row m at
+/// m * ldo + i * dst_sample + r * dst_row + c * dst_col.
+struct ColumnGrid {
+  std::int64_t rows, cols;
+  std::int64_t src_row, src_col, reach;
+  std::int64_t dst_sample, dst_row, dst_col;
+};
+
+/// The weight side and the epilogue: m rows in kMr panels of depth k
+/// (panel ir at panels + ir * k), whose k splits into equal `group`-deep
+/// sums added in ascending order, each the sum of its kKc-deep chunks.
+struct PanelOperand {
+  const float* panels;
+  std::int64_t m, k, group;
+  const std::int32_t* roff;
+  std::int64_t ldo;
+  const float* bias;
+  bool relu;
+  bool accumulate;  ///< start from the output's value instead of +0
+};
+
+/// One sliver: the lanes' source offsets `lane` (from `src`) and output
+/// offsets `dst_off`, nr of them real (the rest repeat the last). `direct`
+/// lanes are one contiguous run, so B row k is one vector load at
+/// src + lane[0] + roff[k]; other slivers gather their full depth into
+/// `buf` once for all panels.
+RT_HOT void run_sliver(const PanelOperand& op, const float* src,
+                       const std::int64_t* lane, bool direct, std::int64_t nr,
+                       const std::int64_t* dst_off, float* dst, float* buf) {
+  const float* b = src + lane[0];
+  if (!direct) {
+    for (std::int64_t p = 0; p < op.k; ++p) {
+      const float* row = src + op.roff[p];
+      float* d = buf + p * kNr;
+      for (std::int64_t j = 0; j < kNr; ++j) d[j] = row[lane[j]];
+    }
+  }
+  const bool contiguous =
+      nr == kNr && dst_off[kNr - 1] - dst_off[0] == kNr - 1;
+  alignas(32) float total[kMr * kNr];
+  alignas(32) float part[kMr * kNr];
+  for (std::int64_t ir = 0; ir < op.m; ir += kMr) {
+    const std::int64_t mr = std::min(kMr, op.m - ir);
+    const float* ap = op.panels + ir * op.k;
+    float* out = dst + ir * op.ldo;
+    for (std::int64_t i = 0; i < kMr; ++i) {
+      for (std::int64_t j = 0; j < kNr; ++j) {
+        total[i * kNr + j] =
+            op.accumulate && i < mr ? out[i * op.ldo + dst_off[j]] : 0.0f;
+      }
+    }
+    for (std::int64_t g0 = 0; g0 < op.k; g0 += op.group) {
+      for (std::int64_t k0 = g0; k0 < g0 + op.group; k0 += kKc) {
+        const std::int64_t kb = std::min(kKc, g0 + op.group - k0);
+        if (direct) {
+          const std::int32_t* ro = op.roff + k0;
+          micro_chunk(kb, ap + k0 * kMr,
+                      [b, ro](std::int64_t p) { return b + ro[p]; }, part,
+                      k0 == g0);
+        } else {
+          const float* bk = buf + k0 * kNr;
+          micro_chunk(kb, ap + k0 * kMr,
+                      [bk](std::int64_t p) { return bk + p * kNr; }, part,
+                      k0 == g0);
+        }
+      }
+      for (std::int64_t t = 0; t < kMr * kNr; ++t) total[t] += part[t];
+    }
+    for (std::int64_t i = 0; i < mr; ++i) {
+      // total is never -0, so a missing bias adds an exact +0.
+      float* v = total + i * kNr;
+      const float bi = op.bias != nullptr ? op.bias[ir + i] : 0.0f;
+      for (std::int64_t j = 0; j < kNr; ++j) {
+        v[j] = op.relu ? std::max(v[j] + bi, 0.0f) : v[j] + bi;
+      }
+      float* row = out + i * op.ldo;
+      if (contiguous) {
+        std::memcpy(row + dst_off[0], v, kNr * sizeof(float));
+      } else {
+        for (std::int64_t j = 0; j < nr; ++j) row[dst_off[j]] = v[j];
+      }
+    }
+  }
 }
 
-RT_HOT void forward_taps(const float* x, std::int64_t c_in, std::int64_t h,
-                         std::int64_t w, const ConvGeometry& g,
-                         const float* weight, std::int64_t out_ch, float* y) {
+/// Runs slivers [sl0, sl1) of the grid's column space over `src`'s samples,
+/// with op.roff the k offsets fill(roff) writes into the scratch, staging
+/// the padded planes chunk by chunk. A chunk ends on a sliver boundary, so
+/// every sliver's samples are staged together.
+template <typename Fill>
+RT_HOT void run_grid(PanelOperand op, const ColumnGrid& grid,
+                     const PaddedSource& src, std::int64_t sl0,
+                     std::int64_t sl1, float* dst, ConvScratch& scratch,
+                     const Fill& fill) {
+  const std::int64_t cps = grid.rows * grid.cols;
+  const std::int64_t end = std::min(sl1 * kNr, src.n * cps);
+  std::int64_t col = sl0 * kNr;
+  if (col >= end) return;
+  // Samples per staging chunk: as many padded planes as fit kStageFloats,
+  // at least one, and never fewer than one sliver spans.
+  const std::int64_t plane = src.plane();
+  const std::int64_t cap =
+      std::min(src.n, std::max(std::max<std::int64_t>(1, kStageFloats / plane),
+                               (kNr - 2 + cps) / cps + 1));
+  scratch.fit(src.staged() ? cap * plane : 0, op.k);
+  fill(scratch.offsets.data());
+  op.roff = scratch.offsets.data();
+  // The next column's sample, grid row and grid column, advanced lane by
+  // lane so no lane needs a division.
+  std::int64_t i = col / cps, r = col % cps / grid.cols, c = col % grid.cols;
+  std::int64_t lane[kNr], dst_off[kNr];
+  while (col < end) {
+    const std::int64_t s0 = i;
+    const std::int64_t lim = std::min(end, std::min(src.n, s0 + cap) * cps);
+    const std::int64_t stop = lim == end ? end : col + (lim - col) / kNr * kNr;
+    const float* base = src.x + s0 * plane;
+    if (src.staged()) {
+      // Only the padded rows the chunk's columns read: a split that gives a
+      // thread part of a sample stages only that part.
+      const std::int64_t step = grid.src_row / src.pw;
+      src.stage(s0, (stop - 1) / cps + 1, r * step,
+                (stop - 1) % cps / grid.cols * step + grid.reach,
+                scratch.stage.data());
+      base = scratch.stage.data();
+    }
+    for (; col < stop; col += kNr) {
+      const std::int64_t nr = std::min(kNr, stop - col);
+      for (std::int64_t j = 0; j < nr; ++j) {
+        lane[j] = (i - s0) * plane + r * grid.src_row + c * grid.src_col;
+        dst_off[j] =
+            i * grid.dst_sample + r * grid.dst_row + c * grid.dst_col;
+        if (++c == grid.cols) {
+          c = 0;
+          if (++r == grid.rows) {
+            r = 0;
+            ++i;
+          }
+        }
+      }
+      for (std::int64_t j = nr; j < kNr; ++j) {
+        lane[j] = lane[nr - 1];
+        dst_off[j] = dst_off[nr - 1];
+      }
+      // Real lanes' offsets strictly increase, so this holds exactly when
+      // the lanes are kNr consecutive floats: a stride-1 output-row run, or
+      // any run within a sample of an unpadded 1x1 stride-1 conv.
+      const bool direct = nr == kNr && lane[kNr - 1] - lane[0] == kNr - 1;
+      run_sliver(op, base, lane, direct, nr, dst_off, dst,
+                 scratch.sliver.data());
+    }
+  }
+}
+
+/// One stride phase (py, px) of the input gradient with its taps: kernel
+/// rows ki0, ki0 + s, ... (nki of them) by columns kj0, kj0 + s, ...
+struct Phase {
+  std::int64_t py, px, ki0, kj0, nki, nkj;
+  std::int64_t taps() const { return nki * nkj; }
+};
+
+/// Calls fn(phase) for every phase that has taps, in row-major order — the
+/// order of the dgrad panels and of the dgrad sliver space.
+template <typename Fn>
+void for_each_phase(const ConvGeometry& g, const Fn& fn) {
+  const std::int64_t s = g.stride, k = g.kernel;
+  const auto count = [&](std::int64_t k0) {
+    return k0 < k ? (k - 1 - k0) / s + 1 : 0;
+  };
+  for (std::int64_t py = 0; py < s; ++py) {
+    for (std::int64_t px = 0; px < s; ++px) {
+      Phase ph{py, px, (py + g.padding) % s, (px + g.padding) % s, 0, 0};
+      ph.nki = count(ph.ki0);
+      ph.nkj = count(ph.kj0);
+      if (ph.taps() > 0) fn(ph);
+    }
+  }
+}
+
+/// Outputs of a phase along one axis: positions p0, p0 + s, ... < extent.
+std::int64_t phase_extent(std::int64_t extent, std::int64_t p0,
+                          std::int64_t s) {
+  return p0 < extent ? (extent - p0 + s - 1) / s : 0;
+}
+
+// ---- tap loop and reference -------------------------------------------------
+
+/// The tap loop: each nonzero weight (oc, c, ki, kj) slides its valid
+/// output window over the planes, forward y[oc] += v * x[c] and dgrad
+/// dx[c] += v * gout[oc], the x side stepping by the stride.
+template <bool kDgrad>
+RT_HOT void run_taps(const float* weight, std::int64_t out_ch,
+                     std::int64_t c_in, std::int64_t h, std::int64_t w,
+                     const ConvGeometry& g, const float* in, float* out) {
   const std::int64_t oh = g.out_extent(h);
   const std::int64_t ow = g.out_extent(w);
   const std::int64_t ohw = oh * ow;
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
   const std::int64_t s = g.stride;
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
   for (std::int64_t oc = 0; oc < out_ch; ++oc) {
     const float* wrow = weight + oc * ckk;
-    float* yplane = y + oc * ohw;
     for (std::int64_t p = 0; p < ckk; ++p) {
       const float v = wrow[p];
       if (v == 0.0f) continue;
-      const auto pr = static_cast<std::size_t>(p);
-      const std::int64_t ki = dec.ki[pr], kj = dec.kj[pr];
+      const std::int64_t c = p / (g.kernel * g.kernel);
+      const std::int64_t ki = p % (g.kernel * g.kernel) / g.kernel;
+      const std::int64_t kj = p % g.kernel;
       const TapWindow wi = tap_window(oh, h, ki, s, g.padding);
       const TapWindow wj = tap_window(ow, w, kj, s, g.padding);
       const std::int64_t count = wj.o1 - wj.o0;
       if (wi.o1 <= wi.o0 || count <= 0) continue;
-      const float* xplane =
-          x + static_cast<std::int64_t>(dec.c[pr]) * h * w;
       const std::int64_t jj0 = wj.o0 * s - g.padding + kj;
       for (std::int64_t oi = wi.o0; oi < wi.o1; ++oi) {
-        const std::int64_t ii = oi * s - g.padding + ki;
-        const float* __restrict xr = xplane + ii * w + jj0;
-        float* __restrict yr = yplane + oi * ow + wj.o0;
+        const std::int64_t xo = (c * h + oi * s - g.padding + ki) * w + jj0;
+        const std::int64_t yo = oc * ohw + oi * ow + wj.o0;
+        float* __restrict d = out + (kDgrad ? xo : yo);
+        const float* __restrict a = in + (kDgrad ? yo : xo);
         if (s == 1) {
-          for (std::int64_t j = 0; j < count; ++j) yr[j] += v * xr[j];
+          for (std::int64_t j = 0; j < count; ++j) d[j] += v * a[j];
+        } else if (kDgrad) {
+          for (std::int64_t j = 0; j < count; ++j) d[j * s] += v * a[j];
         } else {
-          for (std::int64_t j = 0; j < count; ++j) yr[j] += v * xr[j * s];
+          for (std::int64_t j = 0; j < count; ++j) d[j] += v * a[j * s];
         }
       }
     }
   }
+}
+
+/// The reference kernels' column buffer, one per thread.
+float* ref_col(std::int64_t floats) {
+  thread_local std::vector<float> col;
+  col.resize(static_cast<std::size_t>(floats));
+  return col.data();
 }
 
 void forward_ref(const float* x, std::int64_t c_in, std::int64_t h,
@@ -346,106 +351,10 @@ void forward_ref(const float* x, std::int64_t c_in, std::int64_t h,
                  std::int64_t out_ch, float* y) {
   const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> colbuf;
-  colbuf.resize(static_cast<std::size_t>(ckk * ohw));
-  im2col_plane(x, c_in, h, w, g, colbuf.data());
-  gemm_nn(out_ch, ohw, ckk, weight, colbuf.data(), y,
+  float* col = ref_col(ckk * ohw);
+  im2col_plane(x, c_in, h, w, g, col);
+  gemm_nn(out_ch, ohw, ckk, weight, col, y,
           {.accumulate = true, .parallel = false, .packed = false});
-}
-
-// ---- input gradient ---------------------------------------------------------
-
-RT_HOT void dgrad_packed(const float* weight, std::int64_t out_ch,
-                         const float* gout, std::int64_t c_in, std::int64_t h,
-                         std::int64_t w, const ConvGeometry& g, float* dx,
-                         const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-
-  // A = W^T: the transpose is paid once, in packing — by the batch-shared
-  // pre-pack when available, else locally.
-  const float* wtp;
-  thread_local std::vector<float> wtpack;
-  if (opts.packed_weights != nullptr && opts.packed_weights->has_dgrad() &&
-      opts.packed_weights->matches(out_ch, ckk)) {
-    wtp = opts.packed_weights->dgrad_panels();
-  } else {
-    // Dynamic: W^T panel size follows the layer shape (see forward_packed).
-    wtpack.resize(  // rtlint: allow(R2) shape-dependent weight panel
-        static_cast<std::size_t>(round_up(ckk, kMr) * out_ch));
-    pack_a_rows_trans(weight, ckk, 0, ckk, 0, out_ch, wtpack.data());
-    wtp = wtpack.data();
-  }
-
-  thread_local float bbuf[kKc * kNc];
-  thread_local float ctile[kMcScatter * kNc];
-
-  for (std::int64_t jc = 0; jc < ohw; jc += kNc) {
-    const std::int64_t nb = std::min(kNc, ohw - jc);
-    for (std::int64_t ic = 0; ic < ckk; ic += kMcScatter) {
-      const std::int64_t mb = std::min(kMcScatter, ckk - ic);
-      std::memset(ctile, 0, static_cast<std::size_t>(mb * nb) * sizeof(float));
-      for (std::int64_t kc = 0; kc < out_ch; kc += kKc) {
-        const std::int64_t kb = std::min(kKc, out_ch - kc);
-        pack_b_cols(gout, ohw, kc, kb, jc, nb, bbuf);
-        for (std::int64_t ir = 0; ir < mb; ir += kMr) {
-          const std::int64_t mr = std::min(kMr, mb - ir);
-          const float* ap = wtp + (ic + ir) * out_ch + kc * kMr;
-          float* crow = ctile + ir * nb;
-          for (std::int64_t jr = 0; jr < nb; jr += kNr) {
-            const std::int64_t nr = std::min(kNr, nb - jr);
-            const float* bp = bbuf + jr * kb;
-            if (mr == kMr && nr == kNr) {
-              micro_kernel_full(kb, ap, bp, crow + jr, nb);
-            } else {
-              micro_kernel_edge(kb, ap, bp, crow + jr, nb, mr, nr);
-            }
-          }
-        }
-      }
-      scatter_col_tile(ctile, ic, mb, jc, nb, dec, g, h, w, ow, dx);
-    }
-  }
-}
-
-void dgrad_taps(const float* weight, std::int64_t out_ch, const float* gout,
-                std::int64_t c_in, std::int64_t h, std::int64_t w,
-                const ConvGeometry& g, float* dx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t s = g.stride;
-  const DecodeTable& dec = decode_table(c_in, g.kernel);
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float* wrow = weight + oc * ckk;
-    const float* gplane = gout + oc * ohw;
-    for (std::int64_t p = 0; p < ckk; ++p) {
-      const float v = wrow[p];
-      if (v == 0.0f) continue;
-      const auto pr = static_cast<std::size_t>(p);
-      const std::int64_t ki = dec.ki[pr], kj = dec.kj[pr];
-      const TapWindow wi = tap_window(oh, h, ki, s, g.padding);
-      const TapWindow wj = tap_window(ow, w, kj, s, g.padding);
-      const std::int64_t count = wj.o1 - wj.o0;
-      if (wi.o1 <= wi.o0 || count <= 0) continue;
-      float* xplane = dx + static_cast<std::int64_t>(dec.c[pr]) * h * w;
-      const std::int64_t jj0 = wj.o0 * s - g.padding + kj;
-      for (std::int64_t oi = wi.o0; oi < wi.o1; ++oi) {
-        const std::int64_t ii = oi * s - g.padding + ki;
-        float* __restrict xr = xplane + ii * w + jj0;
-        const float* __restrict gr = gplane + oi * ow + wj.o0;
-        if (s == 1) {
-          for (std::int64_t j = 0; j < count; ++j) xr[j] += v * gr[j];
-        } else {
-          for (std::int64_t j = 0; j < count; ++j) xr[j * s] += v * gr[j];
-        }
-      }
-    }
-  }
 }
 
 void dgrad_ref(const float* weight, std::int64_t out_ch, const float* gout,
@@ -453,11 +362,10 @@ void dgrad_ref(const float* weight, std::int64_t out_ch, const float* gout,
                const ConvGeometry& g, float* dx) {
   const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> dcol;
-  dcol.resize(static_cast<std::size_t>(ckk * ohw));
-  gemm_tn(ckk, ohw, out_ch, weight, gout, dcol.data(),
+  float* dcol = ref_col(ckk * ohw);
+  gemm_tn(ckk, ohw, out_ch, weight, gout, dcol,
           {.accumulate = false, .parallel = false, .packed = false});
-  col2im_plane_add(dcol.data(), c_in, h, w, g, dx);
+  col2im_plane_add(dcol, c_in, h, w, g, dx);
 }
 
 // ---- weight gradient --------------------------------------------------------
@@ -477,11 +385,10 @@ RT_HOT void wgrad_packed(const float* gout, const float* x, std::int64_t c_in,
   // change. The gout panel re-pack per (tile, pc) pair costs 1/kNc of the
   // tile's MACs, which the extra parallelism amortizes.
   const std::int64_t tiles = (ckk + kNc - 1) / kNc;
-  for_each_tile(tiles, opts.parallel_tiles,
-                [&](std::int64_t t0, std::int64_t t1) {
-    // Executing thread's own caches (see forward_packed on why the
-    // spawning thread's thread_locals must not be shared with leaves).
-    const DecodeTable& dec = decode_table(c_in, g.kernel);
+  const auto run = [&](std::int64_t t0, std::int64_t t1) {
+    // The executing thread's own buffers: a worker waiting in the region
+    // helps run other queued tasks, which may regrow the spawning thread's
+    // thread_locals under a still-running leaf.
     thread_local std::vector<float> apack;
     thread_local float bbuf[kKc * kNc];
     // Dynamic: gout panel height follows out_ch. Steady-state free per
@@ -494,24 +401,18 @@ RT_HOT void wgrad_packed(const float* gout, const float* x, std::int64_t c_in,
       for (std::int64_t pc = 0; pc < ohw; pc += kKc) {
         const std::int64_t kb = std::min(kKc, ohw - pc);
         pack_a_rows(gout, ohw, 0, out_ch, pc, kb, apack.data());
-        pack_colt_panel(x, h, w, g, dec, pc, kb, jc, nb, ow, bbuf);
-        for (std::int64_t ir = 0; ir < out_ch; ir += kMr) {
-          const std::int64_t mr = std::min(kMr, out_ch - ir);
-          const float* ap = apack.data() + ir * kb;
-          float* crow = dw + ir * ckk + jc;
-          for (std::int64_t jr = 0; jr < nb; jr += kNr) {
-            const std::int64_t nr = std::min(kNr, nb - jr);
-            const float* bp = bbuf + jr * kb;
-            if (mr == kMr && nr == kNr) {
-              micro_kernel_full(kb, ap, bp, crow + jr, ckk);
-            } else {
-              micro_kernel_edge(kb, ap, bp, crow + jr, ckk, mr, nr);
-            }
-          }
-        }
+        pack_colt_panel(x, h, w, g, pc, kb, jc, nb, ow, bbuf);
+        packed_block_multiply(out_ch, nb, kb, apack.data(), bbuf, dw + jc,
+                              ckk);
       }
     }
-  });
+  };
+  if (opts.parallel_tiles && tiles > 1) {
+    // Grain 1: a tile is already kNc columns of work.
+    Scheduler::current().parallel_for(tiles, run, /*grain=*/1);
+  } else {
+    run(0, tiles);
+  }
 }
 
 void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
@@ -519,12 +420,49 @@ void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
                std::int64_t out_ch, float* dw) {
   const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  thread_local std::vector<float> colbuf;
-  colbuf.resize(static_cast<std::size_t>(ckk * ohw));
-  im2col_plane(x, c_in, h, w, g, colbuf.data());
-  gemm_nt(out_ch, ckk, ohw, gout, colbuf.data(), dw,
+  float* col = ref_col(ckk * ohw);
+  im2col_plane(x, c_in, h, w, g, col);
+  gemm_nt(out_ch, ckk, ohw, gout, col, dw,
           {.accumulate = true, .parallel = false, .skip_zero_b_rows = false,
            .packed = false});
+}
+
+/// The packed path's panels: the caller's when they match, else packed into
+/// `local` (allocates).
+const PackedWeights& panels_for(const ConvKernelOpts& opts,
+                                const float* weight, std::int64_t out_ch,
+                                std::int64_t c_in, const ConvGeometry& g,
+                                bool dgrad, PackedWeights& local) {
+  const PackedWeights* pw = opts.packed_weights;
+  if (pw != nullptr && pw->matches(out_ch, c_in, g) &&
+      (dgrad ? pw->has_dgrad() : pw->has_forward())) {
+    return *pw;
+  }
+  local.pack(weight, out_ch, c_in, g, !dgrad, dgrad);
+  return local;
+}
+
+/// Walks one plane's im2col matrix in row-major (c, ki, kj, oi, oj) order,
+/// calling fn(entry, input index), the index -1 for out-of-image taps.
+template <typename Fn>
+void for_each_col(std::int64_t c_in, std::int64_t h, std::int64_t w,
+                  const ConvGeometry& g, const Fn& fn) {
+  const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
+  std::int64_t e = 0;
+  for (std::int64_t c = 0; c < c_in; ++c) {
+    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
+      for (std::int64_t kj = 0; kj < g.kernel; ++kj) {
+        for (std::int64_t oi = 0; oi < oh; ++oi) {
+          const std::int64_t ii = oi * g.stride - g.padding + ki;
+          for (std::int64_t oj = 0; oj < ow; ++oj, ++e) {
+            const std::int64_t jj = oj * g.stride - g.padding + kj;
+            fn(e, ii >= 0 && ii < h && jj >= 0 && jj < w ? (c * h + ii) * w + jj
+                                                         : -1);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -654,46 +592,138 @@ std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
   return off;
 }
 
-void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
-                          std::int64_t w, const ConvGeometry& g,
-                          const float* weight, std::int64_t out_ch, float* y,
-                          const float* bias, bool relu,
-                          const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  std::memset(y, 0, static_cast<std::size_t>(out_ch * oh * ow) *
-                        sizeof(float));
-  switch (opts.algo) {
-    case ConvAlgo::kPacked:
-      forward_packed(x, c_in, h, w, g, weight, out_ch, y, opts);
-      break;
-    case ConvAlgo::kTaps: forward_taps(x, c_in, h, w, g, weight, out_ch, y);
-      break;
-    case ConvAlgo::kIm2colReference:
-      forward_ref(x, c_in, h, w, g, weight, out_ch, y);
-      break;
+void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
+                    std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                    const float* weight, std::int64_t out_ch, float* y,
+                    const float* bias, bool relu, const ConvKernelOpts& opts) {
+  const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
+  if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
+  const std::int64_t ohw = oh * ow;
+  const std::int64_t y_stride = opts.y_stride > 0 ? opts.y_stride
+                                                  : out_ch * ohw;
+  if (opts.algo != ConvAlgo::kPacked) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* xi = x + i * c_in * h * w;
+      float* yi = y + i * y_stride;
+      std::memset(yi, 0,
+                  static_cast<std::size_t>(out_ch * ohw) * sizeof(float));
+      if (opts.algo == ConvAlgo::kTaps) {
+        run_taps<false>(weight, out_ch, c_in, h, w, g, xi, yi);
+      } else {
+        forward_ref(xi, c_in, h, w, g, weight, out_ch, yi);
+      }
+      bias_relu_epilogue(yi, bias, out_ch, ohw, relu);
+    }
+    return;
   }
-  bias_relu_epilogue(y, bias, out_ch, oh * ow, relu);
+  PackedWeights local;
+  ConvScratch own;
+  ConvScratch& scratch = opts.scratch != nullptr ? *opts.scratch : own;
+  const std::int64_t ph = h + 2 * g.padding, pw = w + 2 * g.padding;
+  const std::int64_t ckk = c_in * g.kernel * g.kernel;
+  const PaddedSource src{x, n, c_in, h, w, g.padding, ph, pw};
+  const PanelOperand op{
+      panels_for(opts, weight, out_ch, c_in, g, false, local).forward_panels(),
+      out_ch, ckk, ckk, nullptr, ohw, bias, relu, /*accumulate=*/false};
+  const ColumnGrid grid{oh,       ow, g.stride * pw, g.stride, g.kernel,
+                        y_stride, ow, 1};
+  run_grid(op, grid, src, opts.sliver_begin,
+           opts.sliver_end < 0 ? conv_forward_slivers(n, h, w, g)
+                               : opts.sliver_end,
+           y, scratch, [&](std::int32_t* roff) {
+             for (std::int64_t c = 0; c < c_in; ++c) {
+               for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
+                 for (std::int64_t kj = 0; kj < g.kernel; ++kj) {
+                   *roff++ = static_cast<std::int32_t>((c * ph + ki) * pw + kj);
+                 }
+               }
+             }
+           });
 }
 
-void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
-                        const float* gout, std::int64_t c_in, std::int64_t h,
-                        std::int64_t w, const ConvGeometry& g, float* dx,
-                        const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  switch (opts.algo) {
-    case ConvAlgo::kPacked:
-      dgrad_packed(weight, out_ch, gout, c_in, h, w, g, dx, opts);
-      break;
-    case ConvAlgo::kTaps: dgrad_taps(weight, out_ch, gout, c_in, h, w, g, dx);
-      break;
-    case ConvAlgo::kIm2colReference:
-      dgrad_ref(weight, out_ch, gout, c_in, h, w, g, dx);
-      break;
+void conv2d_dgrad(const float* weight, std::int64_t out_ch,
+                  const float* gout, std::int64_t n, std::int64_t c_in,
+                  std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                  float* dx, const ConvKernelOpts& opts) {
+  const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
+  if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
+  if (opts.algo != ConvAlgo::kPacked) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float* gi = gout + i * out_ch * oh * ow;
+      float* dxi = dx + i * c_in * h * w;
+      if (opts.algo == ConvAlgo::kTaps) {
+        run_taps<true>(weight, out_ch, c_in, h, w, g, gi, dxi);
+      } else {
+        dgrad_ref(weight, out_ch, gi, c_in, h, w, g, dxi);
+      }
+    }
+    return;
   }
+  PackedWeights local;
+  ConvScratch own;
+  ConvScratch& scratch = opts.scratch != nullptr ? *opts.scratch : own;
+  const std::int64_t s = g.stride;
+  const std::int64_t sl0 = opts.sliver_begin;
+  const std::int64_t sl1 =
+      opts.sliver_end < 0 ? conv_dgrad_slivers(n, h, w, g) : opts.sliver_end;
+  // The padded dY every phase reads in place: a phase's outputs u <
+  // ceil(h / s) read dY rows u + di with -lo <= di <= hi (likewise columns).
+  const std::int64_t lo =
+      std::max<std::int64_t>(0, g.kernel - 1 - g.padding + s - 1) / s;
+  const std::int64_t hi = (s - 1 + g.padding) / s;
+  const PaddedSource src{gout, n, out_ch, oh, ow, lo,
+                         lo + std::max(oh, (h + s - 1) / s + hi),
+                         lo + std::max(ow, (w + s - 1) / s + hi)};
+  const float* ap =
+      panels_for(opts, weight, out_ch, c_in, g, true, local).dgrad_panels();
+  std::int64_t first = 0;  // the phase's first sliver in the call's space
+  for_each_phase(g, [&](const Phase& p) {
+    const std::int64_t kp = p.taps() * out_ch;
+    const float* panels = ap;
+    ap += round_up(c_in, kMr) * kp;
+    const std::int64_t rows = phase_extent(h, p.py, s);
+    const std::int64_t cols = phase_extent(w, p.px, s);
+    if (rows <= 0 || cols <= 0) return;
+    const std::int64_t slivers = (n * rows * cols + kNr - 1) / kNr;
+    const std::int64_t b0 = std::max<std::int64_t>(sl0 - first, 0);
+    const std::int64_t b1 = std::min(sl1 - first, slivers);
+    first += slivers;
+    if (b0 >= b1) return;
+    const PanelOperand op{panels, c_in,  kp,    out_ch, nullptr,
+                          h * w,  nullptr, false, /*accumulate=*/true};
+    const ColumnGrid grid{rows,         cols,  src.pw, 1, lo + hi + 1,
+                          c_in * h * w, s * w, s};
+    run_grid(op, grid, src, b0, b1, dx + p.py * w + p.px, scratch,
+             [&](std::int32_t* roff) {
+               for (std::int64_t a = 0; a < p.nki; ++a) {
+                 const std::int64_t di = (p.py + g.padding - p.ki0) / s - a;
+                 for (std::int64_t b = 0; b < p.nkj; ++b) {
+                   const std::int64_t dj = (p.px + g.padding - p.kj0) / s - b;
+                   for (std::int64_t oc = 0; oc < out_ch; ++oc) {
+                     *roff++ = static_cast<std::int32_t>(
+                         (oc * src.ph + lo + di) * src.pw + lo + dj);
+                   }
+                 }
+               }
+             });
+  });
+}
+
+std::int64_t conv_forward_slivers(std::int64_t n, std::int64_t h,
+                                  std::int64_t w, const ConvGeometry& g) {
+  return (n * g.out_extent(h) * g.out_extent(w) + kNr - 1) / kNr;
+}
+
+std::int64_t conv_dgrad_slivers(std::int64_t n, std::int64_t h,
+                                std::int64_t w, const ConvGeometry& g) {
+  std::int64_t slivers = 0;
+  for_each_phase(g, [&](const Phase& p) {
+    slivers += (n * phase_extent(h, p.py, g.stride) *
+                    phase_extent(w, p.px, g.stride) +
+                kNr - 1) /
+               kNr;
+  });
+  return slivers;
 }
 
 void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
@@ -711,76 +741,63 @@ void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
 }
 
 void PackedWeights::pack(const float* weight, std::int64_t out_ch,
-                         std::int64_t ckk, bool forward, bool dgrad) {
+                         std::int64_t c_in, const ConvGeometry& g,
+                         bool forward, bool dgrad) {
   out_ch_ = out_ch;
-  ckk_ = ckk;
-  if (forward) {
-    fwd_.resize(static_cast<std::size_t>(round_up(out_ch, kMr) * ckk));
-    pack_a_rows(weight, ckk, 0, out_ch, 0, ckk, fwd_.data());
-  } else {
-    fwd_.clear();
-  }
-  if (dgrad) {
-    dgrad_.resize(static_cast<std::size_t>(round_up(ckk, kMr) * out_ch));
-    pack_a_rows_trans(weight, ckk, 0, ckk, 0, out_ch, dgrad_.data());
-  } else {
-    dgrad_.clear();
-  }
+  c_in_ = c_in;
+  g_ = g;
+  const std::int64_t k = g.kernel, ckk = c_in * k * k;
+  const std::int64_t rows = round_up(c_in, kMr);
+  fwd_.resize(forward ? static_cast<std::size_t>(round_up(out_ch, kMr) * ckk)
+                      : 0);
+  if (forward) pack_a_rows(weight, ckk, 0, out_ch, 0, ckk, fwd_.data());
+  dgrad_.assign(dgrad ? static_cast<std::size_t>(rows * k * k * out_ch) : 0,
+                0.0f);
+  if (!dgrad) return;
+  // Phase (py, px)'s panels: A(c, (tap, oc)) = W(oc, (c, ki, kj)) over the
+  // phase's taps in ascending (ki, kj) order; rows past c_in are zero.
+  float* dst = dgrad_.data();
+  for_each_phase(g, [&](const Phase& p) {
+    const std::int64_t kp = p.taps() * out_ch;
+    for (std::int64_t c = 0; c < c_in; ++c) {
+      float* panel = dst + c / kMr * kMr * kp + c % kMr;
+      std::int64_t col = 0;
+      for (std::int64_t a = 0; a < p.nki; ++a) {
+        for (std::int64_t b = 0; b < p.nkj; ++b) {
+          const std::int64_t tap = (c * k + p.ki0 + a * g.stride) * k +
+                                   p.kj0 + b * g.stride;
+          for (std::int64_t oc = 0; oc < out_ch; ++oc, ++col) {
+            panel[col * kMr] = weight[oc * ckk + tap];
+          }
+        }
+      }
+    }
+    dst += rows * kp;
+  });
 }
 
-void PackedWeights::clear() {
-  fwd_.clear();
-  dgrad_.clear();
-  out_ch_ = 0;
-  ckk_ = 0;
+void ConvScratch::fit(std::int64_t stage_floats, std::int64_t depth) {
+  if (static_cast<std::int64_t>(stage.size()) < stage_floats) {
+    stage.resize(static_cast<std::size_t>(stage_floats));
+  }
+  if (static_cast<std::int64_t>(offsets.size()) < depth) {
+    offsets.resize(static_cast<std::size_t>(depth));
+    sliver.resize(static_cast<std::size_t>(depth * kNr));
+  }
 }
 
 void im2col_plane(const float* xd, std::int64_t c_in, std::int64_t h,
                   std::int64_t w, const ConvGeometry& g, float* col) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < c_in; ++c) {
-    const float* xc = xd + c * h * w;
-    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
-      for (std::int64_t kj = 0; kj < g.kernel; ++kj, ++row) {
-        float* out = col + row * oh * ow;
-        for (std::int64_t oi = 0; oi < oh; ++oi) {
-          const std::int64_t ii = oi * g.stride - g.padding + ki;
-          const bool row_in = ii >= 0 && ii < h;
-          const float* xrow = row_in ? xc + ii * w : xc;
-          for (std::int64_t oj = 0; oj < ow; ++oj) {
-            const std::int64_t jj = oj * g.stride - g.padding + kj;
-            out[oi * ow + oj] =
-                (row_in && jj >= 0 && jj < w) ? xrow[jj] : 0.0f;
-          }
-        }
-      }
-    }
-  }
+  for_each_col(c_in, h, w, g, [&](std::int64_t e, std::int64_t i) {
+    col[e] = i < 0 ? 0.0f : xd[i];
+  });
 }
 
 void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
                       std::int64_t w, const ConvGeometry& g, float* dx) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  std::int64_t row = 0;
-  for (std::int64_t c = 0; c < c_in; ++c) {
-    float* xc = dx + c * h * w;
-    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
-      for (std::int64_t kj = 0; kj < g.kernel; ++kj, ++row) {
-        const float* in = col + row * oh * ow;
-        for (std::int64_t oi = 0; oi < oh; ++oi) {
-          const std::int64_t ii = oi * g.stride - g.padding + ki;
-          if (ii < 0 || ii >= h) continue;
-          for (std::int64_t oj = 0; oj < ow; ++oj) {
-            const std::int64_t jj = oj * g.stride - g.padding + kj;
-            if (jj >= 0 && jj < w) xc[ii * w + jj] += in[oi * ow + oj];
-          }
-        }
-      }
-    }
-  }
+  for_each_col(c_in, h, w, g, [&](std::int64_t e, std::int64_t i) {
+    if (i >= 0) dx[i] += col[e];
+  });
 }
 
 TapWindow tap_window(std::int64_t out_extent, std::int64_t in_extent,

@@ -1,39 +1,40 @@
 #pragma once
-// Convolution kernel layer: fused implicit-GEMM forward / input-gradient /
-// weight-gradient over one (C, H, W) plane, plus the im2col/col2im reference
-// kernels they are verified against.
+// Convolution kernel layer: fp32 implicit-GEMM forward and input gradient
+// over a batch, the per-plane weight gradient, the int8 serving forward, and
+// the im2col/col2im reference kernels they are verified against.
 //
-// The implicit kernels view the convolution as the GEMMs
+//   forward:  Y (out_ch, n*OH*OW) = W (out_ch, C*k*k) * col(X)
+//   dgrad:    per stride phase (py, px) in [0, s)^2, the dx pixels
+//             (py + s*u, px + s*v) = W_phase (C, taps*out_ch) * col(dY)
+//   wgrad:    dW (out_ch, C*k*k) += dY * col(X)^T, per sample
 //
-//   forward:  Y (out_ch, OH*OW)  = W (out_ch, C*k*k) * col(X)
-//   dgrad:    dcol (C*k*k, OH*OW) = W^T * dY,  scattered back into dX
-//   wgrad:    dW (out_ch, C*k*k) += dY * col(X)^T
+// col() is never materialized. Forward and dgrad read B from zero-padded
+// sample planes, where row k of a column is the float at a fixed offset
+// roff[k] from the column's origin: a kNr-column sliver that is one
+// stride-1 row run loads each B row with one vector load, any other sliver
+// is gathered once for all weight panels (linalg/microkernel.hpp). dgrad is
+// a direct conv of dY with the transposed weight, one per phase: a phase's
+// taps are the (ki, kj) with py + pad - ki and px + pad - kj divisible by
+// s, reading dY at ((py + pad - ki) / s, (px + pad - kj) / s) from (u, v),
+// so every dx pixel is one column and nothing is scattered.
 //
-// but never materialize col(X): panels of the virtual im2col matrix are
-// gathered on the fly — in cache-sized tiles, zero-padded at image borders —
-// straight into the packed layout the shared register-tiled micro-kernel
-// (linalg/microkernel.hpp) consumes, and for dgrad each computed tile is
-// scattered into dX while still cache-hot. The full per-sample column buffer
-// (C*k*k * OH*OW floats, the dominant memory traffic of small-image
-// training) is gone from the hot path.
+// Bits: a forward output is the sum of its kKc-deep FMA chunks in ascending
+// k order; a dx element adds its taps in ascending (ki, kj) order to its
+// prior value, each tap the sum of its kKc-deep chunks over oc (a tap in
+// dY's padding adds an exact +0). Neither depends on the batch, the sliver
+// split or the load/gather branch.
 //
 // Masked tickets keep a second executor: forward and dgrad can run a tap
 // loop that slides each nonzero weight's valid output window directly over
-// the input, skipping zero weights wholesale — the training-path analogue of
-// the engine's compiled implicit sparse conv. The caller picks it per layer
-// with conv_runs_taps, from the weight's density and the shape: the loop
-// scans every weight and resolves two tap windows per nonzero on each plane
-// call, so it only wins where planes are large next to the channel count.
+// the input, skipping zero weights wholesale. The caller picks it per layer
+// with conv_runs_taps: the loop scans every weight and resolves two tap
+// windows per nonzero per plane, so it only wins where planes are large
+// next to the channel count.
 //
-// The kernels are serial by default: batch-level parallelism (one sample per
-// scheduler task, one Session workspace per predict) composes better than
-// intra-plane threading at these extents. When the batch is too small to
-// fill the machine, ConvKernelOpts::parallel_tiles splits the forward and
-// weight-gradient kernels' output-column tile loops into stealable subtasks
-// on the work-stealing scheduler instead — tiles write disjoint outputs and
-// keep each element's accumulation order unchanged, so results stay bitwise
-// identical to the serial path. The input-gradient kernel stays serial per
-// plane: its tiles scatter-add into overlapping dx positions.
+// The kernels are serial. Callers split the packed forward and dgrad by
+// whole slivers (ConvKernelOpts::sliver_begin/end, one ConvScratch per
+// thread), the tap loop by samples, and wgrad by samples or its
+// output-column tiles (parallel_tiles); no split changes a bit.
 
 #include <cstdint>
 #include <vector>
@@ -52,7 +53,7 @@ struct ConvGeometry {
   }
 };
 
-/// Executor of the plane-level conv kernels. Callers choose it per layer;
+/// Executor of the fp32 conv kernels. Callers choose it per layer;
 /// the kernels never inspect the weights to choose for themselves.
 enum class ConvAlgo {
   /// Packed implicit GEMM (the default).
@@ -78,6 +79,8 @@ enum class ConvAlgo {
 /// even at 99% zeros). density <= kConvTapDensityPerOctave * log2(OH*OW / out_ch) fits
 /// it: over the 100-shape grid it runs within 1.6% of the per-shape best
 /// (geometric mean) against 53% for the fixed 80%-zeros cutoff it replaces.
+/// The grid predates the batched packed path; on it, taps lose on some
+/// shapes this rule still routes to them (DESIGN.md "Conv tap rule").
 inline constexpr double kConvTapDensityPerOctave = 0.045;
 
 /// True when a conv whose (rows, cols) = (out_ch, C*k*k) weight holds `nnz`
@@ -88,23 +91,20 @@ inline constexpr double kConvTapDensityPerOctave = 0.045;
 bool conv_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
                     std::int64_t out_pixels);
 
-/// Weight panels in the packed micro-kernel layout, gathered once and reused
-/// across every plane call that shares the weight — per batch in Conv2d, per
-/// CompiledTicket in the engine (packed at Engine::compile time). Removes
-/// the per-sample panel re-pack (cost 1/OHW of the MACs, noticeable at tiny
-/// planes). The panels are exactly what the kernels would have packed
-/// locally, so results are bitwise unchanged.
+/// Weight panels in the packed micro-kernel layout, packed once per weight:
+/// per batch in Conv2d, at Engine::compile time in the engine.
 class PackedWeights {
  public:
-  /// Packs W (out_ch x ckk): `forward` gathers the kMr row panels the
-  /// forward kernel consumes, `dgrad` the W^T panels of the input-gradient
-  /// kernel. Either may be skipped to save the memory.
-  void pack(const float* weight, std::int64_t out_ch, std::int64_t ckk,
-            bool forward, bool dgrad);
-  void clear();
+  /// Packs W (out_ch x c_in*k*k) for geometry `g`: `forward` the kMr row
+  /// panels of W, `dgrad` each phase's panels of rows c_in and k = (tap,
+  /// oc). Either may be skipped to save the memory.
+  void pack(const float* weight, std::int64_t out_ch, std::int64_t c_in,
+            const ConvGeometry& g, bool forward, bool dgrad);
 
-  bool matches(std::int64_t out_ch, std::int64_t ckk) const {
-    return out_ch == out_ch_ && ckk == ckk_;
+  bool matches(std::int64_t out_ch, std::int64_t c_in,
+               const ConvGeometry& g) const {
+    return out_ch == out_ch_ && c_in == c_in_ && g.kernel == g_.kernel &&
+           g.stride == g_.stride && g.padding == g_.padding;
   }
   bool has_forward() const { return !fwd_.empty(); }
   bool has_dgrad() const { return !dgrad_.empty(); }
@@ -114,40 +114,77 @@ class PackedWeights {
     return static_cast<std::int64_t>((fwd_.size() + dgrad_.size()) *
                                      sizeof(float));
   }
-  /// round_up(out_ch, kMr) row panels of width ckk.
+  /// round_up(out_ch, kMr) row panels of width c_in*k*k.
   const float* forward_panels() const { return fwd_.data(); }
-  /// round_up(ckk, kMr) row panels of width out_ch (the packed transpose).
+  /// Per stride phase (py, px) with taps, in row-major phase order:
+  /// round_up(c_in, kMr) row panels of width taps * out_ch.
   const float* dgrad_panels() const { return dgrad_.data(); }
 
  private:
   std::vector<float> fwd_;
   std::vector<float> dgrad_;
   std::int64_t out_ch_ = 0;
-  std::int64_t ckk_ = 0;
+  std::int64_t c_in_ = 0;
+  ConvGeometry g_;
+};
+
+/// Staging for the packed kernels: a chunk of zero-padded sample planes (at
+/// most 64 KiB, or the samples one sliver spans), one gathered full-depth B
+/// sliver and the per-k plane offsets. The kernels grow it to each shape
+/// they run and it never shrinks, so a reused scratch runs them
+/// allocation-free after the first call per shape.
+struct ConvScratch {
+  std::vector<float> stage, sliver;
+  std::vector<std::int32_t> offsets;
+  /// Grows to hold `stage_floats` staged floats and a `depth`-deep sliver.
+  void fit(std::int64_t stage_floats, std::int64_t depth);
 };
 
 struct ConvKernelOpts {
   ConvAlgo algo = ConvAlgo::kPacked;
-  /// Pre-packed panels for this weight (see PackedWeights). Consulted only
-  /// when the packed implicit-GEMM path runs and the extents match; the
-  /// kernels fall back to local packing otherwise.
+  /// Packed path: pre-packed panels, used when the shape matches, and the
+  /// staging to run out of; null or mismatched means call-local ones.
   const PackedWeights* packed_weights = nullptr;
-  /// Split the forward/wgrad output-column tile loop into stealable
-  /// subtasks on the current scheduler. Off by default — batch-level
-  /// parallelism should stay the outer loop when the batch fills the
-  /// machine; flip it on when it does not (see Conv2d::forward).
+  ConvScratch* scratch = nullptr;
+  /// Packed path: run only slivers [sliver_begin, sliver_end) of the call's
+  /// column space (conv_forward_slivers / conv_dgrad_slivers); a negative
+  /// end runs them all.
+  std::int64_t sliver_begin = 0;
+  std::int64_t sliver_end = -1;
+  /// conv2d_forward: floats between consecutive samples' outputs; 0 means
+  /// out_ch * OH * OW.
+  std::int64_t y_stride = 0;
+  /// Split the weight-gradient kernel's output-column tile loop into
+  /// stealable subtasks on the current scheduler (see Conv2d::backward).
   bool parallel_tiles = false;
 };
 
-/// Forward: y (out_ch, OH, OW) = weight (out_ch, C*k*k) applied to x
-/// (c_in, h, w). y is fully overwritten. When `bias` is non-null a
-/// per-channel bias is fused into the epilogue, and `relu` additionally
-/// clamps at zero — the serving engine's folded conv+BN(+ReLU) epilogue.
-void conv2d_forward_plane(const float* x, std::int64_t c_in, std::int64_t h,
-                          std::int64_t w, const ConvGeometry& g,
-                          const float* weight, std::int64_t out_ch, float* y,
-                          const float* bias = nullptr, bool relu = false,
-                          const ConvKernelOpts& opts = {});
+/// Forward over a batch: y_i (out_ch, OH, OW) = weight (out_ch, C*k*k)
+/// applied to x_i (c_in, h, w) for the n samples at x + i * c_in*h*w; y_i
+/// starts at y + i * opts.y_stride and is fully overwritten. When `bias` is
+/// non-null a per-channel bias is fused into the epilogue, and `relu`
+/// additionally clamps at zero — the serving engine's folded conv+BN(+ReLU)
+/// epilogue. The packed path's column space is (sample, output pixel).
+void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
+                    std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                    const float* weight, std::int64_t out_ch, float* y,
+                    const float* bias = nullptr, bool relu = false,
+                    const ConvKernelOpts& opts = {});
+
+/// Input gradient over a batch: dx_i (c_in, h, w) += weight^T applied to
+/// gout_i (out_ch, OH, OW). Accumulates (callers zero-initialize dx). The
+/// packed path's column space is each phase's (sample, u, v) in turn.
+void conv2d_dgrad(const float* weight, std::int64_t out_ch,
+                  const float* gout, std::int64_t n, std::int64_t c_in,
+                  std::int64_t h, std::int64_t w, const ConvGeometry& g,
+                  float* dx, const ConvKernelOpts& opts = {});
+
+/// kNr-column slivers in conv2d_forward's / conv2d_dgrad's column space
+/// over n samples (dgrad: each phase rounded up to whole slivers).
+std::int64_t conv_forward_slivers(std::int64_t n, std::int64_t h,
+                                  std::int64_t w, const ConvGeometry& g);
+std::int64_t conv_dgrad_slivers(std::int64_t n, std::int64_t h,
+                                std::int64_t w, const ConvGeometry& g);
 
 /// True int8 forward (serving only), the one int8 conv entry point: runs a
 /// batch of n samples as one implicit GEMM whose column space is (sample,
@@ -192,13 +229,6 @@ std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
                                                std::int64_t h, std::int64_t w,
                                                const ConvGeometry& g);
 
-/// Input gradient: dx (c_in, h, w) += weight^T applied to gout
-/// (out_ch, OH, OW). Accumulates (callers zero-initialize dx once per batch).
-void conv2d_dgrad_plane(const float* weight, std::int64_t out_ch,
-                        const float* gout, std::int64_t c_in, std::int64_t h,
-                        std::int64_t w, const ConvGeometry& g, float* dx,
-                        const ConvKernelOpts& opts = {});
-
 /// Weight gradient: dw (out_ch, C*k*k) += gout (out_ch, OH, OW) *
 /// col(x)^T. Accumulates into dw (per-sample calls sum over the batch).
 /// Gradients are dense regardless of weight masks (masked entries are
@@ -208,15 +238,14 @@ void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
                         std::int64_t out_ch, float* dw,
                         const ConvKernelOpts& opts = {});
 
-/// Reference/fallback: expands one (C, H, W) plane at `x` into a full
-/// (C*k*k, OH*OW) column buffer. Out-of-image taps read as zero. Retained as
-/// the parity oracle for the implicit kernels and for the engine's CSR
-/// workspace sizing; the training and serving hot paths no longer call it.
+/// Reference: expands one (C, H, W) plane at `x` into a full (C*k*k, OH*OW)
+/// column buffer, out-of-image taps reading as zero — the parity oracle for
+/// the implicit kernels; no hot path calls it.
 void im2col_plane(const float* x, std::int64_t c_in, std::int64_t h,
                   std::int64_t w, const ConvGeometry& g, float* col);
 
-/// Reference/fallback inverse (adjoint) of im2col_plane: scatter-adds a full
-/// (C*k*k, OH*OW) column gradient into the (c_in, h, w) plane at `dx`.
+/// Reference adjoint of im2col_plane: scatter-adds a full (C*k*k, OH*OW)
+/// column gradient into the (c_in, h, w) plane at `dx`.
 void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
                       std::int64_t w, const ConvGeometry& g, float* dx);
 

@@ -53,23 +53,4 @@ void gemm_tn(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
 void gemm_tt(std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
              const float* b, float* c, const GemmOpts& opts = {});
 
-// Accumulating serial variants, drop-in for per-sample kernels invoked from
-// inside an outer batch-level parallel_for (the conv layers). Running these
-// serial keeps the parallelism at the batch level where chunks are larger.
-inline void gemm_nn_acc(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float* a, const float* b, float* c) {
-  gemm_nn(m, n, k, a, b, c, {.accumulate = true, .parallel = false});
-}
-inline void gemm_nt_acc(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float* a, const float* b, float* c) {
-  // Per-sample conv backward multiplies by im2col activations, so the
-  // pruned-weight row scan can never fire; skip it.
-  gemm_nt(m, n, k, a, b, c,
-          {.accumulate = true, .parallel = false, .skip_zero_b_rows = false});
-}
-inline void gemm_tn_acc(std::int64_t m, std::int64_t n, std::int64_t k,
-                        const float* a, const float* b, float* c) {
-  gemm_tn(m, n, k, a, b, c, {.accumulate = true, .parallel = false});
-}
-
 }  // namespace rt

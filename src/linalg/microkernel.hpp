@@ -9,7 +9,9 @@
 //     matrix edge are packed as zeros, so the micro-kernel never needs an
 //     m-tail; writes for those rows are simply discarded by the caller.
 //   - B is packed into column slivers of kNr columns: bp[p * kNr + j] =
-//     op(B)(k0 + p, col0 + j), edge columns zero-padded likewise.
+//     op(B)(k0 + p, col0 + j), edge columns zero-padded likewise. The conv
+//     kernels may instead hand the accumulator a row accessor brow(p) that
+//     reads each kNr-float B row in place (micro_chunk).
 //   - The micro-kernel keeps a full kMr x kNr accumulator block in registers,
 //     streams one packed A column + one packed B row per k step, and adds the
 //     block into C at the end — C traffic is O(mr*nr) per kc panel instead of
@@ -20,7 +22,7 @@
 // broadcast-FMAs plus one B load per step with zero C traffic — writing the
 // same loop over a float[8][8] array makes GCC spill the block to the stack
 // and shuffle it every iteration, which is ~4x slower. Other compilers get a
-// scalar fallback with identical semantics.
+// scalar fallback with identical semantics (detail::micro_block).
 
 #include <cstdint>
 #include <cstring>
@@ -46,16 +48,21 @@ inline VecNr load_vec(const float* p) {
   std::memcpy(&v, p, sizeof(VecNr));  // unaligned-safe; compiles to one load
   return v;
 }
+#endif
 
-/// Computes the full kMr x kNr accumulator block into `acc` (row i at
-/// acc[i]). The eight accumulators are separate named values so the
-/// register allocator keeps the whole block resident across the k loop.
-inline void micro_accumulate(std::int64_t kc, const float* __restrict ap,
-                             const float* __restrict bp, VecNr acc[kMr]) {
+/// Computes one k chunk's kMr x kNr block of FMA chains, each from +0, into
+/// the row-major `acc` (leading dimension kNr). B row p is the kNr floats
+/// at brow(p): a packed sliver row, or a row the conv kernels read in place.
+/// The eight accumulators are separate named values so the register
+/// allocator keeps the whole block resident across the k loop.
+template <typename BRow>
+inline void micro_block(std::int64_t kc, const float* __restrict ap,
+                        const BRow& brow, float* __restrict acc) {
+#ifdef RT_MICROKERNEL_VECTOR_EXT
   VecNr c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* __restrict a = ap + p * kMr;
-    const VecNr bv = load_vec(bp + p * kNr);
+    const VecNr bv = load_vec(brow(p));
     c0 += a[0] * bv;
     c1 += a[1] * bv;
     c2 += a[2] * bv;
@@ -65,81 +72,34 @@ inline void micro_accumulate(std::int64_t kc, const float* __restrict ap,
     c6 += a[6] * bv;
     c7 += a[7] * bv;
   }
-  acc[0] = c0;
-  acc[1] = c1;
-  acc[2] = c2;
-  acc[3] = c3;
-  acc[4] = c4;
-  acc[5] = c5;
-  acc[6] = c6;
-  acc[7] = c7;
-}
+  const VecNr rows[kMr] = {c0, c1, c2, c3, c4, c5, c6, c7};
+  std::memcpy(acc, rows, sizeof(rows));
+#else
+  for (std::int64_t t = 0; t < kMr * kNr; ++t) acc[t] = 0.0f;
+  for (std::int64_t p = 0; p < kc; ++p) {
+    const float* __restrict a = ap + p * kMr;
+    const float* b = brow(p);
+    for (int i = 0; i < kMr; ++i) {
+      for (int j = 0; j < kNr; ++j) acc[i * kNr + j] += a[i] * b[j];
+    }
+  }
 #endif
+}
 
 }  // namespace detail
 
-/// ap: one packed A row panel (kc x kMr), bp: one packed B sliver (kc x kNr).
-/// Adds the kMr x kNr product block into C (leading dimension ldc). The
-/// full-tile body carries no bounds checks; partial edges go through
-/// micro_kernel_edge below.
-inline void micro_kernel_full(std::int64_t kc, const float* __restrict ap,
-                              const float* __restrict bp, float* __restrict c,
-                              std::int64_t ldc) {
-#ifdef RT_MICROKERNEL_VECTOR_EXT
-  detail::VecNr acc[kMr];
-  detail::micro_accumulate(kc, ap, bp, acc);
-  for (int i = 0; i < kMr; ++i) {
-    float* crow = c + i * ldc;
-    const detail::VecNr cv = detail::load_vec(crow) + acc[i];
-    std::memcpy(crow, &cv, sizeof(cv));
+/// One k chunk of a block whose B rows are the kNr floats at brow(p), folded
+/// into the row-major block `sum` (leading dimension kNr): sum = +0 + chunk
+/// when `first`, else sum += chunk. A run of chunks reproduces, bit for bit,
+/// packed_block_multiply's accumulation into a zeroed C.
+template <typename BRow>
+inline void micro_chunk(std::int64_t kc, const float* __restrict ap,
+                        const BRow& brow, float* __restrict sum, bool first) {
+  alignas(32) float acc[kMr * kNr];
+  detail::micro_block(kc, ap, brow, acc);
+  for (std::int64_t t = 0; t < kMr * kNr; ++t) {
+    sum[t] = (first ? 0.0f : sum[t]) + acc[t];
   }
-#else
-  float acc[kMr][kNr] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict a = ap + p * kMr;
-    const float* __restrict b = bp + p * kNr;
-    for (int i = 0; i < kMr; ++i) {
-      const float av = a[i];
-      for (int j = 0; j < kNr; ++j) acc[i][j] += av * b[j];
-    }
-  }
-  for (int i = 0; i < kMr; ++i) {
-    float* crow = c + i * ldc;
-    for (int j = 0; j < kNr; ++j) crow[j] += acc[i][j];
-  }
-#endif
-}
-
-/// Edge variant: same accumulator block, but only the leading mr x nr
-/// sub-block is written back. The packed panels are zero-padded to full
-/// width, so the arithmetic is identical — only the writeback is clipped.
-inline void micro_kernel_edge(std::int64_t kc, const float* __restrict ap,
-                              const float* __restrict bp, float* __restrict c,
-                              std::int64_t ldc, std::int64_t mr,
-                              std::int64_t nr) {
-#ifdef RT_MICROKERNEL_VECTOR_EXT
-  detail::VecNr acc[kMr];
-  detail::micro_accumulate(kc, ap, bp, acc);
-  for (std::int64_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    const float* arow = reinterpret_cast<const float*>(&acc[i]);
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] += arow[j];
-  }
-#else
-  float acc[kMr][kNr] = {};
-  for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict a = ap + p * kMr;
-    const float* __restrict b = bp + p * kNr;
-    for (int i = 0; i < kMr; ++i) {
-      const float av = a[i];
-      for (int j = 0; j < kNr; ++j) acc[i][j] += av * b[j];
-    }
-  }
-  for (std::int64_t i = 0; i < mr; ++i) {
-    float* crow = c + i * ldc;
-    for (std::int64_t j = 0; j < nr; ++j) crow[j] += acc[i][j];
-  }
-#endif
 }
 
 /// Rounds a count up to whole micro-tiles.
@@ -232,25 +192,34 @@ inline void pack_b_cols_trans(const float* b, std::int64_t ldb, std::int64_t k0,
   }
 }
 
-/// Runs the packed micro-kernels over one (mb x nb) C block given fully
+/// Runs the packed micro-kernel over one (mb x nb) C block given fully
 /// packed operands: `ap` holds ceil(mb/kMr) row panels of width kb, `bp`
-/// holds ceil(nb/kNr) slivers of depth kb. C points at the block's top-left
-/// element (leading dimension ldc).
+/// holds ceil(nb/kNr) slivers of depth kb. Each kMr x kNr product block is
+/// added into C at its top-left element (leading dimension ldc); the panels
+/// are zero-padded, so edge blocks only clip the writeback.
 inline void packed_block_multiply(std::int64_t mb, std::int64_t nb,
                                   std::int64_t kb, const float* ap,
                                   const float* bp, float* c,
                                   std::int64_t ldc) {
+  alignas(32) float acc[kMr * kNr];
   for (std::int64_t ir = 0; ir < mb; ir += kMr) {
     const std::int64_t mr = (mb - ir) < kMr ? (mb - ir) : kMr;
-    const float* apanel = ap + ir * kb;
     for (std::int64_t jr = 0; jr < nb; jr += kNr) {
       const std::int64_t nr = (nb - jr) < kNr ? (nb - jr) : kNr;
-      const float* bsliver = bp + jr * kb;
+      const float* bs = bp + jr * kb;
+      detail::micro_block(
+          kb, ap + ir * kb, [bs](std::int64_t p) { return bs + p * kNr; }, acc);
       float* cblk = c + ir * ldc + jr;
       if (mr == kMr && nr == kNr) {
-        micro_kernel_full(kb, apanel, bsliver, cblk, ldc);
+        for (int i = 0; i < kMr; ++i) {
+          for (int j = 0; j < kNr; ++j) cblk[i * ldc + j] += acc[i * kNr + j];
+        }
       } else {
-        micro_kernel_edge(kb, apanel, bsliver, cblk, ldc, mr, nr);
+        for (std::int64_t i = 0; i < mr; ++i) {
+          for (std::int64_t j = 0; j < nr; ++j) {
+            cblk[i * ldc + j] += acc[i * kNr + j];
+          }
+        }
       }
     }
   }

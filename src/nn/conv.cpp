@@ -16,6 +16,37 @@ namespace {
 /// At the default batch of 32 this is 4 partials.
 constexpr std::int64_t kWgradSamplesPerSlot = 8;
 
+/// This thread's staging for the packed kernels: one bounded buffer per
+/// thread, grown to the widest layer it ran.
+ConvScratch& thread_scratch() {
+  thread_local ConvScratch scratch;
+  return scratch;
+}
+
+/// Runs a conv kernel over a batch on the current scheduler. The tap loop
+/// splits samples: run(begin, end, opts) gets a sample range. The packed
+/// GEMM splits whole slivers of its column space (`slivers` of them): run
+/// gets the full batch and opts carrying the sliver range and the executing
+/// thread's staging. Every column's arithmetic is independent of the split,
+/// so the bits do not depend on the lane count.
+template <typename Run>
+void split_batch(const ConvKernelOpts& kopts, std::int64_t n,
+                 std::int64_t slivers, const Run& run) {
+  const bool taps = kopts.algo == ConvAlgo::kTaps;
+  Scheduler::current().parallel_for(
+      taps ? n : slivers, [&](std::int64_t begin, std::int64_t end) {
+        if (taps) {
+          run(begin, end, kopts);
+          return;
+        }
+        ConvKernelOpts leaf = kopts;
+        leaf.sliver_begin = begin;
+        leaf.sliver_end = end;
+        leaf.scratch = &thread_scratch();
+        run(0, n, leaf);
+      });
+}
+
 }  // namespace
 
 void im2col(const Tensor& x, std::int64_t sample, const ConvGeometry& g,
@@ -76,32 +107,25 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::int64_t in_plane = in_channels_ * h * w;
   const std::int64_t out_plane = out_channels_ * oh * ow;
 
-  // The weight is shared across the batch: choose the executor once for
-  // every sample's kernel call, and when the packed path runs, pack the
-  // weight panels once instead of once per sample.
+  // The weight is shared across the batch: choose the executor once, and
+  // when the packed path runs, pack the weight panels once for the batch.
   const std::int64_t ckk = in_channels_ * geom_.kernel * geom_.kernel;
   ConvKernelOpts kopts;
   if (conv_runs_taps(count_nonzeros(wd, weight_.value.numel()), out_channels_,
                      ckk, oh * ow)) {
     kopts.algo = ConvAlgo::kTaps;
   } else {
-    packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/true,
-                         /*dgrad=*/false);
+    packed_weights_.pack(wd, out_channels_, in_channels_, geom_,
+                         /*forward=*/true, /*dgrad=*/false);
     kopts.packed_weights = &packed_weights_;
   }
-  // Batch-level tasks fill the machine when n >= lanes; below that, let the
-  // kernels split their output tiles so the idle lanes steal intra-plane
-  // work (bitwise-identical either way).
-  Scheduler& sched = Scheduler::current();
-  kopts.parallel_tiles = n < sched.num_threads();
-
-  sched.parallel_for(n, [&](std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) {
-      conv2d_forward_plane(xd + i * in_plane, in_channels_, h, w, geom_, wd,
-                           out_channels_, yd + i * out_plane, bd,
-                           /*relu=*/false, kopts);
-    }
-  });
+  split_batch(kopts, n, conv_forward_slivers(n, h, w, geom_),
+              [&](std::int64_t i0, std::int64_t i1,
+                  const ConvKernelOpts& opts) {
+                conv2d_forward(xd + i0 * in_plane, i1 - i0, in_channels_, h,
+                               w, geom_, wd, out_channels_,
+                               yd + i0 * out_plane, bd, /*relu=*/false, opts);
+              });
   return y;
 }
 
@@ -128,12 +152,25 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
                      ckk, ohw)) {
     kopts.algo = ConvAlgo::kTaps;
   } else {
-    // dgrad consumes W^T panels; pre-pack them once for the whole batch.
-    packed_weights_.pack(wd, out_channels_, ckk, /*forward=*/false,
-                         /*dgrad=*/true);
+    // dgrad consumes per-phase panels; pack them once for the whole batch.
+    packed_weights_.pack(wd, out_channels_, in_channels_, geom_,
+                         /*forward=*/false, /*dgrad=*/true);
     kopts.packed_weights = &packed_weights_;
   }
+  // dx = W^T * gout for the whole batch, whatever the parameter's
+  // trainability.
+  split_batch(kopts, n, conv_dgrad_slivers(n, h, w, geom_),
+              [&](std::int64_t i0, std::int64_t i1,
+                  const ConvKernelOpts& opts) {
+                conv2d_dgrad(wd, out_channels_, gd + i0 * out_channels_ * ohw,
+                             i1 - i0, in_channels_, h, w, geom_,
+                             dx.data() + i0 * in_plane, opts);
+              });
+  const bool want_dw = weight_.trainable;
+  const bool want_db = has_bias_ && bias_.trainable;
+  if (!want_dw && !want_db) return dx;
   Scheduler& sched = Scheduler::current();
+  // wgrad runs per sample; below one sample per lane it splits its tiles.
   kopts.parallel_tiles = n < sched.num_threads();
 
   // Weight-gradient accumulation: each slot owns a contiguous sample range
@@ -142,11 +179,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   // count is fixed by the batch size (not by the scheduler width or by
   // which worker ran what), so the tree's summation order — and the
   // resulting bits — are the same on every host and under any stealing.
-  // A frozen parameter's partials stay empty, so it gets no wgrad and no
-  // fold; dgrad runs in the same slot loop either way, so dx has the same
-  // bits.
-  const bool want_dw = weight_.trainable;
-  const bool want_db = has_bias_ && bias_.trainable;
   const std::int64_t slots =
       (n + kWgradSamplesPerSlot - 1) / kWgradSamplesPerSlot;
   std::vector<std::vector<float>> dw_part(static_cast<std::size_t>(slots));
@@ -172,9 +204,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
           conv2d_wgrad_plane(gi, xd + i * in_plane, in_channels_, h, w, geom_,
                              out_channels_, dw_local.data(), kopts);
         }
-        // dx_i += W^T * gout_i, computed in tiles scattered while cache-hot.
-        conv2d_dgrad_plane(wd, out_channels_, gi, in_channels_, h, w, geom_,
-                           dx.data() + i * in_plane, kopts);
         if (want_db) {
           float* db_local = db_part[static_cast<std::size_t>(s)].data();
           for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
@@ -187,7 +216,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       }
     }
   });
-  if (!want_dw && !want_db) return dx;
 
   // Pairwise tree: round r folds partial s+2^r into partial s. Each pair is
   // an independent buffer sum, so rounds parallelize without atomics.

@@ -1,19 +1,18 @@
 #pragma once
-// 2-D convolution (NCHW) with full backward, running on the fused
-// implicit-GEMM kernels in linalg/conv.hpp.
+// 2-D convolution (NCHW) with full backward, running on the implicit-GEMM
+// kernels in linalg/conv.hpp, so all convolution arithmetic (including the
+// masked-weight tap loop) lives in the linalg kernel layer.
 //
-// Forward and backward parallelize over the batch dimension; each sample
-// runs the plane kernels, so all convolution arithmetic (including the
-// masked-weight tap loop) lives in the linalg kernel layer. No per-sample
-// im2col/col2im buffer is materialized on the training path. Each forward
-// and backward counts the weight's nonzeros once and picks the executor for
-// the whole batch (conv_runs_taps: taps only for sparse weights on planes
-// large next to the channel count), and when the packed path runs, the
-// weight panels are pre-packed once per batch (linalg::PackedWeights)
-// instead of once per sample. When the batch has fewer samples than the
-// scheduler has lanes, the kernels additionally split their output-column
-// tiles into stealable subtasks, so batch-level and tile-level parallelism
-// compose instead of leaving lanes idle.
+// Each forward and backward counts the weight's nonzeros once and picks the
+// executor for the whole batch (conv_runs_taps: taps only for sparse
+// weights on planes large next to the channel count). The packed path
+// packs the weight panels once per batch (linalg::PackedWeights) and runs
+// forward and dgrad as one implicit GEMM over the batch, its slivers split
+// across the scheduler's lanes, each lane staging into its own ConvScratch;
+// the tap loop splits samples. The weight gradient runs per sample into
+// batch-sized partials, and splits its output-column tiles into stealable
+// subtasks when the batch has fewer samples than the scheduler has lanes.
+// None of the splits changes a bit of the result.
 
 #include <cstdint>
 #include <memory>
@@ -68,10 +67,10 @@ class Conv2d : public Module {
   Parameter weight_;
   Parameter bias_;
   Tensor cached_input_;
-  /// Batch-shared weight panels, re-packed per forward/backward call (the
-  /// weights change every optimizer step) but reused across every sample in
-  /// the batch. Member rather than local so the buffers persist between
-  /// steps instead of reallocating.
+  /// Batch-shared weight panels (forward, or dgrad's per-phase panels),
+  /// re-packed per forward/backward call (the weights change every
+  /// optimizer step). Member rather than local so the buffers persist
+  /// between steps instead of reallocating.
   PackedWeights packed_weights_;
 };
 

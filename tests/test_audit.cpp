@@ -92,29 +92,47 @@ TEST(RtHot, SessionRunRowsIsAllocationFreeAfterWarmup) {
   cfg.name = "audit";
   ResNet model(cfg, rng);
   model.set_training(false);
-
-  CompileOptions options;
-  options.height = 8;
-  options.width = 8;
-  Session session(Engine::compile(model, options), /*max_batch=*/4);
-
+  // A 70%-channel-pruned model too: its compact layers run the packed
+  // kernel over their kept rows and expand them in place.
+  ResNet chan_model(cfg, rng);
+  omp_prune(chan_model,
+            OmpConfig{0.7f, Granularity::kChannel, /*include_head=*/false});
+  chan_model.set_training(false);
   const Tensor x = Tensor::uniform({4, 3, 8, 8}, rng, 0.0f, 1.0f);
-  Tensor logits({4, 10});
-  // Warm-up: grows the thread's DecodeTable to this geometry and touches
-  // the pooled workspace; the steady state must then be allocation-free.
-  session.run_rows(x.data(), 4, logits.data());
-  audit::AllocGuard guard("Session::run_rows");
-  session.run_rows(x.data(), 4, logits.data());
-  EXPECT_EQ(guard.allocations(), 0)
-      << "run_rows steady state must recycle the workspace pool and the "
-         "kernels' thread_local scratch";
-  // The output still has to be real: the audit build must not have traded
-  // correctness for allocation-freedom.
-  float linf = 0.0f;
-  Tensor again({4, 10});
-  session.run_rows(x.data(), 4, again.data());
-  linf = logits.linf_distance(again);
-  EXPECT_EQ(linf, 0.0f) << "repeat runs must be bitwise deterministic";
+
+  for (const bool chan : {false, true}) {
+    SCOPED_TRACE(chan ? "channel" : "dense");
+    CompileOptions options;
+    options.height = 8;
+    options.width = 8;
+    const CompiledTicket plan = Engine::compile(chan ? chan_model : model,
+                                                options);
+    if (chan) {
+      int compact = 0;
+      for (const LayerPlan& l : plan.layers()) {
+        if (l.format == PackedFormat::kChannelCompact) ++compact;
+      }
+      EXPECT_GT(compact, 0);
+    }
+    Session session(plan, /*max_batch=*/4);
+
+    Tensor logits({4, 10});
+    // Warm-up: grows the thread's DecodeTable to this geometry and touches
+    // the pooled workspace, whose conv staging was fitted at construction;
+    // the steady state must then be allocation-free.
+    session.run_rows(x.data(), 4, logits.data());
+    audit::AllocGuard guard("Session::run_rows");
+    session.run_rows(x.data(), 4, logits.data());
+    EXPECT_EQ(guard.allocations(), 0)
+        << "run_rows steady state must recycle the workspace pool, whose "
+           "conv staging is fitted to every layer";
+    // The output still has to be real: the audit build must not have
+    // traded correctness for allocation-freedom.
+    Tensor again({4, 10});
+    session.run_rows(x.data(), 4, again.data());
+    EXPECT_EQ(logits.linf_distance(again), 0.0f)
+        << "repeat runs must be bitwise deterministic";
+  }
 }
 
 TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {

@@ -1,13 +1,15 @@
-// Conformance tests for the fused implicit-GEMM convolution kernels in
+// Conformance tests for the implicit-GEMM convolution kernels in
 // linalg/conv.hpp: forward, input-gradient, and weight-gradient parity
 // against the materialized im2col reference across kernel x stride x
-// padding x odd-extent geometries, the masked-weight tap path against the
-// same oracle, and a finite-difference gradcheck on a masked Conv2d layer.
+// padding x odd-extent geometries, batched calls bitwise equal to
+// per-sample ones, the masked-weight tap path against the same oracle,
+// and a finite-difference gradcheck on a masked Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -44,21 +46,38 @@ void expect_near(const std::vector<float>& got, const std::vector<float>& want,
   }
 }
 
+void expect_bitwise(const float* got, const float* want, std::int64_t count,
+                    const char* what, std::int64_t n, const Case& c) {
+  ASSERT_EQ(std::memcmp(got, want, static_cast<std::size_t>(count) *
+                                       sizeof(float)),
+            0)
+      << what << " batch " << n << " differs from per-sample calls: k="
+      << c.g.kernel << " s=" << c.g.stride << " p=" << c.g.padding
+      << " c_in=" << c.c_in << " out=" << c.out_ch << " h=" << c.h
+      << " w=" << c.w;
+}
+
 /// Runs forward/dgrad/wgrad through `algo` and through the im2col reference
-/// on the same random problem and demands agreement at <= 1e-4. A kTaps
-/// case must be a shape conv_runs_taps routes to taps, so a refit of the
-/// rule cannot leave the tap loop tested only where no layer runs it.
+/// on the same random problem and demands agreement at <= 1e-4. Forward and
+/// dgrad also run batched (n = 1, 3, 5 samples in one call, forward once
+/// more into a strided output), and every sample of a batch must equal its
+/// own single-sample call bitwise. A kTaps case must be a shape
+/// conv_runs_taps routes to taps, so a refit of the rule cannot leave the
+/// tap loop tested only where no layer runs it.
 void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
                 Rng& rng) {
+  constexpr std::int64_t kBatch = 5;
   const std::int64_t oh = c.g.out_extent(c.h);
   const std::int64_t ow = c.g.out_extent(c.w);
   ASSERT_GT(oh, 0);
   ASSERT_GT(ow, 0);
   const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
-  const std::vector<float> x = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
+  const std::int64_t in_plane = c.c_in * c.h * c.w;
+  const std::int64_t out_plane = c.out_ch * oh * ow;
+  const std::vector<float> x = random_vec(kBatch * in_plane, rng, 0.0f);
   const std::vector<float> w =
       random_vec(c.out_ch * ckk, rng, weight_zero_fraction);
-  const std::vector<float> gout = random_vec(c.out_ch * oh * ow, rng, 0.0f);
+  const std::vector<float> gout = random_vec(kBatch * out_plane, rng, 0.0f);
   const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
   if (algo == ConvAlgo::kTaps) {
     ASSERT_TRUE(conv_runs_taps(count_nonzeros(w.data(), c.out_ch * ckk),
@@ -71,23 +90,57 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
   const ConvKernelOpts ref_opts{ConvAlgo::kIm2colReference};
 
   for (const bool relu : {false, true}) {
-    std::vector<float> y(static_cast<std::size_t>(c.out_ch * oh * ow), -3.0f);
-    std::vector<float> y_ref = y;
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), bias.data(), relu, test_opts);
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y_ref.data(), bias.data(), relu, ref_opts);
-    expect_near(y, y_ref, relu ? "forward+relu" : "forward", c);
+    const char* what = relu ? "forward+relu" : "forward";
+    std::vector<float> y_one(static_cast<std::size_t>(kBatch * out_plane));
+    std::vector<float> y_ref = y_one;
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
+                     w.data(), c.out_ch, y_one.data() + i * out_plane,
+                     bias.data(), relu, test_opts);
+      conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
+                     w.data(), c.out_ch, y_ref.data() + i * out_plane,
+                     bias.data(), relu, ref_opts);
+    }
+    expect_near(y_one, y_ref, what, c);
+    for (const std::int64_t n : {1, 3, 5}) {
+      std::vector<float> y(static_cast<std::size_t>(n * out_plane), -3.0f);
+      conv2d_forward(x.data(), n, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
+                     y.data(), bias.data(), relu, test_opts);
+      expect_bitwise(y.data(), y_one.data(), n * out_plane, what, n, c);
+    }
+    // Strided output: sample i at i * (out_plane + 3); the gaps stay as is.
+    const std::int64_t stride = out_plane + 3;
+    std::vector<float> y(static_cast<std::size_t>(kBatch * stride), -3.0f);
+    ConvKernelOpts strided = test_opts;
+    strided.y_stride = stride;
+    conv2d_forward(x.data(), kBatch, c.c_in, c.h, c.w, c.g, w.data(),
+                   c.out_ch, y.data(), bias.data(), relu, strided);
+    for (std::int64_t i = 0; i < kBatch; ++i) {
+      expect_bitwise(y.data() + i * stride, y_one.data() + i * out_plane,
+                     out_plane, what, kBatch, c);
+      for (std::int64_t j = out_plane; j < stride; ++j) {
+        ASSERT_EQ(y[static_cast<std::size_t>(i * stride + j)], -3.0f);
+      }
+    }
   }
 
-  // dgrad accumulates: seed both sides with the same nonzero prior.
-  std::vector<float> dx = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
-  std::vector<float> dx_ref = dx;
-  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
-                     dx.data(), test_opts);
-  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
-                     dx_ref.data(), ref_opts);
-  expect_near(dx, dx_ref, "dgrad", c);
+  // dgrad accumulates: seed every side with the same nonzero prior.
+  const std::vector<float> prior = random_vec(kBatch * in_plane, rng, 0.0f);
+  std::vector<float> dx_one = prior;
+  std::vector<float> dx_ref = prior;
+  for (std::int64_t i = 0; i < kBatch; ++i) {
+    conv2d_dgrad(w.data(), c.out_ch, gout.data() + i * out_plane, 1, c.c_in,
+                 c.h, c.w, c.g, dx_one.data() + i * in_plane, test_opts);
+    conv2d_dgrad(w.data(), c.out_ch, gout.data() + i * out_plane, 1, c.c_in,
+                 c.h, c.w, c.g, dx_ref.data() + i * in_plane, ref_opts);
+  }
+  expect_near(dx_one, dx_ref, "dgrad", c);
+  for (const std::int64_t n : {1, 3, 5}) {
+    std::vector<float> dx(prior.begin(), prior.begin() + n * in_plane);
+    conv2d_dgrad(w.data(), c.out_ch, gout.data(), n, c.c_in, c.h, c.w, c.g,
+                 dx.data(), test_opts);
+    expect_bitwise(dx.data(), dx_one.data(), n * in_plane, "dgrad", n, c);
+  }
 
   std::vector<float> dw = random_vec(c.out_ch * ckk, rng, 0.0f);
   std::vector<float> dw_ref = dw;
@@ -115,13 +168,36 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
 
 TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   Rng rng(0xB16);
-  check_case({3, 16, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f,
-             ConvAlgo::kPacked, rng);
-  check_case({16, 32, 16, 16, ConvGeometry{3, 2, 1}}, 0.0f,
-             ConvAlgo::kPacked, rng);
+  // micro-r18 at 16x16: the stem, one 3x3 body conv per stage (16x16 rows
+  // of two direct-load slivers, 8x8 rows of one, then 4x4 and 2x2 planes
+  // whose slivers gather and cross samples), the stride-2 entries and the
+  // 1x1 stride-2 projections.
+  check_case({3, 8, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+             rng);
+  for (const std::int64_t ch : {8, 16, 32, 64}) {
+    const std::int64_t side = 16 / (ch / 8);
+    check_case({ch, ch, side, side, ConvGeometry{3, 1, 1}}, 0.0f,
+               ConvAlgo::kPacked, rng);
+    if (ch == 8) continue;
+    check_case({ch / 2, ch, 2 * side, 2 * side, ConvGeometry{3, 2, 1}}, 0.0f,
+               ConvAlgo::kPacked, rng);
+    check_case({ch / 2, ch, 2 * side, 2 * side, ConvGeometry{1, 2, 0}}, 0.0f,
+               ConvAlgo::kPacked, rng);
+  }
+  // Unpadded 1x1 stride-1 convs (micro-r50's bottlenecks) load every
+  // sliver inside a sample directly, across its plane's rows; with one
+  // input channel, across samples too.
+  check_case({16, 24, 4, 4, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
+             rng);
+  check_case({1, 4, 2, 3, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
+             rng);
+  // Depth past one kKc chunk in both directions (forward c_in*9 = 1152,
+  // dgrad out_ch = 136 > 128), and a 1x1 plane.
+  check_case({128, 136, 3, 3, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+             rng);
   check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
              rng);
-  // Wide-plane stem shape: ohw crosses several kNc panels.
+  // Wide-plane stem shape: rows of several slivers plus a ragged tail.
   check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
              rng);
 }
@@ -155,13 +231,13 @@ TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
                              c.out_ch, ckk, ohw));
   std::vector<float> y_ref(static_cast<std::size_t>(c.out_ch * ohw));
   std::vector<float> dx_ref(static_cast<std::size_t>(c.c_in * c.h * c.w));
-  conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                       y_ref.data(), nullptr, false,
-                       {ConvAlgo::kIm2colReference});
-  conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w, c.g,
-                     dx_ref.data(), {ConvAlgo::kIm2colReference});
+  conv2d_forward(x.data(), 1, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
+                 y_ref.data(), nullptr, false, {ConvAlgo::kIm2colReference});
+  conv2d_dgrad(w.data(), c.out_ch, gout.data(), 1, c.c_in, c.h, c.w, c.g,
+               dx_ref.data(), {ConvAlgo::kIm2colReference});
   PackedWeights packed;
-  packed.pack(w.data(), c.out_ch, ckk, /*forward=*/true, /*dgrad=*/true);
+  packed.pack(w.data(), c.out_ch, c.c_in, c.g, /*forward=*/true,
+              /*dgrad=*/true);
   ConvKernelOpts prepacked;
   prepacked.packed_weights = &packed;
   for (const ConvKernelOpts& opts :
@@ -169,10 +245,10 @@ TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
         prepacked}) {
     std::vector<float> y(y_ref.size());
     std::vector<float> dx(dx_ref.size());
-    conv2d_forward_plane(x.data(), c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                         y.data(), nullptr, false, opts);
-    conv2d_dgrad_plane(w.data(), c.out_ch, gout.data(), c.c_in, c.h, c.w,
-                       c.g, dx.data(), opts);
+    conv2d_forward(x.data(), 1, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
+                   y.data(), nullptr, false, opts);
+    conv2d_dgrad(w.data(), c.out_ch, gout.data(), 1, c.c_in, c.h, c.w, c.g,
+                 dx.data(), opts);
     expect_near(y, y_ref, "forward", c);
     expect_near(dx, dx_ref, "dgrad", c);
   }

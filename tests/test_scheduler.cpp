@@ -1,6 +1,6 @@
 // Work-stealing scheduler tests: nested parallel_for correctness under
 // contention, TaskGroup exception propagation, bitwise determinism of
-// fixed-tree reductions and of the tile-parallel conv kernels under
+// fixed-tree reductions and of the sliver-split conv kernels under
 // arbitrary stealing, training bits that do not depend on the lane count,
 // and a multi-session engine stress test over one shared scheduler.
 //
@@ -263,61 +263,78 @@ TEST(Scheduler, GemmBitwiseStableAcrossRuns) {
   }
 }
 
-TEST(Scheduler, TileParallelConvMatchesSerialBitwise) {
-  // parallel_tiles splits the forward/wgrad output-tile loops into
-  // stealable subtasks; tiles write disjoint outputs with unchanged
-  // per-element accumulation order, so the bits must match the serial path
-  // exactly — including with pre-packed weight panels.
+TEST(Scheduler, SliverParallelConvMatchesSerialBitwise) {
+  // Conv2d splits whole slivers of the packed forward's and dgrad's column
+  // space across lanes. Each column's arithmetic does not depend on the
+  // split, so one sliver per leaf must give the bits of one serial call over
+  // the batch — at a batch below and above the lane count, stride 1 and 2
+  // (whose dgrad runs four phases). wgrad's parallel_tiles splits its
+  // output-column tiles with unchanged per-element order, so it must match
+  // its serial path too.
   Scheduler sched(4);
   SchedulerScope scope(sched);
   constexpr std::int64_t kCh = 24, kH = 13, kW = 17;
-  const ConvGeometry geom{3, 1, 1};
   const std::int64_t ckk = kCh * 9;
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+           0;
+  };
   Rng rng(99);
-  const Tensor x = Tensor::randn({kCh, kH, kW}, rng);
-  const Tensor w = Tensor::randn({kCh, ckk}, rng, 0.05f);
-  const Tensor g = Tensor::randn({kCh, kH, kW}, rng);
+  for (const std::int64_t stride : {1, 2}) {
+    const ConvGeometry geom{3, stride, 1};
+    const std::int64_t oh = geom.out_extent(kH), ow = geom.out_extent(kW);
+    const Tensor w = Tensor::randn({kCh, ckk}, rng, 0.05f);
+    PackedWeights packed;
+    packed.pack(w.data(), kCh, kCh, geom, /*forward=*/true, /*dgrad=*/true);
+    ConvKernelOpts opts;
+    opts.packed_weights = &packed;
+    for (const std::int64_t n : {2, 9}) {
+      const Tensor x = Tensor::randn({n, kCh, kH, kW}, rng);
+      const Tensor g = Tensor::randn({n, kCh, oh, ow}, rng);
+      Tensor y_ref({n, kCh, oh, ow}), y_split({n, kCh, oh, ow});
+      Tensor dx_ref({n, kCh, kH, kW}), dx_split({n, kCh, kH, kW});
+      conv2d_forward(x.data(), n, kCh, kH, kW, geom, w.data(), kCh,
+                     y_ref.data(), nullptr, false, opts);
+      conv2d_dgrad(w.data(), kCh, g.data(), n, kCh, kH, kW, geom,
+                   dx_ref.data(), opts);
+      const auto leaf = [&](std::int64_t b, std::int64_t e) {
+        ConvKernelOpts o = opts;
+        o.sliver_begin = b;
+        o.sliver_end = e;
+        return o;
+      };
+      sched.parallel_for(
+          conv_forward_slivers(n, kH, kW, geom),
+          [&](std::int64_t b, std::int64_t e) {
+            conv2d_forward(x.data(), n, kCh, kH, kW, geom, w.data(), kCh,
+                           y_split.data(), nullptr, false, leaf(b, e));
+          },
+          /*grain=*/1);
+      sched.parallel_for(
+          conv_dgrad_slivers(n, kH, kW, geom),
+          [&](std::int64_t b, std::int64_t e) {
+            conv2d_dgrad(w.data(), kCh, g.data(), n, kCh, kH, kW, geom,
+                         dx_split.data(), leaf(b, e));
+          },
+          /*grain=*/1);
+      EXPECT_TRUE(same(y_ref, y_split)) << "forward s=" << stride
+                                        << " n=" << n;
+      EXPECT_TRUE(same(dx_ref, dx_split)) << "dgrad s=" << stride
+                                          << " n=" << n;
+    }
 
-  ConvKernelOpts serial;
-  serial.algo = ConvAlgo::kPacked;
-  ConvKernelOpts tiled = serial;
-  tiled.parallel_tiles = true;
-  PackedWeights packed;
-  packed.pack(w.data(), kCh, ckk, /*forward=*/true, /*dgrad=*/true);
-  ConvKernelOpts prepacked = tiled;
-  prepacked.packed_weights = &packed;
-
-  Tensor y_ref({kCh, kH, kW}), y_tiled({kCh, kH, kW}), y_pack({kCh, kH, kW});
-  conv2d_forward_plane(x.data(), kCh, kH, kW, geom, w.data(), kCh,
-                       y_ref.data(), nullptr, false, serial);
-  conv2d_forward_plane(x.data(), kCh, kH, kW, geom, w.data(), kCh,
-                       y_tiled.data(), nullptr, false, tiled);
-  conv2d_forward_plane(x.data(), kCh, kH, kW, geom, w.data(), kCh,
-                       y_pack.data(), nullptr, false, prepacked);
-  const auto bytes = static_cast<std::size_t>(y_ref.numel()) * sizeof(float);
-  EXPECT_EQ(std::memcmp(y_ref.data(), y_tiled.data(), bytes), 0);
-  EXPECT_EQ(std::memcmp(y_ref.data(), y_pack.data(), bytes), 0);
-
-  Tensor dw_ref({kCh, ckk}), dw_tiled({kCh, ckk});
-  dw_ref.fill_(0.0f);
-  dw_tiled.fill_(0.0f);
-  conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
-                     dw_ref.data(), serial);
-  conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
-                     dw_tiled.data(), tiled);
-  EXPECT_EQ(std::memcmp(dw_ref.data(), dw_tiled.data(),
-                        static_cast<std::size_t>(dw_ref.numel()) *
-                            sizeof(float)),
-            0);
-
-  Tensor dx_ref({kCh, kH, kW}), dx_pack({kCh, kH, kW});
-  dx_ref.fill_(0.0f);
-  dx_pack.fill_(0.0f);
-  conv2d_dgrad_plane(w.data(), kCh, g.data(), kCh, kH, kW, geom,
-                     dx_ref.data(), serial);
-  conv2d_dgrad_plane(w.data(), kCh, g.data(), kCh, kH, kW, geom,
-                     dx_pack.data(), prepacked);
-  EXPECT_EQ(std::memcmp(dx_ref.data(), dx_pack.data(), bytes), 0);
+    const Tensor x = Tensor::randn({kCh, kH, kW}, rng);
+    const Tensor g = Tensor::randn({kCh, oh, ow}, rng);
+    ConvKernelOpts tiled;
+    tiled.parallel_tiles = true;
+    Tensor dw_ref({kCh, ckk}), dw_tiled({kCh, ckk});
+    conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
+                       dw_ref.data(), {});
+    conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
+                       dw_tiled.data(), tiled);
+    EXPECT_TRUE(same(dw_ref, dw_tiled)) << "wgrad s=" << stride;
+  }
 }
 
 /// Trains a freshly seeded micro-r18 for `steps` SGD steps on `batch`-row
@@ -353,8 +370,8 @@ TEST(Scheduler, TrainingBitsIndependentOfLaneCount) {
   // Every reduction partition (the conv wgrad partials above all) follows
   // the batch, never the lane count, so a model trains to the same bits on
   // any host. Batch 32 is the default training batch; 12 leaves a ragged
-  // last partial; 2 runs below the lane count, where the conv kernels
-  // switch to parallel_tiles.
+  // last partial; 2 runs below the lane count, where wgrad switches to
+  // parallel_tiles.
   for (const std::int64_t batch : {32, 12, 2}) {
     const std::vector<float> one = train_micro_r18(1, batch, 2);
     const std::vector<float> four = train_micro_r18(4, batch, 2);
