@@ -480,10 +480,10 @@ BENCHMARK(BM_ShrunkVsMaskedForward)->Arg(0)->Arg(1);
 // 2 = compiled engine with native int8 execution (s8 weights, u8 offset
 // activations, int32 accumulation, fused requant). Arg 1 is the layerwise
 // element sparsity percentage: 90 and 98 pack every conv as CSR, 0 as
-// dense. fp32 CSR always runs taps; int8 CSR picks its executor per layer
-// (s8_csr_runs_taps): 90 runs every conv on panels expanded from CSR, 98
-// keeps every conv on the integer tap loop. items_per_second of {2, s}
-// over {1, s} is the end-to-end int8 win.
+// dense. CSR convs of both precisions pick their executor per layer
+// (csr_runs_taps): 90 runs every conv on panels expanded from CSR, 98
+// keeps every conv on the tap loop. items_per_second of {2, s} over {1, s}
+// is the end-to-end int8 win.
 void BM_EngineThroughput(benchmark::State& state) {
   const auto mode = state.range(0);
   const float sparsity = static_cast<float>(state.range(1)) / 100.0f;
@@ -514,6 +514,7 @@ BENCHMARK(BM_EngineThroughput)
     ->Args({0, 90})
     ->Args({1, 90})
     ->Args({2, 90})
+    ->Args({1, 98})
     ->Args({2, 98})
     ->Args({1, 0})
     ->Args({2, 0});

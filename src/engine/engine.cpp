@@ -31,26 +31,27 @@ std::string base_name(const std::string& param_name) {
   return param_name;
 }
 
-/// Expands a CSR layer's int8 values into the row-major (rows, cols) matrix
-/// the panel packers consume: CSR is the shippable encoding, panels are one
-/// of its executors.
-std::vector<std::int8_t> expand_csr_s8(const CsrMatrix& csr,
-                                       const std::vector<std::int8_t>& q) {
-  std::vector<std::int8_t> dense(static_cast<std::size_t>(csr.rows * csr.cols),
-                                 0);
+/// Expands a CSR layer's values (the float values or their int8 sidecar)
+/// into the row-major (rows, cols) matrix the panel packers consume: CSR is
+/// the shippable encoding, panels are one of its executors.
+template <typename T>
+std::vector<T> expand_csr(const CsrMatrix& csr, const std::vector<T>& values) {
+  std::vector<T> dense(static_cast<std::size_t>(csr.rows * csr.cols), T{0});
   for (std::int64_t r = 0; r < csr.rows; ++r) {
     for (std::int32_t t = csr.row_ptr[static_cast<std::size_t>(r)];
          t < csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++t) {
       const auto ti = static_cast<std::size_t>(t);
-      dense[static_cast<std::size_t>(r * csr.cols + csr.col_idx[ti])] = q[ti];
+      dense[static_cast<std::size_t>(r * csr.cols + csr.col_idx[ti])] =
+          values[ti];
     }
   }
   return dense;
 }
 
 /// Packs a folded (rows, cols) weight matrix + bias into the chosen format,
-/// fills the int8 sidecar, and appends the layer's plan record. The weight
-/// buffer is consumed.
+/// fills the int8 sidecar, and appends the layer's plan record; pack_conv
+/// and pack_linear then build the layer's executor. The weight buffer is
+/// consumed.
 template <typename Packed>
 void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
                   std::int64_t cols, std::int64_t macs_per_weight,
@@ -164,71 +165,11 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     plan.packed_bytes +=
         static_cast<std::int64_t>(p.qscales.size()) * 4;  // fp32 scales
 
-    // True int8 execution: pack the sidecar into the quantized kernel
-    // layer's executable operands. Native execution needs the full 8-bit
-    // encoding (the kernels' offset arithmetic assumes q in [-127, 127]);
-    // narrower bit-width sweeps keep the simulated float path.
-    if (options.int8_native && options.int8_bits == 8) {
-      p.int8_exec = true;
-      if constexpr (requires { p.taps; }) {
-        // Convs execute natively in every format. Dense and channel-compact
-        // layers run the quantized implicit-GEMM (quad panels + offset
-        // corrections + per-packed-row scales). CSR stays the shippable
-        // encoding but picks its executor here: the integer tap loop over
-        // qvalues/qscales while the layer is sparse enough for its plane
-        // (s8_csr_runs_taps), otherwise panels expanded from the CSR int8
-        // values through the same implicit GEMM as dense layers.
-        if (format != PackedFormat::kCsr ||
-            !s8_csr_runs_taps(nnz, rows, cols, p.out_h * p.out_w)) {
-          const std::int64_t exec_rows =
-              format == PackedFormat::kChannelCompact
-                  ? static_cast<std::int64_t>(kept.size())
-                  : rows;
-          // k reordered to (ki, kj, channel quad): the kernel reads each
-          // quad of the operand straight from channel-quad input planes.
-          const std::vector<std::int8_t> quads = conv_s8_quad_weights(
-              format == PackedFormat::kCsr
-                  ? expand_csr_s8(p.csr, p.qvalues).data()
-                  : p.qvalues.data(),
-              exec_rows, p.in_ch, p.geom.kernel);
-          p.qpacked.pack(quads.data(), exec_rows,
-                         p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
-          p.qoffsets =
-              conv_s8_quad_offsets(p.in_ch, p.in_h, p.in_w, p.geom);
-          p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
-          for (std::int64_t r = 0; r < exec_rows; ++r) {
-            const std::int64_t src = format == PackedFormat::kChannelCompact
-                                         ? kept[static_cast<std::size_t>(r)]
-                                         : r;
-            p.qexec_scales[static_cast<std::size_t>(r)] =
-                p.qscales[static_cast<std::size_t>(src)];
-          }
-          // Panels are host-side acceleration like the fp32 prepack (which
-          // native layers skip), reported on the same line.
-          plan.prepacked_bytes =
-              p.qpacked.bytes() +
-              static_cast<std::int64_t>(p.qoffsets.size()) * 4;
-        }
-      } else {
-        // The head runs full-depth quad slivers in either format (a CSR
-        // head's values expand first; the layer is tiny), so its executor
-        // never depends on the shippable encoding.
-        const std::vector<std::int8_t> q =
-            format == PackedFormat::kCsr ? expand_csr_s8(p.csr, p.qvalues)
-                                         : p.qvalues;
-        const std::int64_t rows8 = round_up4(cols) *
-                                   ((rows + kNrS8 - 1) / kNrS8 * kNrS8);
-        p.qslivers.assign(static_cast<std::size_t>(rows8), 0);
-        pack_b_quads_s8_nt(q.data(), rows, cols, p.qslivers.data());
-        p.qcorr.resize(static_cast<std::size_t>(rows));
-        for (std::int64_t r = 0; r < rows; ++r) {
-          p.qcorr[static_cast<std::size_t>(r)] =
-              quad_row_offset_sum(q.data() + r * cols, cols);
-        }
-        plan.prepacked_bytes =
-            static_cast<std::int64_t>(p.qslivers.size()) + rows * 4;
-      }
-    }
+    // True int8 execution: the caller packs the sidecar into the quantized
+    // kernel layer's executable operands. Native execution needs the full
+    // 8-bit encoding (the kernels' offset arithmetic assumes q in
+    // [-127, 127]); narrower bit-width sweeps keep the simulated float path.
+    p.int8_exec = options.int8_native && options.int8_bits == 8;
   }
   plan.packed_bytes += rows * 4;  // folded fp32 bias
   plans.push_back(std::move(plan));
@@ -268,35 +209,61 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
                       std::sqrt(bn->running_var()[oc] + bn->eps());
       float* row = w.data() + oc * ckk;
       for (std::int64_t c = 0; c < ckk; ++c) row[c] *= s;
-      p.bias[static_cast<std::size_t>(oc)] =
-          bn->beta().value[oc] +
-          s * (p.bias[static_cast<std::size_t>(oc)] - bn->running_mean()[oc]);
+      // One fused multiply-add, so the folded bias has the same bits
+      // whether or not the compiler contracts a multiply and an add.
+      p.bias[static_cast<std::size_t>(oc)] = std::fma(
+          s, p.bias[static_cast<std::size_t>(oc)] - bn->running_mean()[oc],
+          bn->beta().value[oc]);
     }
   }
   pack_weights(p, std::move(w), p.out_ch, ckk, p.out_h * p.out_w, options,
                plans, /*allow_compact=*/true);
-  // fp32 dense-style formats run the packed implicit GEMM or the tap loop;
-  // freeze the choice here with the rule Conv2d applies per batch (a
-  // channel-compact layer's kept rows hold all its nonzeros), and when the
-  // packed path will run, pay the weight-panel pack here — once per compile
-  // instead of once per serve-time plane call.
-  if (p.format != PackedFormat::kCsr && !p.int8_exec && !p.weight.empty()) {
-    const auto rows = static_cast<std::int64_t>(p.weight.size()) / ckk;
-    if (conv_runs_taps(plans.back().nnz, rows, ckk, p.out_h * p.out_w)) {
-      p.algo = ConvAlgo::kTaps;
-    } else {
-      p.prepacked.pack(p.weight.data(), rows, p.in_ch, p.geom,
-                       /*forward=*/true, /*dgrad=*/false);
-      // The panels stay resident next to the raw weights for the plan's
-      // lifetime. They are host-side acceleration, not part of the
-      // shippable encoding, so they are reported separately from
-      // packed_bytes.
-      plans.back().prepacked_bytes = p.prepacked.bytes();
+  // Freeze the layer's executor. CSR layers of either precision run taps
+  // while csr_runs_taps holds, else panels expanded from the CSR values
+  // through the implicit GEMM dense layers run. fp32 dense-format layers
+  // apply the rule Conv2d applies per batch (a channel-compact layer's kept
+  // rows hold all its nonzeros); int8 dense-format layers always run
+  // panels. Panels are packed here, once per compile instead of once per
+  // serve-time call; they are host-side acceleration, not part of the
+  // shippable encoding, so they are reported apart from packed_bytes.
+  LayerPlan& plan = plans.back();
+  const bool csr = p.format == PackedFormat::kCsr;
+  const std::int64_t ohw = p.out_h * p.out_w;
+  const std::int64_t exec_rows = p.format == PackedFormat::kChannelCompact
+                                     ? static_cast<std::int64_t>(p.kept.size())
+                                     : p.out_ch;
+  if (csr ? csr_runs_taps(plan.nnz, plan.rows, plan.cols, ohw)
+          : !p.int8_exec && conv_runs_taps(plan.nnz, exec_rows, ckk, ohw)) {
+    p.algo = ConvAlgo::kTaps;
+  } else if (p.int8_exec) {
+    // Quad panels + offset corrections + per-packed-row scales, with k
+    // reordered to (ki, kj, channel quad): the kernel reads each quad of
+    // the operand straight from channel-quad input planes.
+    const std::vector<std::int8_t> quads = conv_s8_quad_weights(
+        csr ? expand_csr(p.csr, p.qvalues).data() : p.qvalues.data(),
+        exec_rows, p.in_ch, p.geom.kernel);
+    p.qpacked.pack(quads.data(), exec_rows,
+                   p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
+    p.qoffsets = conv_s8_quad_offsets(p.in_ch, in_h, in_w, p.geom);
+    p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
+    for (std::int64_t r = 0; r < exec_rows; ++r) {
+      const std::int64_t src = p.format == PackedFormat::kChannelCompact
+                                   ? p.kept[static_cast<std::size_t>(r)]
+                                   : r;
+      p.qexec_scales[static_cast<std::size_t>(r)] =
+          p.qscales[static_cast<std::size_t>(src)];
     }
+    plan.prepacked_bytes =
+        p.qpacked.bytes() + static_cast<std::int64_t>(p.qoffsets.size()) * 4;
+  } else if (exec_rows > 0) {
+    p.prepacked.pack(
+        csr ? expand_csr(p.csr, p.csr.values).data() : p.weight.data(),
+        exec_rows, p.in_ch, p.geom, /*forward=*/true, /*dgrad=*/false);
+    plan.prepacked_bytes = p.prepacked.bytes();
   }
-  if (p.format == PackedFormat::kCsr && p.qpacked.empty()) {
-    // Tap-executed CSR (fp32, simulated int8, and int8-native layers left
-    // on taps): decode each nonzero's CSR column (= in_ch * k^2 + ki * k +
+  if (csr && p.algo == ConvAlgo::kTaps) {
+    // Tap-executed CSR (fp32, simulated int8 and int8-native alike): decode
+    // each nonzero's CSR column (= in_ch * k^2 + ki * k +
     // kj, the Conv2d weight layout) into a fully resolved implicit-conv tap:
     // base input offset plus the output range whose input taps stay in
     // bounds.
@@ -329,15 +296,15 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
       p.taps.push_back(tap);
     }
   }
-  if (p.int8_exec) {
+  if (csr && p.algo != ConvAlgo::kTaps) {
+    // Panel-executed CSR: the panels are the executable, so neither the CSR
+    // arrays nor a dense float copy stays resident.
+    p.csr = CsrMatrix{};
+  } else if (p.int8_exec) {
     // Native layers execute the integer encoding; the dequantized floats
     // are dead weight once the executor and taps are resolved — drop
     // them, so int8 plans are genuinely smaller resident, not just on wire.
-    if (p.format == PackedFormat::kCsr) {
-      std::vector<float>().swap(p.csr.values);
-    } else {
-      std::vector<float>().swap(p.weight);
-    }
+    std::vector<float>().swap(csr ? p.csr.values : p.weight);
   }
   return p;
 }
@@ -359,7 +326,23 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
   pack_weights(p, std::move(w), p.out_features, p.in_features, 1, options,
                plans, /*allow_compact=*/false);
   if (p.int8_exec) {
-    // The slivers are the executable.
+    // The head runs full-depth quad slivers in either format (a CSR head's
+    // values expand first; the layer is tiny), so its executor never
+    // depends on the shippable encoding. The slivers are the executable.
+    const std::int64_t rows = p.out_features, cols = p.in_features;
+    const std::vector<std::int8_t> q = p.format == PackedFormat::kCsr
+                                           ? expand_csr(p.csr, p.qvalues)
+                                           : p.qvalues;
+    const std::int64_t rows8 = (rows + kNrS8 - 1) / kNrS8 * kNrS8;
+    p.qslivers.assign(static_cast<std::size_t>(round_up4(cols) * rows8), 0);
+    pack_b_quads_s8_nt(q.data(), rows, cols, p.qslivers.data());
+    p.qcorr.resize(static_cast<std::size_t>(rows));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      p.qcorr[static_cast<std::size_t>(r)] =
+          quad_row_offset_sum(q.data() + r * cols, cols);
+    }
+    plans.back().prepacked_bytes =
+        static_cast<std::int64_t>(p.qslivers.size()) + rows * 4;
     std::vector<float>().swap(p.weight);
     std::vector<float>().swap(p.csr.values);
   }

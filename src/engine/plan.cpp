@@ -66,12 +66,12 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
   return PackedFormat::kDense;
 }
 
-bool s8_csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                      std::int64_t out_pixels) {
+bool csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                   std::int64_t out_pixels) {
   if (rows <= 0 || cols <= 0 || out_pixels <= 0) return true;
   const double density = static_cast<double>(nnz) /
                          static_cast<double>(rows * cols);
-  return density <= kS8TapDensityPerOctave *
+  return density <= kCsrTapDensityPerOctave *
                         std::log2(static_cast<double>(out_pixels));
 }
 
@@ -112,7 +112,7 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
     run_s8(in, out, n, ws, in_amax, out_amax);
     return;
   }
-  if (format == PackedFormat::kCsr) {
+  if (format == PackedFormat::kCsr && algo == ConvAlgo::kTaps) {
     // Implicit sparse conv: slide each nonzero tap over the input. All index
     // arithmetic was resolved into the tap at compile time; the batch loop
     // sits INSIDE the tap loop so per-nonzero setup amortizes over the batch
@@ -165,12 +165,13 @@ RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
     }
     return;
   }
-  // Dense-style formats run the whole batch as one conv2d_forward call: the
-  // packed implicit GEMM over the compile-time panels, staging in the
-  // Workspace, or the tap loop a compile-time choice put masked layers on
-  // (planes large enough for it). Channel-compact layers compute their kept
-  // rows, bias and ReLU fused, into each sample's leading rows and expand
-  // them in place.
+  // Every other layer runs the whole batch as one conv2d_forward call: the
+  // packed implicit GEMM over the compile-time panels (panel-executed CSR
+  // layers included), staging in the Workspace, or the tap loop a
+  // compile-time choice put masked dense-format layers on (planes large
+  // enough for it). Channel-compact layers compute their kept rows, bias
+  // and ReLU fused, into each sample's leading rows and expand them in
+  // place.
   const bool compact = format == PackedFormat::kChannelCompact;
   ConvKernelOpts kopts;
   kopts.algo = algo;
@@ -217,9 +218,9 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   const std::int64_t in_f = in_floats(), out_f = out_floats();
   const float sx = act_scale_for(in_amax);
   if (out_amax != nullptr) *out_amax = 0.0f;
-  if (qoffsets.empty()) {
+  if (algo == ConvAlgo::kTaps) {
     // No panels: a CSR layer compile left on the integer tap loop
-    // (s8_csr_runs_taps). SIGNED s8 activations: tap windows give border
+    // (csr_runs_taps). SIGNED s8 activations: tap windows give border
     // pixels per-pixel tap subsets, so the u8 offset trick's per-row
     // constant correction does not apply here — signed input needs none.
     // Structure mirrors the float tap path (batch inside tap, fixed

@@ -9,8 +9,9 @@
 //   - per-layer weight packing into a real executable encoding chosen from
 //     the hw/storage taxonomy: dense row-major, channel-compact (kept rows
 //     stored contiguously — the right shape for row/channel-pruned tickets),
-//     or CSR (linalg/sparse.hpp) for unstructured high sparsity, so masked-
-//     ticket inference costs O(nonzeros) instead of O(numel);
+//     or CSR (linalg/sparse.hpp) for unstructured high sparsity, run by a
+//     compile-resolved tap loop at O(nonzeros) cost where csr_runs_taps
+//     says it wins, by panels expanded from the CSR values otherwise;
 //   - optional int8 weight quantization via hw/quant (symmetric per-channel):
 //     the plan carries the int8 values + scales it ships, and by default
 //     EXECUTES them natively — weights packed into the int8 kernel layer's
@@ -46,22 +47,22 @@ enum class PackedFormat { kDense, kChannelCompact, kCsr };
 
 const char* packed_format_name(PackedFormat format);
 
-/// Executor crossover for int8-native CSR convs. CSR stays such a layer's
-/// shippable encoding, but compile picks what runs it: the integer tap loop
-/// (cost ~ nnz * OH*OW, scalar on narrow planes) or quad panels expanded
-/// from the CSR values through the dense implicit GEMM (cost ~ dense MACs,
-/// VNNI-wide). Taps win only while the layer's density is at or below a
-/// crossover that grows with the output plane: measured ~0.10 at OH*OW=256,
-/// ~0.07 at 64, ~0.04 at 16 and ~0.025 at 4, which
-/// density <= kS8TapDensityPerOctave * log2(OH*OW) fits. Next to
-/// CompileOptions::csr_max_density, which picks the encoding.
-inline constexpr double kS8TapDensityPerOctave = 0.012;
+/// Executor crossover for CSR convs, fp32 and int8-native alike. CSR stays
+/// such a layer's shippable encoding, but compile picks what runs it: the
+/// compile-resolved tap loop (cost ~ nnz * OH*OW, scalar on narrow planes)
+/// or weight panels expanded from the CSR values through the batched
+/// implicit GEMM the dense layers run (cost ~ dense MACs, SIMD-wide). Taps
+/// win only while the layer's density is at or below a crossover that grows
+/// with the output plane, which density <= kCsrTapDensityPerOctave *
+/// log2(OH*OW) fits for both precisions (DESIGN.md "CSR executor rule").
+/// Next to CompileOptions::csr_max_density, which picks the encoding.
+inline constexpr double kCsrTapDensityPerOctave = 0.012;
 
-/// True when an int8-native CSR conv with `nnz` nonzeros in a (rows, cols)
-/// folded weight and `out_pixels` = OH*OW runs the integer tap loop; false
-/// when it runs expanded quad panels.
-bool s8_csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                      std::int64_t out_pixels);
+/// True when a CSR conv with `nnz` nonzeros in a (rows, cols) folded weight
+/// and `out_pixels` = OH*OW runs the tap loop; false when it runs expanded
+/// panels.
+bool csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                   std::int64_t out_pixels);
 
 struct CompileOptions {
   /// Frozen input geometry. Serving engines trade shape flexibility for
@@ -162,26 +163,29 @@ struct PackedConv {
 
   /// kDense: (out_ch, ckk); kChannelCompact: (kept_rows.size(), ckk).
   std::vector<float> weight;
-  /// Executor of the fp32 dense-format kernels (kDense, kChannelCompact),
-  /// frozen at compile time by conv_runs_taps: kTaps or kPacked.
+  /// The layer's executor, frozen at compile time: kPacked runs panels
+  /// (fp32: one conv2d_forward call over `prepacked`; int8: qpacked), kTaps
+  /// the tap loop — linalg's for fp32 dense-format layers (conv_runs_taps),
+  /// the compile-resolved `taps` for CSR layers (csr_runs_taps).
   ConvAlgo algo = ConvAlgo::kPacked;
-  /// Micro-kernel weight panels, packed once at Engine::compile time for
-  /// layers the packed implicit-GEMM path will execute — serve-time calls
-  /// skip the per-call panel re-pack entirely. Empty for CSR, tap-path and
-  /// int8-native layers, which never consume fp32 panels.
+  /// fp32 micro-kernel weight panels, packed once at Engine::compile time
+  /// for the fp32 layers the packed implicit GEMM executes (panel-executed
+  /// CSR layers expand their values into them) — serve-time calls skip the
+  /// per-call panel re-pack entirely. Empty for tap-executed and int8-native
+  /// layers.
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
   /// kChannelCompact: the folded bias of the kept rows, so the bias fuses
   /// into the kernel epilogue (fp32 or requant) exactly as for a dense layer.
   std::vector<float> kept_bias;
-  CsrMatrix csr;                   ///< kCsr
-  /// Tap-executed kCsr layers (every fp32 CSR layer; int8-native ones only
-  /// when s8_csr_runs_taps) carry one implicit-conv tap per nonzero:
-  /// everything the inner loop needs, resolved at compile time from the
-  /// frozen geometry. The sparse
+  CsrMatrix csr;                   ///< tap-executed kCsr layers
+  /// Tap-executed kCsr layers (csr_runs_taps, either precision) carry one
+  /// implicit-conv tap per nonzero: everything the inner loop needs,
+  /// resolved at compile time from the frozen geometry. The sparse
   /// conv path slides each nonzero directly over the input — no im2col
   /// materialization and no per-nonzero index arithmetic at runtime — so
-  /// cost is O(nnz * out_h * out_w) flat.
+  /// cost is O(nnz * out_h * out_w) flat. Panel-executed kCsr layers keep
+  /// neither taps nor CSR arrays: their panels are the executable.
   struct SparseTap {
     std::int32_t x_start;       ///< flat offset of the first in-bounds input
     std::int32_t y_start;       ///< flat offset into the output plane
@@ -191,7 +195,7 @@ struct PackedConv {
     /// as one long vectorizable axpy.
     std::int32_t rows, cols;
   };
-  std::vector<SparseTap> taps;  ///< parallel to csr.values, or empty
+  std::vector<SparseTap> taps;  ///< parallel to the CSR values, or empty
   std::vector<float> bias;         ///< per out_ch, from BN folding
 
   // Shippable int8 sidecar (populated when CompileOptions::int8_weights):
@@ -204,7 +208,7 @@ struct PackedConv {
   // fix the executor: dense, channel-compact and panel-executed CSR layers
   // carry quad panels + offset corrections (qpacked, expanded from the CSR
   // values for CSR) and the per-packed-row scale vector the requant
-  // epilogue indexes; a tap-executed CSR layer (s8_csr_runs_taps) has no
+  // epilogue indexes; a tap-executed CSR layer (csr_runs_taps) has no
   // panels and runs qvalues + qscales directly over signed-s8 activations.
   // Native layers drop the dequantized float weights — the integers ARE the
   // executable.

@@ -141,12 +141,19 @@ void dot_core(std::int64_t n, std::int64_t k, const float* a, const float* b,
 
 // Pack-buffer scratch for the packed cores. The tile shapes are compile-time
 // constants, so plain arrays (not vectors) make every packed_core
-// instantiation allocation-free — one 160 KiB TLS block shared by all four
-// transpose variants instead of four template-local growable buffers.
+// instantiation allocation-free. The buffer lives behind one non-template
+// accessor: a thread_local inside packed_core would be one 160 KiB block per
+// transpose variant, and glibc zeroes a thread's whole static TLS at thread
+// start. A thread runs one packed_core at a time, so one block is enough.
 struct PackBuffers {
   float a[kMc * kKc];
   float b[kKc * kNc];
 };
+
+PackBuffers& pack_buffers() {
+  thread_local PackBuffers bufs;
+  return bufs;
+}
 
 // Packed register-tiled core: all four transpose variants flow through the
 // same kMr x kNr micro-kernel (linalg/microkernel.hpp); the variants differ
@@ -159,7 +166,7 @@ RT_HOT void packed_core(std::int64_t m, std::int64_t n, std::int64_t k,
                         const float* a, const float* b, float* c,
                         bool accumulate, std::int64_t i0, std::int64_t i1) {
   if (!accumulate) zero_rows(c, n, i0, i1);
-  thread_local PackBuffers bufs;
+  PackBuffers& bufs = pack_buffers();
   float* const abuf = bufs.a;
   float* const bbuf = bufs.b;
   const std::int64_t lda = kTransA ? m : k;

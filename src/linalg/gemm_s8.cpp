@@ -285,16 +285,18 @@ RT_HOT void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
     }
   }
   // Epilogue indexes output FEATURES, which are C's columns here: requant
-  // row-by-row with per-column parameters.
+  // row-by-row with per-column parameters, in requant_rows' expression (one
+  // fused multiply-add), so the bits do not depend on whether the compiler
+  // contracts a separate multiply and add.
   float amax = ep.amax ? *ep.amax : 0.0f;
   for (std::int64_t i = 0; i < m; ++i) {
     const std::int32_t* arow = acc + i * n;
     float* yrow = c + i * n;
     for (std::int64_t j = 0; j < n; ++j) {
       const std::int32_t corr = ep.corr ? ep.corr[j] : 0;
-      float v = static_cast<float>(arow[j] - corr) * ep.act_scale *
-                    ep.scales[j] +
-                (ep.bias ? ep.bias[j] : 0.0f);
+      float v = std::fma(static_cast<float>(arow[j] - corr),
+                         ep.act_scale * ep.scales[j],
+                         ep.bias ? ep.bias[j] : 0.0f);
       if (ep.relu && v < 0.0f) v = 0.0f;
       yrow[j] = v;
       const float a = std::fabs(v);

@@ -124,7 +124,9 @@ class PackedS8 {
 /// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows
 /// quad-padded with the zero encoding 128); W is prepacked full-depth quad
 /// slivers (pack_b_quads_s8_nt). Epilogue fields index C's columns (output
-/// features). `acc` is caller scratch of at least m * n int32.
+/// features), and each output is requant_rows' one fused multiply-add, so
+/// the bits do not depend on the ISA. `acc` is caller scratch of at least
+/// m * n int32.
 void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                 const std::uint8_t* x, std::int64_t ldx,
                 const std::int8_t* w_slivers, std::int32_t* acc, float* c,

@@ -93,26 +93,42 @@ TEST(RtHot, SessionRunRowsIsAllocationFreeAfterWarmup) {
   ResNet model(cfg, rng);
   model.set_training(false);
   // A 70%-channel-pruned model too: its compact layers run the packed
-  // kernel over their kept rows and expand them in place.
+  // kernel over their kept rows and expand them in place. And a 90%-pruned
+  // one with every layer forced to CSR, whose convs run panels expanded
+  // from the CSR values wherever csr_runs_taps says taps lose.
   ResNet chan_model(cfg, rng);
   omp_prune(chan_model,
             OmpConfig{0.7f, Granularity::kChannel, /*include_head=*/false});
   chan_model.set_training(false);
+  ResNet csr_model(cfg, rng);
+  omp_prune(csr_model,
+            OmpConfig{0.9f, Granularity::kElement, /*include_head=*/false});
+  csr_model.set_training(false);
   const Tensor x = Tensor::uniform({4, 3, 8, 8}, rng, 0.0f, 1.0f);
 
-  for (const bool chan : {false, true}) {
-    SCOPED_TRACE(chan ? "channel" : "dense");
+  for (const char* variant : {"dense", "channel", "CSR panels"}) {
+    SCOPED_TRACE(variant);
+    const bool chan = std::strcmp(variant, "channel") == 0;
+    const bool csr = std::strcmp(variant, "CSR panels") == 0;
     CompileOptions options;
     options.height = 8;
     options.width = 8;
-    const CompiledTicket plan = Engine::compile(chan ? chan_model : model,
-                                                options);
+    if (csr) options.force_format = PackedFormat::kCsr;
+    const CompiledTicket plan = Engine::compile(
+        chan ? chan_model : (csr ? csr_model : model), options);
     if (chan) {
       int compact = 0;
       for (const LayerPlan& l : plan.layers()) {
         if (l.format == PackedFormat::kChannelCompact) ++compact;
       }
       EXPECT_GT(compact, 0);
+    }
+    if (csr) {
+      int panels = 0;
+      for (const LayerPlan& l : plan.layers()) {
+        if (l.name != "audit.head" && l.prepacked_bytes > 0) ++panels;
+      }
+      EXPECT_GT(panels, 0);
     }
     Session session(plan, /*max_batch=*/4);
 
@@ -149,7 +165,7 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
 
   // The dense model on panels; then the same model 90%-pruned with every
   // layer forced to CSR, where compile splits its convs between the integer
-  // tap loop and panels expanded from the CSR values (s8_csr_runs_taps);
+  // tap loop and panels expanded from the CSR values (csr_runs_taps);
   // then a 70%-channel-pruned model, whose compact layers run the kernel
   // over their kept rows and scatter in place. Every variant quantizes some
   // convs' inputs into the Workspace's channel-quad planes.

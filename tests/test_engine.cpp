@@ -11,11 +11,13 @@
 #include <cstring>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "data/synth.hpp"
 #include "engine/engine.hpp"
 #include "hw/quant.hpp"
+#include "models/blocks.hpp"
 #include "models/resnet.hpp"
 #include "prune/baselines.hpp"
 #include "prune/omp.hpp"
@@ -241,62 +243,161 @@ TEST(EngineSession, EvalHelpersAgreeWithEagerPath)
   EXPECT_LE(engine_probs.linf_distance(eager_probs), 1e-4f);
 }
 
+/// Executors the convs of a plan run: {tap-executed, panel-executed}
+/// (prepacked_bytes is nonzero exactly when a conv carries panels; the
+/// head is the last layer record).
+std::pair<int, int> conv_executors(const CompiledTicket& plan) {
+  int taps = 0, panels = 0;
+  for (std::size_t i = 0; i + 1 < plan.layers().size(); ++i) {
+    ++(plan.layers()[i].prepacked_bytes == 0 ? taps : panels);
+  }
+  return {taps, panels};
+}
+
 TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
   // Regression: at a 4x4 compiled geometry the deepest stride-2 conv sees a
   // 1x1 input, where trunc-toward-zero division used to emit a tap reading
-  // out of bounds (o1 = 1 instead of 0) and parity silently broke.
-  auto model = tiny_model(false, 91);
-  train_briefly(*model, false, 92);
-  OmpConfig prune_cfg;
-  prune_cfg.sparsity = 0.9f;
-  omp_prune(*model, prune_cfg);
-  model->set_training(false);
+  // out of bounds (o1 = 1 instead of 0) and parity silently broke. At 90%
+  // sparsity csr_runs_taps puts every conv of this plan on panels, so 98%
+  // keeps the tap windows (stride-2 ones included) under test.
+  std::pair<int, int> seen{0, 0};
+  for (const float sparsity : {0.9f, 0.98f}) {
+    SCOPED_TRACE(testing::Message() << "sparsity=" << sparsity);
+    auto model = tiny_model(false, 91);
+    train_briefly(*model, false, 92);
+    OmpConfig prune_cfg;
+    prune_cfg.sparsity = sparsity;
+    omp_prune(*model, prune_cfg);
+    model->set_training(false);
 
-  Rng rng(93);
-  const Tensor x = Tensor::uniform({6, 3, 4, 4}, rng, 0.0f, 1.0f);
-  const Tensor eager = model->forward(x);
+    Rng rng(93);
+    const Tensor x = Tensor::uniform({6, 3, 4, 4}, rng, 0.0f, 1.0f);
+    const Tensor eager = model->forward(x);
 
-  CompileOptions options;
-  options.height = 4;
-  options.width = 4;
-  options.force_format = PackedFormat::kCsr;
-  const CompiledTicket plan = Engine::compile(*model, options);
-  Workspace ws(plan, 6);
-  EXPECT_LE(eager.linf_distance(plan.predict(x, ws)), 1e-4f);
+    CompileOptions options;
+    options.height = 4;
+    options.width = 4;
+    options.force_format = PackedFormat::kCsr;
+    const CompiledTicket plan = Engine::compile(*model, options);
+    const auto [taps, panels] = conv_executors(plan);
+    seen.first += taps;
+    seen.second += panels;
+    Workspace ws(plan, 6);
+    EXPECT_LE(eager.linf_distance(plan.predict(x, ws)), 1e-4f);
+  }
+  EXPECT_GT(seen.first, 0);
+  EXPECT_GT(seen.second, 0);
 }
 
 TEST(EngineParity, TinyGeometryInt8CsrMatchesDenseBitwise) {
   // The int8-native twin of the test above: the forced-CSR plan picks each
-  // conv's executor (tap loop or expanded panels, s8_csr_runs_taps) down to
+  // conv's executor (tap loop or expanded panels, csr_runs_taps) down to
   // the 1x1 input of the last stride-2 conv, and must reproduce the
   // forced-dense int8 plan bit for bit.
-  auto model = tiny_model(false, 91);
-  train_briefly(*model, false, 92);
-  OmpConfig prune_cfg;
-  prune_cfg.sparsity = 0.9f;
-  omp_prune(*model, prune_cfg);
-  model->set_training(false);
+  std::pair<int, int> seen{0, 0};
+  for (const float sparsity : {0.9f, 0.98f}) {
+    SCOPED_TRACE(testing::Message() << "sparsity=" << sparsity);
+    auto model = tiny_model(false, 91);
+    train_briefly(*model, false, 92);
+    OmpConfig prune_cfg;
+    prune_cfg.sparsity = sparsity;
+    omp_prune(*model, prune_cfg);
+    model->set_training(false);
 
-  Rng rng(93);
-  const Tensor x = Tensor::uniform({6, 3, 4, 4}, rng, 0.0f, 1.0f);
+    Rng rng(93);
+    const Tensor x = Tensor::uniform({6, 3, 4, 4}, rng, 0.0f, 1.0f);
 
-  CompileOptions options;
-  options.height = 4;
-  options.width = 4;
-  options.int8_weights = true;
-  options.force_format = PackedFormat::kCsr;
-  const CompiledTicket plan = Engine::compile(*model, options);
-  ASSERT_TRUE(plan.int8_native());
-  options.force_format = PackedFormat::kDense;
-  const CompiledTicket dense = Engine::compile(*model, options);
-  Workspace ws(plan, 6), dense_ws(dense, 6);
-  const Tensor got = plan.predict(x, ws);
-  const Tensor want = dense.predict(x, dense_ws);
-  ASSERT_EQ(got.numel(), want.numel());
-  EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                        static_cast<std::size_t>(got.numel()) * sizeof(float)),
-            0)
-      << "linf " << got.linf_distance(want);
+    CompileOptions options;
+    options.height = 4;
+    options.width = 4;
+    options.int8_weights = true;
+    options.force_format = PackedFormat::kCsr;
+    const CompiledTicket plan = Engine::compile(*model, options);
+    ASSERT_TRUE(plan.int8_native());
+    const auto [taps, panels] = conv_executors(plan);
+    seen.first += taps;
+    seen.second += panels;
+    options.force_format = PackedFormat::kDense;
+    const CompiledTicket dense = Engine::compile(*model, options);
+    Workspace ws(plan, 6), dense_ws(dense, 6);
+    const Tensor got = plan.predict(x, ws);
+    const Tensor want = dense.predict(x, dense_ws);
+    ASSERT_EQ(got.numel(), want.numel());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<std::size_t>(got.numel()) *
+                              sizeof(float)),
+              0)
+        << "linf " << got.linf_distance(want);
+  }
+  EXPECT_GT(seen.first, 0);
+  EXPECT_GT(seen.second, 0);
+}
+
+TEST(EngineParity, Fp32CsrExecutorsAgreeWithDenseAndEager) {
+  // csr_runs_taps picks every CSR conv's executor, fp32 as well as int8.
+  // The serving benchmark's r18_omp90 ticket keeps its CSR convs on 4x4 and
+  // 2x2 planes, where panels expanded from the CSR values win: each must
+  // carry panels, and since those panels are the ones the forced-dense plan
+  // packs from the same folded weights, the logits must match it bit for
+  // bit. A layerwise-98% ticket keeps every CSR conv on the tap loop, which
+  // sums in a different order, so it is held to eager parity instead.
+  Rng omp_rng(9);
+  auto omp90 = make_micro_resnet18(10, omp_rng);
+  omp_prune(*omp90, OmpConfig{0.9f, Granularity::kElement,
+                              /*include_head=*/false});
+  omp90->set_training(false);
+  Rng lw_rng(9);
+  auto lw98 = make_micro_resnet18(10, lw_rng);
+  layerwise_magnitude_prune(*lw98, 0.98f, Granularity::kElement);
+  lw98->set_training(false);
+
+  Rng rng(101);
+  const Tensor x = Tensor::uniform({37, 3, 16, 16}, rng, 0.0f, 1.0f);
+  for (ResNet* model : {omp90.get(), lw98.get()}) {
+    const bool is_omp90 = model == omp90.get();
+    SCOPED_TRACE(is_omp90 ? "r18_omp90" : "layerwise98");
+    const CompiledTicket plan = Engine::compile(*model);
+    ASSERT_FALSE(plan.int8_native());
+    // prepacked_bytes is nonzero exactly when a conv carries panels. The
+    // head is the last layer record; only convs choose an executor.
+    const std::vector<LayerPlan>& layers = plan.layers();
+    int csr = 0;
+    for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+      const LayerPlan& l = layers[i];
+      if (l.format != PackedFormat::kCsr) continue;
+      ++csr;
+      const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
+      const bool taps = csr_runs_taps(l.nnz, l.rows, l.cols, ohw);
+      EXPECT_EQ(l.prepacked_bytes == 0, taps) << l.name;
+      EXPECT_EQ(taps, !is_omp90) << l.name << " density "
+                                 << static_cast<double>(l.nnz) /
+                                        static_cast<double>(l.rows * l.cols);
+    }
+    EXPECT_GT(csr, 0);
+
+    if (is_omp90) {
+      CompileOptions dense_options;
+      dense_options.force_format = PackedFormat::kDense;
+      auto dense = std::make_shared<const CompiledTicket>(
+          Engine::compile(*model, dense_options));
+      auto auto_plan = std::make_shared<const CompiledTicket>(plan);
+      for (const int batch : {1, 16}) {
+        SCOPED_TRACE(testing::Message() << "batch=" << batch);
+        Session got_session(auto_plan, batch), want_session(dense, batch);
+        const Tensor got = got_session.predict(x);
+        const Tensor want = want_session.predict(x);
+        ASSERT_EQ(got.numel(), want.numel());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<std::size_t>(got.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "linf " << got.linf_distance(want);
+      }
+    } else {
+      Workspace ws(plan, 16);
+      EXPECT_LE(plan.predict(x, ws).linf_distance(model->forward(x)), 1e-4f);
+    }
+  }
 }
 
 TEST(ConvTapRule, SmallPlanesRunPackedAndSparseWidePlanesRunTaps) {
@@ -342,6 +443,75 @@ TEST(ConvTapRule, SmallPlanesRunPackedAndSparseWidePlanesRunTaps) {
   const Tensor x = Tensor::uniform({3, 3, 32, 32}, rng, 0.0f, 1.0f);
   Workspace ws(wide_plan, 3);
   EXPECT_LE(wide->forward(x).linf_distance(wide_plan.predict(x, ws)), 1e-4f);
+}
+
+TEST(EngineCompile, FoldedBiasIsOneFusedMultiplyAdd) {
+  // Conv + BN folding computes each channel's bias as one fused
+  // multiply-add, fma(s, conv_bias - mean, beta), so a plan's bits do not
+  // depend on whether the compiler contracts a multiply and an add (it does
+  // so only under -march=native). With every conv weight zero, a conv
+  // emits its folded bias; the last block's c2 channels then reach the
+  // logits through the shortcut add (its projection folds to an exact 0),
+  // GAP and an identity head, so each logit is a replayable function of
+  // one folded bias. The check has teeth only where the compiler does not
+  // contract, which is why the portable-ISA CI build runs it.
+  Rng rng(57);
+  ResNetConfig cfg;
+  cfg.stage_blocks = {1, 1};
+  cfg.stage_channels = {6, 12};
+  cfg.num_classes = 12;
+  cfg.name = "fold";
+  ResNet model(cfg, rng);
+  for (Parameter* p : model.parameters()) {
+    if (p->kind == ParamKind::kConvWeight) p->value.fill_(0.0f);
+    if (p->kind == ParamKind::kBias) p->value.fill_(0.0f);
+    if (p->kind == ParamKind::kLinearWeight) {
+      p->value.fill_(0.0f);
+      for (std::int64_t j = 0; j < 12; ++j) p->value.data()[j * 12 + j] = 1.0f;
+    }
+  }
+  auto* last = dynamic_cast<BasicBlock*>(
+      &model.trunk_module(model.trunk_size() - 1));
+  ASSERT_NE(last, nullptr);
+  ASSERT_TRUE(last->has_projection());
+  BatchNorm2d& bn = last->bn2();
+  for (std::int64_t c = 0; c < 12; ++c) {
+    bn.gamma().value[c] = rng.uniform(0.5f, 1.5f);
+    bn.beta().value[c] = rng.uniform(0.5f, 1.5f);
+    bn.running_mean()[c] = rng.uniform(-0.5f, 0.5f);
+    bn.running_var()[c] = rng.uniform(0.5f, 2.0f);
+  }
+  model.set_training(false);
+
+  CompileOptions options;
+  options.height = 8;
+  options.width = 8;
+  const CompiledTicket plan = Engine::compile(model, options);
+  Workspace ws(plan, 2);
+  const Tensor logits = plan.predict(Tensor::uniform({2, 3, 8, 8}, rng, 0.0f, 1.0f), ws);
+  ASSERT_EQ(logits.dim(1), 12);
+  // GAP over the 4x4 plane, summed in the executor's order.
+  const auto gap = [](float v) {
+    float acc = 0.0f;
+    for (int j = 0; j < 16; ++j) acc += v;
+    return acc * (1.0f / 16.0f);
+  };
+  int unfused_misses = 0;
+  for (std::int64_t c = 0; c < 12; ++c) {
+    const float s = bn.gamma().value[c] /
+                    std::sqrt(bn.running_var()[c] + bn.eps());
+    const float bias = std::fma(s, 0.0f - bn.running_mean()[c],
+                                bn.beta().value[c]);
+    ASSERT_GT(bias, 0.0f);  // the block's ReLU passes it unchanged
+    const float want = gap(bias);
+    for (std::int64_t i = 0; i < 2; ++i) {
+      ASSERT_EQ(logits.data()[i * 12 + c], want) << "channel " << c;
+    }
+    // The same bias rounded twice (volatile blocks contraction).
+    volatile float product = s * (0.0f - bn.running_mean()[c]);
+    if (gap(product + bn.beta().value[c]) != want) ++unfused_misses;
+  }
+  EXPECT_GT(unfused_misses, 0) << "no channel separates one rounding from two";
 }
 
 TEST(EngineCompile, RejectsMismatchedGeometry) {

@@ -2,9 +2,9 @@
 // linalg/conv s8 paths, engine int8-native plans):
 //
 //  - kernel-level parity against exact integer references at awkward extents
-//    (the int32 accumulator is exact, and the conv's float requant is one
-//    fused multiply-add per output on every ISA, so conv outputs must match
-//    the std::fma reference EXACTLY),
+//    (the int32 accumulator is exact, and the conv's and the head's float
+//    requant are one fused multiply-add per output on every ISA, so their
+//    outputs must match the std::fma reference EXACTLY),
 //  - the channel-quad quantizer must equal quantize_u8 byte for byte, and a
 //    conv batch must equal its samples run alone, whichever of the 64-byte
 //    load and the gather forms a sliver's operand,
@@ -63,16 +63,6 @@ float requant_ref(std::int32_t acc, std::int32_t corr, float sx, float sw,
   return y;
 }
 
-/// Float comparison for the head's requantized outputs: gemm_s8_nt keeps
-/// its own epilogue, (acc - corr) * sx * sw + bias, which the compiler may
-/// contract into an FMA on native builds, so it agrees with requant_ref
-/// only to a few ULP of the reference magnitude.
-void expect_requant_near(float got, float want, const char* what,
-                         std::int64_t index) {
-  const float tol = 1e-5f * std::max(1.0f, std::fabs(want));
-  ASSERT_NEAR(got, want, tol) << what << " index=" << index;
-}
-
 TEST(QuantHelpers, RequantRowsIsOneFusedMultiplyAdd) {
   // Outputs where (acc - corr) * s and the bias sum round differently when
   // rounded twice: a mul-then-add epilogue misses about a third of them by
@@ -113,6 +103,72 @@ TEST(QuantHelpers, RequantRowsIsOneFusedMultiplyAdd) {
       }
     }
     EXPECT_EQ(amax, want_amax);
+  }
+}
+
+TEST(QuantHelpers, HeadEpilogueIsOneFusedMultiplyAdd) {
+  // gemm_s8_nt drains the head's logits through its own epilogue; it must
+  // round like requant_rows (one fused multiply-add per output), or the
+  // head's bits depend on whether the compiler contracts a multiply and an
+  // add. Large accumulators and random biases make a two-rounding epilogue
+  // miss some outputs by an ulp, which the teeth check below confirms.
+  Rng rng(31);
+  const std::int64_t m = 7, n = 37, k = 96;
+  const auto qw = random_s8(n * k, rng, 0.0f);
+  const auto qx = random_u8(m * k, rng);
+  std::vector<std::int8_t> slivers(
+      static_cast<std::size_t>((n + kNrS8 - 1) / kNrS8 * kNrS8 * k));
+  pack_b_quads_s8_nt(qw.data(), n, k, slivers.data());
+  std::vector<float> scales(static_cast<std::size_t>(n));
+  std::vector<float> bias(static_cast<std::size_t>(n));
+  std::vector<std::int32_t> corr(static_cast<std::size_t>(n));
+  for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
+  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
+  for (std::int64_t j = 0; j < n; ++j) {
+    corr[static_cast<std::size_t>(j)] =
+        quad_row_offset_sum(qw.data() + j * k, k);
+  }
+  const float sx = 0.0137f;
+  for (const bool relu : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "relu=" << relu);
+    S8Epilogue ep;
+    ep.scales = scales.data();
+    ep.act_scale = sx;
+    ep.corr = corr.data();
+    ep.bias = bias.data();
+    ep.relu = relu;
+    float amax = 0.0f;
+    ep.amax = &amax;
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
+    std::vector<float> got(static_cast<std::size_t>(m * n));
+    gemm_s8_nt(m, n, k, qx.data(), k, slivers.data(), acc.data(), got.data(),
+               ep);
+    float want_amax = 0.0f;
+    int unfused_misses = 0;
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        std::int32_t sum = 0;
+        for (std::int64_t p = 0; p < k; ++p) {
+          sum += static_cast<std::int32_t>(
+                     qx[static_cast<std::size_t>(i * k + p)]) *
+                 qw[static_cast<std::size_t>(j * k + p)];
+        }
+        const auto jj = static_cast<std::size_t>(j);
+        const float want =
+            requant_ref(sum, corr[jj], sx, scales[jj], bias[jj], relu);
+        ASSERT_EQ(got[static_cast<std::size_t>(i * n + j)], want)
+            << "i=" << i << " j=" << j;
+        want_amax = std::max(want_amax, std::fabs(want));
+        // The same output rounded twice (volatile blocks contraction).
+        volatile float product =
+            static_cast<float>(sum - corr[jj]) * (sx * scales[jj]);
+        float twice = product + bias[jj];
+        if (relu && twice < 0.0f) twice = 0.0f;
+        if (twice != want) ++unfused_misses;
+      }
+    }
+    EXPECT_EQ(amax, want_amax);
+    EXPECT_GT(unfused_misses, 0) << "no output separates one rounding from two";
   }
 }
 
@@ -167,8 +223,8 @@ TEST(QuantGemm, NtHeadShapeMatchesIntegerReference) {
                                      scales[static_cast<std::size_t>(j)],
                                      bias[static_cast<std::size_t>(j)],
                                      false);
-      expect_requant_near(got[static_cast<std::size_t>(i * n + j)], want,
-                          "gemm_s8_nt", i * n + j);
+      ASSERT_EQ(got[static_cast<std::size_t>(i * n + j)], want)
+          << "i=" << i << " j=" << j;
     }
   }
 }
@@ -546,7 +602,7 @@ TEST(QuantEndToEnd, Top1DeltaWithinOnePercentOnEvalBattery) {
 }
 
 TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
-  // The CSR executor choice (s8_csr_runs_taps) must be invisible in the
+  // The CSR executor choice (csr_runs_taps) must be invisible in the
   // logits: the tap loop and panels expanded from the CSR values both
   // accumulate the exact signed dot product, and both drains apply the same
   // float expression. The forced-dense int8 plan is the reference.
@@ -582,7 +638,7 @@ TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
       if (l.prepacked_bytes == 0) ++csr_taps;
       const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
       EXPECT_EQ(l.prepacked_bytes == 0,
-                s8_csr_runs_taps(l.nnz, l.rows, l.cols, ohw))
+                csr_runs_taps(l.nnz, l.rows, l.cols, ohw))
           << l.name;
     }
     if (is_omp90) {
