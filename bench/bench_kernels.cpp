@@ -3,6 +3,7 @@
 // regressions in the substrate rather than reproducing a paper figure.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <memory>
 #include <thread>
@@ -108,8 +109,8 @@ BENCHMARK(BM_GemmNNThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 // The training-path convolution pair (forward + full backward) across the
 // four ResNet-18 residual-body shapes at 32x32 input resolution, measured at
-// the kernel layer: forward and dgrad as one batched call each, wgrad per
-// sample, as Conv2d runs them. Arg 0 runs the im2col reference (materialized
+// the kernel layer: forward, dgrad and wgrad as one batched call each, as
+// Conv2d runs them. Arg 0 runs the im2col reference (materialized
 // column buffer + legacy streaming GEMM cores — the pre-fusion baseline),
 // Arg 1 the implicit-GEMM kernels. Items == FLOPs, so items_per_second is
 // directly comparable between the two.
@@ -150,7 +151,6 @@ void BM_ConvTrain(benchmark::State& state) {
   for (auto _ : state) {
     for (std::size_t l = 0; l < xs.size(); ++l) {
       const Shape& s = kShapes[l];
-      const std::int64_t plane = s.ch * s.h * s.w;
       dws[l].fill_(0.0f);
       dxs[l].fill_(0.0f);
       // The weight panels, packed once per layer and batch as Conv2d does.
@@ -158,11 +158,8 @@ void BM_ConvTrain(benchmark::State& state) {
       rt::conv2d_forward(xs[l].data(), kBatch, s.ch, s.h, s.w, geom,
                          ws[l].data(), s.ch, ys[l].data(), nullptr, false,
                          opts);
-      for (std::int64_t i = 0; i < kBatch; ++i) {
-        rt::conv2d_wgrad_plane(gs[l].data() + i * plane, xs[l].data() + i * plane,
-                               s.ch, s.h, s.w, geom, s.ch, dws[l].data(),
-                               opts);
-      }
+      rt::conv2d_wgrad(gs[l].data(), xs[l].data(), kBatch, s.ch, s.h, s.w,
+                       geom, s.ch, dws[l].data(), opts);
       rt::conv2d_dgrad(ws[l].data(), s.ch, gs[l].data(), kBatch, s.ch, s.h,
                        s.w, geom, dxs[l].data(), opts);
       benchmark::DoNotOptimize(ys[l].data());
@@ -185,10 +182,11 @@ rt::ConvScratch& thread_conv_scratch() {
 // the lane count. Arg 1 == 0 runs the batch-outer composition (one task per
 // sample running its forward, wgrad and dgrad serially), which strands the
 // lanes the batch cannot fill; Arg 1 == 1 runs Conv2d's: forward and dgrad
-// split whole slivers of the batch's column space across the lanes, wgrad
-// runs per sample with its output-column tiles split into stealable
-// subtasks. Arg 0 is the scheduler lane count; both modes produce
-// bitwise-identical results, so items_per_second isolates the composition.
+// split whole slivers of the batch's column space across the lanes, and the
+// batch's one wgrad call splits its output tiles. Arg 0 is the scheduler
+// lane count; both modes produce the same forward and dgrad bits, and the
+// same dW up to wgrad's per-call summation order, so items_per_second
+// isolates the composition.
 void BM_ConvTrainMT(benchmark::State& state) {
   const auto threads = static_cast<int>(state.range(0));
   const bool split = state.range(1) == 1;
@@ -217,7 +215,6 @@ void BM_ConvTrainMT(benchmark::State& state) {
   rt::SchedulerScope scope(sched);
   rt::PackedWeights packed;
   rt::ConvKernelOpts opts;
-  opts.parallel_tiles = split;
   opts.packed_weights = &packed;
 
   for (auto _ : state) {
@@ -234,47 +231,55 @@ void BM_ConvTrainMT(benchmark::State& state) {
       float* yd = ys[l].data();
       float* dxd = dxs[l].data();
       float* dwd = dws[l].data();
+      const auto leaf = [&](std::int64_t b0, std::int64_t b1) {
+        rt::ConvKernelOpts o = opts;
+        o.sliver_begin = b0;
+        o.sliver_end = b1;
+        o.scratch = &thread_conv_scratch();
+        return o;
+      };
       if (split) {
         sched.parallel_for(
             rt::conv_forward_slivers(kBatch, s.h, s.w, geom),
             [&](std::int64_t b0, std::int64_t b1) {
-              rt::ConvKernelOpts o = opts;
-              o.sliver_begin = b0;
-              o.sliver_end = b1;
-              o.scratch = &thread_conv_scratch();
               rt::conv2d_forward(xd, kBatch, s.ch, s.h, s.w, geom, wd, s.ch,
-                                 yd, nullptr, false, o);
+                                 yd, nullptr, false, leaf(b0, b1));
             });
         sched.parallel_for(
             rt::conv_dgrad_slivers(kBatch, s.h, s.w, geom),
             [&](std::int64_t b0, std::int64_t b1) {
-              rt::ConvKernelOpts o = opts;
-              o.sliver_begin = b0;
-              o.sliver_end = b1;
-              o.scratch = &thread_conv_scratch();
               rt::conv2d_dgrad(wd, s.ch, gd, kBatch, s.ch, s.h, s.w, geom,
-                               dxd, o);
+                               dxd, leaf(b0, b1));
             });
-      }
-      sched.parallel_for(
-          kBatch,
-          [&](std::int64_t b0, std::int64_t b1) {
-            for (std::int64_t i = b0; i < b1; ++i) {
-              rt::ConvKernelOpts o = opts;
-              o.scratch = &thread_conv_scratch();
-              if (!split) {
+        // The batch is one wgrad slot; its tiles split like Conv2d's.
+        const std::int64_t tiles = rt::conv_wgrad_tiles(s.ch, s.ch, geom);
+        const std::int64_t parts = std::min<std::int64_t>(tiles, threads);
+        sched.parallel_for(
+            parts,
+            [&](std::int64_t p0, std::int64_t p1) {
+              rt::conv2d_wgrad(gd, xd, kBatch, s.ch, s.h, s.w, geom, s.ch,
+                               dwd, leaf(p0 * tiles / parts,
+                                         p1 * tiles / parts));
+            },
+            /*grain=*/1);
+      } else {
+        sched.parallel_for(
+            kBatch,
+            [&](std::int64_t b0, std::int64_t b1) {
+              for (std::int64_t i = b0; i < b1; ++i) {
+                const rt::ConvKernelOpts o = leaf(0, -1);
                 rt::conv2d_forward(xd + i * plane, 1, s.ch, s.h, s.w, geom,
                                    wd, s.ch, yd + i * plane, nullptr, false,
                                    o);
                 rt::conv2d_dgrad(wd, s.ch, gd + i * plane, 1, s.ch, s.h, s.w,
                                  geom, dxd + i * plane, o);
+                rt::conv2d_wgrad(gd + i * plane, xd + i * plane, 1, s.ch,
+                                 s.h, s.w, geom, s.ch, dwd + i * s.ch * ckk,
+                                 o);
               }
-              rt::conv2d_wgrad_plane(gd + i * plane, xd + i * plane, s.ch,
-                                     s.h, s.w, geom, s.ch,
-                                     dwd + i * s.ch * ckk, o);
-            }
-          },
-          /*grain=*/1);
+            },
+            /*grain=*/1);
+      }
       benchmark::DoNotOptimize(ys[l].data());
       benchmark::DoNotOptimize(dws[l].data());
       benchmark::DoNotOptimize(dxs[l].data());

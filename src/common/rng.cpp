@@ -36,7 +36,11 @@ float Rng::uniform() {
   return static_cast<float>(next_u32() >> 8) * 0x1.0p-24f;
 }
 
-float Rng::uniform(float lo, float hi) { return lo + (hi - lo) * uniform(); }
+// The affine draws are one std::fma each, so their bits do not depend on
+// whether the compiler contracts a*b+c for the target ISA.
+float Rng::uniform(float lo, float hi) {
+  return std::fma(hi - lo, uniform(), lo);
+}
 
 int Rng::uniform_int(int lo, int hi) {
   return lo + static_cast<int>(
@@ -58,7 +62,9 @@ float Rng::normal() {
   return r * std::cos(theta);
 }
 
-float Rng::normal(float mean, float stddev) { return mean + stddev * normal(); }
+float Rng::normal(float mean, float stddev) {
+  return std::fma(stddev, normal(), mean);
+}
 
 bool Rng::bernoulli(float p) { return uniform() < p; }
 

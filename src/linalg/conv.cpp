@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/audit.hpp"
-#include "common/scheduler.hpp"
 #include "linalg/gemm.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"
@@ -17,47 +16,6 @@ namespace {
 
 // Floats in one staging chunk of zero-padded sample planes (64 KiB).
 constexpr std::int64_t kStageFloats = 64 * 1024 / sizeof(float);
-
-/// Packs pixels [pc, pc+kb) x columns [jc, jc+nb) of the TRANSPOSED virtual
-/// im2col matrix (the wgrad path's B operand). The kNr column decodes are
-/// hoisted per sliver; the pixel walk is incremental, so the inner body is
-/// kNr guarded loads.
-void pack_colt_panel(const float* x, std::int64_t h, std::int64_t w,
-                     const ConvGeometry& g, std::int64_t pc, std::int64_t kb,
-                     std::int64_t jc, std::int64_t nb, std::int64_t ow,
-                     float* bp) {
-  for (std::int64_t jr = 0; jr < nb; jr += kNr) {
-    const std::int64_t n_eff = std::min(kNr, nb - jr);
-    float* sliver = bp + jr * kb;
-    std::int64_t ki[kNr], kj[kNr];
-    const float* xpl[kNr];
-    for (std::int64_t j = 0; j < n_eff; ++j) {
-      const std::int64_t r = jc + jr + j;  // weight column (c, ki, kj)
-      ki[j] = r % (g.kernel * g.kernel) / g.kernel;
-      kj[j] = r % g.kernel;
-      xpl[j] = x + r / (g.kernel * g.kernel) * h * w;
-    }
-    std::int64_t oi = pc / ow;
-    std::int64_t oj = pc % ow;
-    for (std::int64_t p = 0; p < kb; ++p) {
-      const std::int64_t ib = oi * g.stride - g.padding;
-      const std::int64_t jb = oj * g.stride - g.padding;
-      float* dst = sliver + p * kNr;
-      for (std::int64_t j = 0; j < n_eff; ++j) {
-        const std::int64_t ii = ib + ki[j];
-        const std::int64_t jj = jb + kj[j];
-        dst[j] = (ii >= 0 && ii < h && jj >= 0 && jj < w)
-                     ? xpl[j][ii * w + jj]
-                     : 0.0f;
-      }
-      for (std::int64_t j = n_eff; j < kNr; ++j) dst[j] = 0.0f;
-      if (++oj == ow) {
-        oj = 0;
-        ++oi;
-      }
-    }
-  }
-}
 
 void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
                         std::int64_t plane, bool relu) {
@@ -167,12 +125,12 @@ RT_HOT void run_sliver(const PanelOperand& op, const float* src,
         const std::int64_t kb = std::min(kKc, g0 + op.group - k0);
         if (direct) {
           const std::int32_t* ro = op.roff + k0;
-          micro_chunk(kb, ap + k0 * kMr,
+          micro_chunk(kb, PanelCol{ap + k0 * kMr},
                       [b, ro](std::int64_t p) { return b + ro[p]; }, part,
                       k0 == g0);
         } else {
           const float* bk = buf + k0 * kNr;
-          micro_chunk(kb, ap + k0 * kMr,
+          micro_chunk(kb, PanelCol{ap + k0 * kMr},
                       [bk](std::int64_t p) { return bk + p * kNr; }, part,
                       k0 == g0);
         }
@@ -215,7 +173,7 @@ RT_HOT void run_grid(PanelOperand op, const ColumnGrid& grid,
   const std::int64_t cap =
       std::min(src.n, std::max(std::max<std::int64_t>(1, kStageFloats / plane),
                                (kNr - 2 + cps) / cps + 1));
-  scratch.fit(src.staged() ? cap * plane : 0, op.k);
+  scratch.fit(src.staged() ? cap * plane : 0, op.k, op.k * kNr);
   fill(scratch.offsets.data());
   op.roff = scratch.offsets.data();
   // The next column's sample, grid row and grid column, advanced lane by
@@ -370,50 +328,13 @@ void dgrad_ref(const float* weight, std::int64_t out_ch, const float* gout,
 
 // ---- weight gradient --------------------------------------------------------
 
-RT_HOT void wgrad_packed(const float* gout, const float* x, std::int64_t c_in,
-                         std::int64_t h, std::int64_t w, const ConvGeometry& g,
-                         std::int64_t out_ch, float* dw,
-                         const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-
-  // dW-column tiles are independent: each accumulates its own dw columns
-  // over the pixel panels in the same ascending pc order as the serial
-  // loop, so per-element summation order — and hence the bits — do not
-  // change. The gout panel re-pack per (tile, pc) pair costs 1/kNc of the
-  // tile's MACs, which the extra parallelism amortizes.
-  const std::int64_t tiles = (ckk + kNc - 1) / kNc;
-  const auto run = [&](std::int64_t t0, std::int64_t t1) {
-    // The executing thread's own buffers: a worker waiting in the region
-    // helps run other queued tasks, which may regrow the spawning thread's
-    // thread_locals under a still-running leaf.
-    thread_local std::vector<float> apack;
-    thread_local float bbuf[kKc * kNc];
-    // Dynamic: gout panel height follows out_ch. Steady-state free per
-    // thread once grown to the model's widest layer.
-    apack.resize(  // rtlint: allow(R2) shape-dependent gout panel
-        static_cast<std::size_t>(round_up(out_ch, kMr) * kKc));
-    for (std::int64_t t = t0; t < t1; ++t) {
-      const std::int64_t jc = t * kNc;
-      const std::int64_t nb = std::min(kNc, ckk - jc);
-      for (std::int64_t pc = 0; pc < ohw; pc += kKc) {
-        const std::int64_t kb = std::min(kKc, ohw - pc);
-        pack_a_rows(gout, ohw, 0, out_ch, pc, kb, apack.data());
-        pack_colt_panel(x, h, w, g, pc, kb, jc, nb, ow, bbuf);
-        packed_block_multiply(out_ch, nb, kb, apack.data(), bbuf, dw + jc,
-                              ckk);
-      }
-    }
-  };
-  if (opts.parallel_tiles && tiles > 1) {
-    // Grain 1: a tile is already kNc columns of work.
-    Scheduler::current().parallel_for(tiles, run, /*grain=*/1);
-  } else {
-    run(0, tiles);
-  }
-}
+/// A column of dW^T's A operand, read in place: row i's value at this depth
+/// step is the float at row[i] + off in the padded planes.
+struct PlaneCol {
+  const float* const* row;
+  std::int32_t off;
+  float operator[](std::int64_t i) const { return row[i][off]; }
+};
 
 void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
                std::int64_t h, std::int64_t w, const ConvGeometry& g,
@@ -726,17 +647,105 @@ std::int64_t conv_dgrad_slivers(std::int64_t n, std::int64_t h,
   return slivers;
 }
 
-void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
-                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
-                        std::int64_t out_ch, float* dw,
-                        const ConvKernelOpts& opts) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  if (out_ch <= 0 || oh <= 0 || ow <= 0) return;
+std::int64_t conv_wgrad_tiles(std::int64_t c_in, std::int64_t out_ch,
+                              const ConvGeometry& g) {
+  return (c_in * g.kernel * g.kernel + kMr - 1) / kMr *
+         ((out_ch + kNr - 1) / kNr);
+}
+
+RT_HOT void conv2d_wgrad(const float* gout, const float* x, std::int64_t n,
+                         std::int64_t c_in, std::int64_t h, std::int64_t w,
+                         const ConvGeometry& g, std::int64_t out_ch, float* dw,
+                         const ConvKernelOpts& opts) {
+  const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
+  if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
+  const std::int64_t ohw = oh * ow;
   if (opts.algo == ConvAlgo::kIm2colReference) {
-    wgrad_ref(gout, x, c_in, h, w, g, out_ch, dw);
-  } else {
-    wgrad_packed(gout, x, c_in, h, w, g, out_ch, dw, opts);
+    for (std::int64_t i = 0; i < n; ++i) {
+      wgrad_ref(gout + i * out_ch * ohw, x + i * c_in * h * w, c_in, h, w, g,
+                out_ch, dw);
+    }
+    return;
+  }
+  const std::int64_t ckk = c_in * g.kernel * g.kernel;
+  const std::int64_t panels = (ckk + kMr - 1) / kMr;
+  const std::int64_t t0 = opts.sliver_begin;
+  const std::int64_t t1 = opts.sliver_end < 0
+                              ? conv_wgrad_tiles(c_in, out_ch, g)
+                              : opts.sliver_end;
+  if (t0 >= t1) return;
+  ConvScratch own;
+  ConvScratch& scratch = opts.scratch != nullptr ? *opts.scratch : own;
+  // The lane slivers (kNr output channels each) the tiles touch.
+  const std::int64_t l0 = t0 / panels, l1 = (t1 - 1) / panels + 1;
+  const std::int64_t depth = n * ohw;
+  const std::int64_t ph = h + 2 * g.padding, pw = w + 2 * g.padding;
+  const PaddedSource src{x, n, c_in, h, w, g.padding, ph, pw};
+  scratch.fit(src.staged() ? n * src.plane() : 0, depth + ckk,
+              (l1 - l0) * depth * kNr);
+  const float* base = x;
+  if (src.staged()) {
+    src.stage(0, n, 0, ph, scratch.stage.data());
+    base = scratch.stage.data();
+  }
+  // Depth step (i, oi, oj) reads every row at pix from the row's offset
+  // roff[(c, ki, kj)] in the padded planes.
+  std::int32_t* pix = scratch.offsets.data();
+  std::int32_t* roff = pix + depth;
+  for (std::int64_t i = 0, p = 0; i < n; ++i) {
+    for (std::int64_t oi = 0; oi < oh; ++oi) {
+      for (std::int64_t oj = 0; oj < ow; ++oj, ++p) {
+        pix[p] = static_cast<std::int32_t>(i * src.plane() +
+                                           (oi * pw + oj) * g.stride);
+      }
+    }
+  }
+  for (std::int64_t c = 0, r = 0; c < c_in; ++c) {
+    for (std::int64_t ki = 0; ki < g.kernel; ++ki) {
+      for (std::int64_t kj = 0; kj < g.kernel; ++kj, ++r) {
+        roff[r] = static_cast<std::int32_t>((c * ph + ki) * pw + kj);
+      }
+    }
+  }
+  // B: dY transposed once into depth x kNr slivers, lanes past out_ch zero.
+  float* bt = scratch.sliver.data();
+  for (std::int64_t l = l0; l < l1; ++l) {
+    const std::int64_t nr = std::min(kNr, out_ch - l * kNr);
+    float* bs = bt + (l - l0) * depth * kNr;
+    if (nr < kNr) std::fill(bs, bs + depth * kNr, 0.0f);
+    for (std::int64_t i = 0; i < n; ++i) {
+      float* d = bs + i * ohw * kNr;
+      for (std::int64_t j = 0; j < nr; ++j) {
+        const float* row = gout + (i * out_ch + l * kNr + j) * ohw;
+        for (std::int64_t q = 0; q < ohw; ++q) d[q * kNr + j] = row[q];
+      }
+    }
+  }
+  alignas(32) float total[kMr * kNr];
+  for (std::int64_t t = t0; t < t1; ++t) {
+    const std::int64_t l = t / panels, r0 = t % panels * kMr;
+    const std::int64_t mr = std::min(kMr, ckk - r0);
+    const std::int64_t nr = std::min(kNr, out_ch - l * kNr);
+    // Rows past ckk repeat the last one; their sums are dropped.
+    const float* rows[kMr];
+    for (std::int64_t i = 0; i < kMr; ++i) {
+      rows[i] = base + roff[std::min(r0 + i, ckk - 1)];
+    }
+    const float* bs = bt + (l - l0) * depth * kNr;
+    // kKc-deep chunks that never span two samples.
+    for (std::int64_t k0 = 0; k0 < depth;) {
+      const std::int64_t kb = std::min(kKc, ohw - k0 % ohw);
+      const std::int32_t* pk = pix + k0;
+      const float* bk = bs + k0 * kNr;
+      micro_chunk(
+          kb, [&rows, pk](std::int64_t p) { return PlaneCol{rows, pk[p]}; },
+          [bk](std::int64_t p) { return bk + p * kNr; }, total, k0 == 0);
+      k0 += kb;
+    }
+    for (std::int64_t j = 0; j < nr; ++j) {
+      float* d = dw + (l * kNr + j) * ckk + r0;
+      for (std::int64_t i = 0; i < mr; ++i) d[i] += total[i * kNr + j];
+    }
   }
 }
 
@@ -776,13 +785,16 @@ void PackedWeights::pack(const float* weight, std::int64_t out_ch,
   });
 }
 
-void ConvScratch::fit(std::int64_t stage_floats, std::int64_t depth) {
+void ConvScratch::fit(std::int64_t stage_floats, std::int64_t offset_count,
+                      std::int64_t sliver_floats) {
   if (static_cast<std::int64_t>(stage.size()) < stage_floats) {
     stage.resize(static_cast<std::size_t>(stage_floats));
   }
-  if (static_cast<std::int64_t>(offsets.size()) < depth) {
-    offsets.resize(static_cast<std::size_t>(depth));
-    sliver.resize(static_cast<std::size_t>(depth * kNr));
+  if (static_cast<std::int64_t>(offsets.size()) < offset_count) {
+    offsets.resize(static_cast<std::size_t>(offset_count));
+  }
+  if (static_cast<std::int64_t>(sliver.size()) < sliver_floats) {
+    sliver.resize(static_cast<std::size_t>(sliver_floats));
   }
 }
 

@@ -1,12 +1,12 @@
 #pragma once
-// Convolution kernel layer: fp32 implicit-GEMM forward and input gradient
-// over a batch, the per-plane weight gradient, the int8 serving forward, and
-// the im2col/col2im reference kernels they are verified against.
+// Convolution kernel layer: fp32 implicit-GEMM forward, input gradient and
+// weight gradient over a batch, the int8 serving forward, and the
+// im2col/col2im reference kernels they are verified against.
 //
 //   forward:  Y (out_ch, n*OH*OW) = W (out_ch, C*k*k) * col(X)
 //   dgrad:    per stride phase (py, px) in [0, s)^2, the dx pixels
 //             (py + s*u, px + s*v) = W_phase (C, taps*out_ch) * col(dY)
-//   wgrad:    dW (out_ch, C*k*k) += dY * col(X)^T, per sample
+//   wgrad:    dW^T (C*k*k, out_ch) += col(X) * dY^T, depth n*OH*OW
 //
 // col() is never materialized. Forward and dgrad read B from zero-padded
 // sample planes, where row k of a column is the float at a fixed offset
@@ -16,13 +16,18 @@
 // a direct conv of dY with the transposed weight, one per phase: a phase's
 // taps are the (ki, kj) with py + pad - ki and px + pad - kj divisible by
 // s, reading dY at ((py + pad - ki) / s, (px + pad - kj) / s) from (u, v),
-// so every dx pixel is one column and nothing is scattered.
+// so every dx pixel is one column and nothing is scattered. wgrad's lanes
+// are output channels, B rows dY transposed once; its A values are
+// broadcast in place from the same padded planes, one float per (c, ki, kj)
+// row and (sample, pixel) depth step, so it gathers nothing either.
 //
 // Bits: a forward output is the sum of its kKc-deep FMA chunks in ascending
 // k order; a dx element adds its taps in ascending (ki, kj) order to its
 // prior value, each tap the sum of its kKc-deep chunks over oc (a tap in
 // dY's padding adds an exact +0). Neither depends on the batch, the sliver
-// split or the load/gather branch.
+// split or the load/gather branch. A dW element adds the sum of its
+// per-sample kKc-deep chunks over the call's samples to its prior value: it
+// depends on which samples share a call, never on the tile split.
 //
 // Masked tickets keep a second executor: forward and dgrad can run a tap
 // loop that slides each nonzero weight's valid output window directly over
@@ -32,9 +37,9 @@
 // next to the channel count.
 //
 // The kernels are serial. Callers split the packed forward and dgrad by
-// whole slivers (ConvKernelOpts::sliver_begin/end, one ConvScratch per
-// thread), the tap loop by samples, and wgrad by samples or its
-// output-column tiles (parallel_tiles); no split changes a bit.
+// whole slivers and wgrad by its output tiles (ConvKernelOpts::sliver_begin/
+// end, one ConvScratch per thread), and the tap loop by samples; no split
+// changes a bit.
 
 #include <cstdint>
 #include <vector>
@@ -128,16 +133,19 @@ class PackedWeights {
   ConvGeometry g_;
 };
 
-/// Staging for the packed kernels: a chunk of zero-padded sample planes (at
-/// most 64 KiB, or the samples one sliver spans), one gathered full-depth B
-/// sliver and the per-k plane offsets. The kernels grow it to each shape
+/// Staging for the packed kernels. Forward and dgrad: a chunk of
+/// zero-padded sample planes (at most 64 KiB, or the samples one sliver
+/// spans), one gathered full-depth B sliver and the per-k plane offsets.
+/// wgrad: the call's padded planes, its transposed dY slivers and its
+/// per-depth and per-row plane offsets. The kernels grow it to each shape
 /// they run and it never shrinks, so a reused scratch runs them
 /// allocation-free after the first call per shape.
 struct ConvScratch {
   std::vector<float> stage, sliver;
   std::vector<std::int32_t> offsets;
-  /// Grows to hold `stage_floats` staged floats and a `depth`-deep sliver.
-  void fit(std::int64_t stage_floats, std::int64_t depth);
+  /// Grows each buffer to at least the given size.
+  void fit(std::int64_t stage_floats, std::int64_t offset_count,
+           std::int64_t sliver_floats);
 };
 
 struct ConvKernelOpts {
@@ -147,16 +155,14 @@ struct ConvKernelOpts {
   const PackedWeights* packed_weights = nullptr;
   ConvScratch* scratch = nullptr;
   /// Packed path: run only slivers [sliver_begin, sliver_end) of the call's
-  /// column space (conv_forward_slivers / conv_dgrad_slivers); a negative
-  /// end runs them all.
+  /// column space (conv_forward_slivers / conv_dgrad_slivers; for
+  /// conv2d_wgrad, output tiles of conv_wgrad_tiles); a negative end runs
+  /// them all.
   std::int64_t sliver_begin = 0;
   std::int64_t sliver_end = -1;
   /// conv2d_forward: floats between consecutive samples' outputs; 0 means
   /// out_ch * OH * OW.
   std::int64_t y_stride = 0;
-  /// Split the weight-gradient kernel's output-column tile loop into
-  /// stealable subtasks on the current scheduler (see Conv2d::backward).
-  bool parallel_tiles = false;
 };
 
 /// Forward over a batch: y_i (out_ch, OH, OW) = weight (out_ch, C*k*k)
@@ -229,14 +235,37 @@ std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
                                                std::int64_t h, std::int64_t w,
                                                const ConvGeometry& g);
 
-/// Weight gradient: dw (out_ch, C*k*k) += gout (out_ch, OH, OW) *
-/// col(x)^T. Accumulates into dw (per-sample calls sum over the batch).
-/// Gradients are dense regardless of weight masks (masked entries are
-/// re-zeroed by the optimizer), so there is no tap path here.
-void conv2d_wgrad_plane(const float* gout, const float* x, std::int64_t c_in,
-                        std::int64_t h, std::int64_t w, const ConvGeometry& g,
-                        std::int64_t out_ch, float* dw,
-                        const ConvKernelOpts& opts = {});
+/// Weight gradient over a batch: dw (out_ch, C*k*k) += sum over the n
+/// samples of gout_i (out_ch, OH, OW) * col(x_i)^T. Gradients are dense
+/// regardless of weight masks (masked entries are re-zeroed by the
+/// optimizer), so kTaps runs packed here.
+///
+/// The packed path computes dW^T as one GEMM of depth n*OH*OW: its kMr x kNr
+/// output tiles have im2col columns (c, ki, kj) as rows and output channels
+/// as lanes. B rows are dY transposed once to (sample, pixel) x out_ch, in
+/// kNr-lane slivers. A values are broadcast in place from the samples'
+/// zero-padded planes (staged all at once, so callers bound n; unpadded
+/// planes are read where they are): row (c, ki, kj) at depth step (i, oi,
+/// oj) is the float at (c*ph + ki)*pw + kj + i*plane + (oi*pw + oj)*stride,
+/// so nothing is gathered at any plane size or stride. opts.sliver_begin /
+/// sliver_end select tiles [begin, end) of conv_wgrad_tiles, ordered by
+/// lane sliver, then row panel.
+///
+/// Bits: each sample's OH*OW depth steps split into kKc-deep FMA chunks
+/// (a chunk never spans two samples); a dw element adds, to its prior
+/// value, the sum of the call's chunks in ascending (sample, pixel) order.
+/// Into a zeroed dw that is the order of per-sample accumulation, chunk by
+/// chunk. The bits depend on which samples share a call, never on the tile
+/// split.
+void conv2d_wgrad(const float* gout, const float* x, std::int64_t n,
+                  std::int64_t c_in, std::int64_t h, std::int64_t w,
+                  const ConvGeometry& g, std::int64_t out_ch, float* dw,
+                  const ConvKernelOpts& opts = {});
+
+/// kMr x kNr output tiles of conv2d_wgrad's dW^T: ceil(c_in*k*k / kMr) row
+/// panels times ceil(out_ch / kNr) lane slivers.
+std::int64_t conv_wgrad_tiles(std::int64_t c_in, std::int64_t out_ch,
+                              const ConvGeometry& g);
 
 /// Reference: expands one (C, H, W) plane at `x` into a full (C*k*k, OH*OW)
 /// column buffer, out-of-image taps reading as zero — the parity oracle for

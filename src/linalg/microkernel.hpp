@@ -11,7 +11,8 @@
 //   - B is packed into column slivers of kNr columns: bp[p * kNr + j] =
 //     op(B)(k0 + p, col0 + j), edge columns zero-padded likewise. The conv
 //     kernels may instead hand the accumulator a row accessor brow(p) that
-//     reads each kNr-float B row in place (micro_chunk).
+//     reads each kNr-float B row in place, or (the weight gradient) a column
+//     accessor acol(p) whose kMr A values they read in place (micro_chunk).
 //   - The micro-kernel keeps a full kMr x kNr accumulator block in registers,
 //     streams one packed A column + one packed B row per k step, and adds the
 //     block into C at the end — C traffic is O(mr*nr) per kc panel instead of
@@ -51,17 +52,19 @@ inline VecNr load_vec(const float* p) {
 #endif
 
 /// Computes one k chunk's kMr x kNr block of FMA chains, each from +0, into
-/// the row-major `acc` (leading dimension kNr). B row p is the kNr floats
-/// at brow(p): a packed sliver row, or a row the conv kernels read in place.
-/// The eight accumulators are separate named values so the register
-/// allocator keeps the whole block resident across the k loop.
-template <typename BRow>
-inline void micro_block(std::int64_t kc, const float* __restrict ap,
-                        const BRow& brow, float* __restrict acc) {
+/// the row-major `acc` (leading dimension kNr). Step p multiplies A column
+/// acol(p) — indexable by row, a packed panel column or values the conv
+/// kernels read in place — by B row brow(p), the kNr floats of a packed
+/// sliver row or a row the conv kernels read in place. The eight
+/// accumulators are separate named values so the register allocator keeps
+/// the whole block resident across the k loop.
+template <typename ACol, typename BRow>
+inline void micro_block(std::int64_t kc, const ACol& acol, const BRow& brow,
+                        float* __restrict acc) {
 #ifdef RT_MICROKERNEL_VECTOR_EXT
   VecNr c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict a = ap + p * kMr;
+    const auto a = acol(p);
     const VecNr bv = load_vec(brow(p));
     c0 += a[0] * bv;
     c1 += a[1] * bv;
@@ -77,7 +80,7 @@ inline void micro_block(std::int64_t kc, const float* __restrict ap,
 #else
   for (std::int64_t t = 0; t < kMr * kNr; ++t) acc[t] = 0.0f;
   for (std::int64_t p = 0; p < kc; ++p) {
-    const float* __restrict a = ap + p * kMr;
+    const auto a = acol(p);
     const float* b = brow(p);
     for (int i = 0; i < kMr; ++i) {
       for (int j = 0; j < kNr; ++j) acc[i * kNr + j] += a[i] * b[j];
@@ -88,15 +91,22 @@ inline void micro_block(std::int64_t kc, const float* __restrict ap,
 
 }  // namespace detail
 
-/// One k chunk of a block whose B rows are the kNr floats at brow(p), folded
-/// into the row-major block `sum` (leading dimension kNr): sum = +0 + chunk
-/// when `first`, else sum += chunk. A run of chunks reproduces, bit for bit,
+/// A column of a packed kMr-row panel: acol(p) for micro_block.
+struct PanelCol {
+  const float* __restrict ap;
+  const float* operator()(std::int64_t p) const { return ap + p * kMr; }
+};
+
+/// One k chunk of a block with A columns acol(p) and B rows the kNr floats
+/// at brow(p) (see micro_block), folded into the row-major block `sum`
+/// (leading dimension kNr): sum = +0 + chunk when `first`, else sum +=
+/// chunk. A run of chunks over packed panels reproduces, bit for bit,
 /// packed_block_multiply's accumulation into a zeroed C.
-template <typename BRow>
-inline void micro_chunk(std::int64_t kc, const float* __restrict ap,
-                        const BRow& brow, float* __restrict sum, bool first) {
+template <typename ACol, typename BRow>
+inline void micro_chunk(std::int64_t kc, const ACol& acol, const BRow& brow,
+                        float* __restrict sum, bool first) {
   alignas(32) float acc[kMr * kNr];
-  detail::micro_block(kc, ap, brow, acc);
+  detail::micro_block(kc, acol, brow, acc);
   for (std::int64_t t = 0; t < kMr * kNr; ++t) {
     sum[t] = (first ? 0.0f : sum[t]) + acc[t];
   }
@@ -207,8 +217,8 @@ inline void packed_block_multiply(std::int64_t mb, std::int64_t nb,
     for (std::int64_t jr = 0; jr < nb; jr += kNr) {
       const std::int64_t nr = (nb - jr) < kNr ? (nb - jr) : kNr;
       const float* bs = bp + jr * kb;
-      detail::micro_block(
-          kb, ap + ir * kb, [bs](std::int64_t p) { return bs + p * kNr; }, acc);
+      detail::micro_block(kb, PanelCol{ap + ir * kb},
+                          [bs](std::int64_t p) { return bs + p * kNr; }, acc);
       float* cblk = c + ir * ldc + jr;
       if (mr == kMr && nr == kNr) {
         for (int i = 0; i < kMr; ++i) {

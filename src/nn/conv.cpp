@@ -1,5 +1,6 @@
 #include "nn/conv.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -170,8 +171,6 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const bool want_db = has_bias_ && bias_.trainable;
   if (!want_dw && !want_db) return dx;
   Scheduler& sched = Scheduler::current();
-  // wgrad runs per sample; below one sample per lane it splits its tiles.
-  kopts.parallel_tiles = n < sched.num_threads();
 
   // Weight-gradient accumulation: each slot owns a contiguous sample range
   // and a private partial, then the partials are combined with an
@@ -184,33 +183,46 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   std::vector<std::vector<float>> dw_part(static_cast<std::size_t>(slots));
   std::vector<std::vector<float>> db_part(
       want_db ? static_cast<std::size_t>(slots) : 0u);
+  // Each slot's dW is one batched wgrad call. With fewer slots than lanes a
+  // slot also splits its output tiles across lanes; a tile's arithmetic
+  // does not depend on the split.
+  const std::int64_t tiles =
+      conv_wgrad_tiles(in_channels_, out_channels_, geom_);
+  const std::int64_t parts = std::min<std::int64_t>(
+      tiles, (sched.num_threads() + slots - 1) / slots);
 
   sched.parallel_for(slots, [&](std::int64_t s0, std::int64_t s1) {
     for (std::int64_t s = s0; s < s1; ++s) {
-      std::vector<float>& dw_local = dw_part[static_cast<std::size_t>(s)];
-      if (want_dw) {
-        dw_local.assign(static_cast<std::size_t>(out_channels_ * ckk), 0.0f);
-      }
-      if (want_db) {
-        db_part[static_cast<std::size_t>(s)].assign(
-            static_cast<std::size_t>(out_channels_), 0.0f);
-      }
       const std::int64_t begin = s * n / slots;
       const std::int64_t end = (s + 1) * n / slots;
-      for (std::int64_t i = begin; i < end; ++i) {
-        const float* gi = gd + i * out_channels_ * ohw;
-        // dW += gout_i * col(x_i)^T, fused — no im2col materialization.
-        if (want_dw) {
-          conv2d_wgrad_plane(gi, xd + i * in_plane, in_channels_, h, w, geom_,
-                             out_channels_, dw_local.data(), kopts);
-        }
-        if (want_db) {
-          float* db_local = db_part[static_cast<std::size_t>(s)].data();
+      if (want_dw) {
+        std::vector<float>& dw_local = dw_part[static_cast<std::size_t>(s)];
+        dw_local.assign(static_cast<std::size_t>(out_channels_ * ckk), 0.0f);
+        // dW += gout * col(x)^T over the slot, fused — no im2col.
+        sched.parallel_for(
+            parts,
+            [&](std::int64_t p0, std::int64_t p1) {
+              ConvKernelOpts leaf;
+              leaf.sliver_begin = p0 * tiles / parts;
+              leaf.sliver_end = p1 * tiles / parts;
+              leaf.scratch = &thread_scratch();
+              conv2d_wgrad(gd + begin * out_channels_ * ohw,
+                           xd + begin * in_plane, end - begin,
+                           in_channels_, h, w, geom_, out_channels_,
+                           dw_local.data(), leaf);
+            },
+            /*grain=*/1);
+      }
+      if (want_db) {
+        std::vector<float>& db_local = db_part[static_cast<std::size_t>(s)];
+        db_local.assign(static_cast<std::size_t>(out_channels_), 0.0f);
+        for (std::int64_t i = begin; i < end; ++i) {
+          const float* gi = gd + i * out_channels_ * ohw;
           for (std::int64_t oc = 0; oc < out_channels_; ++oc) {
             const float* grow = gi + oc * ohw;
             float acc = 0.0f;
             for (std::int64_t j = 0; j < ohw; ++j) acc += grow[j];
-            db_local[oc] += acc;
+            db_local[static_cast<std::size_t>(oc)] += acc;
           }
         }
       }

@@ -9,10 +9,10 @@
 // packs the weight panels once per batch (linalg::PackedWeights) and runs
 // forward and dgrad as one implicit GEMM over the batch, its slivers split
 // across the scheduler's lanes, each lane staging into its own ConvScratch;
-// the tap loop splits samples. The weight gradient runs per sample into
-// batch-sized partials, and splits its output-column tiles into stealable
-// subtasks when the batch has fewer samples than the scheduler has lanes.
-// None of the splits changes a bit of the result.
+// the tap loop splits samples. The weight gradient runs one batched GEMM per
+// fixed slot of up to 8 samples into per-slot partials, and splits a slot's
+// output tiles across lanes when there are fewer slots than lanes. None of
+// the splits changes a bit of the result.
 
 #include <cstdint>
 #include <memory>

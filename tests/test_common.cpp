@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <vector>
 
@@ -40,6 +41,27 @@ TEST(Rng, UniformInRange) {
     const float w = rng.uniform(-2.0f, 3.0f);
     EXPECT_GE(w, -2.0f);
     EXPECT_LT(w, 3.0f);
+  }
+}
+
+TEST(Rng, AffineDrawsAreOneFusedMultiplyAdd) {
+  // uniform(lo, hi) and normal(mean, stddev) are one std::fma over the unit
+  // draw, so their bits do not depend on whether the build's ISA lets the
+  // compiler contract a*b+c (the portable build has no FMA to contract to).
+  Rng got(41), ref(41);
+  const auto bits = [](float v) {
+    std::uint32_t b = 0;
+    std::memcpy(&b, &v, sizeof(b));
+    return b;
+  };
+  for (int i = 0; i < 20000; ++i) {
+    const float lo = 3.5f, hi = 5.0f;
+    ASSERT_EQ(bits(got.uniform(lo, hi)),
+              bits(std::fma(hi - lo, ref.uniform(), lo)))
+        << "uniform draw " << i;
+    ASSERT_EQ(bits(got.normal(0.3f, 0.7f)),
+              bits(std::fma(0.7f, ref.normal(), 0.3f)))
+        << "normal draw " << i;
   }
 }
 

@@ -1,9 +1,10 @@
 // Conformance tests for the implicit-GEMM convolution kernels in
 // linalg/conv.hpp: forward, input-gradient, and weight-gradient parity
 // against the materialized im2col reference across kernel x stride x
-// padding x odd-extent geometries, batched calls bitwise equal to
-// per-sample ones, the masked-weight tap path against the same oracle,
-// and a finite-difference gradcheck on a masked Conv2d layer.
+// padding x odd-extent geometries, batched forward/dgrad calls bitwise
+// equal to per-sample ones, batched weight gradients over uneven sample
+// counts and tile splits, the masked-weight tap path against the same
+// oracle, and a finite-difference gradcheck on a masked Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -57,13 +58,46 @@ void expect_bitwise(const float* got, const float* want, std::int64_t count,
       << " w=" << c.w;
 }
 
+/// Runs the batched weight gradient over the first n samples of x / gout
+/// through `opts` and through the im2col reference, both accumulating into
+/// the same nonzero prior, and demands agreement at <= 1e-4. Running the
+/// output tiles as two ranges (at three cut points) must give the whole
+/// call's bits.
+void check_wgrad(const Case& c, const std::vector<float>& x,
+                 const std::vector<float>& gout, std::int64_t n,
+                 const ConvKernelOpts& opts, Rng& rng) {
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  const std::vector<float> prior = random_vec(c.out_ch * ckk, rng, 0.0f);
+  std::vector<float> dw = prior;
+  std::vector<float> dw_ref = prior;
+  conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
+               dw.data(), opts);
+  conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
+               dw_ref.data(), {ConvAlgo::kIm2colReference});
+  expect_near(dw, dw_ref, "wgrad", c);
+  const std::int64_t tiles = conv_wgrad_tiles(c.c_in, c.out_ch, c.g);
+  for (const std::int64_t cut : {std::int64_t{1}, tiles / 2, tiles - 1}) {
+    std::vector<float> dw_split = prior;
+    ConvKernelOpts part = opts;
+    part.sliver_end = cut;
+    conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
+                 dw_split.data(), part);
+    part.sliver_begin = cut;
+    part.sliver_end = -1;
+    conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
+                 dw_split.data(), part);
+    expect_bitwise(dw_split.data(), dw.data(), c.out_ch * ckk,
+                   "wgrad tile split", n, c);
+  }
+}
+
 /// Runs forward/dgrad/wgrad through `algo` and through the im2col reference
 /// on the same random problem and demands agreement at <= 1e-4. Forward and
 /// dgrad also run batched (n = 1, 3, 5 samples in one call, forward once
 /// more into a strided output), and every sample of a batch must equal its
-/// own single-sample call bitwise. A kTaps case must be a shape
-/// conv_runs_taps routes to taps, so a refit of the rule cannot leave the
-/// tap loop tested only where no layer runs it.
+/// own single-sample call bitwise; wgrad runs the five samples as one call.
+/// A kTaps case must be a shape conv_runs_taps routes to taps, so a refit of
+/// the rule cannot leave the tap loop tested only where no layer runs it.
 void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
                 Rng& rng) {
   constexpr std::int64_t kBatch = 5;
@@ -142,13 +176,7 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
     expect_bitwise(dx.data(), dx_one.data(), n * in_plane, "dgrad", n, c);
   }
 
-  std::vector<float> dw = random_vec(c.out_ch * ckk, rng, 0.0f);
-  std::vector<float> dw_ref = dw;
-  conv2d_wgrad_plane(gout.data(), x.data(), c.c_in, c.h, c.w, c.g, c.out_ch,
-                     dw.data(), test_opts);
-  conv2d_wgrad_plane(gout.data(), x.data(), c.c_in, c.h, c.w, c.g, c.out_ch,
-                     dw_ref.data(), ref_opts);
-  expect_near(dw, dw_ref, "wgrad", c);
+  check_wgrad(c, x, gout, kBatch, test_opts, rng);
 }
 
 TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
@@ -200,6 +228,34 @@ TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   // Wide-plane stem shape: rows of several slivers plus a ragged tail.
   check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
              rng);
+}
+
+TEST(ConvKernels, BatchedWgradMatchesIm2colReference) {
+  // One batched call per sample count: a single sample, and 7 and 17
+  // samples (Conv2d's uneven slots), over the micro-r18 geometries — the
+  // stem's 3 input channels, 3x3 stride 2, 1x1 stride 2 without padding,
+  // 2x2 and 1x1 planes — with output channels short of a lane sliver (3)
+  // and one past it (10).
+  Rng rng(0x3D6);
+  const Case cases[] = {
+      {3, 10, 16, 16, ConvGeometry{3, 1, 1}},
+      {8, 3, 16, 16, ConvGeometry{3, 2, 1}},
+      {8, 10, 8, 8, ConvGeometry{1, 2, 0}},
+      {16, 10, 2, 2, ConvGeometry{3, 1, 1}},
+      {16, 3, 4, 4, ConvGeometry{3, 2, 1}},
+      {32, 10, 1, 1, ConvGeometry{3, 1, 1}},
+      {32, 3, 2, 2, ConvGeometry{1, 2, 0}},
+  };
+  for (const Case& c : cases) {
+    const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
+    for (const std::int64_t n : {1, 7, 17}) {
+      const std::vector<float> x =
+          random_vec(n * c.c_in * c.h * c.w, rng, 0.0f);
+      const std::vector<float> gout =
+          random_vec(n * c.out_ch * ohw, rng, 0.0f);
+      check_wgrad(c, x, gout, n, {}, rng);
+    }
+  }
 }
 
 TEST(ConvKernels, TapPathMatchesReferenceOnMaskedWeights) {

@@ -268,9 +268,7 @@ TEST(Scheduler, SliverParallelConvMatchesSerialBitwise) {
   // space across lanes. Each column's arithmetic does not depend on the
   // split, so one sliver per leaf must give the bits of one serial call over
   // the batch — at a batch below and above the lane count, stride 1 and 2
-  // (whose dgrad runs four phases). wgrad's parallel_tiles splits its
-  // output-column tiles with unchanged per-element order, so it must match
-  // its serial path too.
+  // (whose dgrad runs four phases).
   Scheduler sched(4);
   SchedulerScope scope(sched);
   constexpr std::int64_t kCh = 24, kH = 13, kW = 17;
@@ -323,17 +321,50 @@ TEST(Scheduler, SliverParallelConvMatchesSerialBitwise) {
       EXPECT_TRUE(same(dx_ref, dx_split)) << "dgrad s=" << stride
                                           << " n=" << n;
     }
+  }
+}
 
-    const Tensor x = Tensor::randn({kCh, kH, kW}, rng);
-    const Tensor g = Tensor::randn({kCh, oh, ow}, rng);
-    ConvKernelOpts tiled;
-    tiled.parallel_tiles = true;
-    Tensor dw_ref({kCh, ckk}), dw_tiled({kCh, ckk});
-    conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
-                       dw_ref.data(), {});
-    conv2d_wgrad_plane(g.data(), x.data(), kCh, kH, kW, geom, kCh,
-                       dw_tiled.data(), tiled);
-    EXPECT_TRUE(same(dw_ref, dw_tiled)) << "wgrad s=" << stride;
+TEST(Scheduler, TileParallelConvWgradMatchesSerialBitwise) {
+  // The batched weight gradient splits its output tiles across lanes (one
+  // tile per leaf here, each leaf staging into its own scratch). A tile's
+  // arithmetic does not depend on the split, so dW must be the bits of one
+  // serial call at 1, 2 and 4 lanes — stride 1 and 2, a batch below and
+  // above the lane count, output channels that end mid-sliver.
+  constexpr std::int64_t kCin = 12, kOut = 20, kH = 13, kW = 11;
+  Rng rng(98);
+  for (const std::int64_t stride : {1, 2}) {
+    const ConvGeometry geom{3, stride, 1};
+    const std::int64_t oh = geom.out_extent(kH), ow = geom.out_extent(kW);
+    const std::int64_t tiles = conv_wgrad_tiles(kCin, kOut, geom);
+    for (const std::int64_t n : {2, 9}) {
+      const Tensor x = Tensor::randn({n, kCin, kH, kW}, rng);
+      const Tensor g = Tensor::randn({n, kOut, oh, ow}, rng);
+      Tensor dw_ref({kOut, kCin * 9});
+      conv2d_wgrad(g.data(), x.data(), n, kCin, kH, kW, geom, kOut,
+                   dw_ref.data());
+      for (const int lanes : {1, 2, 4}) {
+        Scheduler sched(lanes);
+        SchedulerScope scope(sched);
+        Tensor dw({kOut, kCin * 9});
+        sched.parallel_for(
+            tiles,
+            [&](std::int64_t b, std::int64_t e) {
+              ConvScratch scratch;
+              ConvKernelOpts o;
+              o.sliver_begin = b;
+              o.sliver_end = e;
+              o.scratch = &scratch;
+              conv2d_wgrad(g.data(), x.data(), n, kCin, kH, kW, geom, kOut,
+                           dw.data(), o);
+            },
+            /*grain=*/1);
+        EXPECT_EQ(std::memcmp(dw.data(), dw_ref.data(),
+                              static_cast<std::size_t>(dw.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "wgrad s=" << stride << " n=" << n << " lanes=" << lanes;
+      }
+    }
   }
 }
 
@@ -370,8 +401,8 @@ TEST(Scheduler, TrainingBitsIndependentOfLaneCount) {
   // Every reduction partition (the conv wgrad partials above all) follows
   // the batch, never the lane count, so a model trains to the same bits on
   // any host. Batch 32 is the default training batch; 12 leaves a ragged
-  // last partial; 2 runs below the lane count, where wgrad switches to
-  // parallel_tiles.
+  // last partial; 2 runs below the lane count, where the one wgrad slot
+  // splits its output tiles across lanes.
   for (const std::int64_t batch : {32, 12, 2}) {
     const std::vector<float> one = train_micro_r18(1, batch, 2);
     const std::vector<float> four = train_micro_r18(4, batch, 2);
