@@ -16,16 +16,21 @@ constexpr std::uint64_t kSourceSeed = 0xA11CEULL;
 
 float soft_edge(float signed_dist, float sharpness = 1.2f) {
   // Maps signed distance (positive inside) to [0, 1] with a soft boundary.
-  const float v = signed_dist * sharpness + 0.5f;
+  const float v = std::fma(signed_dist, sharpness, 0.5f);
   return v < 0.0f ? 0.0f : (v > 1.0f ? 1.0f : v);
 }
 
+/// One color channel's intensity at hue phase `phase`.
+float channel_tint(float phase) {
+  return std::fma(0.45f, std::sin(kTwoPi * phase), 0.55f);
+}
+
+/// Channel ch of a hue sits at phase hue + ch / 3.
 std::array<float, 3> hue_to_color(float hue) {
   std::array<float, 3> c{};
   for (int ch = 0; ch < 3; ++ch) {
-    const float phase = hue + static_cast<float>(ch) / 3.0f;
     c[static_cast<std::size_t>(ch)] =
-        0.55f + 0.45f * std::sin(kTwoPi * phase);
+        channel_tint(hue + static_cast<float>(ch) / 3.0f);
   }
   return c;
 }
@@ -68,7 +73,9 @@ void render_archetype(int archetype, float cx, float cy, Rng& rng,
       const float phase = rng.uniform(0.0f, 4.0f);
       for (int y = 0; y < kS; ++y) {
         const float v =
-            0.5f + 0.5f * std::sin(kTwoPi * (static_cast<float>(y) + phase) / 4.0f);
+            std::fma(0.5f,
+                     std::sin(kTwoPi * (static_cast<float>(y) + phase) / 4.0f),
+                     0.5f);
         for (int x = 0; x < kS; ++x) at(y, x) = v > 0.5f ? 1.0f : 0.0f;
       }
       break;
@@ -77,7 +84,9 @@ void render_archetype(int archetype, float cx, float cy, Rng& rng,
       const float phase = rng.uniform(0.0f, 4.0f);
       for (int x = 0; x < kS; ++x) {
         const float v =
-            0.5f + 0.5f * std::sin(kTwoPi * (static_cast<float>(x) + phase) / 4.0f);
+            std::fma(0.5f,
+                     std::sin(kTwoPi * (static_cast<float>(x) + phase) / 4.0f),
+                     0.5f);
         for (int y = 0; y < kS; ++y) at(y, x) = v > 0.5f ? 1.0f : 0.0f;
       }
       break;
@@ -86,9 +95,10 @@ void render_archetype(int archetype, float cx, float cy, Rng& rng,
       const float phase = rng.uniform(0.0f, 6.0f);
       for (int y = 0; y < kS; ++y) {
         for (int x = 0; x < kS; ++x) {
-          const float v = 0.5f + 0.5f * std::sin(kTwoPi *
-                                                 (static_cast<float>(x + y) + phase) /
-                                                 6.0f);
+          const float v = std::fma(
+              0.5f,
+              std::sin(kTwoPi * (static_cast<float>(x + y) + phase) / 6.0f),
+              0.5f);
           at(y, x) = v > 0.5f ? 1.0f : 0.0f;
         }
       }
@@ -109,10 +119,10 @@ void render_archetype(int archetype, float cx, float cy, Rng& rng,
       const float sig = rng.uniform(1.4f, 2.0f);
       for (int y = 0; y < kS; ++y) {
         for (int x = 0; x < kS; ++x) {
-          const float d1 = ((x - (cx - sep)) * (x - (cx - sep)) +
-                            (y - cy) * (y - cy));
-          const float d2 = ((x - (cx + sep)) * (x - (cx + sep)) +
-                            (y - cy) * (y - cy));
+          const float d1 = std::fma(x - (cx - sep), x - (cx - sep),
+                                    (y - cy) * (y - cy));
+          const float d2 = std::fma(x - (cx + sep), x - (cx + sep),
+                                    (y - cy) * (y - cy));
           const float v = std::exp(-d1 / (2 * sig * sig)) +
                           std::exp(-d2 / (2 * sig * sig));
           at(y, x) = v > 1.0f ? 1.0f : v;
@@ -190,9 +200,10 @@ void render_archetype(int archetype, float cx, float cy, Rng& rng,
         for (int x = 0; x < kS; ++x) {
           float v = 0.0f;
           for (int k = -1; k <= 1; ++k) {
-            const float dx = static_cast<float>(x) - (cx + sep * k);
+            const float dx = static_cast<float>(x) -
+                             std::fma(sep, static_cast<float>(k), cx);
             const float dy = static_cast<float>(y) - cy;
-            v += std::exp(-(dx * dx + dy * dy) / (2 * sig * sig));
+            v += std::exp(-std::fma(dx, dx, dy * dy) / (2 * sig * sig));
           }
           at(y, x) = v > 1.0f ? 1.0f : v;
         }
@@ -267,7 +278,11 @@ SynthTaskSpec source_task_spec() {
   for (int c = 0; c < spec.num_classes; ++c) {
     ClassSpec cs;
     cs.archetype = c;
-    cs.color = hue_to_color(0.618034f * static_cast<float>(c));
+    // Hue 0.618034 * c, each channel's phase one fused multiply-add.
+    for (int ch = 0; ch < 3; ++ch) {
+      cs.color[static_cast<std::size_t>(ch)] = channel_tint(std::fma(
+          0.618034f, static_cast<float>(c), static_cast<float>(ch) / 3.0f));
+    }
     spec.classes.push_back(cs);
   }
   spec.patterns = make_patterns(spec.num_classes, spec.seed);
@@ -295,14 +310,15 @@ SynthTaskSpec downstream_task_spec(const std::string& name, int num_classes,
     // features transfer directly; shift 1 => full appearance gap.
     const float source_hue = 0.618034f * static_cast<float>(cs.archetype);
     const float direction = rng.bernoulli(0.5f) ? 1.0f : -1.0f;
-    const float hue = source_hue + direction * shift * rng.uniform(0.25f, 0.45f);
+    const float hue =
+        std::fma(direction * shift, rng.uniform(0.25f, 0.45f), source_hue);
     cs.color = hue_to_color(hue);
     spec.classes.push_back(cs);
     // The brittle cue of a downstream class is the SOURCE pattern of its
     // archetype; corruption below decorrelates it in proportion to shift.
     spec.patterns.push_back(source.patterns[static_cast<std::size_t>(cs.archetype)]);
   }
-  spec.pattern_amplitude = 0.07f * (1.0f - 0.3f * shift);
+  spec.pattern_amplitude = 0.07f * std::fma(-0.3f, shift, 1.0f);
   spec.pattern_corruption = 0.5f * shift;
   // Deterministic magnitudes with random signs: the SIZE of the photometric
   // gap tracks shift exactly (so measured FID orders tasks like Tab. II),
@@ -311,16 +327,16 @@ SynthTaskSpec downstream_task_spec(const std::string& name, int num_classes,
     const float gain_dir = rng.bernoulli(0.5f) ? 1.0f : -1.0f;
     const float bias_dir = rng.bernoulli(0.5f) ? 1.0f : -1.0f;
     spec.channel_gain[static_cast<std::size_t>(ch)] =
-        1.0f + gain_dir * shift * rng.uniform(0.22f, 0.30f);
+        std::fma(gain_dir * shift, rng.uniform(0.22f, 0.30f), 1.0f);
     spec.channel_bias[static_cast<std::size_t>(ch)] =
         bias_dir * shift * rng.uniform(0.04f, 0.07f);
   }
-  spec.noise_sigma = 0.02f + 0.08f * shift;
+  spec.noise_sigma = std::fma(0.08f, shift, 0.02f);
   spec.texture_amplitude = 0.10f * shift;
   spec.texture_fx = rng.uniform(0.15f, 0.45f);
   spec.texture_fy = rng.uniform(0.15f, 0.45f);
   spec.texture_phase = rng.uniform(0.0f, kTwoPi);
-  spec.position_jitter = 2.0f + 2.0f * shift;
+  spec.position_jitter = std::fma(2.0f, shift, 2.0f);
   return spec;
 }
 
@@ -368,21 +384,24 @@ Dataset generate_dataset(const SynthTaskSpec& spec, int n,
       const float bias = spec.channel_bias[static_cast<std::size_t>(ch)];
       for (int y = 0; y < kS; ++y) {
         for (int x = 0; x < kS; ++x) {
+          // Dividing by 8 is exact, so a contracted b0 + gx * (x - 7.5) / 8
+          // rounds as the two-step sum does: no std::fma needed here.
           float v = b0 + gx * (static_cast<float>(x) - 7.5f) / 8.0f +
                     gy * (static_cast<float>(y) - 7.5f) / 8.0f;
-          v += amp * color * mask[y * kS + x];
+          v = std::fma(amp * color, mask[y * kS + x], v);
           if (spec.texture_amplitude > 0.0f) {
-            v += spec.texture_amplitude *
-                 std::sin(kTwoPi * (spec.texture_fx * x + spec.texture_fy * y) +
-                          spec.texture_phase);
+            const float t = std::fma(spec.texture_fx, static_cast<float>(x),
+                                     spec.texture_fy * static_cast<float>(y));
+            v = std::fma(spec.texture_amplitude,
+                         std::sin(std::fma(kTwoPi, t, spec.texture_phase)), v);
           }
           float p = pattern.data()[(ch * kS + y) * kS + x];
           if (spec.pattern_corruption > 0.0f &&
               inst.bernoulli(spec.pattern_corruption)) {
             p = -p;
           }
-          v += spec.pattern_amplitude * p;
-          v = v * gain + bias;
+          v = std::fma(spec.pattern_amplitude, p, v);
+          v = std::fma(v, gain, bias);
           v += inst.normal(0.0f, spec.noise_sigma);
           img[(ch * kS + y) * kS + x] = std::clamp(v, 0.0f, 1.0f);
         }

@@ -8,7 +8,7 @@
 #include "common/audit.hpp"
 #include "common/scheduler.hpp"
 #include "hw/quant.hpp"
-#include "linalg/microkernel_s8.hpp"
+#include "linalg/gemm_s8.hpp"
 #include "models/blocks.hpp"
 #include "nn/activations.hpp"
 #include "nn/loss.hpp"
@@ -333,8 +333,8 @@ PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
     const std::vector<std::int8_t> q = p.format == PackedFormat::kCsr
                                            ? expand_csr(p.csr, p.qvalues)
                                            : p.qvalues;
-    const std::int64_t rows8 = (rows + kNrS8 - 1) / kNrS8 * kNrS8;
-    p.qslivers.assign(static_cast<std::size_t>(round_up4(cols) * rows8), 0);
+    p.qslivers.assign(static_cast<std::size_t>(s8_nt_sliver_bytes(rows, cols)),
+                      0);
     pack_b_quads_s8_nt(q.data(), rows, cols, p.qslivers.data());
     p.qcorr.resize(static_cast<std::size_t>(rows));
     for (std::int64_t r = 0; r < rows; ++r) {

@@ -8,7 +8,7 @@
 #include "common/audit.hpp"
 #include "linalg/conv.hpp"
 #include "linalg/gemm.hpp"
-#include "linalg/microkernel_s8.hpp"
+#include "linalg/gemm_s8.hpp"
 
 namespace rt {
 

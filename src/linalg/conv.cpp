@@ -108,8 +108,8 @@ RT_HOT void run_sliver(const PanelOperand& op, const float* src,
   }
   const bool contiguous =
       nr == kNr && dst_off[kNr - 1] - dst_off[0] == kNr - 1;
-  alignas(32) float total[kMr * kNr];
-  alignas(32) float part[kMr * kNr];
+  alignas(kTileAlign) float total[kMr * kNr];
+  alignas(kTileAlign) float part[kMr * kNr];
   for (std::int64_t ir = 0; ir < op.m; ir += kMr) {
     const std::int64_t mr = std::min(kMr, op.m - ir);
     const float* ap = op.panels + ir * op.k;
@@ -721,7 +721,7 @@ RT_HOT void conv2d_wgrad(const float* gout, const float* x, std::int64_t n,
       }
     }
   }
-  alignas(32) float total[kMr * kNr];
+  alignas(kTileAlign) float total[kMr * kNr];
   for (std::int64_t t = t0; t < t1; ++t) {
     const std::int64_t l = t / panels, r0 = t % panels * kMr;
     const std::int64_t mr = std::min(kMr, ckk - r0);

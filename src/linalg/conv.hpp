@@ -27,7 +27,13 @@
 // dY's padding adds an exact +0). Neither depends on the batch, the sliver
 // split or the load/gather branch. A dW element adds the sum of its
 // per-sample kKc-deep chunks over the call's samples to its prior value: it
-// depends on which samples share a call, never on the tile split.
+// depends on which samples share a call, never on the tile split. Nor does
+// any of them depend on the lane width kNr, 16 on AVX-512 builds and 8
+// otherwise (linalg/microkernel.hpp): a column, or a wgrad output channel,
+// runs the same FMA chains in whichever lane of whichever sliver holds it.
+// The width changes only which slivers load directly: with 16 lanes an 8x8
+// plane's slivers span two rows and gather, and wgrad layers with out_ch
+// <= 8 fill half a lane sliver.
 //
 // Masked tickets keep a second executor: forward and dgrad can run a tap
 // loop that slides each nonzero weight's valid output window directly over
@@ -241,13 +247,14 @@ std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
 /// optimizer), so kTaps runs packed here.
 ///
 /// The packed path computes dW^T as one GEMM of depth n*OH*OW: its kMr x kNr
-/// output tiles have im2col columns (c, ki, kj) as rows and output channels
-/// as lanes. B rows are dY transposed once to (sample, pixel) x out_ch, in
-/// kNr-lane slivers. A values are broadcast in place from the samples'
-/// zero-padded planes (staged all at once, so callers bound n; unpadded
-/// planes are read where they are): row (c, ki, kj) at depth step (i, oi,
-/// oj) is the float at (c*ph + ki)*pw + kj + i*plane + (oi*pw + oj)*stride,
-/// so nothing is gathered at any plane size or stride. opts.sliver_begin /
+/// output tiles (8 x 16 on AVX-512 builds, 8 x 8 otherwise) have im2col
+/// columns (c, ki, kj) as rows and output channels as lanes. B rows are dY
+/// transposed once to (sample, pixel) x out_ch, in kNr-lane slivers. A
+/// values are broadcast in place from the samples' zero-padded planes
+/// (staged all at once, so callers bound n; unpadded planes are read where
+/// they are): row (c, ki, kj) at depth step (i, oi, oj) is the float at
+/// (c*ph + ki)*pw + kj + i*plane + (oi*pw + oj)*stride, so nothing is
+/// gathered at any plane size or stride. opts.sliver_begin /
 /// sliver_end select tiles [begin, end) of conv_wgrad_tiles, ordered by
 /// lane sliver, then row panel.
 ///

@@ -14,10 +14,11 @@
 // Dense operands run through one packed, register-tiled micro-kernel
 // (linalg/microkernel.hpp): operands are gathered into zero-padded panels —
 // the packing step is where any transposition is paid, so all four variants
-// sustain the same dense throughput — and an 8x8 accumulator block lives in
-// registers across the whole k panel. The kernels split disjoint row blocks
-// of C into stealable tasks on the current work-stealing scheduler when the
-// FLOP count amortizes the fork/join cost; nested under an outer batch
+// sustain the same dense throughput — and a kMr x kNr accumulator block
+// (8 x 16 on AVX-512 builds, 8 x 8 otherwise) lives in registers across the
+// whole k panel. The kernels split disjoint row blocks of C into stealable
+// tasks on the current work-stealing scheduler when the FLOP count
+// amortizes the fork/join cost; nested under an outer batch
 // loop, those blocks backfill idle workers instead of running inline.
 //
 // Masked-ticket workloads dominate this codebase, so each call samples its

@@ -264,6 +264,30 @@ void PackedS8::pack(const std::int8_t* q, std::int64_t rows,
   }
 }
 
+std::int64_t s8_nt_sliver_bytes(std::int64_t nrows, std::int64_t cols) {
+  return (nrows + kNrS8 - 1) / kNrS8 * kNrS8 * round_up4(cols);
+}
+
+void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
+                        std::int64_t cols, std::int8_t* bp) {
+  const std::int64_t cols4 = round_up4(cols);
+  for (std::int64_t jr = 0; jr < nrows; jr += kNrS8) {
+    const std::int64_t n_eff = std::min(kNrS8, nrows - jr);
+    std::int8_t* sliver = bp + jr * cols4;
+    for (std::int64_t q = 0; q < cols4 / 4; ++q) {
+      std::int8_t* dst = sliver + q * kNrS8 * 4;
+      for (std::int64_t j = 0; j < kNrS8; ++j) {
+        for (std::int64_t t = 0; t < 4; ++t) {
+          const std::int64_t k = 4 * q + t;
+          dst[j * 4 + t] = (j < n_eff && k < cols)
+                               ? b[(jr + j) * cols + k]
+                               : std::int8_t{0};
+        }
+      }
+    }
+  }
+}
+
 RT_HOT void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
                        const std::uint8_t* x, std::int64_t ldx,
                        const std::int8_t* w_slivers, std::int32_t* acc,

@@ -120,6 +120,34 @@ class PackedS8 {
   std::vector<std::int32_t> corr_;
 };
 
+/// Rounds a k extent up to whole quads.
+inline constexpr std::int64_t round_up4(std::int64_t v) {
+  return (v + 3) & ~std::int64_t{3};
+}
+
+/// The per-row offset correction the requant epilogue subtracts: activations
+/// are stored as q + 128, so the raw accumulator carries an extra
+/// 128 * sum_k(w_q) per output row. Computed over the SAME padded extent the
+/// panels cover (pad weights are zero, so padding never shifts the sum).
+inline std::int32_t quad_row_offset_sum(const std::int8_t* row,
+                                        std::int64_t cols) {
+  std::int32_t s = 0;
+  for (std::int64_t k = 0; k < cols; ++k) s += row[k];
+  return 128 * s;
+}
+
+/// Bytes of the full-depth quad slivers pack_b_quads_s8_nt writes for an
+/// (nrows, cols) weight: nrows rounded up to whole 16-lane slivers times
+/// round_up4(cols).
+std::int64_t s8_nt_sliver_bytes(std::int64_t nrows, std::int64_t cols);
+
+/// Packs a row-major s8 weight (nrows x cols, one source row per output
+/// lane: the nt layout) into full-depth 16-lane quad slivers at `bp`
+/// (s8_nt_sliver_bytes of them). Edge lanes and the k tail pack as zeros.
+/// Compile-time only.
+void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
+                        std::int64_t cols, std::int8_t* bp);
+
 /// The head shape: C(m,n) float = requant(X_q(m,k) * W_q(n,k)^T). X is
 /// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows
 /// quad-padded with the zero encoding 128); W is prepacked full-depth quad

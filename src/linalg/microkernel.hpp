@@ -24,7 +24,23 @@
 // same loop over a float[8][8] array makes GCC spill the block to the stack
 // and shuffle it every iteration, which is ~4x slower. Other compilers get a
 // scalar fallback with identical semantics (detail::micro_block).
+//
+// Lane width: kNr is 16 (one zmm register per row) where the translation
+// unit is compiled with AVX-512F and 8 otherwise (one ymm register on AVX2).
+// 16 lanes on an AVX2 build would split every row over two ymm registers:
+// sixteen accumulators plus the B row and a broadcast overflow the 16 ymm
+// registers and spill, and the 20 micro-r18 conv shapes' forward, dgrad and
+// wgrad ran 4-5x slower that way (DESIGN.md "fp32 micro-tile width"). The
+// width never enters the arithmetic: every output element is one FMA chain
+// per kKc chunk, summed in ascending k, whichever lane of whichever sliver
+// holds it, so 8- and 16-lane builds with FMA give the same bits (a build
+// without FMA rounds each product on its own and differs at any width).
+// Because kNr depends on the ISA, only translation units compiled with the
+// library's flags may include this header (or microkernel_s8.hpp); a test
+// or tool compiled otherwise would see another kNr and other inline vector
+// helpers.
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 
@@ -34,21 +50,23 @@ namespace rt {
 // panel sizes shared by every packed kernel: a kKc x kNc B panel (128 KiB)
 // stays L2-resident while all A row-panels stream over it.
 inline constexpr std::int64_t kMr = 8;
+#ifdef __AVX512F__
+inline constexpr std::int64_t kNr = 16;
+#else
 inline constexpr std::int64_t kNr = 8;
+#endif
 inline constexpr std::int64_t kKc = 128;
 inline constexpr std::int64_t kNc = 256;
+static_assert(kNc % kNr == 0, "B panels hold whole slivers");
+
+/// Alignment of a kNr-float tile row: one full vector register.
+inline constexpr std::size_t kTileAlign = kNr * sizeof(float);
 
 namespace detail {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define RT_MICROKERNEL_VECTOR_EXT 1
 using VecNr __attribute__((vector_size(kNr * sizeof(float)))) = float;
-
-inline VecNr load_vec(const float* p) {
-  VecNr v;
-  std::memcpy(&v, p, sizeof(VecNr));  // unaligned-safe; compiles to one load
-  return v;
-}
 #endif
 
 /// Computes one k chunk's kMr x kNr block of FMA chains, each from +0, into
@@ -65,7 +83,8 @@ inline void micro_block(std::int64_t kc, const ACol& acol, const BRow& brow,
   VecNr c0{}, c1{}, c2{}, c3{}, c4{}, c5{}, c6{}, c7{};
   for (std::int64_t p = 0; p < kc; ++p) {
     const auto a = acol(p);
-    const VecNr bv = load_vec(brow(p));
+    VecNr bv;
+    std::memcpy(&bv, brow(p), sizeof(VecNr));  // unaligned-safe; one load
     c0 += a[0] * bv;
     c1 += a[1] * bv;
     c2 += a[2] * bv;
@@ -105,7 +124,7 @@ struct PanelCol {
 template <typename ACol, typename BRow>
 inline void micro_chunk(std::int64_t kc, const ACol& acol, const BRow& brow,
                         float* __restrict sum, bool first) {
-  alignas(32) float acc[kMr * kNr];
+  alignas(kTileAlign) float acc[kMr * kNr];
   detail::micro_block(kc, acol, brow, acc);
   for (std::int64_t t = 0; t < kMr * kNr; ++t) {
     sum[t] = (first ? 0.0f : sum[t]) + acc[t];
@@ -211,7 +230,7 @@ inline void packed_block_multiply(std::int64_t mb, std::int64_t nb,
                                   std::int64_t kb, const float* ap,
                                   const float* bp, float* c,
                                   std::int64_t ldc) {
-  alignas(32) float acc[kMr * kNr];
+  alignas(kTileAlign) float acc[kMr * kNr];
   for (std::int64_t ir = 0; ir < mb; ir += kMr) {
     const std::int64_t mr = (mb - ir) < kMr ? (mb - ir) : kMr;
     for (std::int64_t jr = 0; jr < nb; jr += kNr) {

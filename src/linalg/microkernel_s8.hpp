@@ -38,7 +38,6 @@
 #include <cstring>
 
 #include "linalg/gemm_s8.hpp"
-#include "linalg/microkernel.hpp"
 
 #if defined(__AVX512VNNI__) && defined(__AVX512F__)
 #define RT_MICROKERNEL_S8_VNNI 1
@@ -51,11 +50,6 @@ namespace rt {
 // 512-bit accumulator per row), k consumed 4 bytes (one quad) per step.
 inline constexpr std::int64_t kMrS8 = 8;
 inline constexpr std::int64_t kNrS8 = 16;
-
-/// Rounds a k extent up to whole quads.
-inline constexpr std::int64_t round_up4(std::int64_t v) {
-  return (v + 3) & ~std::int64_t{3};
-}
 
 namespace detail {
 
@@ -240,41 +234,6 @@ inline void pack_a_quads_s8(const std::int8_t* a, std::int64_t rows,
       }
     }
   }
-}
-
-/// Packs columns [j0, j0+nb) x k rows [k0, k0+kb) of a row-major s8 matrix
-/// B^T-style source (nrows x cols, one source ROW per output lane — the nt
-/// weight layout) into kNrS8 quad slivers at `bp` (full depth cols4 per
-/// sliver). Edge lanes and the k tail pack as zeros.
-inline void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
-                               std::int64_t cols, std::int8_t* bp) {
-  const std::int64_t cols4 = round_up4(cols);
-  for (std::int64_t jr = 0; jr < nrows; jr += kNrS8) {
-    const std::int64_t n_eff = std::min(kNrS8, nrows - jr);
-    std::int8_t* sliver = bp + jr * cols4;
-    for (std::int64_t q = 0; q < cols4 / 4; ++q) {
-      std::int8_t* dst = sliver + q * kNrS8 * 4;
-      for (std::int64_t j = 0; j < kNrS8; ++j) {
-        for (std::int64_t t = 0; t < 4; ++t) {
-          const std::int64_t k = 4 * q + t;
-          dst[j * 4 + t] = (j < n_eff && k < cols)
-                               ? b[(jr + j) * cols + k]
-                               : std::int8_t{0};
-        }
-      }
-    }
-  }
-}
-
-/// The per-row offset correction the requant epilogue subtracts: activations
-/// are stored as q + 128, so the raw accumulator carries an extra
-/// 128 * sum_k(w_q) per output row. Computed over the SAME padded extent the
-/// panels cover (pad weights are zero, so padding never shifts the sum).
-inline std::int32_t quad_row_offset_sum(const std::int8_t* row,
-                                        std::int64_t cols) {
-  std::int32_t s = 0;
-  for (std::int64_t k = 0; k < cols; ++k) s += row[k];
-  return 128 * s;
 }
 
 }  // namespace rt

@@ -196,10 +196,11 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
 
 TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   Rng rng(0xB16);
-  // micro-r18 at 16x16: the stem, one 3x3 body conv per stage (16x16 rows
-  // of two direct-load slivers, 8x8 rows of one, then 4x4 and 2x2 planes
-  // whose slivers gather and cross samples), the stride-2 entries and the
-  // 1x1 stride-2 projections.
+  // micro-r18 at 16x16: the stem, one 3x3 body conv per stage (16x16 and
+  // 8x8 planes, whose rows hold whole slivers or a sliver spans rows
+  // depending on the lane width, then 4x4 and 2x2 planes whose slivers
+  // gather and cross samples), the stride-2 entries and the 1x1 stride-2
+  // projections.
   check_case({3, 8, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
              rng);
   for (const std::int64_t ch : {8, 16, 32, 64}) {
@@ -228,14 +229,24 @@ TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   // Wide-plane stem shape: rows of several slivers plus a ragged tail.
   check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
              rng);
+  // Stride-1 rows 7, 15, 17 and 32 wide put every load/gather branch under
+  // test at 8 and at 16 lanes: a row one lane short of a sliver (7 at 8
+  // lanes, 15 at 16), a sliver that crosses into the next row (15 and 17 at
+  // 8 lanes, 7 and 17 at 16), a direct sliver plus a one-column tail (17 at
+  // either width) and rows of two or more direct slivers (32).
+  for (const std::int64_t w : {7, 15, 17, 32}) {
+    check_case({4, 8, 5, w, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+               rng);
+  }
 }
 
 TEST(ConvKernels, BatchedWgradMatchesIm2colReference) {
   // One batched call per sample count: a single sample, and 7 and 17
   // samples (Conv2d's uneven slots), over the micro-r18 geometries — the
   // stem's 3 input channels, 3x3 stride 2, 1x1 stride 2 without padding,
-  // 2x2 and 1x1 planes — with output channels short of a lane sliver (3)
-  // and one past it (10).
+  // 2x2 and 1x1 planes — with output channels short of a lane sliver at
+  // either width (3), one past an 8-lane sliver (10) and one past a 16-lane
+  // sliver (17).
   Rng rng(0x3D6);
   const Case cases[] = {
       {3, 10, 16, 16, ConvGeometry{3, 1, 1}},
@@ -245,6 +256,8 @@ TEST(ConvKernels, BatchedWgradMatchesIm2colReference) {
       {16, 3, 4, 4, ConvGeometry{3, 2, 1}},
       {32, 10, 1, 1, ConvGeometry{3, 1, 1}},
       {32, 3, 2, 2, ConvGeometry{1, 2, 0}},
+      {16, 17, 4, 4, ConvGeometry{3, 1, 1}},
+      {8, 17, 8, 8, ConvGeometry{1, 2, 0}},
   };
   for (const Case& c : cases) {
     const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);

@@ -26,7 +26,6 @@
 #include "engine/engine.hpp"
 #include "linalg/conv.hpp"
 #include "linalg/gemm_s8.hpp"
-#include "linalg/microkernel_s8.hpp"
 #include "models/resnet.hpp"
 #include "prune/baselines.hpp"
 #include "prune/omp.hpp"
@@ -117,7 +116,7 @@ TEST(QuantHelpers, HeadEpilogueIsOneFusedMultiplyAdd) {
   const auto qw = random_s8(n * k, rng, 0.0f);
   const auto qx = random_u8(m * k, rng);
   std::vector<std::int8_t> slivers(
-      static_cast<std::size_t>((n + kNrS8 - 1) / kNrS8 * kNrS8 * k));
+      static_cast<std::size_t>(s8_nt_sliver_bytes(n, k)));
   pack_b_quads_s8_nt(qw.data(), n, k, slivers.data());
   std::vector<float> scales(static_cast<std::size_t>(n));
   std::vector<float> bias(static_cast<std::size_t>(n));
@@ -184,7 +183,7 @@ TEST(QuantGemm, NtHeadShapeMatchesIntegerReference) {
     }
   }
   std::vector<std::int8_t> slivers(
-      static_cast<std::size_t>((n + kNrS8 - 1) / kNrS8 * kNrS8 * k4));
+      static_cast<std::size_t>(s8_nt_sliver_bytes(n, k)));
   pack_b_quads_s8_nt(qw.data(), n, k, slivers.data());
 
   std::vector<float> scales(static_cast<std::size_t>(n));
