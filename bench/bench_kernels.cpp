@@ -41,7 +41,8 @@ BENCHMARK(BM_Matmul)->Arg(32)->Arg(64)->Arg(128)->Arg(256);
 
 // Raw kernel throughput (items == FLOPs) for the shared hot path; the Arg is
 // the square problem size. Sparse variants zero the given percentage of the
-// weight operand, matching the masked-ticket regime the fast path targets.
+// weight operand: gemm multiplies zeros like any other value, so these rows
+// show what a masked weight costs when no executor skips it.
 void BM_GemmNN(benchmark::State& state) {
   const auto n = state.range(0);
   const float sparsity = static_cast<float>(state.range(1)) / 100.0f;
@@ -72,7 +73,7 @@ void BM_GemmNT(benchmark::State& state) {
   const rt::Tensor a = rt::Tensor::randn({n, n}, rng);
   rt::Tensor b = rt::Tensor::randn({n, n}, rng);
   rt::Tensor c({n, n});
-  // Channel-style pruning: zero whole rows of B, the nt fast-path shape.
+  // Channel-style pruning: zero whole rows of B.
   const auto zero_rows = static_cast<std::int64_t>(
       sparsity * static_cast<float>(n));
   for (std::int64_t j = 0; j < zero_rows; ++j) {
@@ -110,12 +111,9 @@ BENCHMARK(BM_GemmNNThreads)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 // The training-path convolution pair (forward + full backward) across the
 // four ResNet-18 residual-body shapes at 32x32 input resolution, measured at
 // the kernel layer: forward, dgrad and wgrad as one batched call each, as
-// Conv2d runs them. Arg 0 runs the im2col reference (materialized
-// column buffer + legacy streaming GEMM cores — the pre-fusion baseline),
-// Arg 1 the implicit-GEMM kernels. Items == FLOPs, so items_per_second is
-// directly comparable between the two.
+// Conv2d runs them, on the implicit-GEMM kernels. Items == FLOPs. Its one
+// Arg, 1, keeps the recorded row name BM_ConvTrain/1.
 void BM_ConvTrain(benchmark::State& state) {
-  const bool implicit = state.range(0) == 1;
   struct Shape {
     std::int64_t ch, h, w;
   };
@@ -143,8 +141,6 @@ void BM_ConvTrain(benchmark::State& state) {
   rt::ConvScratch scratch;
   rt::PackedWeights packed;
   rt::ConvKernelOpts opts;
-  opts.algo =
-      implicit ? rt::ConvAlgo::kPacked : rt::ConvAlgo::kIm2colReference;
   opts.scratch = &scratch;
   opts.packed_weights = &packed;
 
@@ -154,7 +150,7 @@ void BM_ConvTrain(benchmark::State& state) {
       dws[l].fill_(0.0f);
       dxs[l].fill_(0.0f);
       // The weight panels, packed once per layer and batch as Conv2d does.
-      if (implicit) packed.pack(ws[l].data(), s.ch, s.ch, geom, true, true);
+      packed.pack(ws[l].data(), s.ch, s.ch, geom, true, true);
       rt::conv2d_forward(xs[l].data(), kBatch, s.ch, s.h, s.w, geom,
                          ws[l].data(), s.ch, ys[l].data(), nullptr, false,
                          opts);
@@ -169,7 +165,7 @@ void BM_ConvTrain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * flops_per_iter);
 }
-BENCHMARK(BM_ConvTrain)->Arg(0)->Arg(1);
+BENCHMARK(BM_ConvTrain)->Arg(1);
 
 /// The executing thread's staging for the packed conv kernels, as Conv2d
 /// keeps one per scheduler thread.

@@ -354,8 +354,7 @@ RT_HOT void PackedLinear::run(const float* in, float* out, std::int64_t n,
     spmm_csr_rhs_t(csr, n, in, out);
   } else {
     gemm_nt(n, out_features, in_features, in, weight.data(), out,
-            {.accumulate = false, .parallel = false,
-             .skip_zero_b_rows = false});
+            {.accumulate = false, .parallel = false});
   }
   for (std::int64_t i = 0; i < n; ++i) {
     float* yrow = out + i * out_features;

@@ -73,8 +73,10 @@ struct CompileOptions {
   /// Per-layer packing override; unset selects per layer from the weight's
   /// zero structure (see choose_packed_format).
   std::optional<PackedFormat> force_format;
-  /// Unstructured density at or below which CSR wins over the dense kernel's
-  /// element-wise zero skipping (~80% sparsity, matching hw/storage).
+  /// Unstructured density at or below which a layer is encoded CSR instead
+  /// of dense (~80% sparsity, matching hw/storage). A CSR conv then runs
+  /// taps or expanded panels (csr_runs_taps), and a CSR head runs
+  /// spmm_csr_rhs_t.
   float csr_max_density = 0.2f;
   /// Row-structured masks: channel-compact when the kept-row fraction is at
   /// or below this and the surviving rows are mostly dense.

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/audit.hpp"
-#include "linalg/gemm.hpp"
 #include "linalg/microkernel.hpp"
 #include "linalg/microkernel_s8.hpp"
 
@@ -297,35 +296,6 @@ RT_HOT void run_taps(const float* weight, std::int64_t out_ch,
   }
 }
 
-/// The reference kernels' column buffer, one per thread.
-float* ref_col(std::int64_t floats) {
-  thread_local std::vector<float> col;
-  col.resize(static_cast<std::size_t>(floats));
-  return col.data();
-}
-
-void forward_ref(const float* x, std::int64_t c_in, std::int64_t h,
-                 std::int64_t w, const ConvGeometry& g, const float* weight,
-                 std::int64_t out_ch, float* y) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  float* col = ref_col(ckk * ohw);
-  im2col_plane(x, c_in, h, w, g, col);
-  gemm_nn(out_ch, ohw, ckk, weight, col, y,
-          {.accumulate = true, .parallel = false, .packed = false});
-}
-
-void dgrad_ref(const float* weight, std::int64_t out_ch, const float* gout,
-               std::int64_t c_in, std::int64_t h, std::int64_t w,
-               const ConvGeometry& g, float* dx) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  float* dcol = ref_col(ckk * ohw);
-  gemm_tn(ckk, ohw, out_ch, weight, gout, dcol,
-          {.accumulate = false, .parallel = false, .packed = false});
-  col2im_plane_add(dcol, c_in, h, w, g, dx);
-}
-
 // ---- weight gradient --------------------------------------------------------
 
 /// A column of dW^T's A operand, read in place: row i's value at this depth
@@ -335,18 +305,6 @@ struct PlaneCol {
   std::int32_t off;
   float operator[](std::int64_t i) const { return row[i][off]; }
 };
-
-void wgrad_ref(const float* gout, const float* x, std::int64_t c_in,
-               std::int64_t h, std::int64_t w, const ConvGeometry& g,
-               std::int64_t out_ch, float* dw) {
-  const std::int64_t ohw = g.out_extent(h) * g.out_extent(w);
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  float* col = ref_col(ckk * ohw);
-  im2col_plane(x, c_in, h, w, g, col);
-  gemm_nt(out_ch, ckk, ohw, gout, col, dw,
-          {.accumulate = true, .parallel = false, .skip_zero_b_rows = false,
-           .packed = false});
-}
 
 /// The packed path's panels: the caller's when they match, else packed into
 /// `local` (allocates).
@@ -522,17 +480,13 @@ void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
   const std::int64_t ohw = oh * ow;
   const std::int64_t y_stride = opts.y_stride > 0 ? opts.y_stride
                                                   : out_ch * ohw;
-  if (opts.algo != ConvAlgo::kPacked) {
+  if (opts.algo == ConvAlgo::kTaps) {
     for (std::int64_t i = 0; i < n; ++i) {
       const float* xi = x + i * c_in * h * w;
       float* yi = y + i * y_stride;
       std::memset(yi, 0,
                   static_cast<std::size_t>(out_ch * ohw) * sizeof(float));
-      if (opts.algo == ConvAlgo::kTaps) {
-        run_taps<false>(weight, out_ch, c_in, h, w, g, xi, yi);
-      } else {
-        forward_ref(xi, c_in, h, w, g, weight, out_ch, yi);
-      }
+      run_taps<false>(weight, out_ch, c_in, h, w, g, xi, yi);
       bias_relu_epilogue(yi, bias, out_ch, ohw, relu);
     }
     return;
@@ -568,15 +522,10 @@ void conv2d_dgrad(const float* weight, std::int64_t out_ch,
                   float* dx, const ConvKernelOpts& opts) {
   const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
   if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  if (opts.algo != ConvAlgo::kPacked) {
+  if (opts.algo == ConvAlgo::kTaps) {
     for (std::int64_t i = 0; i < n; ++i) {
-      const float* gi = gout + i * out_ch * oh * ow;
-      float* dxi = dx + i * c_in * h * w;
-      if (opts.algo == ConvAlgo::kTaps) {
-        run_taps<true>(weight, out_ch, c_in, h, w, g, gi, dxi);
-      } else {
-        dgrad_ref(weight, out_ch, gi, c_in, h, w, g, dxi);
-      }
+      run_taps<true>(weight, out_ch, c_in, h, w, g,
+                     gout + i * out_ch * oh * ow, dx + i * c_in * h * w);
     }
     return;
   }
@@ -660,13 +609,6 @@ RT_HOT void conv2d_wgrad(const float* gout, const float* x, std::int64_t n,
   const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
   if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
   const std::int64_t ohw = oh * ow;
-  if (opts.algo == ConvAlgo::kIm2colReference) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      wgrad_ref(gout + i * out_ch * ohw, x + i * c_in * h * w, c_in, h, w, g,
-                out_ch, dw);
-    }
-    return;
-  }
   const std::int64_t ckk = c_in * g.kernel * g.kernel;
   const std::int64_t panels = (ckk + kMr - 1) / kMr;
   const std::int64_t t0 = opts.sliver_begin;

@@ -72,10 +72,6 @@ enum class ConvAlgo {
   /// Zero-skipping tap loop, for masked weights where conv_runs_taps holds.
   /// Forward and dgrad only: wgrad runs packed (its gradient is dense).
   kTaps,
-  /// Materialize the full im2col buffer and run the legacy streaming GEMM
-  /// cores — the pre-fusion baseline, kept for parity tests and as the
-  /// speedup reference in bench_kernels.
-  kIm2colReference,
 };
 
 /// Tap-loop crossover for fp32 convs. The tap loop costs ~ nnz * OH*OW plus

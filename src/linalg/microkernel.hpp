@@ -16,7 +16,7 @@
 //   - The micro-kernel keeps a full kMr x kNr accumulator block in registers,
 //     streams one packed A column + one packed B row per k step, and adds the
 //     block into C at the end — C traffic is O(mr*nr) per kc panel instead of
-//     O(mr*nr*kc) as in the axpy cores.
+//     the O(mr*nr*kc) a row-streaming axpy loop pays.
 //
 // On GCC/Clang the accumulator block is held in eight named vector-extension
 // registers (one kNr-float vector per row), so the k loop is eight
@@ -198,9 +198,8 @@ inline void pack_b_cols(const float* b, std::int64_t ldb, std::int64_t k0,
 }
 
 /// Same, but op(B) = stored^T: the source is (n, k) row-major — the nt/tt
-/// weight layout — and slivers gather strided columns. This is the packing
-/// that closes the nt-vs-nn throughput gap: the dot cores used to re-stride
-/// B on every access, the packed sliver pays the gather exactly once.
+/// weight layout — and slivers gather strided columns. The packed sliver
+/// pays the gather exactly once, so nt runs at nn's throughput.
 inline void pack_b_cols_trans(const float* b, std::int64_t ldb, std::int64_t k0,
                               std::int64_t kb, std::int64_t j0, std::int64_t nb,
                               float* bp) {

@@ -28,25 +28,6 @@ CsrMatrix csr_from_dense(std::int64_t rows, std::int64_t cols,
   return m;
 }
 
-void spmm_csr(const CsrMatrix& a, std::int64_t n, const float* b, float* c,
-              bool accumulate) {
-  if (!accumulate) {
-    std::memset(c, 0, static_cast<std::size_t>(a.rows * n) * sizeof(float));
-  }
-  for (std::int64_t r = 0; r < a.rows; ++r) {
-    float* crow = c + r * n;
-    const std::int32_t begin = a.row_ptr[static_cast<std::size_t>(r)];
-    const std::int32_t end = a.row_ptr[static_cast<std::size_t>(r) + 1];
-    for (std::int32_t t = begin; t < end; ++t) {
-      const float v = a.values[static_cast<std::size_t>(t)];
-      const float* brow = b + static_cast<std::int64_t>(
-                                  a.col_idx[static_cast<std::size_t>(t)]) *
-                                  n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += v * brow[j];
-    }
-  }
-}
-
 void spmm_csr_rhs_t(const CsrMatrix& a, std::int64_t m, const float* x,
                     float* y, bool accumulate) {
   if (!accumulate) {

@@ -1,13 +1,14 @@
 #pragma once
-// Compressed sparse row (CSR) matrices and the SpMM kernels behind the
-// engine's masked-ticket inference path.
+// Compressed sparse row (CSR) matrices: the shippable encoding of an
+// unstructured ticket's layers, and the SpMM kernel behind the engine's CSR
+// classifier head.
 //
-// The dense GEMM kernels in linalg/gemm.hpp skip zero multipliers
-// element-wise, but still pay a load + branch per masked weight. For
-// unstructured tickets at 90%+ sparsity the scan itself dominates; packing
-// the weight operand into CSR once (at Engine::compile time) makes every
-// subsequent multiply proportional to the nonzero count. Column indices are
-// 32-bit — weight matrices here are at most a few thousand columns wide.
+// The dense GEMM kernels in linalg/gemm.hpp multiply every weight, zeros
+// included. Packing a weight into CSR once (at Engine::compile time) makes
+// each later multiply proportional to the nonzero count instead; the
+// engine's CSR convs run their own compile-time executors (engine/plan.cpp)
+// and only the head calls spmm_csr_rhs_t. Column indices are 32-bit —
+// weight matrices here are at most a few thousand columns wide.
 
 #include <cstdint>
 #include <vector>
@@ -28,14 +29,6 @@ struct CsrMatrix {
 /// Packs a row-major dense (rows, cols) matrix, keeping exact nonzeros.
 CsrMatrix csr_from_dense(std::int64_t rows, std::int64_t cols,
                          const float* dense);
-
-/// C(rows, n) = A * B with A in CSR and B dense (cols, n) row-major.
-/// Rows of A without nonzeros produce zero rows (C is cleared first unless
-/// accumulate). Cost is O(nnz * n). Standalone primitive for weight-times-
-/// column-buffer shapes; note the engine's CSR convs do NOT call it — they
-/// run an implicit sparse conv over precompiled taps (engine/plan.cpp).
-void spmm_csr(const CsrMatrix& a, std::int64_t n, const float* b, float* c,
-              bool accumulate = false);
 
 /// Y(m, rows) = X * A^T with X dense (m, cols) row-major: the linear-layer
 /// shape y = x W^T. Cost is O(m * nnz).

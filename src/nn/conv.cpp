@@ -50,23 +50,6 @@ void split_batch(const ConvKernelOpts& kopts, std::int64_t n,
 
 }  // namespace
 
-void im2col(const Tensor& x, std::int64_t sample, const ConvGeometry& g,
-            float* col) {
-  const std::int64_t c_in = x.dim(1);
-  const std::int64_t h = x.dim(2);
-  const std::int64_t w = x.dim(3);
-  im2col_plane(x.data() + sample * c_in * h * w, c_in, h, w, g, col);
-}
-
-void col2im_add(const float* col, std::int64_t sample, const ConvGeometry& g,
-                Tensor& dx) {
-  const std::int64_t c_in = dx.dim(1);
-  const std::int64_t h = dx.dim(2);
-  const std::int64_t w = dx.dim(3);
-  col2im_plane_add(col, c_in, h, w, g,
-                   dx.data() + sample * c_in * h * w);
-}
-
 Conv2d::Conv2d(std::int64_t in_channels, std::int64_t out_channels,
                std::int64_t kernel, std::int64_t stride, std::int64_t padding,
                bool with_bias, Rng& rng, std::string name)

@@ -23,18 +23,6 @@
 
 namespace rt {
 
-/// Expands one sample of x (N,C,H,W) into a (C*k*k, OH*OW) column buffer.
-/// `col` must have C*k*k*OH*OW elements. Out-of-image taps read as zero.
-/// Reference/tooling wrapper over linalg's im2col_plane; the training hot
-/// path no longer calls it.
-void im2col(const Tensor& x, std::int64_t sample, const ConvGeometry& g,
-            float* col);
-
-/// Scatter-adds a (C*k*k, OH*OW) column gradient back into dx (N,C,H,W) at
-/// the given sample. Inverse (adjoint) of im2col.
-void col2im_add(const float* col, std::int64_t sample, const ConvGeometry& g,
-                Tensor& dx);
-
 /// Convolution layer. Weight layout is (out_ch, in_ch*k*k); column index c
 /// decodes as in_ch = c/(k*k), kernel row = (c%(k*k))/k, kernel col = c%k.
 /// He-normal initialized. Bias optional (ResNet convs are bias-free).

@@ -38,8 +38,7 @@ Tensor Linear::forward(const Tensor& x) {
   }
   cached_input_ = x;
   const std::int64_t n = x.dim(0);
-  // y = x W^T; the nt kernel skips output features whose weight row is
-  // entirely masked out, which is the common case for drawn tickets.
+  // y = x W^T; a masked-out weight row gives exact zeros before the bias.
   Tensor y({n, out_features_});
   gemm_nt(n, out_features_, in_features_, x.data(), weight_.value.data(),
           y.data());

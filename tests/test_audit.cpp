@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/audit.hpp"
@@ -69,17 +70,27 @@ TEST(LockOrderGuard, AscendingRanksAreLegal) {
 
 TEST(RtHot, PackedGemmIsAllocationFree) {
   RT_AUDIT_TEST_GUARD();
+  // Every transpose variant: all four run packed_core out of its fixed
+  // thread_local pack buffers, with no per-call scan or transpose copy.
+  // Serial, as Session runs its head: from a non-worker thread the
+  // scheduler's inject queue may allocate, which is not gemm's cost.
   const std::int64_t m = 64, n = 96, k = 80;
   Rng rng(101);
   const Tensor a = Tensor::uniform({m, k}, rng, -1.0f, 1.0f);
   const Tensor b = Tensor::uniform({k, n}, rng, -1.0f, 1.0f);
   Tensor c({m, n});
   const GemmOpts opts{.accumulate = false, .parallel = false};
-  gemm_nn(m, n, k, a.data(), b.data(), c.data(), opts);  // warm-up
-  audit::AllocGuard guard("gemm_nn packed");
-  gemm_nn(m, n, k, a.data(), b.data(), c.data(), opts);
-  EXPECT_EQ(guard.allocations(), 0)
-      << "packed_core must run out of its fixed thread_local pack buffers";
+  using Gemm = void (*)(std::int64_t, std::int64_t, std::int64_t,
+                        const float*, const float*, float*, const GemmOpts&);
+  const std::pair<const char*, Gemm> variants[] = {
+      {"gemm_nn", gemm_nn}, {"gemm_nt", gemm_nt},
+      {"gemm_tn", gemm_tn}, {"gemm_tt", gemm_tt}};
+  for (const auto& [name, gemm] : variants) {
+    gemm(m, n, k, a.data(), b.data(), c.data(), opts);  // warm-up
+    audit::AllocGuard guard(name);
+    gemm(m, n, k, a.data(), b.data(), c.data(), opts);
+    EXPECT_EQ(guard.allocations(), 0) << name;
+  }
 }
 
 TEST(RtHot, SessionRunRowsIsAllocationFreeAfterWarmup) {

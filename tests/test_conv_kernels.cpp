@@ -1,10 +1,11 @@
 // Conformance tests for the implicit-GEMM convolution kernels in
 // linalg/conv.hpp: forward, input-gradient, and weight-gradient parity
-// against the materialized im2col reference across kernel x stride x
-// padding x odd-extent geometries, batched forward/dgrad calls bitwise
-// equal to per-sample ones, batched weight gradients over uneven sample
-// counts and tile splits, the masked-weight tap path against the same
-// oracle, and a finite-difference gradcheck on a masked Conv2d layer.
+// against a naive reference (im2col_plane / col2im_plane_add around triple
+// loops) across kernel x stride x padding x odd-extent geometries, batched
+// forward/dgrad calls bitwise equal to per-sample ones, batched weight
+// gradients over uneven sample counts and tile splits, the masked-weight
+// tap path against the same oracle, and a finite-difference gradcheck on a
+// masked Conv2d layer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -58,8 +59,85 @@ void expect_bitwise(const float* got, const float* want, std::int64_t count,
       << " w=" << c.w;
 }
 
+// The parity oracle: each sample's plane expanded into a full
+// (C*k*k, OH*OW) column buffer by im2col_plane, multiplied in a triple loop
+// with double accumulators, and dgrad's columns scattered back by
+// col2im_plane_add. It shares no code with the kernels under test.
+
+/// y_i = W * col(x_i) (+ bias, then ReLU when `relu`) for n samples.
+void ref_forward(const Case& c, std::int64_t n, const float* x,
+                 const float* w, const float* bias, bool relu, float* y) {
+  const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  std::vector<float> col(static_cast<std::size_t>(ckk * ohw));
+  for (std::int64_t i = 0; i < n; ++i) {
+    im2col_plane(x + i * c.c_in * c.h * c.w, c.c_in, c.h, c.w, c.g,
+                 col.data());
+    float* yi = y + i * c.out_ch * ohw;
+    for (std::int64_t oc = 0; oc < c.out_ch; ++oc) {
+      for (std::int64_t p = 0; p < ohw; ++p) {
+        double acc = bias != nullptr ? bias[oc] : 0.0;
+        for (std::int64_t k = 0; k < ckk; ++k) {
+          acc += static_cast<double>(w[oc * ckk + k]) *
+                 col[static_cast<std::size_t>(k * ohw + p)];
+        }
+        yi[oc * ohw + p] =
+            relu ? std::max(static_cast<float>(acc), 0.0f)
+                 : static_cast<float>(acc);
+      }
+    }
+  }
+}
+
+/// dx_i += col2im(W^T * gout_i) for n samples.
+void ref_dgrad(const Case& c, std::int64_t n, const float* w,
+               const float* gout, float* dx) {
+  const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  std::vector<float> dcol(static_cast<std::size_t>(ckk * ohw));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float* gi = gout + i * c.out_ch * ohw;
+    for (std::int64_t k = 0; k < ckk; ++k) {
+      for (std::int64_t p = 0; p < ohw; ++p) {
+        double acc = 0.0;
+        for (std::int64_t oc = 0; oc < c.out_ch; ++oc) {
+          acc += static_cast<double>(w[oc * ckk + k]) * gi[oc * ohw + p];
+        }
+        dcol[static_cast<std::size_t>(k * ohw + p)] = static_cast<float>(acc);
+      }
+    }
+    col2im_plane_add(dcol.data(), c.c_in, c.h, c.w, c.g,
+                     dx + i * c.c_in * c.h * c.w);
+  }
+}
+
+/// dw += sum over n samples of gout_i * col(x_i)^T.
+void ref_wgrad(const Case& c, std::int64_t n, const float* gout,
+               const float* x, float* dw) {
+  const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  std::vector<float> col(static_cast<std::size_t>(n * ckk * ohw));
+  for (std::int64_t i = 0; i < n; ++i) {
+    im2col_plane(x + i * c.c_in * c.h * c.w, c.c_in, c.h, c.w, c.g,
+                 col.data() + i * ckk * ohw);
+  }
+  for (std::int64_t oc = 0; oc < c.out_ch; ++oc) {
+    for (std::int64_t k = 0; k < ckk; ++k) {
+      double acc = dw[oc * ckk + k];
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float* gi = gout + (i * c.out_ch + oc) * ohw;
+        const float* ci = col.data() + (i * ckk + k) * ohw;
+        for (std::int64_t p = 0; p < ohw; ++p) {
+          acc += static_cast<double>(gi[p]) * ci[p];
+        }
+      }
+      dw[oc * ckk + k] = static_cast<float>(acc);
+    }
+  }
+}
+
 /// Runs the batched weight gradient over the first n samples of x / gout
-/// through `opts` and through the im2col reference, both accumulating into
+/// through `opts` and through the reference, both accumulating into
 /// the same nonzero prior, and demands agreement at <= 1e-4. Running the
 /// output tiles as two ranges (at three cut points) must give the whole
 /// call's bits.
@@ -72,8 +150,7 @@ void check_wgrad(const Case& c, const std::vector<float>& x,
   std::vector<float> dw_ref = prior;
   conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
                dw.data(), opts);
-  conv2d_wgrad(gout.data(), x.data(), n, c.c_in, c.h, c.w, c.g, c.out_ch,
-               dw_ref.data(), {ConvAlgo::kIm2colReference});
+  ref_wgrad(c, n, gout.data(), x.data(), dw_ref.data());
   expect_near(dw, dw_ref, "wgrad", c);
   const std::int64_t tiles = conv_wgrad_tiles(c.c_in, c.out_ch, c.g);
   for (const std::int64_t cut : {std::int64_t{1}, tiles / 2, tiles - 1}) {
@@ -91,7 +168,7 @@ void check_wgrad(const Case& c, const std::vector<float>& x,
   }
 }
 
-/// Runs forward/dgrad/wgrad through `algo` and through the im2col reference
+/// Runs forward/dgrad/wgrad through `algo` and through the reference
 /// on the same random problem and demands agreement at <= 1e-4. Forward and
 /// dgrad also run batched (n = 1, 3, 5 samples in one call, forward once
 /// more into a strided output), and every sample of a batch must equal its
@@ -121,7 +198,6 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
   }
 
   const ConvKernelOpts test_opts{algo};
-  const ConvKernelOpts ref_opts{ConvAlgo::kIm2colReference};
 
   for (const bool relu : {false, true}) {
     const char* what = relu ? "forward+relu" : "forward";
@@ -131,10 +207,9 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
       conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
                      w.data(), c.out_ch, y_one.data() + i * out_plane,
                      bias.data(), relu, test_opts);
-      conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
-                     w.data(), c.out_ch, y_ref.data() + i * out_plane,
-                     bias.data(), relu, ref_opts);
     }
+    ref_forward(c, kBatch, x.data(), w.data(), bias.data(), relu,
+                y_ref.data());
     expect_near(y_one, y_ref, what, c);
     for (const std::int64_t n : {1, 3, 5}) {
       std::vector<float> y(static_cast<std::size_t>(n * out_plane), -3.0f);
@@ -165,9 +240,8 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
   for (std::int64_t i = 0; i < kBatch; ++i) {
     conv2d_dgrad(w.data(), c.out_ch, gout.data() + i * out_plane, 1, c.c_in,
                  c.h, c.w, c.g, dx_one.data() + i * in_plane, test_opts);
-    conv2d_dgrad(w.data(), c.out_ch, gout.data() + i * out_plane, 1, c.c_in,
-                 c.h, c.w, c.g, dx_ref.data() + i * in_plane, ref_opts);
   }
+  ref_dgrad(c, kBatch, w.data(), gout.data(), dx_ref.data());
   expect_near(dx_one, dx_ref, "dgrad", c);
   for (const std::int64_t n : {1, 3, 5}) {
     std::vector<float> dx(prior.begin(), prior.begin() + n * in_plane);
@@ -300,10 +374,8 @@ TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
                              c.out_ch, ckk, ohw));
   std::vector<float> y_ref(static_cast<std::size_t>(c.out_ch * ohw));
   std::vector<float> dx_ref(static_cast<std::size_t>(c.c_in * c.h * c.w));
-  conv2d_forward(x.data(), 1, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                 y_ref.data(), nullptr, false, {ConvAlgo::kIm2colReference});
-  conv2d_dgrad(w.data(), c.out_ch, gout.data(), 1, c.c_in, c.h, c.w, c.g,
-               dx_ref.data(), {ConvAlgo::kIm2colReference});
+  ref_forward(c, 1, x.data(), w.data(), nullptr, false, y_ref.data());
+  ref_dgrad(c, 1, w.data(), gout.data(), dx_ref.data());
   PackedWeights packed;
   packed.pack(w.data(), c.out_ch, c.c_in, c.g, /*forward=*/true,
               /*dgrad=*/true);

@@ -88,24 +88,17 @@ void check_case(std::int64_t m, std::int64_t n, std::int64_t k,
     const std::vector<float> a = random_matrix(m, k, rng, zero_fraction);
     const std::vector<float> b = random_matrix(k, n, rng, zero_fraction);
     for (const bool accumulate : {false, true}) {
-      // Both dispatch families must conform: the packed register-tiled path
-      // (default) and the legacy streaming cores (packed=false, the
-      // reference baseline the conv kernels benchmark against).
-      for (const bool packed : {true, false}) {
-        std::vector<float> c = random_matrix(m, n, rng, 0.0f);
-        const std::vector<float> want =
-            naive(a, b, v, m, n, k, c, accumulate);
-        run_variant(a, b, v, m, n, k, c.data(),
-                    {.accumulate = accumulate, .parallel = parallel,
-                     .packed = packed});
-        for (std::int64_t i = 0; i < m * n; ++i) {
-          const float w = want[static_cast<std::size_t>(i)];
-          ASSERT_NEAR(c[static_cast<std::size_t>(i)], w,
-                      1e-4f * std::max(1.0f, std::fabs(w)))
-              << "variant=" << name(v) << " m=" << m << " n=" << n
-              << " k=" << k << " acc=" << accumulate << " packed=" << packed
-              << " zeros=" << zero_fraction << " index=" << i;
-        }
+      std::vector<float> c = random_matrix(m, n, rng, 0.0f);
+      const std::vector<float> want = naive(a, b, v, m, n, k, c, accumulate);
+      run_variant(a, b, v, m, n, k, c.data(),
+                  {.accumulate = accumulate, .parallel = parallel});
+      for (std::int64_t i = 0; i < m * n; ++i) {
+        const float w = want[static_cast<std::size_t>(i)];
+        ASSERT_NEAR(c[static_cast<std::size_t>(i)], w,
+                    1e-4f * std::max(1.0f, std::fabs(w)))
+            << "variant=" << name(v) << " m=" << m << " n=" << n
+            << " k=" << k << " acc=" << accumulate
+            << " zeros=" << zero_fraction << " index=" << i;
       }
     }
   }
@@ -122,7 +115,7 @@ TEST(Gemm, RandomShapeSweepDense) {
 }
 
 TEST(Gemm, RandomShapeSweepSparse) {
-  // >= 50% zeroed operands: the masked-ticket regime the fast paths target.
+  // 50-95% zeroed operands: the masked-ticket regime.
   Rng rng(0xBADB17);
   for (int trial = 0; trial < 8; ++trial) {
     const auto m = static_cast<std::int64_t>(rng.uniform_int(1, 40));
@@ -144,39 +137,36 @@ TEST(Gemm, BlockedAndParallelPaths) {
   check_case(300, 1, 300, 0.5f, /*parallel=*/true, rng);
 }
 
-TEST(Gemm, FullyMaskedBRowsAreSkippedButCorrect) {
-  // Channel-pruned weights: whole rows of B zeroed in the nt dot core.
+TEST(Gemm, AllZeroBRowsGiveExactZeros) {
+  // Channel-pruned weights: whole rows of op(B)^T zeroed. Every variant
+  // multiplies them like any other row, and the product's columns must come
+  // out exactly zero, not merely near it.
   Rng rng(0xDEAD);
   const std::int64_t m = 9, n = 17, k = 33;
-  std::vector<float> a = random_matrix(m, k, rng, 0.0f);
-  std::vector<float> b = random_matrix(n, k, rng, 0.0f);
-  for (std::int64_t j = 0; j < n; j += 2) {
-    for (std::int64_t kk = 0; kk < k; ++kk) {
-      b[static_cast<std::size_t>(j * k + kk)] = 0.0f;
-    }
-  }
-  std::vector<float> c(static_cast<std::size_t>(m * n), -7.0f);
-  gemm_nt(m, n, k, a.data(), b.data(), c.data(), {.accumulate = false});
-  for (std::int64_t i = 0; i < m; ++i) {
+  for (const Variant v : {Variant::kNN, Variant::kNT, Variant::kTN,
+                          Variant::kTT}) {
+    const std::vector<float> a = random_matrix(m, k, rng, 0.0f);
+    std::vector<float> b = random_matrix(k, n, rng, 0.0f);
+    const bool trans_b = v == Variant::kNT || v == Variant::kTT;
     for (std::int64_t j = 0; j < n; j += 2) {
-      EXPECT_EQ(c[static_cast<std::size_t>(i * n + j)], 0.0f);
+      for (std::int64_t kk = 0; kk < k; ++kk) {
+        b[static_cast<std::size_t>(trans_b ? j * k + kk : kk * n + j)] = 0.0f;
+      }
     }
-  }
-  // Disabling the scan (activation-operand mode) routes onto the packed
-  // register-tiled kernel instead of the skipping dot core; the two must
-  // agree numerically (different summation orders, so not bitwise), and
-  // fully zero B rows must still produce exact zeros.
-  std::vector<float> c2(static_cast<std::size_t>(m * n), -7.0f);
-  gemm_nt(m, n, k, a.data(), b.data(), c2.data(),
-          {.accumulate = false, .skip_zero_b_rows = false});
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float got = c2[static_cast<std::size_t>(i * n + j)];
-      const float want = c[static_cast<std::size_t>(i * n + j)];
-      if (j % 2 == 0) {
-        EXPECT_EQ(got, 0.0f);
-      } else {
-        EXPECT_NEAR(got, want, 1e-4f * std::max(1.0f, std::fabs(want)));
+    std::vector<float> c(static_cast<std::size_t>(m * n), -7.0f);
+    run_variant(a, b, v, m, n, k, c.data(), {.accumulate = false});
+    const std::vector<float> want =
+        naive(a, b, v, m, n, k, c, /*accumulate=*/false);
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        const float got = c[static_cast<std::size_t>(i * n + j)];
+        if (j % 2 == 0) {
+          EXPECT_EQ(got, 0.0f) << "variant=" << name(v) << " i=" << i
+                               << " j=" << j;
+        } else {
+          const float w = want[static_cast<std::size_t>(i * n + j)];
+          EXPECT_NEAR(got, w, 1e-4f * std::max(1.0f, std::fabs(w)));
+        }
       }
     }
   }

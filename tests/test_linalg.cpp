@@ -41,33 +41,6 @@ TEST(CsrMatrix, RoundTripsExactNonzeros) {
   EXPECT_EQ(back, dense);
 }
 
-TEST(SpmmCsr, MatchesDenseProduct) {
-  const std::int64_t rows = 9, cols = 17, n = 11;
-  const std::vector<float> a = sparse_random(rows * cols, 0.15f, 5);
-  const std::vector<float> b = sparse_random(cols * n, 1.0f, 6);
-  const CsrMatrix m = csr_from_dense(rows, cols, a.data());
-
-  std::vector<float> got(static_cast<std::size_t>(rows * n), 42.0f);
-  spmm_csr(m, n, b.data(), got.data());
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      float ref = 0.0f;
-      for (std::int64_t k = 0; k < cols; ++k) {
-        ref += a[static_cast<std::size_t>(r * cols + k)] *
-               b[static_cast<std::size_t>(k * n + j)];
-      }
-      EXPECT_NEAR(got[static_cast<std::size_t>(r * n + j)], ref, 1e-4f);
-    }
-  }
-
-  // Accumulate mode adds onto the existing buffer.
-  std::vector<float> acc(static_cast<std::size_t>(rows * n), 1.0f);
-  spmm_csr(m, n, b.data(), acc.data(), /*accumulate=*/true);
-  for (std::size_t i = 0; i < acc.size(); ++i) {
-    EXPECT_NEAR(acc[i], got[i] + 1.0f, 1e-4f);
-  }
-}
-
 TEST(SpmmCsrRhsT, MatchesDenseProduct) {
   const std::int64_t rows = 6, cols = 10, m_samples = 5;
   const std::vector<float> a = sparse_random(rows * cols, 0.3f, 7);
@@ -86,19 +59,6 @@ TEST(SpmmCsrRhsT, MatchesDenseProduct) {
       EXPECT_NEAR(got[static_cast<std::size_t>(i * rows + r)], ref, 1e-4f);
     }
   }
-}
-
-TEST(SpmmCsr, EmptyRowsProduceZeroRows) {
-  std::vector<float> a(4 * 3, 0.0f);
-  a[1 * 3 + 2] = 2.0f;  // only row 1 has a nonzero
-  const CsrMatrix m = csr_from_dense(4, 3, a.data());
-  const std::vector<float> b(3 * 2, 1.0f);
-  std::vector<float> c(4 * 2, 99.0f);
-  spmm_csr(m, 2, b.data(), c.data());
-  EXPECT_EQ(c[0], 0.0f);
-  EXPECT_EQ(c[2], 2.0f);
-  EXPECT_EQ(c[3], 2.0f);
-  EXPECT_EQ(c[6], 0.0f);
 }
 
 TEST(SymEig, DiagonalMatrix) {

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "linalg/conv.hpp"
 #include "nn/activations.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -81,7 +82,7 @@ TEST(Im2col, SimpleExtraction) {
   const Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
   ConvGeometry g{1, 1, 0};
   float col[4];
-  im2col(x, 0, g, col);
+  im2col_plane(x.data(), 1, 2, 2, g, col);
   EXPECT_FLOAT_EQ(col[0], 1.0f);
   EXPECT_FLOAT_EQ(col[3], 4.0f);
 }
@@ -90,7 +91,7 @@ TEST(Im2col, ZeroPadding) {
   const Tensor x = Tensor::from_data({1, 1, 2, 2}, {1, 2, 3, 4});
   ConvGeometry g{3, 1, 1};
   float col[9 * 4];
-  im2col(x, 0, g, col);
+  im2col_plane(x.data(), 1, 2, 2, g, col);
   // First row of the col matrix corresponds to kernel tap (0,0): for output
   // (0,0) it reads input (-1,-1) -> 0.
   EXPECT_FLOAT_EQ(col[0], 0.0f);
@@ -106,11 +107,11 @@ TEST(Col2im, IsAdjointOfIm2col) {
   const std::int64_t oh = g.out_extent(5), ow = g.out_extent(5);
   const std::int64_t cols = 2 * 9 * oh * ow;
   std::vector<float> colx(static_cast<std::size_t>(cols));
-  im2col(x, 0, g, colx.data());
+  im2col_plane(x.data(), 2, 5, 5, g, colx.data());
   std::vector<float> c(static_cast<std::size_t>(cols));
   for (auto& v : c) v = rng.normal();
   Tensor back({1, 2, 5, 5});
-  col2im_add(c.data(), 0, g, back);
+  col2im_plane_add(c.data(), 2, 5, 5, g, back.data());
   double lhs = 0.0, rhs = 0.0;
   for (std::int64_t i = 0; i < cols; ++i) {
     lhs += static_cast<double>(colx[static_cast<std::size_t>(i)]) *
