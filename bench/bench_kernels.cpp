@@ -285,12 +285,14 @@ void BM_ConvTrainMT(benchmark::State& state) {
 }
 BENCHMARK(BM_ConvTrainMT)->Args({4, 0})->Args({4, 1})->UseRealTime();
 
-// Masked 3x3 stride-1 conv on both training-path executors: the zero-skipping
-// tap loop and the packed implicit GEMM. Args: output plane side (OH = OW),
-// channels (c_in = out_ch), percent zero weights. The reported time is
-// forward + dgrad over kBatch samples on the executor Conv2d would pick; the
-// counters give each executor's forward and dgrad µs per sample and their
-// taps/packed ratios (< 1: taps win). The grid the tap rule is fit from.
+// Masked 3x3 stride-1 conv on both executors: the tap table and the packed
+// implicit GEMM, with the table resolved and the panels packed once outside
+// the timed loop. Args: output plane side (OH = OW), channels (c_in =
+// out_ch), percent zero weights. The reported time is forward + dgrad over
+// kBatch samples on the executor the tap rule (conv_prefers_taps) picks;
+// the counters give each executor's forward and dgrad µs per sample and
+// their taps/packed ratios (< 1: taps win). The grid the tap rule is
+// checked against.
 void BM_ConvTapsVsPacked(benchmark::State& state) {
   using Clock = std::chrono::steady_clock;
   const std::int64_t side = state.range(0);
@@ -314,21 +316,32 @@ void BM_ConvTapsVsPacked(benchmark::State& state) {
   packed.pack(w.data(), ch, ch, geom, /*forward=*/true, /*dgrad=*/true);
   rt::ConvScratch scratch;
   rt::ConvKernelOpts packed_opts;
-  packed_opts.algo = rt::ConvAlgo::kPacked;
   packed_opts.packed_weights = &packed;
   packed_opts.scratch = &scratch;
-  const rt::ConvKernelOpts taps_opts{rt::ConvAlgo::kTaps};
-  const bool rule_taps = rt::conv_runs_taps(
+  rt::ConvTapTable table;
+  std::vector<float> values;
+  table.resolve(w.data(), ch, ch, side, side, geom, values);
+  const bool rule_taps = rt::conv_prefers_taps(
       rt::count_nonzeros(w.data(), w.numel()), ch, ckk, side * side);
 
   // Seconds of forward (first) and dgrad (second) over the batch.
-  const auto run = [&](const rt::ConvKernelOpts& opts) {
+  const auto run = [&](bool taps) {
     const auto t0 = Clock::now();
-    rt::conv2d_forward(x.data(), kBatch, ch, side, side, geom, w.data(), ch,
-                       y.data(), nullptr, false, opts);
+    if (taps) {
+      rt::conv2d_forward_taps(table, values.data(), x.data(), kBatch,
+                              y.data(), 0, nullptr, false);
+    } else {
+      rt::conv2d_forward(x.data(), kBatch, ch, side, side, geom, w.data(), ch,
+                         y.data(), nullptr, false, packed_opts);
+    }
     const auto t1 = Clock::now();
-    rt::conv2d_dgrad(w.data(), ch, g.data(), kBatch, ch, side, side, geom,
-                     dx.data(), opts);
+    if (taps) {
+      rt::conv2d_dgrad_taps(table, values.data(), g.data(), kBatch,
+                            dx.data());
+    } else {
+      rt::conv2d_dgrad(w.data(), ch, g.data(), kBatch, ch, side, side, geom,
+                       dx.data(), packed_opts);
+    }
     const auto t2 = Clock::now();
     benchmark::DoNotOptimize(y.data());
     benchmark::DoNotOptimize(dx.data());
@@ -340,8 +353,8 @@ void BM_ConvTapsVsPacked(benchmark::State& state) {
 
   double taps_fwd = 0.0, taps_dgrad = 0.0, packed_fwd = 0.0, packed_dgrad = 0.0;
   for (auto _ : state) {
-    const auto [tf, td] = run(taps_opts);
-    const auto [pf, pd] = run(packed_opts);
+    const auto [tf, td] = run(true);
+    const auto [pf, pd] = run(false);
     taps_fwd += tf;
     taps_dgrad += td;
     packed_fwd += pf;
@@ -481,9 +494,9 @@ BENCHMARK(BM_ShrunkVsMaskedForward)->Arg(0)->Arg(1);
 // 2 = compiled engine with native int8 execution (s8 weights, u8 offset
 // activations, int32 accumulation, fused requant). Arg 1 is the layerwise
 // element sparsity percentage: 90 and 98 pack every conv as CSR, 0 as
-// dense. CSR convs of both precisions pick their executor per layer
-// (csr_runs_taps): 90 runs every conv on panels expanded from CSR, 98
-// keeps every conv on the tap loop. items_per_second of {2, s} over {1, s}
+// dense. Convs of both precisions pick their executor per layer
+// (conv_prefers_taps): 90 runs every conv on panels, 98 keeps every conv on
+// the tap table. items_per_second of {2, s} over {1, s}
 // is the end-to-end int8 win.
 void BM_EngineThroughput(benchmark::State& state) {
   const auto mode = state.range(0);

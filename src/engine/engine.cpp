@@ -31,9 +31,9 @@ std::string base_name(const std::string& param_name) {
   return param_name;
 }
 
-/// Expands a CSR layer's values (the float values or their int8 sidecar)
-/// into the row-major (rows, cols) matrix the panel packers consume: CSR is
-/// the shippable encoding, panels are one of its executors.
+/// Expands a CSR head's int8 sidecar into the row-major (rows, cols) matrix
+/// the sliver packer consumes: CSR is the shippable encoding, not the
+/// executor.
 template <typename T>
 std::vector<T> expand_csr(const CsrMatrix& csr, const std::vector<T>& values) {
   std::vector<T> dense(static_cast<std::size_t>(csr.rows * csr.cols), T{0});
@@ -51,7 +51,10 @@ std::vector<T> expand_csr(const CsrMatrix& csr, const std::vector<T>& values) {
 /// Packs a folded (rows, cols) weight matrix + bias into the chosen format,
 /// fills the int8 sidecar, and appends the layer's plan record; pack_conv
 /// and pack_linear then build the layer's executor. The weight buffer is
-/// consumed.
+/// consumed. A conv keeps its executed matrix row-major in `weight` (the
+/// kept rows of a channel-compact layer, all rows otherwise) and the int8
+/// sidecar in the same order, whatever the format: pack_conv resolves its
+/// tap table or packs its panels from them. The head stores CSR as CSR.
 template <typename Packed>
 void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
                   std::int64_t cols, std::int64_t macs_per_weight,
@@ -81,6 +84,28 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     format = PackedFormat::kCsr;
   }
   p.format = format;
+  const bool csr = format == PackedFormat::kCsr && requires { p.csr; };
+
+  if (options.int8_weights) {
+    // fake_quantize_matrix left every stored float equal to q * scale, so
+    // the shippable integer is recovered exactly: one per stored float, in
+    // stored order (the kept rows of a channel-compact layer, a CSR head's
+    // nonzeros, every entry otherwise).
+    const auto quantize_row = [&](std::int64_t r) {
+      const float s = scales[static_cast<std::size_t>(r)];
+      for (std::int64_t c = 0; c < cols; ++c) {
+        const float v = w[static_cast<std::size_t>(r * cols + c)];
+        if (csr && v == 0.0f) continue;
+        p.qvalues.push_back(
+            static_cast<std::int8_t>(s > 0.0f ? std::lround(v / s) : 0));
+      }
+    };
+    if (format == PackedFormat::kChannelCompact) {
+      for (const std::int32_t r : kept) quantize_row(r);
+    } else {
+      for (std::int64_t r = 0; r < rows; ++r) quantize_row(r);
+    }
+  }
 
   LayerPlan plan;
   plan.name = p.name;
@@ -125,7 +150,11 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
       break;
     }
     case PackedFormat::kCsr: {
-      p.csr = csr_from_dense(rows, cols, w.data());
+      if constexpr (requires { p.csr; }) {
+        p.csr = csr_from_dense(rows, cols, w.data());
+      } else {
+        p.weight = std::move(w);
+      }
       plan.effective_macs = nnz * macs_per_weight;
       // values + 32-bit column indices + row pointers.
       plan.packed_bytes = nnz * value_bytes + nnz * 4 + (rows + 1) * 4;
@@ -134,33 +163,6 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
   }
 
   if (options.int8_weights) {
-    // fake_quantize_matrix left every stored float equal to q * scale, so
-    // the shippable integer is recovered exactly. The scale row of a stored
-    // value follows from its position: t/cols for the dense-style layouts
-    // (through `kept` when rows were compacted), the row_ptr walk for CSR.
-    const std::vector<float>& stored =
-        format == PackedFormat::kCsr ? p.csr.values : p.weight;
-    const auto quantized = [&scales](float v, std::int64_t row) {
-      const float s = scales[static_cast<std::size_t>(row)];
-      return static_cast<std::int8_t>(s > 0.0f ? std::lround(v / s) : 0);
-    };
-    p.qvalues.reserve(stored.size());
-    if (format == PackedFormat::kCsr) {
-      for (std::int64_t r = 0; r < rows; ++r) {
-        for (std::int32_t t = p.csr.row_ptr[static_cast<std::size_t>(r)];
-             t < p.csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++t) {
-          p.qvalues.push_back(quantized(stored[static_cast<std::size_t>(t)], r));
-        }
-      }
-    } else {
-      for (std::size_t t = 0; t < stored.size(); ++t) {
-        const std::int64_t row = static_cast<std::int64_t>(t) / cols;
-        p.qvalues.push_back(quantized(
-            stored[t], format == PackedFormat::kChannelCompact
-                           ? kept[static_cast<std::size_t>(row)]
-                           : row));
-      }
-    }
     p.qscales = std::move(scales);
     plan.packed_bytes +=
         static_cast<std::int64_t>(p.qscales.size()) * 4;  // fp32 scales
@@ -218,93 +220,60 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
   }
   pack_weights(p, std::move(w), p.out_ch, ckk, p.out_h * p.out_w, options,
                plans, /*allow_compact=*/true);
-  // Freeze the layer's executor. CSR layers of either precision run taps
-  // while csr_runs_taps holds, else panels expanded from the CSR values
-  // through the implicit GEMM dense layers run. fp32 dense-format layers
-  // apply the rule Conv2d applies per batch (a channel-compact layer's kept
-  // rows hold all its nonzeros); int8 dense-format layers always run
-  // panels. Panels are packed here, once per compile instead of once per
-  // serve-time call; they are host-side acceleration, not part of the
-  // shippable encoding, so they are reported apart from packed_bytes.
+  // Freeze the layer's executor with linalg's one tap rule, applied to the
+  // executed matrix (a channel-compact layer's kept rows hold all its
+  // nonzeros) whatever the format or precision: the format is what ships,
+  // not what runs. Taps resolve from the matrix the layer executes, the
+  // int8 sidecar for native layers, and their values replace it. Panels are
+  // packed once per compile instead of once per serve-time call; they are
+  // host-side acceleration, not part of the shippable encoding, so they are
+  // reported apart from packed_bytes. A layer keeps only what its executor
+  // reads.
   LayerPlan& plan = plans.back();
-  const bool csr = p.format == PackedFormat::kCsr;
-  const std::int64_t ohw = p.out_h * p.out_w;
-  const std::int64_t exec_rows = p.format == PackedFormat::kChannelCompact
-                                     ? static_cast<std::int64_t>(p.kept.size())
-                                     : p.out_ch;
-  if (csr ? csr_runs_taps(plan.nnz, plan.rows, plan.cols, ohw)
-          : !p.int8_exec && conv_runs_taps(plan.nnz, exec_rows, ckk, ohw)) {
-    p.algo = ConvAlgo::kTaps;
+  const bool compact = p.format == PackedFormat::kChannelCompact;
+  const std::int64_t exec_rows =
+      compact ? static_cast<std::int64_t>(p.kept.size()) : p.out_ch;
+  if (p.int8_exec) {
+    p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
+    for (std::int64_t r = 0; r < exec_rows; ++r) {
+      p.qexec_scales[static_cast<std::size_t>(r)] = p.qscales[static_cast<
+          std::size_t>(compact ? p.kept[static_cast<std::size_t>(r)] : r)];
+    }
+    std::vector<float>().swap(p.weight);
+  } else {
+    // Simulated int8 (int8_native off or int8_bits < 8) runs the
+    // fake-quantized floats; nothing reads the integers.
+    std::vector<std::int8_t>().swap(p.qvalues);
+  }
+  if (conv_prefers_taps(plan.nnz, exec_rows, ckk, p.out_h * p.out_w)) {
+    if (p.int8_exec) {
+      std::vector<std::int8_t> values;
+      p.taps.resolve(p.qvalues.data(), exec_rows, p.in_ch, in_h, in_w,
+                     p.geom, values);
+      p.qvalues = std::move(values);
+    } else {
+      std::vector<float> values;
+      p.taps.resolve(p.weight.data(), exec_rows, p.in_ch, in_h, in_w, p.geom,
+                     values);
+      p.weight = std::move(values);
+    }
   } else if (p.int8_exec) {
     // Quad panels + offset corrections + per-packed-row scales, with k
     // reordered to (ki, kj, channel quad): the kernel reads each quad of
     // the operand straight from channel-quad input planes.
     const std::vector<std::int8_t> quads = conv_s8_quad_weights(
-        csr ? expand_csr(p.csr, p.qvalues).data() : p.qvalues.data(),
-        exec_rows, p.in_ch, p.geom.kernel);
+        p.qvalues.data(), exec_rows, p.in_ch, p.geom.kernel);
     p.qpacked.pack(quads.data(), exec_rows,
                    p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
     p.qoffsets = conv_s8_quad_offsets(p.in_ch, in_h, in_w, p.geom);
-    p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
-    for (std::int64_t r = 0; r < exec_rows; ++r) {
-      const std::int64_t src = p.format == PackedFormat::kChannelCompact
-                                   ? p.kept[static_cast<std::size_t>(r)]
-                                   : r;
-      p.qexec_scales[static_cast<std::size_t>(r)] =
-          p.qscales[static_cast<std::size_t>(src)];
-    }
     plan.prepacked_bytes =
         p.qpacked.bytes() + static_cast<std::int64_t>(p.qoffsets.size()) * 4;
-  } else if (exec_rows > 0) {
-    p.prepacked.pack(
-        csr ? expand_csr(p.csr, p.csr.values).data() : p.weight.data(),
-        exec_rows, p.in_ch, p.geom, /*forward=*/true, /*dgrad=*/false);
+    std::vector<std::int8_t>().swap(p.qvalues);
+  } else {
+    p.prepacked.pack(p.weight.data(), exec_rows, p.in_ch, p.geom,
+                     /*forward=*/true, /*dgrad=*/false);
     plan.prepacked_bytes = p.prepacked.bytes();
-  }
-  if (csr && p.algo == ConvAlgo::kTaps) {
-    // Tap-executed CSR (fp32, simulated int8 and int8-native alike): decode
-    // each nonzero's CSR column (= in_ch * k^2 + ki * k +
-    // kj, the Conv2d weight layout) into a fully resolved implicit-conv tap:
-    // base input offset plus the output range whose input taps stay in
-    // bounds.
-    const std::int64_t k2 = p.geom.kernel * p.geom.kernel;
-    const std::int64_t stride = p.geom.stride, pad = p.geom.padding;
-    p.taps.reserve(p.csr.values.size());
-    for (std::size_t t = 0; t < p.csr.values.size(); ++t) {
-      const std::int64_t col = p.csr.col_idx[t];
-      const std::int64_t cin = col / k2;
-      const std::int64_t ki = (col % k2) / p.geom.kernel;
-      const std::int64_t kj = col % p.geom.kernel;
-      // tap_window (linalg/conv) is the same boundary math the training tap
-      // path runs — one definition for both sparse-conv executors.
-      const TapWindow wi = tap_window(p.out_h, in_h, ki, stride, pad);
-      const TapWindow wj = tap_window(p.out_w, in_w, kj, stride, pad);
-      const std::int64_t oi0 = wi.o0, oj0 = wj.o0;
-      PackedConv::SparseTap tap;
-      tap.x_start = static_cast<std::int32_t>(
-          cin * in_h * in_w + (oi0 * stride - pad + ki) * in_w +
-          oj0 * stride - pad + kj);
-      tap.y_start = static_cast<std::int32_t>(oi0 * p.out_w + oj0);
-      tap.rows = static_cast<std::int32_t>(wi.o1 - wi.o0);
-      tap.cols = static_cast<std::int32_t>(wj.o1 - wj.o0);
-      if (stride == 1 && tap.cols == p.out_w && in_w == p.out_w) {
-        // Full-width window over equal-width planes: the rows are contiguous
-        // in both input and output, so fold them into one long axpy.
-        tap.cols = tap.rows * tap.cols;
-        tap.rows = tap.rows > 0 ? 1 : 0;
-      }
-      p.taps.push_back(tap);
-    }
-  }
-  if (csr && p.algo != ConvAlgo::kTaps) {
-    // Panel-executed CSR: the panels are the executable, so neither the CSR
-    // arrays nor a dense float copy stays resident.
-    p.csr = CsrMatrix{};
-  } else if (p.int8_exec) {
-    // Native layers execute the integer encoding; the dequantized floats
-    // are dead weight once the executor and taps are resolved — drop
-    // them, so int8 plans are genuinely smaller resident, not just on wire.
-    std::vector<float>().swap(csr ? p.csr.values : p.weight);
+    std::vector<float>().swap(p.weight);
   }
   return p;
 }

@@ -66,15 +66,6 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
   return PackedFormat::kDense;
 }
 
-bool csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                   std::int64_t out_pixels) {
-  if (rows <= 0 || cols <= 0 || out_pixels <= 0) return true;
-  const double density = static_cast<double>(nnz) /
-                         static_cast<double>(rows * cols);
-  return density <= kCsrTapDensityPerOctave *
-                        std::log2(static_cast<double>(out_pixels));
-}
-
 // ---- Workspace --------------------------------------------------------------
 
 Workspace::Workspace(const CompiledTicket& plan, int max_batch)
@@ -92,7 +83,7 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
                     max_batch_ * std::max(plan.max_plane_floats() + 4,
                                           plan.s8_quad_bytes())),
                 0);
-    // int32 accumulator: a tap-executed CSR layer's whole-batch row plane
+    // int32 accumulator: a tap-executed layer's whole-batch row plane
     // and the head's (n, num_classes) logits block drain through it.
     const std::int64_t acc =
         max_batch_ * std::max(plan.max_ohw(),
@@ -106,81 +97,28 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
 RT_HOT void PackedConv::run(const float* in, float* out, std::int64_t n,
                             Workspace& ws, float in_amax,
                             float* out_amax) const {
-  const std::int64_t ohw = out_h * out_w;
-  const std::int64_t stride_w = geom.stride * in_w;
   if (int8_exec) {
     run_s8(in, out, n, ws, in_amax, out_amax);
     return;
   }
-  if (format == PackedFormat::kCsr && algo == ConvAlgo::kTaps) {
-    // Implicit sparse conv: slide each nonzero tap over the input. All index
-    // arithmetic was resolved into the tap at compile time; the batch loop
-    // sits INSIDE the tap loop so per-nonzero setup amortizes over the batch
-    // and the weight stream stays hot. Outputs start at the folded bias, so
-    // no separate add pass is needed.
-    const std::int64_t in_f = in_floats(), out_f = out_floats();
-    for (std::int64_t r = 0; r < out_ch; ++r) {
-      float* yrow = out + r * ohw;
-      const float b = bias[static_cast<std::size_t>(r)];
-      for (std::int64_t i = 0; i < n; ++i) {
-        float* yr = yrow + i * out_f;
-        for (std::int64_t j = 0; j < ohw; ++j) yr[j] = b;
-      }
-      const std::int32_t begin = csr.row_ptr[static_cast<std::size_t>(r)];
-      const std::int32_t end = csr.row_ptr[static_cast<std::size_t>(r) + 1];
-      for (std::int32_t t = begin; t < end; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        const float v = csr.values[ti];
-        const SparseTap& tap = taps[ti];
-        const float* __restrict xr = in + tap.x_start;
-        float* __restrict yr = yrow + tap.y_start;
-        for (std::int64_t i = 0; i < n; ++i, xr += in_f, yr += out_f) {
-          const float* __restrict xw = xr;
-          float* __restrict yw = yr;
-          if (geom.stride == 1) {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * xw[oj];
-              }
-            }
-          } else {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += stride_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * xw[oj * geom.stride];
-              }
-            }
-          }
-        }
-      }
-      if (relu) {
-        for (std::int64_t i = 0; i < n; ++i) {
-          float* yr = yrow + i * out_f;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            yr[j] = std::max(yr[j], 0.0f);
-          }
-        }
-      }
-    }
-    return;
-  }
-  // Every other layer runs the whole batch as one conv2d_forward call: the
-  // packed implicit GEMM over the compile-time panels (panel-executed CSR
-  // layers included), staging in the Workspace, or the tap loop a
-  // compile-time choice put masked dense-format layers on (planes large
-  // enough for it). Channel-compact layers compute their kept rows, bias
-  // and ReLU fused, into each sample's leading rows and expand them in
-  // place.
+  // The whole batch in one call: the tap table, or the packed implicit GEMM
+  // over the compile-time panels with staging in the Workspace. Channel-
+  // compact layers compute their kept rows, bias and ReLU fused, into each
+  // sample's leading rows and expand them in place.
   const bool compact = format == PackedFormat::kChannelCompact;
-  ConvKernelOpts kopts;
-  kopts.algo = algo;
-  kopts.packed_weights = &prepacked;
-  kopts.scratch = &ws.conv_scratch();
-  kopts.y_stride = out_floats();
-  conv2d_forward(in, n, in_ch, in_h, in_w, geom, weight.data(),
-                 compact ? static_cast<std::int64_t>(kept.size()) : out_ch,
-                 out, compact ? kept_bias.data() : bias.data(), relu, kopts);
+  const float* b = compact ? kept_bias.data() : bias.data();
+  if (tap_executed()) {
+    conv2d_forward_taps(taps, weight.data(), in, n, out, out_floats(), b,
+                        relu);
+  } else {
+    ConvKernelOpts kopts;
+    kopts.packed_weights = &prepacked;
+    kopts.scratch = &ws.conv_scratch();
+    kopts.y_stride = out_floats();
+    conv2d_forward(in, n, in_ch, in_h, in_w, geom, weight.data(),
+                   compact ? static_cast<std::int64_t>(kept.size()) : out_ch,
+                   out, b, relu, kopts);
+  }
   if (compact) expand_kept_rows(out, n, 0.0f);
 }
 
@@ -214,116 +152,36 @@ float PackedConv::expand_kept_rows(float* out, std::int64_t n,
 RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
                                Workspace& ws, float in_amax,
                                float* out_amax) const {
-  const std::int64_t ohw = out_h * out_w;
-  const std::int64_t in_f = in_floats(), out_f = out_floats();
   const float sx = act_scale_for(in_amax);
-  if (out_amax != nullptr) *out_amax = 0.0f;
-  if (algo == ConvAlgo::kTaps) {
-    // No panels: a CSR layer compile left on the integer tap loop
-    // (csr_runs_taps). SIGNED s8 activations: tap windows give border
-    // pixels per-pixel tap subsets, so the u8 offset trick's per-row
-    // constant correction does not apply here — signed input needs none.
-    // Structure mirrors the float tap path (batch inside tap, fixed
-    // accumulation order), with one (n, ohw) int32 plane per output row and
-    // the requant fused into the row drain. Bitwise deterministic: integer
-    // accumulation, one float expression per output.
-    std::int8_t* qx = reinterpret_cast<std::int8_t*>(ws.qin());
-    quantize_s8(in, n * in_f, sx, qx);
-    std::int32_t* acc = ws.acc();
-    const std::int64_t stride_w = geom.stride * in_w;
-    float amax = out_amax != nullptr ? *out_amax : 0.0f;
-    for (std::int64_t r = 0; r < out_ch; ++r) {
-      std::memset(acc, 0,
-                  static_cast<std::size_t>(n * ohw) * sizeof(std::int32_t));
-      const std::int32_t begin = csr.row_ptr[static_cast<std::size_t>(r)];
-      const std::int32_t end = csr.row_ptr[static_cast<std::size_t>(r) + 1];
-      for (std::int32_t t = begin; t < end; ++t) {
-        const auto ti = static_cast<std::size_t>(t);
-        const std::int32_t v = qvalues[ti];
-        const SparseTap& tap = taps[ti];
-        const std::int8_t* __restrict xr = qx + tap.x_start;
-        std::int32_t* __restrict yr = acc + tap.y_start;
-        for (std::int64_t i = 0; i < n; ++i, xr += in_f, yr += ohw) {
-          const std::int8_t* __restrict xw = xr;
-          std::int32_t* __restrict yw = yr;
-          if (geom.stride == 1 && tap.cols >= 16) {
-            // Wide rows amortize the vectorized axpy's call overhead;
-            // narrow-plane taps (2-8 columns) stay in the scalar loop below.
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              axpy_s8_s32(xw, v, yw, tap.cols);
-            }
-          } else if (geom.stride == 1) {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += in_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * static_cast<std::int32_t>(xw[oj]);
-              }
-            }
-          } else {
-            for (std::int32_t oi = 0; oi < tap.rows;
-                 ++oi, xw += stride_w, yw += out_w) {
-              for (std::int32_t oj = 0; oj < tap.cols; ++oj) {
-                yw[oj] += v * static_cast<std::int32_t>(xw[oj * geom.stride]);
-              }
-            }
-          }
-        }
-      }
-      // Row drain. Wide planes go through the shared vectorized requant
-      // epilogue (rows == 1 per call: the per-row fields are all channel
-      // r's, no offset correction — the tap path runs signed activations);
-      // tiny planes keep a scalar loop, which beats the epilogue's per-call
-      // setup at 4-16 outputs.
-      if (ohw >= 32) {
-        S8Epilogue ep;
-        ep.scales = qscales.data() + r;
-        ep.act_scale = sx;
-        ep.bias = bias.data() + r;
-        ep.relu = relu;
-        ep.amax = &amax;
-        for (std::int64_t i = 0; i < n; ++i) {
-          requant_rows(acc + i * ohw, ohw, 1, ohw, ep,
-                       out + i * out_f + r * ohw, ohw);
-        }
-      } else {
-        const float s = sx * qscales[static_cast<std::size_t>(r)];
-        const float b = bias[static_cast<std::size_t>(r)];
-        for (std::int64_t i = 0; i < n; ++i) {
-          const std::int32_t* arow = acc + i * ohw;
-          float* yrow = out + i * out_f + r * ohw;
-          for (std::int64_t j = 0; j < ohw; ++j) {
-            float y = std::fma(static_cast<float>(arow[j]), s, b);
-            if (relu) y = std::max(y, 0.0f);
-            yrow[j] = y;
-            amax = std::max(amax, std::fabs(y));
-          }
-        }
-      }
-    }
-    if (out_amax != nullptr) *out_amax = amax;
-    return;
-  }
-  // Panels: the whole batch as one quantized implicit GEMM over the
-  // batch's channel-quad planes, with (sample, pixel) columns amortizing the
-  // tile fixed costs that dominate the network's tiny planes. The fused
-  // requant epilogue writes straight into the activation buffer: every
-  // output row for dense and panel-executed CSR layers, the leading kept
-  // rows of each sample for channel-compact ones.
-  quantize_u8_quads(in, n, in_ch, in_h, in_w, geom.padding, sx, ws.qin());
   const bool compact = format == PackedFormat::kChannelCompact;
+  const float* b = compact ? kept_bias.data() : bias.data();
+  float amax = 0.0f;
   S8Epilogue ep;
   ep.scales = qexec_scales.data();
   ep.act_scale = sx;
-  ep.corr = qpacked.corr();
-  ep.bias = compact ? kept_bias.data() : bias.data();
+  ep.bias = b;
   ep.relu = relu;
-  ep.amax = out_amax;
-  conv2d_forward_s8(ws.qin(), n, in_ch, in_h, in_w, geom, qpacked.panels(),
-                    qoffsets.data(), qpacked.rows(), out, out_f, ep);
-  if (!compact) return;
-  const float amax =
-      expand_kept_rows(out, n, out_amax != nullptr ? *out_amax : 0.0f);
+  ep.amax = out_amax != nullptr ? &amax : nullptr;
+  if (tap_executed()) {
+    // The integer tap executor over the layer's table, qvalues in table
+    // order, on signed s8 activations.
+    auto* qx = reinterpret_cast<std::int8_t*>(ws.qin());
+    quantize_s8(in, n * in_floats(), sx, qx);
+    conv2d_forward_taps_s8(taps, qvalues.data(), qx, n, ws.acc(), ep, out,
+                           out_floats());
+  } else {
+    // Panels: the whole batch as one quantized implicit GEMM over the
+    // batch's channel-quad planes, with (sample, pixel) columns amortizing
+    // the tile fixed costs that dominate the network's tiny planes. The
+    // fused requant epilogue writes straight into the activation buffer:
+    // every output row, or the leading kept rows of each sample for
+    // channel-compact layers.
+    quantize_u8_quads(in, n, in_ch, in_h, in_w, geom.padding, sx, ws.qin());
+    ep.corr = qpacked.corr();
+    conv2d_forward_s8(ws.qin(), n, in_ch, in_h, in_w, geom, qpacked.panels(),
+                      qoffsets.data(), qpacked.rows(), out, out_floats(), ep);
+  }
+  if (compact) amax = expand_kept_rows(out, n, amax);
   if (out_amax != nullptr) *out_amax = amax;
 }
 

@@ -6,12 +6,13 @@
 //   - conv + batch-norm (+ ReLU) folding: each conv's weights are rescaled by
 //     gamma / sqrt(var + eps) and the normalization collapses into a per-
 //     channel bias, so inference never touches BatchNorm2d again;
-//   - per-layer weight packing into a real executable encoding chosen from
-//     the hw/storage taxonomy: dense row-major, channel-compact (kept rows
+//   - per-layer weight packing into a shippable encoding chosen from the
+//     hw/storage taxonomy: dense row-major, channel-compact (kept rows
 //     stored contiguously — the right shape for row/channel-pruned tickets),
-//     or CSR (linalg/sparse.hpp) for unstructured high sparsity, run by a
-//     compile-resolved tap loop at O(nonzeros) cost where csr_runs_taps
-//     says it wins, by panels expanded from the CSR values otherwise;
+//     or CSR (linalg/sparse.hpp) for unstructured high sparsity. The
+//     encoding does not fix the executor: linalg's one tap rule
+//     (conv_prefers_taps) runs each conv on a compile-resolved tap table at
+//     O(nonzeros) cost where it says taps win, on weight panels otherwise;
 //   - optional int8 weight quantization via hw/quant (symmetric per-channel):
 //     the plan carries the int8 values + scales it ships, and by default
 //     EXECUTES them natively — weights packed into the int8 kernel layer's
@@ -47,23 +48,6 @@ enum class PackedFormat { kDense, kChannelCompact, kCsr };
 
 const char* packed_format_name(PackedFormat format);
 
-/// Executor crossover for CSR convs, fp32 and int8-native alike. CSR stays
-/// such a layer's shippable encoding, but compile picks what runs it: the
-/// compile-resolved tap loop (cost ~ nnz * OH*OW, scalar on narrow planes)
-/// or weight panels expanded from the CSR values through the batched
-/// implicit GEMM the dense layers run (cost ~ dense MACs, SIMD-wide). Taps
-/// win only while the layer's density is at or below a crossover that grows
-/// with the output plane, which density <= kCsrTapDensityPerOctave *
-/// log2(OH*OW) fits for both precisions (DESIGN.md "CSR executor rule").
-/// Next to CompileOptions::csr_max_density, which picks the encoding.
-inline constexpr double kCsrTapDensityPerOctave = 0.012;
-
-/// True when a CSR conv with `nnz` nonzeros in a (rows, cols) folded weight
-/// and `out_pixels` = OH*OW runs the tap loop; false when it runs expanded
-/// panels.
-bool csr_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                   std::int64_t out_pixels);
-
 struct CompileOptions {
   /// Frozen input geometry. Serving engines trade shape flexibility for
   /// exact buffer planning; predict() rejects other extents.
@@ -74,9 +58,9 @@ struct CompileOptions {
   /// zero structure (see choose_packed_format).
   std::optional<PackedFormat> force_format;
   /// Unstructured density at or below which a layer is encoded CSR instead
-  /// of dense (~80% sparsity, matching hw/storage). A CSR conv then runs
-  /// taps or expanded panels (csr_runs_taps), and a CSR head runs
-  /// spmm_csr_rhs_t.
+  /// of dense (~80% sparsity, matching hw/storage). The encoding is what
+  /// ships: a conv of any encoding runs taps or panels (conv_prefers_taps),
+  /// and a CSR head runs spmm_csr_rhs_t.
   float csr_max_density = 0.2f;
   /// Row-structured masks: channel-compact when the kept-row fraction is at
   /// or below this and the surviving rows are mostly dense.
@@ -138,10 +122,10 @@ class Workspace {
   /// staging buffer — each layer quantizes its float input batch here in the
   /// flavor its kernel consumes (offset-u8 channel-quad planes for the
   /// implicit-GEMM convs, offset-u8 rows for the head, signed s8 for
-  /// tap-executed CSR layers).
+  /// tap-executed convs).
   std::uint8_t* qin() { return qin_.data(); }
   /// int8-native plans only: the int32 accumulation plane the tap-executed
-  /// CSR layers and the head drain through their requant epilogues.
+  /// convs and the head drain through their requant epilogues.
   std::int32_t* acc() { return acc_.data(); }
 
  private:
@@ -163,56 +147,39 @@ struct PackedConv {
   std::int64_t in_h = 0, in_w = 0, out_h = 0, out_w = 0;
   bool relu = false;
 
-  /// kDense: (out_ch, ckk); kChannelCompact: (kept_rows.size(), ckk).
+  /// The executor, frozen at compile time by linalg's one tap rule
+  /// (conv_prefers_taps) on the executed matrix — the kept rows of a
+  /// channel-compact layer, all out_ch rows otherwise — whatever the format
+  /// or precision. A tap-executed layer carries this table, resolved from
+  /// the frozen geometry, and its values in table order: `weight` (fp32) or
+  /// `qvalues` (int8-native). A panel-executed layer carries only its
+  /// panels: `prepacked` (fp32) or `qpacked` (int8-native).
+  ConvTapTable taps;
+  /// The executed matrix, row-major, until compile freezes the executor;
+  /// then the fp32 tap values in table order, or empty.
   std::vector<float> weight;
-  /// The layer's executor, frozen at compile time: kPacked runs panels
-  /// (fp32: one conv2d_forward call over `prepacked`; int8: qpacked), kTaps
-  /// the tap loop — linalg's for fp32 dense-format layers (conv_runs_taps),
-  /// the compile-resolved `taps` for CSR layers (csr_runs_taps).
-  ConvAlgo algo = ConvAlgo::kPacked;
-  /// fp32 micro-kernel weight panels, packed once at Engine::compile time
-  /// for the fp32 layers the packed implicit GEMM executes (panel-executed
-  /// CSR layers expand their values into them) — serve-time calls skip the
-  /// per-call panel re-pack entirely. Empty for tap-executed and int8-native
-  /// layers.
+  /// fp32 micro-kernel weight panels, packed once at Engine::compile time,
+  /// so serve-time calls skip the per-call panel re-pack entirely.
   PackedWeights prepacked;
   std::vector<std::int32_t> kept;  ///< kChannelCompact: surviving channels
   /// kChannelCompact: the folded bias of the kept rows, so the bias fuses
   /// into the kernel epilogue (fp32 or requant) exactly as for a dense layer.
   std::vector<float> kept_bias;
-  CsrMatrix csr;                   ///< tap-executed kCsr layers
-  /// Tap-executed kCsr layers (csr_runs_taps, either precision) carry one
-  /// implicit-conv tap per nonzero: everything the inner loop needs,
-  /// resolved at compile time from the frozen geometry. The sparse
-  /// conv path slides each nonzero directly over the input — no im2col
-  /// materialization and no per-nonzero index arithmetic at runtime — so
-  /// cost is O(nnz * out_h * out_w) flat. Panel-executed kCsr layers keep
-  /// neither taps nor CSR arrays: their panels are the executable.
-  struct SparseTap {
-    std::int32_t x_start;       ///< flat offset of the first in-bounds input
-    std::int32_t y_start;       ///< flat offset into the output plane
-    /// Extent of the valid output window. Full-width stride-1 windows are
-    /// collapsed at compile time into rows == 1 with cols == rows * width —
-    /// input and output are both contiguous there, so the whole window runs
-    /// as one long vectorizable axpy.
-    std::int32_t rows, cols;
-  };
-  std::vector<SparseTap> taps;  ///< parallel to the CSR values, or empty
   std::vector<float> bias;         ///< per out_ch, from BN folding
 
   // Shippable int8 sidecar (populated when CompileOptions::int8_weights):
-  // one value per stored float above, plus a per-output-channel scale.
+  // the quantized executed matrix plus a per-output-channel scale. Native
+  // tap layers keep their values in table order instead; native panel
+  // layers and simulated-int8 layers, which run the fake-quantized floats,
+  // keep none.
   std::vector<std::int8_t> qvalues;
   std::vector<float> qscales;
 
   // True int8 execution (CompileOptions::int8_native): the sidecar packed
-  // into executable operands at compile time. The shippable format does not
-  // fix the executor: dense, channel-compact and panel-executed CSR layers
-  // carry quad panels + offset corrections (qpacked, expanded from the CSR
-  // values for CSR) and the per-packed-row scale vector the requant
-  // epilogue indexes; a tap-executed CSR layer (csr_runs_taps) has no
-  // panels and runs qvalues + qscales directly over signed-s8 activations.
-  // Native layers drop the dequantized float weights — the integers ARE the
+  // into executable operands at compile time. Panel layers carry quad
+  // panels + offset corrections (qpacked); every native layer carries the
+  // per-executed-row scale vector its requant epilogue indexes. Native
+  // layers drop the dequantized float weights — the integers ARE the
   // executable.
   bool int8_exec = false;
   PackedS8 qpacked;
@@ -222,6 +189,7 @@ struct PackedConv {
   /// matching (ki, kj, channel quad) k order. Empty otherwise.
   std::vector<std::int32_t> qoffsets;
 
+  bool tap_executed() const { return !taps.row_ptr.empty(); }
   std::int64_t in_floats() const { return in_ch * in_h * in_w; }
   std::int64_t out_floats() const { return out_ch * out_h * out_w; }
 
@@ -236,9 +204,8 @@ struct PackedConv {
 
  private:
   /// The int8-native executor behind run(): quantizes the input batch into
-  /// the workspace staging buffer and runs the quantized implicit-GEMM over
-  /// channel-quad planes when the layer has panels, the integer tap loop
-  /// otherwise.
+  /// the workspace staging buffer and runs the integer tap executor over
+  /// the tap table, or the quantized implicit GEMM over channel-quad planes.
   void run_s8(const float* in, float* out, std::int64_t n, Workspace& ws,
               float in_amax, float* out_amax) const;
   /// Channel-compact layers: moves each sample's leading kept rows (final

@@ -16,22 +16,6 @@ namespace {
 // Floats in one staging chunk of zero-padded sample planes (64 KiB).
 constexpr std::int64_t kStageFloats = 64 * 1024 / sizeof(float);
 
-void bias_relu_epilogue(float* y, const float* bias, std::int64_t out_ch,
-                        std::int64_t plane, bool relu) {
-  if (bias == nullptr && !relu) return;
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float b = bias != nullptr ? bias[oc] : 0.0f;
-    float* row = y + oc * plane;
-    if (relu) {
-      for (std::int64_t j = 0; j < plane; ++j) {
-        row[j] = std::max(row[j] + b, 0.0f);
-      }
-    } else if (b != 0.0f) {
-      for (std::int64_t j = 0; j < plane; ++j) row[j] += b;
-    }
-  }
-}
-
 // ---- packed implicit GEMM (forward and every dgrad phase) -------------------
 
 /// The B operand's source: n samples of `channels` (h, w) planes, read as
@@ -252,50 +236,6 @@ std::int64_t phase_extent(std::int64_t extent, std::int64_t p0,
   return p0 < extent ? (extent - p0 + s - 1) / s : 0;
 }
 
-// ---- tap loop and reference -------------------------------------------------
-
-/// The tap loop: each nonzero weight (oc, c, ki, kj) slides its valid
-/// output window over the planes, forward y[oc] += v * x[c] and dgrad
-/// dx[c] += v * gout[oc], the x side stepping by the stride.
-template <bool kDgrad>
-RT_HOT void run_taps(const float* weight, std::int64_t out_ch,
-                     std::int64_t c_in, std::int64_t h, std::int64_t w,
-                     const ConvGeometry& g, const float* in, float* out) {
-  const std::int64_t oh = g.out_extent(h);
-  const std::int64_t ow = g.out_extent(w);
-  const std::int64_t ohw = oh * ow;
-  const std::int64_t ckk = c_in * g.kernel * g.kernel;
-  const std::int64_t s = g.stride;
-  for (std::int64_t oc = 0; oc < out_ch; ++oc) {
-    const float* wrow = weight + oc * ckk;
-    for (std::int64_t p = 0; p < ckk; ++p) {
-      const float v = wrow[p];
-      if (v == 0.0f) continue;
-      const std::int64_t c = p / (g.kernel * g.kernel);
-      const std::int64_t ki = p % (g.kernel * g.kernel) / g.kernel;
-      const std::int64_t kj = p % g.kernel;
-      const TapWindow wi = tap_window(oh, h, ki, s, g.padding);
-      const TapWindow wj = tap_window(ow, w, kj, s, g.padding);
-      const std::int64_t count = wj.o1 - wj.o0;
-      if (wi.o1 <= wi.o0 || count <= 0) continue;
-      const std::int64_t jj0 = wj.o0 * s - g.padding + kj;
-      for (std::int64_t oi = wi.o0; oi < wi.o1; ++oi) {
-        const std::int64_t xo = (c * h + oi * s - g.padding + ki) * w + jj0;
-        const std::int64_t yo = oc * ohw + oi * ow + wj.o0;
-        float* __restrict d = out + (kDgrad ? xo : yo);
-        const float* __restrict a = in + (kDgrad ? yo : xo);
-        if (s == 1) {
-          for (std::int64_t j = 0; j < count; ++j) d[j] += v * a[j];
-        } else if (kDgrad) {
-          for (std::int64_t j = 0; j < count; ++j) d[j * s] += v * a[j];
-        } else {
-          for (std::int64_t j = 0; j < count; ++j) d[j] += v * a[j * s];
-        }
-      }
-    }
-  }
-}
-
 // ---- weight gradient --------------------------------------------------------
 
 /// A column of dW^T's A operand, read in place: row i's value at this depth
@@ -480,17 +420,6 @@ void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
   const std::int64_t ohw = oh * ow;
   const std::int64_t y_stride = opts.y_stride > 0 ? opts.y_stride
                                                   : out_ch * ohw;
-  if (opts.algo == ConvAlgo::kTaps) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      const float* xi = x + i * c_in * h * w;
-      float* yi = y + i * y_stride;
-      std::memset(yi, 0,
-                  static_cast<std::size_t>(out_ch * ohw) * sizeof(float));
-      run_taps<false>(weight, out_ch, c_in, h, w, g, xi, yi);
-      bias_relu_epilogue(yi, bias, out_ch, ohw, relu);
-    }
-    return;
-  }
   PackedWeights local;
   ConvScratch own;
   ConvScratch& scratch = opts.scratch != nullptr ? *opts.scratch : own;
@@ -522,13 +451,6 @@ void conv2d_dgrad(const float* weight, std::int64_t out_ch,
                   float* dx, const ConvKernelOpts& opts) {
   const std::int64_t oh = g.out_extent(h), ow = g.out_extent(w);
   if (n <= 0 || out_ch <= 0 || oh <= 0 || ow <= 0) return;
-  if (opts.algo == ConvAlgo::kTaps) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      run_taps<true>(weight, out_ch, c_in, h, w, g,
-                     gout + i * out_ch * oh * ow, dx + i * c_in * h * w);
-    }
-    return;
-  }
   PackedWeights local;
   ConvScratch own;
   ConvScratch& scratch = opts.scratch != nullptr ? *opts.scratch : own;
@@ -577,6 +499,201 @@ void conv2d_dgrad(const float* weight, std::int64_t out_ch,
                }
              });
   });
+}
+
+// ---- tap table --------------------------------------------------------------
+
+template <typename T>
+void ConvTapTable::resolve(const T* weight, std::int64_t out_rows,
+                           std::int64_t c_in, std::int64_t h, std::int64_t w,
+                           const ConvGeometry& g, std::vector<T>& values) {
+  const std::int64_t k = g.kernel, s = g.stride, pad = g.padding;
+  const std::int64_t oh = g.out_extent(h), ckk = c_in * k * k;
+  rows = out_rows;
+  stride = s;
+  in_w = w;
+  out_w = g.out_extent(w);
+  in_plane = c_in * h * w;
+  out_pixels = oh * out_w;
+  row_ptr.assign(1, 0);
+  taps.clear();
+  values.clear();
+  for (std::int64_t r = 0; r < rows; ++r) {
+    for (std::int64_t col = 0; col < ckk; ++col) {
+      const T v = weight[r * ckk + col];
+      if (v == T{0}) continue;
+      // Column (c, ki, kj): the input tap's first in-bounds output and the
+      // output window whose input taps stay in bounds.
+      const std::int64_t c = col / (k * k), ki = col % (k * k) / k;
+      const std::int64_t kj = col % k;
+      const TapWindow wi = tap_window(oh, h, ki, s, pad);
+      const TapWindow wj = tap_window(out_w, w, kj, s, pad);
+      if (wi.o1 == wi.o0 || wj.o1 == wj.o0) continue;  // reads only padding
+      Tap tap;
+      tap.x_start = static_cast<std::int32_t>(
+          c * h * w + (wi.o0 * s - pad + ki) * w + wj.o0 * s - pad + kj);
+      tap.y_start = static_cast<std::int32_t>(wi.o0 * out_w + wj.o0);
+      tap.rows = static_cast<std::int32_t>(wi.o1 - wi.o0);
+      tap.cols = static_cast<std::int32_t>(wj.o1 - wj.o0);
+      if (s == 1 && tap.cols == out_w && w == out_w) {
+        tap.cols *= tap.rows;
+        tap.rows = 1;
+      }
+      taps.push_back(tap);
+      values.push_back(v);
+    }
+    row_ptr.push_back(static_cast<std::int32_t>(taps.size()));
+  }
+}
+
+template void ConvTapTable::resolve(const float*, std::int64_t, std::int64_t,
+                                    std::int64_t, std::int64_t,
+                                    const ConvGeometry&, std::vector<float>&);
+template void ConvTapTable::resolve(const std::int8_t*, std::int64_t,
+                                    std::int64_t, std::int64_t, std::int64_t,
+                                    const ConvGeometry&,
+                                    std::vector<std::int8_t>&);
+
+namespace {
+
+/// Slides one tap of output row r over n samples: forward y += v * x,
+/// dgrad (kDgrad) dx += v * dy, the x side stepping by the stride. `src` and
+/// `dst` are sample 0 of the side read and the side written, `src_step` and
+/// `dst_step` their per-sample strides.
+template <bool kDgrad>
+RT_HOT void slide_tap(const ConvTapTable& t, const ConvTapTable::Tap& tap,
+                      std::int64_t r, float v, const float* src,
+                      std::int64_t src_step, float* dst, std::int64_t dst_step,
+                      std::int64_t n) {
+  const std::int64_t xo = tap.x_start, yo = r * t.out_pixels + tap.y_start;
+  const std::int64_t x_row = t.stride * t.in_w, s = t.stride;
+  const float* __restrict a = src + (kDgrad ? yo : xo);
+  float* __restrict d = dst + (kDgrad ? xo : yo);
+  for (std::int64_t i = 0; i < n; ++i, a += src_step, d += dst_step) {
+    const float* __restrict aw = a;
+    float* __restrict dw = d;
+    for (std::int32_t oi = 0; oi < tap.rows; ++oi) {
+      if (s == 1) {
+        for (std::int32_t j = 0; j < tap.cols; ++j) dw[j] += v * aw[j];
+      } else if (kDgrad) {
+        for (std::int32_t j = 0; j < tap.cols; ++j) dw[j * s] += v * aw[j];
+      } else {
+        for (std::int32_t j = 0; j < tap.cols; ++j) dw[j] += v * aw[j * s];
+      }
+      aw += kDgrad ? t.out_w : x_row;
+      dw += kDgrad ? x_row : t.out_w;
+    }
+  }
+}
+
+}  // namespace
+
+RT_HOT void conv2d_forward_taps(const ConvTapTable& t, const float* values,
+                                const float* x, std::int64_t n, float* y,
+                                std::int64_t y_stride, const float* bias,
+                                bool relu) {
+  // All index arithmetic was resolved into the taps; the batch loop sits
+  // INSIDE the tap loop so per-nonzero setup amortizes over the batch and
+  // the weight stream stays hot. Outputs start at the bias, so no separate
+  // add pass is needed.
+  const std::int64_t ohw = t.out_pixels;
+  if (y_stride <= 0) y_stride = t.rows * ohw;
+  for (std::int64_t r = 0; r < t.rows; ++r) {
+    const float b = bias != nullptr ? bias[r] : 0.0f;
+    for (std::int64_t i = 0; i < n; ++i) {
+      std::fill_n(y + i * y_stride + r * ohw, ohw, b);
+    }
+    for (std::int32_t k = t.row_ptr[static_cast<std::size_t>(r)];
+         k < t.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+      slide_tap<false>(t, t.taps[static_cast<std::size_t>(k)], r, values[k],
+                       x, t.in_plane, y, y_stride, n);
+    }
+    if (!relu) continue;
+    for (std::int64_t i = 0; i < n; ++i) {
+      float* yr = y + i * y_stride + r * ohw;
+      for (std::int64_t j = 0; j < ohw; ++j) yr[j] = std::max(yr[j], 0.0f);
+    }
+  }
+}
+
+RT_HOT void conv2d_dgrad_taps(const ConvTapTable& t, const float* values,
+                              const float* gout, std::int64_t n, float* dx) {
+  for (std::int64_t r = 0; r < t.rows; ++r) {
+    for (std::int32_t k = t.row_ptr[static_cast<std::size_t>(r)];
+         k < t.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+      slide_tap<true>(t, t.taps[static_cast<std::size_t>(k)], r, values[k],
+                      gout, t.rows * t.out_pixels, dx, t.in_plane, n);
+    }
+  }
+}
+
+RT_HOT void conv2d_forward_taps_s8(const ConvTapTable& t,
+                                   const std::int8_t* values,
+                                   const std::int8_t* xq, std::int64_t n,
+                                   std::int32_t* acc, const S8Epilogue& ep,
+                                   float* y, std::int64_t y_stride) {
+  // The fp32 forward's structure (batch inside tap, fixed accumulation
+  // order) with one (n, OH*OW) int32 plane per output row and the requant
+  // fused into the row drain.
+  const std::int64_t ohw = t.out_pixels, x_row = t.stride * t.in_w;
+  for (std::int64_t r = 0; r < t.rows; ++r) {
+    std::memset(acc, 0, static_cast<std::size_t>(n * ohw) * sizeof(*acc));
+    for (std::int32_t k = t.row_ptr[static_cast<std::size_t>(r)];
+         k < t.row_ptr[static_cast<std::size_t>(r) + 1]; ++k) {
+      const ConvTapTable::Tap& tap = t.taps[static_cast<std::size_t>(k)];
+      const std::int32_t v = values[k];
+      const std::int8_t* __restrict xr = xq + tap.x_start;
+      std::int32_t* __restrict yr = acc + tap.y_start;
+      for (std::int64_t i = 0; i < n; ++i, xr += t.in_plane, yr += ohw) {
+        const std::int8_t* __restrict xw = xr;
+        std::int32_t* __restrict yw = yr;
+        if (t.stride == 1 && tap.cols >= 16) {
+          // Wide rows amortize the vectorized axpy's call overhead;
+          // narrow-plane taps (2-8 columns) stay in the scalar loops below.
+          for (std::int32_t oi = 0; oi < tap.rows;
+               ++oi, xw += x_row, yw += t.out_w) {
+            axpy_s8_s32(xw, v, yw, tap.cols);
+          }
+        } else if (t.stride == 1) {
+          for (std::int32_t oi = 0; oi < tap.rows;
+               ++oi, xw += x_row, yw += t.out_w) {
+            for (std::int32_t j = 0; j < tap.cols; ++j) yw[j] += v * xw[j];
+          }
+        } else {
+          for (std::int32_t oi = 0; oi < tap.rows;
+               ++oi, xw += x_row, yw += t.out_w) {
+            for (std::int32_t j = 0; j < tap.cols; ++j) {
+              yw[j] += v * xw[j * t.stride];
+            }
+          }
+        }
+      }
+    }
+    // Row drain: wide planes through the vectorized requant epilogue, one
+    // row per call (no offset correction); tiny planes in a scalar loop,
+    // which beats the epilogue's per-call setup at 4-16 outputs. Both are
+    // the same fused multiply-add.
+    const float b = ep.bias != nullptr ? ep.bias[r] : 0.0f;
+    S8Epilogue row_ep = ep;
+    row_ep.scales = ep.scales + r;
+    row_ep.corr = nullptr;
+    row_ep.bias = &b;
+    const float s = ep.act_scale * ep.scales[r];
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int32_t* arow = acc + i * ohw;
+      float* yrow = y + i * y_stride + r * ohw;
+      if (ohw >= 32) {
+        requant_rows(arow, ohw, 1, ohw, row_ep, yrow, ohw);
+        continue;
+      }
+      for (std::int64_t j = 0; j < ohw; ++j) {
+        float v = std::fma(static_cast<float>(arow[j]), s, b);
+        if (ep.relu) v = std::max(v, 0.0f);
+        yrow[j] = v;
+        if (ep.amax != nullptr) *ep.amax = std::max(*ep.amax, std::fabs(v));
+      }
+    }
+  }
 }
 
 std::int64_t conv_forward_slivers(std::int64_t n, std::int64_t h,
@@ -776,14 +893,13 @@ std::int64_t count_nonzeros(const float* weight, std::int64_t count) {
   return nnz;
 }
 
-bool conv_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                    std::int64_t out_pixels) {
-  if (rows <= 0 || cols <= 0 || out_pixels <= 0) return false;
+bool conv_prefers_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                       std::int64_t out_pixels) {
+  if (rows <= 0 || cols <= 0 || out_pixels <= 0) return true;
   const double density = static_cast<double>(nnz) /
                          static_cast<double>(rows * cols);
-  return density <= kConvTapDensityPerOctave *
-                        std::log2(static_cast<double>(out_pixels) /
-                                  static_cast<double>(rows));
+  return density <= kTapDensityPerOctave *
+                        std::log2(static_cast<double>(out_pixels));
 }
 
 }  // namespace rt

@@ -1,7 +1,8 @@
 #pragma once
 // Convolution kernel layer: fp32 implicit-GEMM forward, input gradient and
-// weight gradient over a batch, the int8 serving forward, and the
-// im2col/col2im reference kernels they are verified against.
+// weight gradient over a batch, the sparse tap executors (fp32, and int8
+// for serving), the int8 serving forward, and the im2col/col2im reference
+// kernels they are verified against.
 //
 //   forward:  Y (out_ch, n*OH*OW) = W (out_ch, C*k*k) * col(X)
 //   dgrad:    per stride phase (py, px) in [0, s)^2, the dx pixels
@@ -35,17 +36,17 @@
 // plane's slivers span two rows and gather, and wgrad layers with out_ch
 // <= 8 fill half a lane sliver.
 //
-// Masked tickets keep a second executor: forward and dgrad can run a tap
-// loop that slides each nonzero weight's valid output window directly over
-// the input, skipping zero weights wholesale. The caller picks it per layer
-// with conv_runs_taps: the loop scans every weight and resolves two tap
-// windows per nonzero per plane, so it only wins where planes are large
-// next to the channel count.
+// Sparse tickets run forward and dgrad on a tap table instead
+// (ConvTapTable): one entry per nonzero weight, its valid output window
+// resolved once from the weight and the input extent, slid directly over
+// the input so zero weights cost nothing. One rule, conv_prefers_taps,
+// picks the table or the panels per conv, for Conv2d's training calls and
+// Engine::compile's serving layers, fp32 and int8 alike.
 //
 // The kernels are serial. Callers split the packed forward and dgrad by
 // whole slivers and wgrad by its output tiles (ConvKernelOpts::sliver_begin/
-// end, one ConvScratch per thread), and the tap loop by samples; no split
-// changes a bit.
+// end, one ConvScratch per thread), and the tap executors by samples; no
+// split changes a bit.
 
 #include <cstdint>
 #include <vector>
@@ -64,39 +65,57 @@ struct ConvGeometry {
   }
 };
 
-/// Executor of the fp32 conv kernels. Callers choose it per layer;
-/// the kernels never inspect the weights to choose for themselves.
-enum class ConvAlgo {
-  /// Packed implicit GEMM (the default).
-  kPacked,
-  /// Zero-skipping tap loop, for masked weights where conv_runs_taps holds.
-  /// Forward and dgrad only: wgrad runs packed (its gradient is dense).
-  kTaps,
+/// Tap-table crossover, the one constant of the one tap rule. The tap
+/// executors cost ~ nnz * OH*OW, scalar on narrow planes; panels cost
+/// ~ rows * C*k*k * OH*OW at full SIMD width. Taps win while the density is
+/// at or below a crossover that grows with the output plane, which
+/// density <= kTapDensityPerOctave * log2(OH*OW) fits (DESIGN.md "The tap
+/// rule"). Every conv of the serving benchmark's OMP-90% ticket must keep
+/// panels and every conv of a layerwise-98% ticket taps, which bounds it to
+/// [0.0100, 0.0184).
+inline constexpr double kTapDensityPerOctave = 0.012;
+
+/// True when a conv whose executed (rows, cols) = (output rows, C*k*k)
+/// weight holds `nnz` nonzeros and whose output plane has `out_pixels` =
+/// OH*OW positions runs the tap table; false when it runs panels. The one
+/// definition behind Conv2d's per-call choice and Engine::compile's frozen
+/// per-layer choice, for every format and precision. An empty matrix runs
+/// taps: there is nothing to pack.
+bool conv_prefers_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
+                       std::int64_t out_pixels);
+
+/// A conv weight's nonzeros resolved for one input extent: per output row r,
+/// taps [row_ptr[r], row_ptr[r + 1]) in ascending weight-column order, and
+/// per tap the valid output window of its (c, ki, kj) input tap (a nonzero
+/// whose window is empty, reading only padding, gets none). Tap t pairs
+/// with value t of a value array in the same order, which resolve() writes
+/// (fp32 or int8 for the executors below).
+struct ConvTapTable {
+  struct Tap {
+    std::int32_t x_start;  ///< first in-bounds input, in a sample's planes
+    std::int32_t y_start;  ///< first output, in its row's OH*OW plane
+    /// Extent of the valid output window. Full-width stride-1 windows over
+    /// equal-width planes fold into rows == 1 with cols == rows * width:
+    /// input and output are both contiguous there, so the window runs as
+    /// one long axpy.
+    std::int32_t rows, cols;
+  };
+  std::vector<std::int32_t> row_ptr;
+  std::vector<Tap> taps;
+  std::int64_t rows = 0, stride = 1;
+  std::int64_t in_w = 0, out_w = 0;
+  std::int64_t in_plane = 0;   ///< c_in * h * w
+  std::int64_t out_pixels = 0;  ///< OH * OW
+
+  /// Resolves the (out_rows, c_in*k*k) row-major `weight` for (c_in, h, w)
+  /// inputs: one O(out_rows * c_in*k*k) scan, one tap and value per nonzero
+  /// with a window. Reuses the buffers. Instantiated for float and
+  /// std::int8_t.
+  template <typename T>
+  void resolve(const T* weight, std::int64_t out_rows, std::int64_t c_in,
+               std::int64_t h, std::int64_t w, const ConvGeometry& g,
+               std::vector<T>& values);
 };
-
-/// Tap-loop crossover for fp32 convs. The tap loop costs ~ nnz * OH*OW plus
-/// a scan of every weight and two tap windows per nonzero on each plane;
-/// the packed implicit GEMM costs ~ out_ch * C*k*k * OH*OW at full SIMD
-/// width, with B-panel gathers amortized over out_ch rows. Measured on the
-/// BM_ConvTapsVsPacked grid (3x3 stride 1, forward + dgrad, OH=OW in
-/// {2,4,8,16,32}, c_in = out_ch in {8,16,32,64}, 80-99% zeros), taps win
-/// while the density is at or below a crossover that grows with the plane
-/// and shrinks with the channel count: ~0.2 at OH*OW/out_ch = 16, ~0.1 at
-/// 4, 0.04-0.15 at 2 and at most 0.04 at or below 1 (4x4 c64 loses 2-6x
-/// even at 99% zeros). density <= kConvTapDensityPerOctave * log2(OH*OW / out_ch) fits
-/// it: over the 100-shape grid it runs within 1.6% of the per-shape best
-/// (geometric mean) against 53% for the fixed 80%-zeros cutoff it replaces.
-/// The grid predates the batched packed path; on it, taps lose on some
-/// shapes this rule still routes to them (DESIGN.md "Conv tap rule").
-inline constexpr double kConvTapDensityPerOctave = 0.045;
-
-/// True when a conv whose (rows, cols) = (out_ch, C*k*k) weight holds `nnz`
-/// nonzeros and whose output plane has `out_pixels` = OH*OW positions runs
-/// the tap loop (ConvAlgo::kTaps); false when it runs packed. The one
-/// definition behind Conv2d's per-batch choice and Engine::compile's frozen
-/// per-layer choice.
-bool conv_runs_taps(std::int64_t nnz, std::int64_t rows, std::int64_t cols,
-                    std::int64_t out_pixels);
 
 /// Weight panels in the packed micro-kernel layout, packed once per weight:
 /// per batch in Conv2d, at Engine::compile time in the engine.
@@ -151,15 +170,13 @@ struct ConvScratch {
 };
 
 struct ConvKernelOpts {
-  ConvAlgo algo = ConvAlgo::kPacked;
-  /// Packed path: pre-packed panels, used when the shape matches, and the
-  /// staging to run out of; null or mismatched means call-local ones.
+  /// Pre-packed panels, used when the shape matches, and the staging to run
+  /// out of; null or mismatched means call-local ones.
   const PackedWeights* packed_weights = nullptr;
   ConvScratch* scratch = nullptr;
-  /// Packed path: run only slivers [sliver_begin, sliver_end) of the call's
-  /// column space (conv_forward_slivers / conv_dgrad_slivers; for
-  /// conv2d_wgrad, output tiles of conv_wgrad_tiles); a negative end runs
-  /// them all.
+  /// Run only slivers [sliver_begin, sliver_end) of the call's column space
+  /// (conv_forward_slivers / conv_dgrad_slivers; for conv2d_wgrad, output
+  /// tiles of conv_wgrad_tiles); a negative end runs them all.
   std::int64_t sliver_begin = 0;
   std::int64_t sliver_end = -1;
   /// conv2d_forward: floats between consecutive samples' outputs; 0 means
@@ -172,7 +189,7 @@ struct ConvKernelOpts {
 /// starts at y + i * opts.y_stride and is fully overwritten. When `bias` is
 /// non-null a per-channel bias is fused into the epilogue, and `relu`
 /// additionally clamps at zero — the serving engine's folded conv+BN(+ReLU)
-/// epilogue. The packed path's column space is (sample, output pixel).
+/// epilogue. The column space is (sample, output pixel).
 void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
                     std::int64_t h, std::int64_t w, const ConvGeometry& g,
                     const float* weight, std::int64_t out_ch, float* y,
@@ -181,11 +198,42 @@ void conv2d_forward(const float* x, std::int64_t n, std::int64_t c_in,
 
 /// Input gradient over a batch: dx_i (c_in, h, w) += weight^T applied to
 /// gout_i (out_ch, OH, OW). Accumulates (callers zero-initialize dx). The
-/// packed path's column space is each phase's (sample, u, v) in turn.
+/// column space is each phase's (sample, u, v) in turn.
 void conv2d_dgrad(const float* weight, std::int64_t out_ch,
                   const float* gout, std::int64_t n, std::int64_t c_in,
                   std::int64_t h, std::int64_t w, const ConvGeometry& g,
                   float* dx, const ConvKernelOpts& opts = {});
+
+/// Tap-table forward over a batch: y_i (t.rows, OH, OW) for the n samples
+/// at x + i * t.in_plane, y_i at y + i * y_stride (0 means t.rows * OH*OW),
+/// fully overwritten. Each output row starts at its bias (+0 without one),
+/// adds its taps in table order with the batch loop inside the tap loop,
+/// and is clamped at zero when `relu`. Serial; a sample's bits do not depend
+/// on n.
+void conv2d_forward_taps(const ConvTapTable& t, const float* values,
+                         const float* x, std::int64_t n, float* y,
+                         std::int64_t y_stride, const float* bias, bool relu);
+
+/// Tap-table input gradient over a batch: dx_i (c_in, h, w) += weight^T
+/// applied to gout_i (t.rows, OH, OW), the forward's taps with x and y
+/// swapped. Accumulates; a dx element adds its taps in table order to its
+/// prior value, whatever n is.
+void conv2d_dgrad_taps(const ConvTapTable& t, const float* values,
+                       const float* gout, std::int64_t n, float* dx);
+
+/// Integer tap-table forward over a batch (serving only): y_i (t.rows, OH,
+/// OW) = requant(sum of each row's taps) for the n signed s8 samples at
+/// xq + i * t.in_plane, y_i at y + i * y_stride, fully overwritten. Signed
+/// activations: a border pixel sums its own subset of taps, so no offset
+/// correction applies and `ep.corr` is not read; `ep.scales` and `ep.bias`
+/// index table rows. Each row accumulates exactly in int32 into `acc`
+/// (caller scratch of n * OH*OW) with the batch loop inside the tap loop,
+/// then drains through requant_rows' one fused multiply-add, so the bits
+/// depend on neither the ISA nor n.
+void conv2d_forward_taps_s8(const ConvTapTable& t, const std::int8_t* values,
+                            const std::int8_t* xq, std::int64_t n,
+                            std::int32_t* acc, const S8Epilogue& ep, float* y,
+                            std::int64_t y_stride);
 
 /// kNr-column slivers in conv2d_forward's / conv2d_dgrad's column space
 /// over n samples (dgrad: each phase rounded up to whole slivers).
@@ -240,7 +288,7 @@ std::vector<std::int32_t> conv_s8_quad_offsets(std::int64_t c_in,
 /// Weight gradient over a batch: dw (out_ch, C*k*k) += sum over the n
 /// samples of gout_i (out_ch, OH, OW) * col(x_i)^T. Gradients are dense
 /// regardless of weight masks (masked entries are re-zeroed by the
-/// optimizer), so kTaps runs packed here.
+/// optimizer), so masked layers run it too.
 ///
 /// The packed path computes dW^T as one GEMM of depth n*OH*OW: its kMr x kNr
 /// output tiles (8 x 16 on AVX-512 builds, 8 x 8 otherwise) have im2col
@@ -281,15 +329,14 @@ void im2col_plane(const float* x, std::int64_t c_in, std::int64_t h,
 void col2im_plane_add(const float* col, std::int64_t c_in, std::int64_t h,
                       std::int64_t w, const ConvGeometry& g, float* dx);
 
-/// Number of nonzero entries in `weight` — the `nnz` batch loops pass to
-/// conv_runs_taps, counted once per batch (the weight is shared by every
+/// Number of nonzero entries in `weight` — the `nnz` Conv2d passes to
+/// conv_prefers_taps, counted once per call (the weight is shared by every
 /// sample).
 std::int64_t count_nonzeros(const float* weight, std::int64_t count);
 
 /// Output positions whose input tap at kernel offset `kpos` stays in
-/// bounds: the half-open range [o0, o1) (empty => o0 == o1). One definition
-/// shared by the training tap path and the engine's compile-time CSR tap
-/// resolution, so the two sparse-conv executors can never drift.
+/// bounds: the half-open range [o0, o1) (empty => o0 == o1). The boundary
+/// math behind ConvTapTable::resolve's windows.
 struct TapWindow {
   std::int64_t o0 = 0, o1 = 0;
 };

@@ -24,27 +24,28 @@ ConvScratch& thread_scratch() {
   return scratch;
 }
 
-/// Runs a conv kernel over a batch on the current scheduler. The tap loop
-/// splits samples: run(begin, end, opts) gets a sample range. The packed
-/// GEMM splits whole slivers of its column space (`slivers` of them): run
-/// gets the full batch and opts carrying the sliver range and the executing
-/// thread's staging. Every column's arithmetic is independent of the split,
-/// so the bits do not depend on the lane count.
-template <typename Run>
-void split_batch(const ConvKernelOpts& kopts, std::int64_t n,
-                 std::int64_t slivers, const Run& run) {
-  const bool taps = kopts.algo == ConvAlgo::kTaps;
+/// Runs a conv kernel over a batch on the current scheduler. The tap table
+/// splits samples: on_taps(begin, end) gets a sample range. The packed GEMM
+/// splits whole slivers of its column space (`slivers` of them): on_panels
+/// gets opts carrying the sliver range, `packed` and the executing thread's
+/// staging. Every output's arithmetic is independent of the split, so the
+/// bits do not depend on the lane count.
+template <typename Taps, typename Panels>
+void split_batch(bool taps, std::int64_t n, std::int64_t slivers,
+                 const PackedWeights& packed, const Taps& on_taps,
+                 const Panels& on_panels) {
   Scheduler::current().parallel_for(
       taps ? n : slivers, [&](std::int64_t begin, std::int64_t end) {
         if (taps) {
-          run(begin, end, kopts);
+          on_taps(begin, end);
           return;
         }
-        ConvKernelOpts leaf = kopts;
+        ConvKernelOpts leaf;
+        leaf.packed_weights = &packed;
         leaf.sliver_begin = begin;
         leaf.sliver_end = end;
         leaf.scratch = &thread_scratch();
-        run(0, n, leaf);
+        on_panels(leaf);
       });
 }
 
@@ -92,24 +93,19 @@ Tensor Conv2d::forward(const Tensor& x) {
   const std::int64_t out_plane = out_channels_ * oh * ow;
 
   // The weight is shared across the batch: choose the executor once, and
-  // when the packed path runs, pack the weight panels once for the batch.
-  const std::int64_t ckk = in_channels_ * geom_.kernel * geom_.kernel;
-  ConvKernelOpts kopts;
-  if (conv_runs_taps(count_nonzeros(wd, weight_.value.numel()), out_channels_,
-                     ckk, oh * ow)) {
-    kopts.algo = ConvAlgo::kTaps;
-  } else {
-    packed_weights_.pack(wd, out_channels_, in_channels_, geom_,
-                         /*forward=*/true, /*dgrad=*/false);
-    kopts.packed_weights = &packed_weights_;
-  }
-  split_batch(kopts, n, conv_forward_slivers(n, h, w, geom_),
-              [&](std::int64_t i0, std::int64_t i1,
-                  const ConvKernelOpts& opts) {
-                conv2d_forward(xd + i0 * in_plane, i1 - i0, in_channels_, h,
-                               w, geom_, wd, out_channels_,
-                               yd + i0 * out_plane, bd, /*relu=*/false, opts);
-              });
+  // resolve the tap table or pack the weight panels once for the batch.
+  const bool taps = prepare(h, w, /*dgrad=*/false);
+  split_batch(
+      taps, n, conv_forward_slivers(n, h, w, geom_), packed_weights_,
+      [&](std::int64_t i0, std::int64_t i1) {
+        conv2d_forward_taps(taps_, tap_values_.data(), xd + i0 * in_plane,
+                            i1 - i0, yd + i0 * out_plane, 0, bd,
+                            /*relu=*/false);
+      },
+      [&](const ConvKernelOpts& opts) {
+        conv2d_forward(xd, n, in_channels_, h, w, geom_, wd, out_channels_, yd,
+                       bd, /*relu=*/false, opts);
+      });
   return y;
 }
 
@@ -130,26 +126,21 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   const float* gd = grad_out.data();
   const float* xd = x.data();
 
-  // The same per-batch choice as forward (wgrad runs packed either way).
-  ConvKernelOpts kopts;
-  if (conv_runs_taps(count_nonzeros(wd, weight_.value.numel()), out_channels_,
-                     ckk, ohw)) {
-    kopts.algo = ConvAlgo::kTaps;
-  } else {
-    // dgrad consumes per-phase panels; pack them once for the whole batch.
-    packed_weights_.pack(wd, out_channels_, in_channels_, geom_,
-                         /*forward=*/false, /*dgrad=*/true);
-    kopts.packed_weights = &packed_weights_;
-  }
+  // The same per-call choice as forward (wgrad runs packed either way).
   // dx = W^T * gout for the whole batch, whatever the parameter's
   // trainability.
-  split_batch(kopts, n, conv_dgrad_slivers(n, h, w, geom_),
-              [&](std::int64_t i0, std::int64_t i1,
-                  const ConvKernelOpts& opts) {
-                conv2d_dgrad(wd, out_channels_, gd + i0 * out_channels_ * ohw,
-                             i1 - i0, in_channels_, h, w, geom_,
-                             dx.data() + i0 * in_plane, opts);
-              });
+  const bool taps = prepare(h, w, /*dgrad=*/true);
+  split_batch(
+      taps, n, conv_dgrad_slivers(n, h, w, geom_), packed_weights_,
+      [&](std::int64_t i0, std::int64_t i1) {
+        conv2d_dgrad_taps(taps_, tap_values_.data(),
+                          gd + i0 * out_channels_ * ohw, i1 - i0,
+                          dx.data() + i0 * in_plane);
+      },
+      [&](const ConvKernelOpts& opts) {
+        conv2d_dgrad(wd, out_channels_, gd, n, in_channels_, h, w, geom_,
+                     dx.data(), opts);
+      });
   const bool want_dw = weight_.trainable;
   const bool want_db = has_bias_ && bias_.trainable;
   if (!want_dw && !want_db) return dx;
@@ -250,6 +241,19 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     for (std::size_t j = 0; j < db_part[0].size(); ++j) db[j] += db_part[0][j];
   }
   return dx;
+}
+
+bool Conv2d::prepare(std::int64_t h, std::int64_t w, bool dgrad) {
+  const float* wd = weight_.value.data();
+  const std::int64_t ckk = in_channels_ * geom_.kernel * geom_.kernel;
+  const std::int64_t ohw = geom_.out_extent(h) * geom_.out_extent(w);
+  if (conv_prefers_taps(count_nonzeros(wd, weight_.value.numel()),
+                        out_channels_, ckk, ohw)) {
+    taps_.resolve(wd, out_channels_, in_channels_, h, w, geom_, tap_values_);
+    return true;
+  }
+  packed_weights_.pack(wd, out_channels_, in_channels_, geom_, !dgrad, dgrad);
+  return false;
 }
 
 void Conv2d::collect_parameters(std::vector<Parameter*>& out) {

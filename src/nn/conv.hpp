@@ -1,18 +1,19 @@
 #pragma once
-// 2-D convolution (NCHW) with full backward, running on the implicit-GEMM
-// kernels in linalg/conv.hpp, so all convolution arithmetic (including the
-// masked-weight tap loop) lives in the linalg kernel layer.
+// 2-D convolution (NCHW) with full backward, running on the kernels in
+// linalg/conv.hpp, so all convolution arithmetic (including the sparse tap
+// executors) lives in the linalg kernel layer.
 //
 // Each forward and backward counts the weight's nonzeros once and picks the
-// executor for the whole batch (conv_runs_taps: taps only for sparse
-// weights on planes large next to the channel count). The packed path
-// packs the weight panels once per batch (linalg::PackedWeights) and runs
-// forward and dgrad as one implicit GEMM over the batch, its slivers split
-// across the scheduler's lanes, each lane staging into its own ConvScratch;
-// the tap loop splits samples. The weight gradient runs one batched GEMM per
-// fixed slot of up to 8 samples into per-slot partials, and splits a slot's
-// output tiles across lanes when there are fewer slots than lanes. None of
-// the splits changes a bit of the result.
+// executor for the whole batch with the one tap rule the engine applies
+// (conv_prefers_taps). Sparse weights resolve their tap table once per call
+// (linalg::ConvTapTable) and run it split by samples. Otherwise the weight
+// panels are packed once per call (linalg::PackedWeights) and forward and
+// dgrad run as one implicit GEMM over the batch, its slivers split across
+// the scheduler's lanes, each lane staging into its own ConvScratch. The
+// weight gradient runs one batched GEMM per fixed slot of up to 8 samples
+// into per-slot partials, and splits a slot's output tiles across lanes
+// when there are fewer slots than lanes. None of the splits changes a bit
+// of the result.
 
 #include <cstdint>
 #include <memory>
@@ -48,6 +49,11 @@ class Conv2d : public Module {
   std::int64_t flops_per_sample(std::int64_t h, std::int64_t w) const;
 
  private:
+  /// Chooses this call's executor for (h, w) inputs and readies it: resolves
+  /// taps_ and returns true, or packs the forward (dgrad: per-phase) panels
+  /// and returns false.
+  bool prepare(std::int64_t h, std::int64_t w, bool dgrad);
+
   std::int64_t in_channels_;
   std::int64_t out_channels_;
   ConvGeometry geom_;
@@ -60,6 +66,9 @@ class Conv2d : public Module {
   /// optimizer step). Member rather than local so the buffers persist
   /// between steps instead of reallocating.
   PackedWeights packed_weights_;
+  /// The tap table and its values, resolved per call the same way.
+  ConvTapTable taps_;
+  std::vector<float> tap_values_;
 };
 
 }  // namespace rt

@@ -106,7 +106,7 @@ TEST(RtHot, SessionRunRowsIsAllocationFreeAfterWarmup) {
   // A 70%-channel-pruned model too: its compact layers run the packed
   // kernel over their kept rows and expand them in place. And a 90%-pruned
   // one with every layer forced to CSR, whose convs run panels expanded
-  // from the CSR values wherever csr_runs_taps says taps lose.
+  // from the CSR values wherever conv_prefers_taps says taps lose.
   ResNet chan_model(cfg, rng);
   omp_prune(chan_model,
             OmpConfig{0.7f, Granularity::kChannel, /*include_head=*/false});
@@ -176,7 +176,7 @@ TEST(RtHot, Int8RunRowsIsAllocationFreeAfterWarmup) {
 
   // The dense model on panels; then the same model 90%-pruned with every
   // layer forced to CSR, where compile splits its convs between the integer
-  // tap loop and panels expanded from the CSR values (csr_runs_taps);
+  // tap table and panels (conv_prefers_taps);
   // then a 70%-channel-pruned model, whose compact layers run the kernel
   // over their kept rows and scatter in place. Every variant quantizes some
   // convs' inputs into the Workspace's channel-quad planes.

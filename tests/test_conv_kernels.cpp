@@ -168,14 +168,15 @@ void check_wgrad(const Case& c, const std::vector<float>& x,
   }
 }
 
-/// Runs forward/dgrad/wgrad through `algo` and through the reference
-/// on the same random problem and demands agreement at <= 1e-4. Forward and
-/// dgrad also run batched (n = 1, 3, 5 samples in one call, forward once
-/// more into a strided output), and every sample of a batch must equal its
-/// own single-sample call bitwise; wgrad runs the five samples as one call.
-/// A kTaps case must be a shape conv_runs_taps routes to taps, so a refit of
-/// the rule cannot leave the tap loop tested only where no layer runs it.
-void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
+/// Runs forward/dgrad through the packed kernels, or through the tap table
+/// when `taps`, and wgrad, and through the reference on the same random
+/// problem and demands agreement at <= 1e-4. Forward and dgrad also run
+/// batched (n = 1, 3, 5 samples in one call, forward once more into a
+/// strided output), and every sample of a batch must equal its own
+/// single-sample call bitwise; wgrad runs the five samples as one call. A
+/// taps case must be a shape conv_prefers_taps routes to taps, so a refit of
+/// the rule cannot leave the tap table tested only where no layer runs it.
+void check_case(const Case& c, float weight_zero_fraction, bool taps,
                 Rng& rng) {
   constexpr std::int64_t kBatch = 5;
   const std::int64_t oh = c.g.out_extent(c.h);
@@ -190,40 +191,55 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
       random_vec(c.out_ch * ckk, rng, weight_zero_fraction);
   const std::vector<float> gout = random_vec(kBatch * out_plane, rng, 0.0f);
   const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
-  if (algo == ConvAlgo::kTaps) {
-    ASSERT_TRUE(conv_runs_taps(count_nonzeros(w.data(), c.out_ch * ckk),
-                               c.out_ch, ckk, oh * ow))
+  ConvTapTable table;
+  std::vector<float> values;
+  if (taps) {
+    ASSERT_TRUE(conv_prefers_taps(count_nonzeros(w.data(), c.out_ch * ckk),
+                                  c.out_ch, ckk, oh * ow))
         << "not a taps-routed shape: c_in=" << c.c_in << " out=" << c.out_ch
         << " h=" << c.h << " w=" << c.w << " s=" << c.g.stride;
+    table.resolve(w.data(), c.out_ch, c.c_in, c.h, c.w, c.g, values);
   }
-
-  const ConvKernelOpts test_opts{algo};
+  const auto forward = [&](const float* xs, std::int64_t n, float* y,
+                           std::int64_t y_stride, bool relu) {
+    if (taps) {
+      conv2d_forward_taps(table, values.data(), xs, n, y, y_stride,
+                          bias.data(), relu);
+      return;
+    }
+    ConvKernelOpts opts;
+    opts.y_stride = y_stride;
+    conv2d_forward(xs, n, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch, y,
+                   bias.data(), relu, opts);
+  };
+  const auto dgrad = [&](const float* g, std::int64_t n, float* dx) {
+    if (taps) {
+      conv2d_dgrad_taps(table, values.data(), g, n, dx);
+    } else {
+      conv2d_dgrad(w.data(), c.out_ch, g, n, c.c_in, c.h, c.w, c.g, dx);
+    }
+  };
 
   for (const bool relu : {false, true}) {
     const char* what = relu ? "forward+relu" : "forward";
     std::vector<float> y_one(static_cast<std::size_t>(kBatch * out_plane));
     std::vector<float> y_ref = y_one;
     for (std::int64_t i = 0; i < kBatch; ++i) {
-      conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
-                     w.data(), c.out_ch, y_one.data() + i * out_plane,
-                     bias.data(), relu, test_opts);
+      forward(x.data() + i * in_plane, 1, y_one.data() + i * out_plane, 0,
+              relu);
     }
     ref_forward(c, kBatch, x.data(), w.data(), bias.data(), relu,
                 y_ref.data());
     expect_near(y_one, y_ref, what, c);
     for (const std::int64_t n : {1, 3, 5}) {
       std::vector<float> y(static_cast<std::size_t>(n * out_plane), -3.0f);
-      conv2d_forward(x.data(), n, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
-                     y.data(), bias.data(), relu, test_opts);
+      forward(x.data(), n, y.data(), 0, relu);
       expect_bitwise(y.data(), y_one.data(), n * out_plane, what, n, c);
     }
     // Strided output: sample i at i * (out_plane + 3); the gaps stay as is.
     const std::int64_t stride = out_plane + 3;
     std::vector<float> y(static_cast<std::size_t>(kBatch * stride), -3.0f);
-    ConvKernelOpts strided = test_opts;
-    strided.y_stride = stride;
-    conv2d_forward(x.data(), kBatch, c.c_in, c.h, c.w, c.g, w.data(),
-                   c.out_ch, y.data(), bias.data(), relu, strided);
+    forward(x.data(), kBatch, y.data(), stride, relu);
     for (std::int64_t i = 0; i < kBatch; ++i) {
       expect_bitwise(y.data() + i * stride, y_one.data() + i * out_plane,
                      out_plane, what, kBatch, c);
@@ -238,19 +254,17 @@ void check_case(const Case& c, float weight_zero_fraction, ConvAlgo algo,
   std::vector<float> dx_one = prior;
   std::vector<float> dx_ref = prior;
   for (std::int64_t i = 0; i < kBatch; ++i) {
-    conv2d_dgrad(w.data(), c.out_ch, gout.data() + i * out_plane, 1, c.c_in,
-                 c.h, c.w, c.g, dx_one.data() + i * in_plane, test_opts);
+    dgrad(gout.data() + i * out_plane, 1, dx_one.data() + i * in_plane);
   }
   ref_dgrad(c, kBatch, w.data(), gout.data(), dx_ref.data());
   expect_near(dx_one, dx_ref, "dgrad", c);
   for (const std::int64_t n : {1, 3, 5}) {
     std::vector<float> dx(prior.begin(), prior.begin() + n * in_plane);
-    conv2d_dgrad(w.data(), c.out_ch, gout.data(), n, c.c_in, c.h, c.w, c.g,
-                 dx.data(), test_opts);
+    dgrad(gout.data(), n, dx.data());
     expect_bitwise(dx.data(), dx_one.data(), n * in_plane, "dgrad", n, c);
   }
 
-  check_wgrad(c, x, gout, kBatch, test_opts, rng);
+  check_wgrad(c, x, gout, kBatch, {}, rng);
 }
 
 TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
@@ -262,7 +276,7 @@ TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
       for (const std::int64_t padding : {0, 1, 3}) {
         const Case c{5, 9, 13, 11, ConvGeometry{kernel, stride, padding}};
         if (c.g.out_extent(c.h) <= 0 || c.g.out_extent(c.w) <= 0) continue;
-        check_case(c, 0.0f, ConvAlgo::kPacked, rng);
+        check_case(c, 0.0f, /*taps=*/false, rng);
       }
     }
   }
@@ -275,33 +289,33 @@ TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   // depending on the lane width, then 4x4 and 2x2 planes whose slivers
   // gather and cross samples), the stride-2 entries and the 1x1 stride-2
   // projections.
-  check_case({3, 8, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+  check_case({3, 8, 16, 16, ConvGeometry{3, 1, 1}}, 0.0f, /*taps=*/false,
              rng);
   for (const std::int64_t ch : {8, 16, 32, 64}) {
     const std::int64_t side = 16 / (ch / 8);
     check_case({ch, ch, side, side, ConvGeometry{3, 1, 1}}, 0.0f,
-               ConvAlgo::kPacked, rng);
+               /*taps=*/false, rng);
     if (ch == 8) continue;
     check_case({ch / 2, ch, 2 * side, 2 * side, ConvGeometry{3, 2, 1}}, 0.0f,
-               ConvAlgo::kPacked, rng);
+               /*taps=*/false, rng);
     check_case({ch / 2, ch, 2 * side, 2 * side, ConvGeometry{1, 2, 0}}, 0.0f,
-               ConvAlgo::kPacked, rng);
+               /*taps=*/false, rng);
   }
   // Unpadded 1x1 stride-1 convs (micro-r50's bottlenecks) load every
   // sliver inside a sample directly, across its plane's rows; with one
   // input channel, across samples too.
-  check_case({16, 24, 4, 4, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
+  check_case({16, 24, 4, 4, ConvGeometry{1, 1, 0}}, 0.0f, /*taps=*/false,
              rng);
-  check_case({1, 4, 2, 3, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
+  check_case({1, 4, 2, 3, ConvGeometry{1, 1, 0}}, 0.0f, /*taps=*/false,
              rng);
   // Depth past one kKc chunk in both directions (forward c_in*9 = 1152,
   // dgrad out_ch = 136 > 128), and a 1x1 plane.
-  check_case({128, 136, 3, 3, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+  check_case({128, 136, 3, 3, ConvGeometry{3, 1, 1}}, 0.0f, /*taps=*/false,
              rng);
-  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, ConvAlgo::kPacked,
+  check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, /*taps=*/false,
              rng);
   // Wide-plane stem shape: rows of several slivers plus a ragged tail.
-  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+  check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, /*taps=*/false,
              rng);
   // Stride-1 rows 7, 15, 17 and 32 wide put every load/gather branch under
   // test at 8 and at 16 lanes: a row one lane short of a sliver (7 at 8
@@ -309,7 +323,7 @@ TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
   // 8 lanes, 7 and 17 at 16), a direct sliver plus a one-column tail (17 at
   // either width) and rows of two or more direct slivers (32).
   for (const std::int64_t w : {7, 15, 17, 32}) {
-    check_case({4, 8, 5, w, ConvGeometry{3, 1, 1}}, 0.0f, ConvAlgo::kPacked,
+    check_case({4, 8, 5, w, ConvGeometry{3, 1, 1}}, 0.0f, /*taps=*/false,
                rng);
   }
 }
@@ -347,31 +361,31 @@ TEST(ConvKernels, BatchedWgradMatchesIm2colReference) {
 
 TEST(ConvKernels, TapPathMatchesReferenceOnMaskedWeights) {
   Rng rng(0x7A9);
-  // 85-90% zeroed weights on planes large next to the channel count: shapes
-  // the rule routes onto the tap loop (check_case asserts it), which must
-  // agree with the reference bit-for-tolerance.
+  // 95% zeroed weights on wide planes, stride 1 and 2 and a 7x7 kernel:
+  // shapes the rule routes onto the tap table (check_case asserts it),
+  // which must agree with the reference bit-for-tolerance.
   for (const std::int64_t stride : {1, 2}) {
     const Case c{6, 10, 29, 27, ConvGeometry{3, stride, 1}};
-    check_case(c, 0.9f, ConvAlgo::kTaps, rng);
+    check_case(c, 0.95f, /*taps=*/true, rng);
   }
-  check_case({4, 6, 19, 17, ConvGeometry{7, 1, 3}}, 0.85f, ConvAlgo::kTaps,
+  check_case({4, 6, 19, 17, ConvGeometry{7, 1, 3}}, 0.95f, /*taps=*/true,
              rng);
 }
 
 TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
   // The executor is the caller's per-layer choice; it must change only the
   // path, never the result. On a shape the rule routes to taps, forward and
-  // dgrad through taps and through packed (local and pre-packed panels) all
-  // agree with the reference.
+  // dgrad through the tap table and through packed (local and pre-packed
+  // panels) all agree with the reference.
   Rng rng(0x11E);
   const Case c{4, 8, 23, 23, ConvGeometry{3, 1, 1}};
   const std::int64_t ckk = c.c_in * 9;
   const std::int64_t ohw = c.g.out_extent(c.h) * c.g.out_extent(c.w);
   const std::vector<float> x = random_vec(c.c_in * c.h * c.w, rng, 0.0f);
-  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.9f);
+  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.95f);
   const std::vector<float> gout = random_vec(c.out_ch * ohw, rng, 0.0f);
-  ASSERT_TRUE(conv_runs_taps(count_nonzeros(w.data(), c.out_ch * ckk),
-                             c.out_ch, ckk, ohw));
+  ASSERT_TRUE(conv_prefers_taps(count_nonzeros(w.data(), c.out_ch * ckk),
+                                c.out_ch, ckk, ohw));
   std::vector<float> y_ref(static_cast<std::size_t>(c.out_ch * ohw));
   std::vector<float> dx_ref(static_cast<std::size_t>(c.c_in * c.h * c.w));
   ref_forward(c, 1, x.data(), w.data(), nullptr, false, y_ref.data());
@@ -381,9 +395,7 @@ TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
               /*dgrad=*/true);
   ConvKernelOpts prepacked;
   prepacked.packed_weights = &packed;
-  for (const ConvKernelOpts& opts :
-       {ConvKernelOpts{ConvAlgo::kTaps}, ConvKernelOpts{ConvAlgo::kPacked},
-        prepacked}) {
+  for (const ConvKernelOpts& opts : {ConvKernelOpts{}, prepacked}) {
     std::vector<float> y(y_ref.size());
     std::vector<float> dx(dx_ref.size());
     conv2d_forward(x.data(), 1, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
@@ -393,6 +405,16 @@ TEST(ConvKernels, ExecutorChoiceDoesNotChangeResults) {
     expect_near(y, y_ref, "forward", c);
     expect_near(dx, dx_ref, "dgrad", c);
   }
+  ConvTapTable table;
+  std::vector<float> values;
+  table.resolve(w.data(), c.out_ch, c.c_in, c.h, c.w, c.g, values);
+  std::vector<float> y(y_ref.size());
+  std::vector<float> dx(dx_ref.size());
+  conv2d_forward_taps(table, values.data(), x.data(), 1, y.data(), 0, nullptr,
+                      false);
+  conv2d_dgrad_taps(table, values.data(), gout.data(), 1, dx.data());
+  expect_near(y, y_ref, "tap forward", c);
+  expect_near(dx, dx_ref, "tap dgrad", c);
 }
 
 TEST(ConvKernels, GradcheckMaskedConv2d) {

@@ -9,7 +9,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "data/synth.hpp"
 #include "engine/engine.hpp"
 #include "hw/quant.hpp"
+#include "linalg/conv.hpp"
 #include "models/blocks.hpp"
 #include "models/resnet.hpp"
 #include "prune/baselines.hpp"
@@ -258,7 +262,7 @@ TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
   // Regression: at a 4x4 compiled geometry the deepest stride-2 conv sees a
   // 1x1 input, where trunc-toward-zero division used to emit a tap reading
   // out of bounds (o1 = 1 instead of 0) and parity silently broke. At 90%
-  // sparsity csr_runs_taps puts every conv of this plan on panels, so 98%
+  // sparsity conv_prefers_taps puts every conv of this plan on panels, so 98%
   // keeps the tap windows (stride-2 ones included) under test.
   std::pair<int, int> seen{0, 0};
   for (const float sparsity : {0.9f, 0.98f}) {
@@ -291,9 +295,13 @@ TEST(EngineParity, TinyGeometryKeepsCsrTapsInBounds) {
 
 TEST(EngineParity, TinyGeometryInt8CsrMatchesDenseBitwise) {
   // The int8-native twin of the test above: the forced-CSR plan picks each
-  // conv's executor (tap loop or expanded panels, csr_runs_taps) down to
+  // conv's executor (tap table or panels, conv_prefers_taps) down to
   // the 1x1 input of the last stride-2 conv, and must reproduce the
-  // forced-dense int8 plan bit for bit.
+  // forced-dense int8 plan bit for bit. The rule ignores the format, so
+  // both plans run the same executors: this holds compiling from CSR to
+  // compiling from dense. QuantConv.TapTableMatchesReference checks the
+  // int8 tap executor itself against the exact integer reference at these
+  // 4x4 to 1x1 extents.
   std::pair<int, int> seen{0, 0};
   for (const float sparsity : {0.9f, 0.98f}) {
     SCOPED_TRACE(testing::Message() << "sparsity=" << sparsity);
@@ -334,7 +342,7 @@ TEST(EngineParity, TinyGeometryInt8CsrMatchesDenseBitwise) {
 }
 
 TEST(EngineParity, Fp32CsrExecutorsAgreeWithDenseAndEager) {
-  // csr_runs_taps picks every CSR conv's executor, fp32 as well as int8.
+  // conv_prefers_taps picks every CSR conv's executor, fp32 as well as int8.
   // The serving benchmark's r18_omp90 ticket keeps its CSR convs on 4x4 and
   // 2x2 planes, where panels expanded from the CSR values win: each must
   // carry panels, and since those panels are the ones the forced-dense plan
@@ -367,7 +375,7 @@ TEST(EngineParity, Fp32CsrExecutorsAgreeWithDenseAndEager) {
       if (l.format != PackedFormat::kCsr) continue;
       ++csr;
       const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
-      const bool taps = csr_runs_taps(l.nnz, l.rows, l.cols, ohw);
+      const bool taps = conv_prefers_taps(l.nnz, l.rows, l.cols, ohw);
       EXPECT_EQ(l.prepacked_bytes == 0, taps) << l.name;
       EXPECT_EQ(taps, !is_omp90) << l.name << " density "
                                  << static_cast<double>(l.nnz) /
@@ -400,49 +408,101 @@ TEST(EngineParity, Fp32CsrExecutorsAgreeWithDenseAndEager) {
   }
 }
 
-TEST(ConvTapRule, SmallPlanesRunPackedAndSparseWidePlanesRunTaps) {
-  // conv_runs_taps is the one rule Conv2d applies per batch and
-  // Engine::compile freezes per dense-format layer. The serving benchmark's
-  // r18_omp90 ticket keeps its sparsest convs (86% and 96% zeros) on 4x4
-  // and 2x2 planes, where the tap loop loses 2-6x to the packed GEMM:
-  // compiled at 16x16 with every conv dense-format, each conv must run
-  // packed and carry pre-packed panels.
+/// The rule's choice for each conv of `plan` (the head, the last record,
+/// excluded) as Engine::compile applies it to the executed matrix, and as
+/// Conv2d applies it to the same conv's raw weight in `model`; the compiled
+/// layer must carry panels exactly when the rule says panels.
+void expect_rule_routes(ResNet& model, const CompiledTicket& plan,
+                        bool taps) {
+  std::map<std::string, const Parameter*> weights;
+  for (const Parameter* p : model.parameters()) weights[p->name] = p;
+  const std::vector<LayerPlan>& layers = plan.layers();
+  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+    const LayerPlan& l = layers[i];
+    const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
+    const std::int64_t rows =
+        l.format == PackedFormat::kChannelCompact ? l.kept_rows : l.rows;
+    EXPECT_EQ(conv_prefers_taps(l.nnz, rows, l.cols, ohw), taps) << l.name;
+    EXPECT_EQ(l.prepacked_bytes == 0, taps) << l.name;
+    ASSERT_EQ(weights.count(l.name + ".weight"), 1u) << l.name;
+    const Parameter& w = *weights[l.name + ".weight"];
+    EXPECT_EQ(conv_prefers_taps(count_nonzeros(w.value.data(), w.value.numel()),
+                                l.rows, l.cols, ohw),
+              taps)
+        << "Conv2d " << l.name;
+  }
+}
+
+TEST(ConvTapRule, OneRuleRoutesCompiledAndTrainingConvs) {
+  // conv_prefers_taps is the one rule Conv2d applies per call and
+  // Engine::compile freezes per conv, whatever the format or precision.
+  // The serving benchmark's r18_omp90 ticket keeps its sparsest convs (86%
+  // and 96% zeros) on 4x4 and 2x2 planes, where panels win: compiled at
+  // 16x16, auto-formatted or all dense, each conv must carry panels, and
+  // Conv2d's call on the same weight must run panels too.
   Rng omp_rng(9);
   auto r18_omp90 = make_micro_resnet18(10, omp_rng);
   omp_prune(*r18_omp90, OmpConfig{0.9f, Granularity::kElement,
                                   /*include_head=*/false});
   r18_omp90->set_training(false);
   CompileOptions options;
-  options.force_format = PackedFormat::kDense;
-  const CompiledTicket plan = Engine::compile(*r18_omp90, options);
-  const std::vector<LayerPlan>& layers = plan.layers();
-  int past_old_cutoff = 0;
-  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {  // head is last
-    const LayerPlan& l = layers[i];
-    const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
-    EXPECT_FALSE(conv_runs_taps(l.nnz, l.rows, l.cols, ohw)) << l.name;
-    EXPECT_GT(l.prepacked_bytes, 0) << l.name;
-    if (5 * l.nnz <= l.rows * l.cols) ++past_old_cutoff;  // >= 80% zeros
+  for (const bool dense : {false, true}) {
+    SCOPED_TRACE(dense ? "r18_omp90 dense" : "r18_omp90");
+    options.force_format = dense ? std::optional(PackedFormat::kDense)
+                                 : std::nullopt;
+    expect_rule_routes(*r18_omp90, Engine::compile(*r18_omp90, options),
+                       /*taps=*/false);
   }
-  EXPECT_GT(past_old_cutoff, 0);
 
-  // A 32x32 conv with 97% zeros is where the tap loop wins (4x at c64).
+  // A layerwise-98% ticket keeps every conv on the tap table, in either
+  // format, fp32 and int8 alike.
+  Rng lw_rng(9);
+  auto lw98 = make_micro_resnet18(10, lw_rng);
+  layerwise_magnitude_prune(*lw98, 0.98f, Granularity::kElement);
+  lw98->set_training(false);
+  for (const bool dense : {false, true}) {
+    for (const bool int8 : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "layerwise98 dense=" << dense
+                                      << " int8=" << int8);
+      options.force_format = dense ? std::optional(PackedFormat::kDense)
+                                   : std::nullopt;
+      options.int8_weights = int8;
+      expect_rule_routes(*lw98, Engine::compile(*lw98, options),
+                         /*taps=*/true);
+    }
+  }
+  options.int8_weights = false;
+
+  // A 32x32 conv with 97% zeros is where the tap table wins (4x at c64).
   Rng rng(41);
   auto wide = make_micro_resnet18(10, rng);
   layerwise_magnitude_prune(*wide, 0.97f, Granularity::kElement);
   wide->set_training(false);
+  options.force_format = PackedFormat::kDense;
   options.height = 32;
   options.width = 32;
   const CompiledTicket wide_plan = Engine::compile(*wide, options);
   const LayerPlan& first = wide_plan.layers()[1];  // stage0, 8 channels
   ASSERT_EQ(first.dense_macs / (first.rows * first.cols), 32 * 32);
   ASSERT_LE(first.nnz, (first.rows * first.cols * 3 + 99) / 100);
-  EXPECT_TRUE(conv_runs_taps(first.nnz, first.rows, first.cols, 32 * 32));
-  EXPECT_EQ(first.prepacked_bytes, 0) << "runs the tap loop";
-  EXPECT_TRUE(conv_runs_taps(64 * 576 * 3 / 100, 64, 576, 32 * 32));
+  EXPECT_TRUE(conv_prefers_taps(first.nnz, first.rows, first.cols, 32 * 32));
+  EXPECT_EQ(first.prepacked_bytes, 0) << "runs the tap table";
+  EXPECT_TRUE(conv_prefers_taps(64 * 576 * 3 / 100, 64, 576, 32 * 32));
   const Tensor x = Tensor::uniform({3, 3, 32, 32}, rng, 0.0f, 1.0f);
   Workspace ws(wide_plan, 3);
   EXPECT_LE(wide->forward(x).linf_distance(wide_plan.predict(x, ws)), 1e-4f);
+
+  // A 16x16 c16 conv with every tenth weight kept (density 0.1003) runs
+  // panels: a rule that divided the plane by the channel count sent it to
+  // taps, where it ran 1.6x slower than panels.
+  Rng conv_rng(43);
+  Conv2d conv(16, 16, 3, 1, 1, /*with_bias=*/false, conv_rng, "c16");
+  Tensor mask(conv.weight().value.shape());
+  for (std::int64_t i = 0; i < mask.numel(); i += 10) mask[i] = 1.0f;
+  conv.weight().set_mask(mask);
+  const Tensor& w = conv.weight().value;
+  EXPECT_FALSE(conv_prefers_taps(count_nonzeros(w.data(), w.numel()), 16,
+                                 16 * 9, 16 * 16));
 }
 
 TEST(EngineCompile, FoldedBiasIsOneFusedMultiplyAdd) {

@@ -4,17 +4,19 @@
 //  - kernel-level parity against exact integer references at awkward extents
 //    (the int32 accumulator is exact, and the conv's and the head's float
 //    requant are one fused multiply-add per output on every ISA, so their
-//    outputs must match the std::fma reference EXACTLY),
+//    outputs must match the std::fma reference EXACTLY), for both conv
+//    executors: the quad panels and the tap table,
 //  - the channel-quad quantizer must equal quantize_u8 byte for byte, and a
 //    conv batch must equal its samples run alone, whichever of the 64-byte
 //    load and the gather forms a sliver's operand,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
 //    documented tolerance, bitwise determinism across runs, <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
-//    tickets, and both int8 CSR executors (tap loop, expanded panels) and
-//    channel-compact layers bitwise equal to the forced-dense plan.
+//    tickets, and CSR and channel-compact plans bitwise equal to the
+//    forced-dense plan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -453,6 +455,83 @@ TEST(QuantConv, BatchMatchesPerSampleBitwise) {
   }
 }
 
+TEST(QuantConv, TapTableMatchesReference) {
+  // conv2d_forward_taps_s8, the int8 executor of tap-routed serving convs,
+  // against the exact integer reference on every sample: stride 1 and 2,
+  // full-width stride-1 folds and wide rows (the vectorized axpy), narrow
+  // scalar rows, wide (requant_rows) and tiny (scalar) row drains, 4x4 down
+  // to 1x1 inputs whose border taps read only padding and drop out of the
+  // table, all-zero weights whose rows drain to relu(bias), and a dense
+  // weight. The signed input holds the reference's offset-u8 integers minus
+  // 128. The epilogue keeps the panels' offset correction, which the tap
+  // executor must not read; the slack between output samples must stay
+  // untouched.
+  Rng rng(29);
+  const struct {
+    std::int64_t n, ci, h, w, co, k, s, p;
+    float zeros;
+  } cases[] = {
+      {3, 8, 16, 16, 12, 3, 1, 1, 0.9f}, {2, 4, 20, 21, 6, 5, 1, 1, 0.8f},
+      {2, 5, 19, 21, 9, 3, 1, 1, 0.9f},  {2, 4, 33, 34, 8, 3, 2, 1, 0.9f},
+      {2, 4, 29, 27, 6, 7, 2, 3, 0.9f},  {3, 16, 4, 4, 16, 3, 1, 1, 0.9f},
+      {3, 16, 4, 4, 16, 3, 2, 1, 0.9f},  {4, 16, 2, 2, 16, 3, 1, 1, 0.5f},
+      {4, 32, 1, 1, 16, 3, 1, 1, 0.5f},  {4, 32, 1, 1, 16, 3, 2, 1, 0.5f},
+      {2, 8, 8, 8, 8, 1, 2, 0, 0.9f},    {2, 4, 6, 6, 5, 3, 1, 1, 1.0f},
+      {2, 4, 6, 6, 5, 3, 1, 1, 0.0f},
+  };
+  for (const auto& k : cases) {
+    SCOPED_TRACE(testing::Message()
+                 << "n=" << k.n << " ci=" << k.ci << " h=" << k.h << " w="
+                 << k.w << " k=" << k.k << " s=" << k.s << " zeros="
+                 << k.zeros);
+    ConvGeometry g;
+    g.kernel = k.k;
+    g.stride = k.s;
+    g.padding = k.p;
+    const ConvS8Case c(k.n, k.ci, k.h, k.w, k.co, g, k.zeros, rng);
+    std::vector<std::int8_t> xq(c.plain.size());
+    for (std::size_t j = 0; j < xq.size(); ++j) {
+      xq[j] = static_cast<std::int8_t>(static_cast<int>(c.plain[j]) - 128);
+    }
+    ConvTapTable table;
+    std::vector<std::int8_t> values;
+    table.resolve(c.qw.data(), k.co, k.ci, k.h, k.w, g, values);
+    const auto nnz = static_cast<std::size_t>(
+        std::count_if(c.qw.begin(), c.qw.end(),
+                      [](std::int8_t v) { return v != 0; }));
+    if (k.h == 1 && nnz > 0) EXPECT_LT(table.taps.size(), nnz);
+
+    const std::int64_t out_f = k.co * c.ohw(), y_stride = out_f + 3;
+    std::vector<std::int32_t> acc(static_cast<std::size_t>(k.n * c.ohw()));
+    for (const bool relu : {false, true}) {
+      SCOPED_TRACE(relu ? "relu" : "no relu");
+      std::vector<float> y(static_cast<std::size_t>(k.n * y_stride), -7.0f);
+      float amax = 0.0f;
+      S8Epilogue ep = c.epilogue(&amax);
+      ep.relu = relu;
+      conv2d_forward_taps_s8(table, values.data(), xq.data(), k.n,
+                             acc.data(), ep, y.data(), y_stride);
+      float want_amax = 0.0f;
+      for (std::int64_t i = 0; i < k.n; ++i) {
+        const std::vector<float> want = conv_s8_reference(
+            c.plain.data() + i * k.ci * k.h * k.w, k.ci, k.h, k.w, g, c.qw,
+            k.co, c.scales, c.sx, c.bias, relu);
+        for (std::int64_t j = 0; j < out_f; ++j) {
+          ASSERT_EQ(y[static_cast<std::size_t>(i * y_stride + j)],
+                    want[static_cast<std::size_t>(j)])
+              << "sample=" << i << " index=" << j;
+          want_amax = std::max(want_amax,
+                               std::fabs(want[static_cast<std::size_t>(j)]));
+        }
+        for (std::int64_t j = out_f; j < y_stride; ++j) {
+          ASSERT_EQ(y[static_cast<std::size_t>(i * y_stride + j)], -7.0f);
+        }
+      }
+      EXPECT_EQ(amax, want_amax);
+    }
+  }
+}
+
 TEST(QuantHelpers, QuadPlanesMatchQuantizeU8) {
   // Byte t of quad (cq, y, x) must be quantize_u8's byte for channel
   // 4cq + t at pixel (y - pad, x - pad), and 128 on the border and for
@@ -601,10 +680,12 @@ TEST(QuantEndToEnd, Top1DeltaWithinOnePercentOnEvalBattery) {
 }
 
 TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
-  // The CSR executor choice (csr_runs_taps) must be invisible in the
-  // logits: the tap loop and panels expanded from the CSR values both
-  // accumulate the exact signed dot product, and both drains apply the same
-  // float expression. The forced-dense int8 plan is the reference.
+  // The shippable format must be invisible in the logits. conv_prefers_taps
+  // picks each conv's executor from its executed matrix whatever the
+  // format, so the CSR plan and the forced-dense plan run the same
+  // executors (r18_omp90 every conv on panels, layerwise-98% every conv on
+  // the tap table) and must agree bit for bit. Each executor's own exact
+  // oracle is the integer reference in QuantConv.*.
   Rng omp_rng(9);  // the serving benchmark's r18_omp90 ticket
   auto omp90 = make_micro_resnet18(10, omp_rng);
   omp_prune(*omp90, OmpConfig{0.9f, Granularity::kElement,
@@ -637,7 +718,7 @@ TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
       if (l.prepacked_bytes == 0) ++csr_taps;
       const std::int64_t ohw = l.dense_macs / (l.rows * l.cols);
       EXPECT_EQ(l.prepacked_bytes == 0,
-                csr_runs_taps(l.nnz, l.rows, l.cols, ohw))
+                conv_prefers_taps(l.nnz, l.rows, l.cols, ohw))
           << l.name;
     }
     if (is_omp90) {

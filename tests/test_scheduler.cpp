@@ -1,8 +1,9 @@
 // Work-stealing scheduler tests: nested parallel_for correctness under
 // contention, TaskGroup exception propagation, bitwise determinism of
-// fixed-tree reductions and of the sliver-split conv kernels under
-// arbitrary stealing, training bits that do not depend on the lane count,
-// and a multi-session engine stress test over one shared scheduler.
+// fixed-tree reductions, of the sliver-split conv kernels and of the
+// sample-split tap executors under arbitrary stealing, training bits that
+// do not depend on the lane count, and a multi-session engine stress test
+// over one shared scheduler.
 //
 // Every test constructs its own Scheduler so thread counts are explicit and
 // independent of RT_THREADS; oversubscription relative to the host's cores
@@ -314,6 +315,63 @@ TEST(Scheduler, SliverParallelConvMatchesSerialBitwise) {
           [&](std::int64_t b, std::int64_t e) {
             conv2d_dgrad(w.data(), kCh, g.data(), n, kCh, kH, kW, geom,
                          dx_split.data(), leaf(b, e));
+          },
+          /*grain=*/1);
+      EXPECT_TRUE(same(y_ref, y_split)) << "forward s=" << stride
+                                        << " n=" << n;
+      EXPECT_TRUE(same(dx_ref, dx_split)) << "dgrad s=" << stride
+                                          << " n=" << n;
+    }
+  }
+}
+
+TEST(Scheduler, SampleParallelTapConvMatchesSerialBitwise) {
+  // Conv2d splits the tap table's forward and dgrad by samples across
+  // lanes. A sample's arithmetic does not depend on which other samples
+  // share its call, so one sample per leaf must give the bits of one serial
+  // call over the batch — at a batch below and above the lane count, stride
+  // 1 (whose full-width windows fold into one run) and stride 2.
+  Scheduler sched(4);
+  SchedulerScope scope(sched);
+  constexpr std::int64_t kCin = 12, kOut = 20, kH = 17, kW = 13;
+  const std::int64_t ckk = kCin * 9;
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * sizeof(float)) ==
+           0;
+  };
+  Rng rng(97);
+  for (const std::int64_t stride : {1, 2}) {
+    const ConvGeometry geom{3, stride, 1};
+    const std::int64_t oh = geom.out_extent(kH), ow = geom.out_extent(kW);
+    Tensor w = Tensor::randn({kOut, ckk}, rng, 0.05f);
+    for (std::int64_t i = 0; i < w.numel(); ++i) {
+      if (rng.uniform(0.0f, 1.0f) < 0.95f) w[i] = 0.0f;
+    }
+    ASSERT_TRUE(conv_prefers_taps(count_nonzeros(w.data(), w.numel()), kOut,
+                                  ckk, oh * ow));
+    const Tensor bias = Tensor::randn({kOut}, rng);
+    ConvTapTable table;
+    std::vector<float> values;
+    table.resolve(w.data(), kOut, kCin, kH, kW, geom, values);
+    for (const std::int64_t n : {2, 9}) {
+      const Tensor x = Tensor::randn({n, kCin, kH, kW}, rng);
+      const Tensor g = Tensor::randn({n, kOut, oh, ow}, rng);
+      Tensor y_ref({n, kOut, oh, ow}), y_split({n, kOut, oh, ow});
+      Tensor dx_ref = Tensor::randn({n, kCin, kH, kW}, rng);
+      Tensor dx_split = dx_ref;
+      conv2d_forward_taps(table, values.data(), x.data(), n, y_ref.data(), 0,
+                          bias.data(), /*relu=*/true);
+      conv2d_dgrad_taps(table, values.data(), g.data(), n, dx_ref.data());
+      const std::int64_t in_plane = kCin * kH * kW, out_plane = kOut * oh * ow;
+      sched.parallel_for(
+          n,
+          [&](std::int64_t b, std::int64_t e) {
+            conv2d_forward_taps(table, values.data(), x.data() + b * in_plane,
+                                e - b, y_split.data() + b * out_plane, 0,
+                                bias.data(), /*relu=*/true);
+            conv2d_dgrad_taps(table, values.data(), g.data() + b * out_plane,
+                              e - b, dx_split.data() + b * in_plane);
           },
           /*grain=*/1);
       EXPECT_TRUE(same(y_ref, y_split)) << "forward s=" << stride

@@ -18,6 +18,8 @@
 //                    with randomized BN statistics (so every folded bias is
 //                    nonzero): micro-r18 dense, OMP-90%, layerwise-98% and
 //                    70%-channel, and micro-r50 dense
+//   fp32.<plan>.bN   fp32 Session logits of the same five plans; every conv
+//                    of the layerwise-98% plan runs the fp32 tap table
 //
 // Build: the `bitprint` target (CMakeLists.txt). Run: ./build/bitprint
 // (takes about a second). The CI job builds it natively and with
@@ -25,7 +27,8 @@
 // 16-lane fp32 tiles against 8-lane ones on an AVX-512 host, and diffs the
 // two outputs. A portable build (-DRT_MARCH_NATIVE=OFF, no FMA in its fp32
 // kernels) trains different tickets, so only its dataset.*, rng.* and
-// int8.* lines, which involve no fp32 training, must match too.
+// int8.* lines, which involve no fp32 training, must match too; its fp32.*
+// lines differ because its fp32 kernels round each product on its own.
 
 #include <cinttypes>
 #include <cstdio>
@@ -161,9 +164,16 @@ int main() {
     randomize_bn(*net, bn);
     const auto plan = std::make_shared<const rt::CompiledTicket>(
         rt::Engine::compile(*net, int8));
+    const auto fp32 = std::make_shared<const rt::CompiledTicket>(
+        rt::Engine::compile(*net));
     for (const int batch : {1, 16, 64}) {
       std::snprintf(name, sizeof(name), "int8.%s.b%d", plan_name, batch);
       print(name, tensor_digest(rt::Session(plan, batch)
+                                    .predict(task.test.images)));
+    }
+    for (const int batch : {1, 16, 64}) {
+      std::snprintf(name, sizeof(name), "fp32.%s.b%d", plan_name, batch);
+      print(name, tensor_digest(rt::Session(fp32, batch)
                                     .predict(task.test.images)));
     }
   }
