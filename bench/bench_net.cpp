@@ -59,9 +59,10 @@ std::unique_ptr<rt::ResNet> net_sparse_r18(std::uint64_t seed) {
 
 /// One fleet config for every bench in this file: the production-shaped
 /// coalescer (a real batching window, like ServerOptions' defaults). A
-/// closed-loop blocking client pays the window on every round trip and
-/// never fills a batch; pipelined connections keep the window full — that
-/// asymmetry is precisely what the throughput rows quantify.
+/// closed-loop blocking client finds no batch in flight, so its lone row
+/// dispatches at once and never waits out the window, but it never fills a
+/// batch either; pipelined connections keep a batch running, so the rows
+/// behind it pack — that asymmetry is what the throughput rows quantify.
 rt::serving::ServerOptions net_fleet_options() {
   rt::serving::ServerOptions opt;
   opt.max_batch = 64;

@@ -28,7 +28,11 @@
 //                                   16 rows, amortizing workspace checkout,
 //                                   dispatch, and weight streaming across
 //                                   the batch. The rows_per_batch counter
-//                                   reports the achieved fill.
+//                                   reports the achieved fill, and
+//                                   idle_batch_share the fraction of
+//                                   batches that dispatched partial because
+//                                   no batch was in flight
+//                                   (ServerStats::idle_batches / batches).
 //
 // scripts/check.sh --bench-json writes these to BENCH_serving.json.
 #include <benchmark/benchmark.h>
@@ -140,6 +144,8 @@ void BM_ServerThroughputClients(benchmark::State& state) {
   if (st.batches > 0) {
     state.counters["rows_per_batch"] =
         static_cast<double>(st.batched_rows) / static_cast<double>(st.batches);
+    state.counters["idle_batch_share"] =
+        static_cast<double>(st.idle_batches) / static_cast<double>(st.batches);
   }
   state.SetItemsProcessed(state.iterations() * clients * kRequestsPerClient);
 }

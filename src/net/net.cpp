@@ -397,6 +397,7 @@ std::string InferenceServer::serialize_stats(serving::Server& server) {
       << "rejected_requests " << s.rejected_requests << "\n"
       << "batches " << s.batches << "\n"
       << "batched_rows " << s.batched_rows << "\n"
+      << "idle_batches " << s.idle_batches << "\n"
       << "queued_rows " << s.queued_rows << "\n"
       << "capacity_rows " << s.capacity_rows << "\n"
       << "cache_hit_rows " << c.hit_rows << "\n"

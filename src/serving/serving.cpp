@@ -173,6 +173,20 @@ struct BatchTask {
       }
       Server::finish_span(s.request, *server);
     }
+    // This batch no longer runs. The one that leaves none running wakes a
+    // coalescer holding partial lanes behind it. The mutex is taken after
+    // the decrement, so the wake cannot fall between the coalescer's
+    // predicate check and its wait. A delay-0 coalescer never holds a
+    // partial lane, so it is not woken.
+    if (server->inflight_batches_.fetch_sub(1, std::memory_order_acq_rel) ==
+            1 &&
+        server->options_.max_delay_ms > 0.0) {
+      {
+        std::lock_guard<std::mutex> lock(server->queue_mutex_);
+        RT_AUDIT_LOCK(audit::LockRank::kServingQueue);
+      }
+      server->queue_cv_.notify_one();
+    }
     // `epoch` drops with `self` here — after the queued_rows_ release and
     // every finish_span — so Server::drain() returning means swapped-out
     // epochs have lost all batch-task references.
@@ -693,6 +707,7 @@ void Server::spawn_batch(detail::Lane& lane, std::int64_t take) {
   epoch.cell->batches.fetch_add(1, std::memory_order_relaxed);
   epoch.cell->batched_rows.fetch_add(static_cast<std::uint64_t>(take),
                                      std::memory_order_relaxed);
+  inflight_batches_.fetch_add(1, std::memory_order_acq_rel);
   inflight_.spawn(*task.release());  // self-deletes after execution
 }
 
@@ -720,6 +735,10 @@ void Server::coalescer_main() {
     }
     return best;
   };
+  // No micro-batch in flight: a partial lane has nothing to wait behind.
+  const auto idle = [this] {
+    return inflight_batches_.load(std::memory_order_acquire) == 0;
+  };
 
   for (;;) {
     bool stop_now = false;
@@ -728,11 +747,13 @@ void Server::coalescer_main() {
       RT_AUDIT_LOCK(audit::LockRank::kServingQueue);
       if (total_rows == 0) {
         queue_cv_.wait(lock, [&] { return stopping_ || !queue_.empty(); });
-      } else if (queue_.empty() && !stopping_ && delay.count() > 0) {
-        // Partial batches waiting: sleep until the earliest deadline or new
-        // arrivals.
-        queue_cv_.wait_until(lock, oldest_deadline(),
-                             [&] { return stopping_ || !queue_.empty(); });
+      } else if (queue_.empty() && !stopping_ && delay.count() > 0 &&
+                 !idle()) {
+        // Partial batches waiting behind a running one: sleep until the
+        // earliest deadline, new arrivals, or the last batch finishing.
+        queue_cv_.wait_until(lock, oldest_deadline(), [&] {
+          return stopping_ || !queue_.empty() || idle();
+        });
       }
       while (!queue_.empty()) {
         detail::Request* request = queue_.front();
@@ -746,10 +767,11 @@ void Server::coalescer_main() {
       stop_now = stopping_;
     }
 
-    // Full micro-batches dispatch immediately; a partial lane only when its
-    // own oldest request's deadline expired (max_delay 0 means "whatever
-    // has arrived"), or to flush on shutdown. Lanes are independent: an
-    // epoch mid-drain cannot delay the epoch taking new traffic.
+    // Full micro-batches dispatch immediately; a partial lane when no batch
+    // is in flight, when its own oldest request's deadline expired
+    // (max_delay 0 means "whatever has arrived"), or to flush on shutdown.
+    // Lanes are independent: an epoch mid-drain cannot delay the epoch
+    // taking new traffic.
     const auto now = std::chrono::steady_clock::now();
     for (auto it = lanes.begin(); it != lanes.end();) {
       detail::Lane& lane = it->second;
@@ -758,9 +780,11 @@ void Server::coalescer_main() {
         total_rows -= max_batch;
       }
       if (lane.rows > 0) {
-        const bool expired =
-            delay.count() == 0 || now >= lane.q.front()->enqueued + delay;
-        if (stop_now || expired) {
+        const bool expired = stop_now || delay.count() == 0 ||
+                             now >= lane.q.front()->enqueued + delay;
+        const bool early = !expired && idle();
+        if (expired || early) {
+          if (early) idle_batches_.fetch_add(1, std::memory_order_relaxed);
           total_rows -= lane.rows;
           spawn_batch(lane, lane.rows);
         }
@@ -774,7 +798,7 @@ void Server::coalescer_main() {
     // scheduler, or a fleet whose workers all sit blocked in future.get(),
     // still serves — but packing outranks helping. It executes serving
     // tasks (urgent lane only, so it can never adopt a long bulk leaf) just
-    // while there is nothing to pack and no coalescing deadline due; the
+    // while there is nothing to pack and no partial batch due; the
     // moment requests arrive it returns to packing and leaves the remaining
     // batches to the workers, so a streaming multicore fleet pipelines
     // instead of serializing its batches on this thread.
@@ -785,7 +809,7 @@ void Server::coalescer_main() {
         if (stopping_ || !queue_.empty()) break;
       }
       if (total_rows > 0 &&
-          std::chrono::steady_clock::now() >= oldest_deadline()) {
+          (idle() || std::chrono::steady_clock::now() >= oldest_deadline())) {
         break;  // a partial batch is due: flush it before helping more
       }
       if (!sched_.help_urgent()) break;
@@ -808,6 +832,7 @@ ServerStats Server::stats() const {
   s.rejected_requests = rejected_requests_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_rows = batched_rows_.load(std::memory_order_relaxed);
+  s.idle_batches = idle_batches_.load(std::memory_order_relaxed);
   s.queued_rows = queued_rows_.load(std::memory_order_relaxed);
   s.capacity_rows = options_.queue_capacity_rows;
   if (cache_ != nullptr) {

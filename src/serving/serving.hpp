@@ -9,18 +9,23 @@
 //   serving::ServerOptions opt;
 //   opt.shards = 2;                  // Session replicas (tickets may differ)
 //   opt.max_batch = 32;              // micro-batch row target
-//   opt.max_delay_ms = 0.2;          // coalescing deadline
+//   opt.max_delay_ms = 0.2;          // wait bound behind a running batch
 //   serving::Server server(Engine::compile(*ticket), opt);
 //   std::future<Tensor> logits = server.submit(rows);   // any thread
 //   Tensor now = server.predict(rows);                  // blocking wrapper
 //
 // Request rows from all client threads land in a lock-light MPSC queue (the
 // producer critical section links one pointer); a coalescer thread packs them
-// into cross-request micro-batches — dispatching when `max_batch` rows have
-// accumulated or the oldest pending request has waited `max_delay_ms`,
-// whichever comes first — and round-robins the batches across the shard
-// Sessions as serving-priority scheduler tasks (TaskPriority::kServing), so
-// they overtake queued bulk work such as retraining parallel_for leaves.
+// into cross-request micro-batches and round-robins the batches across the
+// shard Sessions as serving-priority scheduler tasks (TaskPriority::kServing),
+// so they overtake queued bulk work such as retraining parallel_for leaves.
+// The dispatch rule is work-conserving: a full batch (`max_batch` rows)
+// dispatches at once, and so does a partial one whenever no micro-batch is
+// in flight — there is nothing for it to wait behind. Only while a batch is
+// running do pending rows wait for company, and then for at most
+// `max_delay_ms` after the oldest of them arrived. A lone request on an idle
+// server therefore pays no coalescing delay, while under load a batch is
+// always in flight and rows pack as they arrive.
 // Each batch runs Session::run_rows — exactly the chunk unit a synchronous
 // predict() dispatches — and its logits are scattered back to the
 // per-request futures.
@@ -127,9 +132,11 @@ struct ServerOptions {
   int shards = 1;
   /// Micro-batch row target; also each shard Session's max_batch.
   int max_batch = 64;
-  /// Coalescing deadline: a partial batch is dispatched once the oldest
-  /// pending request has waited this long. 0 dispatches whatever has
-  /// arrived as soon as the coalescer sees it (no artificial latency).
+  /// Coalescing bound behind a running batch. A partial batch dispatches at
+  /// once when no micro-batch is in flight; while one is, it waits until
+  /// the oldest pending request has waited this long (or the batch
+  /// finishes, or `max_batch` rows accumulate). 0 dispatches whatever has
+  /// arrived as soon as the coalescer sees it, in flight or not.
   double max_delay_ms = 0.1;
   /// Admission bound on in-flight rows: admitted and not yet served
   /// (queued, being packed, or executing on a shard). Held until a row's
@@ -159,6 +166,9 @@ struct ServerStats {
   std::uint64_t rejected_requests = 0;  ///< admission control (overload)
   std::uint64_t batches = 0;            ///< micro-batches dispatched
   std::uint64_t batched_rows = 0;       ///< rows across all micro-batches
+  /// Partial micro-batches dispatched before their `max_delay_ms` deadline
+  /// because no batch was in flight (0 when max_delay_ms is 0).
+  std::uint64_t idle_batches = 0;
   std::int64_t queued_rows = 0;         ///< in flight: admitted, not served
   std::int64_t capacity_rows = 0;       ///< the admission bound
   std::uint64_t cache_hit_rows = 0;     ///< rows answered from the cache
@@ -340,6 +350,12 @@ class Server {
   std::atomic<std::uint64_t> rejected_requests_{0};
   std::atomic<std::uint64_t> batches_{0};
   std::atomic<std::uint64_t> batched_rows_{0};
+  std::atomic<std::uint64_t> idle_batches_{0};
+  /// Dispatched micro-batches that have not finished: spawn_batch adds one,
+  /// the batch task drops it after its last finish_span. The coalescer's
+  /// work-conserving rule reads it; the batch that brings it to 0 wakes the
+  /// coalescer (under queue_mutex_) when max_delay_ms > 0.
+  std::atomic<std::int64_t> inflight_batches_{0};
 
   /// In-flight micro-batch group. Spawns carry serving priority; the
   /// destructor's wait() is the drain barrier.

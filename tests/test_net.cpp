@@ -540,10 +540,10 @@ TEST(NetWire, StatsVerbSnapshotsServingCounters) {
   for (const char* key :
        {"submitted_requests", "submitted_rows", "completed_requests",
         "failed_requests", "rejected_requests", "batches", "batched_rows",
-        "queued_rows", "capacity_rows", "cache_hit_rows", "cache_miss_rows",
-        "cache_inserted_rows", "cache_evicted_rows", "cache_size_rows",
-        "cache_capacity_rows", "latency_count", "latency_p50_us",
-        "latency_p99_us"}) {
+        "idle_batches", "queued_rows", "capacity_rows", "cache_hit_rows",
+        "cache_miss_rows", "cache_inserted_rows", "cache_evicted_rows",
+        "cache_size_rows", "cache_capacity_rows", "latency_count",
+        "latency_p50_us", "latency_p99_us"}) {
     EXPECT_EQ(stats.count(key), 1u) << "missing stats key " << key;
   }
   EXPECT_EQ(stats.at("submitted_requests"), 2.0);
@@ -758,9 +758,12 @@ TEST(NetDrain, StopFlushesEveryAdmittedRequest) {
   auto model = served_model(411);
   reg.publish("m", *model);
 
-  // A long coalescing deadline with a large batch keeps admitted requests
-  // in flight (queued behind the delay) when stop() lands: the drain must
-  // flush them through the writers, not abandon them.
+  // A full 64-row request goes first and runs as one batch; the eight
+  // 1-row requests behind it wait for company behind that running batch
+  // (up to the long coalescing bound), so stop() usually lands while
+  // admitted rows are still pending. The drain must flush them through the
+  // writers, not abandon them; the checks below hold whichever way the race
+  // falls.
   net::NetOptions opt;
   opt.serving.max_batch = 64;
   opt.serving.max_delay_ms = 150.0;
@@ -768,24 +771,24 @@ TEST(NetDrain, StopFlushesEveryAdmittedRequest) {
   net::Client client("127.0.0.1", server.port());
 
   Session reference(reg.compiled("m@1"), 8);
-  const Dataset probe = generate_dataset(source_task_spec(), 8, 413);
+  const Dataset probe = generate_dataset(source_task_spec(), 72, 413);
 
-  std::vector<Tensor> inputs;
+  std::vector<Tensor> inputs{probe.images.slice_rows(0, 64)};
   std::vector<net::Client::Reply> replies;
-  for (std::int64_t i = 0; i < 8; ++i) {
+  replies.push_back(client.submit("m@1", inputs.back()));
+  for (std::int64_t i = 64; i < 72; ++i) {
     inputs.push_back(probe.images.slice_rows(i, 1));
     replies.push_back(client.submit("m@1", inputs.back()));
   }
 
-  // Wait until the serving layer has admitted all 8 (they sit in the
-  // coalescer, futures unresolved), so stop() races only with execution,
-  // not with admission.
+  // Wait until the serving layer has admitted all 9, so stop() races only
+  // with execution, not with admission.
   serving::Server* endpoint = nullptr;
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   for (;;) {
     endpoint = reg.find_server("m");
-    if (endpoint != nullptr && endpoint->stats().submitted_requests >= 8) {
+    if (endpoint != nullptr && endpoint->stats().submitted_requests >= 9) {
       break;
     }
     ASSERT_LT(std::chrono::steady_clock::now(), deadline)
@@ -805,8 +808,8 @@ TEST(NetDrain, StopFlushesEveryAdmittedRequest) {
   EXPECT_THROW(net::Client("127.0.0.1", server.port()), std::runtime_error);
 
   const net::NetCounters counters = server.counters();
-  EXPECT_EQ(counters.requests, 8u);
-  EXPECT_EQ(counters.responses, 8u);
+  EXPECT_EQ(counters.requests, 9u);
+  EXPECT_EQ(counters.responses, 9u);
   EXPECT_EQ(counters.connections_open, 0u);
 
   // stop() is idempotent.

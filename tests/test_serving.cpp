@@ -4,11 +4,13 @@
 // cross-request micro-batches, split across batches, or routed to shards,
 // every response is BITWISE identical to a direct per-request
 // Session::predict() on the same plan. The suite also pins admission-control
-// backpressure, future exception propagation, heterogeneous-shard routing,
-// option validation, and a multi-client stress case (wired into the
-// scripts/check.sh --tsan pass).
+// backpressure, the work-conserving dispatch rule (a partial batch waits
+// only behind a running one), future exception propagation,
+// heterogeneous-shard routing, option validation, and a multi-client stress
+// case (wired into the scripts/check.sh --tsan pass).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <stdexcept>
@@ -103,10 +105,11 @@ TEST(ServingParity, CoalescedMatchesSerialBitwise) {
   serving::ServerOptions opt;
   opt.shards = 2;  // identical plans: routing cannot change bits
   opt.max_batch = 8;
-  // Hold partial batches open far longer than the burst takes to submit, so
-  // the coalescing assertion below cannot flake on a scheduling stall (the
-  // sizes sum to exactly 3 full batches, so nothing ever waits out this
-  // deadline — the test still completes in milliseconds).
+  // Rows that arrive behind a running batch wait for company for up to
+  // this long, far longer than the burst takes to submit, so a scheduling
+  // stall cannot split the burst into one batch per request. Nothing waits
+  // out the bound: the last batch finishing dispatches whatever is pending,
+  // and the test completes in milliseconds.
   opt.max_delay_ms = 500.0;
   serving::Server server(plan, opt);
 
@@ -192,29 +195,36 @@ TEST(ServingAdmission, SaturatedQueueRejectsWithBackpressure) {
   auto model = served_model(131);
   auto plan =
       std::make_shared<const CompiledTicket>(Engine::compile(*model));
+  Session reference(plan, /*max_batch=*/16);
 
   serving::ServerOptions opt;
-  opt.max_batch = 64;               // never fills from 1-row requests
-  opt.max_delay_ms = 1000.0;        // no deadline flush during the test
+  opt.max_batch = 64;
+  opt.max_delay_ms = 1000.0;
   opt.queue_capacity_rows = 16;
-  const Dataset probe = generate_dataset(source_task_spec(), 1, 133);
+  serving::Server server(plan, opt);
+  const Dataset probe = generate_dataset(source_task_spec(), 17, 133);
 
+  // No check below depends on how fast a batch runs. A request larger than
+  // the whole bound is rejected whatever else is in flight.
+  EXPECT_THROW(server.submit(Tensor(probe.images)).get(),
+               serving::ServerOverloaded);
+
+  // Exactly the bound is admitted, and a resolved future has released its
+  // rows: the full bound is free again for the next request.
+  const Tensor sixteen = probe.images.slice_rows(0, 16);
+  expect_bitwise(server.predict(Tensor(sixteen)), reference.predict(sixteen));
+  EXPECT_EQ(server.stats().queued_rows, 0);
+  expect_bitwise(server.predict(Tensor(sixteen)), reference.predict(sixteen));
+  EXPECT_EQ(server.stats().queued_rows, 0);
+
+  // A burst of thirty 1-row requests: each one is either served or
+  // rejected with ServerOverloaded, never lost. How many of each depends
+  // on how many rows finished mid-burst.
+  const Tensor row = probe.images.slice_rows(16, 1);
   std::vector<std::future<Tensor>> futures;
-  {
-    serving::Server server(plan, opt);
-    for (int i = 0; i < 30; ++i) {
-      futures.push_back(server.submit(Tensor(probe.images)));
-    }
-    // All 30 submitted before any batch could dispatch: exactly the
-    // capacity was admitted, the rest bounced.
-    const serving::ServerStats st = server.stats();
-    EXPECT_EQ(st.submitted_requests, 30u);
-    EXPECT_EQ(st.rejected_requests, 14u);
-    EXPECT_EQ(st.queued_rows, 16);
-    EXPECT_EQ(st.capacity_rows, 16);
-  }  // destruction flushes the admitted requests immediately
-
-  int completed = 0, rejected = 0;
+  for (int i = 0; i < 30; ++i) futures.push_back(server.submit(Tensor(row)));
+  int completed = 0;
+  int rejected = 0;
   for (std::future<Tensor>& f : futures) {
     try {
       f.get();
@@ -223,8 +233,82 @@ TEST(ServingAdmission, SaturatedQueueRejectsWithBackpressure) {
       ++rejected;
     }
   }
-  EXPECT_EQ(completed, 16);
-  EXPECT_EQ(rejected, 14);
+  EXPECT_EQ(completed + rejected, 30);
+
+  const serving::ServerStats st = server.stats();
+  EXPECT_EQ(st.submitted_requests, 33u);
+  EXPECT_EQ(st.completed_requests, 2u + static_cast<std::uint64_t>(completed));
+  EXPECT_EQ(st.rejected_requests, 1u + static_cast<std::uint64_t>(rejected));
+  EXPECT_EQ(st.queued_rows, 0);
+  EXPECT_EQ(st.capacity_rows, 16);
+}
+
+TEST(ServingCoalescer, LoneRequestDispatchesWhenNoBatchIsInFlight) {
+  auto model = served_model(191);
+  auto plan =
+      std::make_shared<const CompiledTicket>(Engine::compile(*model));
+  Session reference(plan, /*max_batch=*/1);
+  const Dataset probe = generate_dataset(source_task_spec(), 20, 193);
+
+  serving::ServerOptions opt;
+  opt.max_batch = 64;
+  opt.max_delay_ms = 10000.0;  // a row held to its deadline waits 10 s
+  serving::Server server(plan, opt);
+
+  // A sequential client never has company and never finds a batch in
+  // flight, so each 1-row request dispatches at once instead of waiting
+  // out the coalescing bound.
+  std::vector<Tensor> got;
+  const auto begin = std::chrono::steady_clock::now();
+  for (std::int64_t i = 0; i < 20; ++i) {
+    got.push_back(server.predict(probe.images.slice_rows(i, 1)));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(2));
+  for (std::int64_t i = 0; i < 20; ++i) {
+    const Tensor row = probe.images.slice_rows(i, 1);
+    expect_bitwise(got[static_cast<std::size_t>(i)], reference.predict(row));
+  }
+
+  const serving::ServerStats st = server.stats();
+  EXPECT_EQ(st.completed_requests, 20u);
+  EXPECT_EQ(st.batches, 20u);
+  EXPECT_EQ(st.idle_batches, 20u);
+  EXPECT_EQ(st.queued_rows, 0);
+}
+
+TEST(ServingCoalescer, BurstBehindARunningBatchStillCoalesces) {
+  auto model = served_model(195);
+  auto plan =
+      std::make_shared<const CompiledTicket>(Engine::compile(*model));
+  Session reference(plan, /*max_batch=*/64);
+  const Dataset probe = generate_dataset(source_task_spec(), 80, 197);
+
+  serving::ServerOptions opt;
+  opt.max_batch = 64;
+  opt.max_delay_ms = 10000.0;
+  serving::Server server(plan, opt);
+
+  // A full 64-row request dispatches at once and runs while the 16 1-row
+  // requests behind it are submitted; they wait for company behind it
+  // instead of dispatching one by one. When it finishes, nothing is in
+  // flight and they dispatch together, long before the 10 s bound.
+  std::vector<Tensor> inputs{probe.images.slice_rows(0, 64)};
+  for (std::int64_t i = 64; i < 80; ++i) {
+    inputs.push_back(probe.images.slice_rows(i, 1));
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  std::vector<std::future<Tensor>> futures;
+  for (const Tensor& x : inputs) futures.push_back(server.submit(Tensor(x)));
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    expect_bitwise(futures[i].get(), reference.predict(inputs[i]));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - begin, std::chrono::seconds(5));
+
+  const serving::ServerStats st = server.stats();
+  EXPECT_EQ(st.completed_requests, inputs.size());
+  EXPECT_EQ(st.batched_rows, 80u);
+  EXPECT_LT(st.batches, inputs.size());
+  EXPECT_EQ(st.queued_rows, 0);
 }
 
 TEST(ServingErrors, FutureCarriesInvalidInput) {
