@@ -148,6 +148,17 @@ run_bench_smoke() {
   fi
   if [[ "${BENCH_JSON}" == 1 ]]; then
     echo "wrote ${json_out}"
+    # google-benchmark records how its own library was built. A debug
+    # library runs the timing loop unoptimized, which every time in the
+    # file then includes.
+    local build_type
+    build_type="$(grep -o '"library_build_type": *"[^"]*"' "${json_out}" |
+                  grep -o '"[^"]*"$' | tr -d '"' || true)"
+    echo "${json_out}: context.library_build_type = ${build_type:-unknown}"
+    if [[ "${build_type}" == debug ]]; then
+      echo "  google-benchmark is a debug library build: its timing loop is" \
+           "unoptimized, and every time in ${json_out} includes that overhead"
+    fi
   fi
 }
 

@@ -17,6 +17,10 @@ namespace rt {
 
 namespace {
 
+/// Weight quantization width: the int8 kernels' offset arithmetic assumes
+/// q in [-127, 127].
+constexpr int kInt8Bits = 8;
+
 std::int64_t div_round_up(std::int64_t a, std::int64_t b) {
   return (a + b - 1) / b;
 }
@@ -31,39 +35,22 @@ std::string base_name(const std::string& param_name) {
   return param_name;
 }
 
-/// Expands a CSR head's int8 sidecar into the row-major (rows, cols) matrix
-/// the sliver packer consumes: CSR is the shippable encoding, not the
-/// executor.
-template <typename T>
-std::vector<T> expand_csr(const CsrMatrix& csr, const std::vector<T>& values) {
-  std::vector<T> dense(static_cast<std::size_t>(csr.rows * csr.cols), T{0});
-  for (std::int64_t r = 0; r < csr.rows; ++r) {
-    for (std::int32_t t = csr.row_ptr[static_cast<std::size_t>(r)];
-         t < csr.row_ptr[static_cast<std::size_t>(r) + 1]; ++t) {
-      const auto ti = static_cast<std::size_t>(t);
-      dense[static_cast<std::size_t>(r * csr.cols + csr.col_idx[ti])] =
-          values[ti];
-    }
-  }
-  return dense;
-}
-
-/// Packs a folded (rows, cols) weight matrix + bias into the chosen format,
-/// fills the int8 sidecar, and appends the layer's plan record; pack_conv
-/// and pack_linear then build the layer's executor. The weight buffer is
-/// consumed. A conv keeps its executed matrix row-major in `weight` (the
-/// kept rows of a channel-compact layer, all rows otherwise) and the int8
-/// sidecar in the same order, whatever the format: pack_conv resolves its
-/// tap table or packs its panels from them. The head stores CSR as CSR.
-template <typename Packed>
-void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
-                  std::int64_t cols, std::int64_t macs_per_weight,
+/// Packs a layer's folded (out_ch, in_ch*k*k) weight, whose geometry and
+/// folded bias pack_conv or pack_head already set, into the chosen format,
+/// fills the int8 sidecar and appends the layer's plan record. The weight
+/// buffer is consumed. The layer keeps its executed matrix row-major in
+/// `weight` (the kept rows of a channel-compact layer, all rows otherwise)
+/// and the int8 sidecar in the same order, whatever the format:
+/// pack_layer resolves its tap table or packs its panels from them.
+void pack_weights(PackedConv& p, std::vector<float> w,
                   const CompileOptions& options,
-                  std::vector<LayerPlan>& plans, bool allow_compact) {
+                  std::vector<LayerPlan>& plans) {
+  const std::int64_t rows = p.out_ch;
+  const std::int64_t cols = p.in_ch * p.geom.kernel * p.geom.kernel;
   std::vector<float> scales;
   if (options.int8_weights) {
     scales = fake_quantize_matrix(w.data(), rows, cols,
-                                  QuantScheme::kPerChannel, options.int8_bits);
+                                  QuantScheme::kPerChannel, kInt8Bits);
   }
 
   std::int64_t nnz = 0;
@@ -77,25 +64,19 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     nnz += row_nnz;
   }
 
-  PackedFormat format = choose_packed_format(
+  const PackedFormat format = choose_packed_format(
       rows, cols, nnz, static_cast<std::int64_t>(kept.size()), options);
-  // The head has no spatial scatter path; CSR covers its pruned-row case.
-  if (!allow_compact && format == PackedFormat::kChannelCompact) {
-    format = PackedFormat::kCsr;
-  }
   p.format = format;
-  const bool csr = format == PackedFormat::kCsr && requires { p.csr; };
 
   if (options.int8_weights) {
     // fake_quantize_matrix left every stored float equal to q * scale, so
     // the shippable integer is recovered exactly: one per stored float, in
-    // stored order (the kept rows of a channel-compact layer, a CSR head's
-    // nonzeros, every entry otherwise).
+    // stored order (the kept rows of a channel-compact layer, every entry
+    // otherwise).
     const auto quantize_row = [&](std::int64_t r) {
       const float s = scales[static_cast<std::size_t>(r)];
       for (std::int64_t c = 0; c < cols; ++c) {
         const float v = w[static_cast<std::size_t>(r * cols + c)];
-        if (csr && v == 0.0f) continue;
         p.qvalues.push_back(
             static_cast<std::int8_t>(s > 0.0f ? std::lround(v / s) : 0));
       }
@@ -107,6 +88,7 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     }
   }
 
+  const std::int64_t macs_per_weight = p.out_h * p.out_w;
   LayerPlan plan;
   plan.name = p.name;
   plan.format = format;
@@ -126,21 +108,16 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
       break;
     }
     case PackedFormat::kChannelCompact: {
-      if constexpr (requires { p.kept; }) {
-        p.kept = kept;
-        for (const std::int32_t r : kept) {
-          p.kept_bias.push_back(p.bias[static_cast<std::size_t>(r)]);
-        }
-        p.weight.resize(static_cast<std::size_t>(
-            static_cast<std::int64_t>(kept.size()) * cols));
-        for (std::size_t k = 0; k < kept.size(); ++k) {
-          const float* src =
-              w.data() + static_cast<std::int64_t>(kept[k]) * cols;
-          std::copy(src, src + cols,
-                    p.weight.data() + static_cast<std::int64_t>(k) * cols);
-        }
-      } else {
-        throw std::logic_error("channel-compact packing needs a scatter path");
+      p.kept = kept;
+      for (const std::int32_t r : kept) {
+        p.kept_bias.push_back(p.bias[static_cast<std::size_t>(r)]);
+      }
+      p.weight.resize(static_cast<std::size_t>(
+          static_cast<std::int64_t>(kept.size()) * cols));
+      for (std::size_t k = 0; k < kept.size(); ++k) {
+        const float* src = w.data() + static_cast<std::int64_t>(kept[k]) * cols;
+        std::copy(src, src + cols,
+                  p.weight.data() + static_cast<std::int64_t>(k) * cols);
       }
       plan.effective_macs =
           static_cast<std::int64_t>(kept.size()) * cols * macs_per_weight;
@@ -150,11 +127,7 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
       break;
     }
     case PackedFormat::kCsr: {
-      if constexpr (requires { p.csr; }) {
-        p.csr = csr_from_dense(rows, cols, w.data());
-      } else {
-        p.weight = std::move(w);
-      }
+      p.weight = std::move(w);
       plan.effective_macs = nnz * macs_per_weight;
       // values + 32-bit column indices + row pointers.
       plan.packed_bytes = nnz * value_bytes + nnz * 4 + (rows + 1) * 4;
@@ -166,15 +139,74 @@ void pack_weights(Packed& p, std::vector<float> w, std::int64_t rows,
     p.qscales = std::move(scales);
     plan.packed_bytes +=
         static_cast<std::int64_t>(p.qscales.size()) * 4;  // fp32 scales
-
-    // True int8 execution: the caller packs the sidecar into the quantized
-    // kernel layer's executable operands. Native execution needs the full
-    // 8-bit encoding (the kernels' offset arithmetic assumes q in
-    // [-127, 127]); narrower bit-width sweeps keep the simulated float path.
-    p.int8_exec = options.int8_native && options.int8_bits == 8;
+    // True int8 execution: pack_layer packs the sidecar into the quantized
+    // kernel layer's executable operands.
+    p.int8_exec = options.int8_native;
   }
   plan.packed_bytes += rows * 4;  // folded fp32 bias
   plans.push_back(std::move(plan));
+}
+
+/// The back half every plan layer shares: packs the folded weight
+/// (pack_weights), then freezes the layer's executor with linalg's one tap
+/// rule, applied to the executed matrix (a channel-compact layer's kept rows
+/// hold all its nonzeros) whatever the format or precision: the format is
+/// what ships, not what runs. Taps resolve from the matrix the layer
+/// executes, the int8 sidecar for native layers, and their values replace
+/// it. Panels are packed once per compile instead of once per serve-time
+/// call; they are host-side acceleration, not part of the shippable
+/// encoding, so they are reported apart from packed_bytes. A layer keeps
+/// only what its executor reads.
+void pack_layer(PackedConv& p, std::vector<float> w,
+                const CompileOptions& options, std::vector<LayerPlan>& plans) {
+  pack_weights(p, std::move(w), options, plans);
+  LayerPlan& plan = plans.back();
+  const std::int64_t ckk = plan.cols;
+  const bool compact = p.format == PackedFormat::kChannelCompact;
+  const std::int64_t exec_rows =
+      compact ? static_cast<std::int64_t>(p.kept.size()) : p.out_ch;
+  if (p.int8_exec) {
+    p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
+    for (std::int64_t r = 0; r < exec_rows; ++r) {
+      p.qexec_scales[static_cast<std::size_t>(r)] = p.qscales[static_cast<
+          std::size_t>(compact ? p.kept[static_cast<std::size_t>(r)] : r)];
+    }
+    std::vector<float>().swap(p.weight);
+  } else {
+    // Simulated int8 (int8_native off) runs the fake-quantized floats;
+    // nothing reads the integers.
+    std::vector<std::int8_t>().swap(p.qvalues);
+  }
+  if (conv_prefers_taps(plan.nnz, exec_rows, ckk, p.out_h * p.out_w)) {
+    if (p.int8_exec) {
+      std::vector<std::int8_t> values;
+      p.taps.resolve(p.qvalues.data(), exec_rows, p.in_ch, p.in_h, p.in_w,
+                     p.geom, values);
+      p.qvalues = std::move(values);
+    } else {
+      std::vector<float> values;
+      p.taps.resolve(p.weight.data(), exec_rows, p.in_ch, p.in_h, p.in_w,
+                     p.geom, values);
+      p.weight = std::move(values);
+    }
+  } else if (p.int8_exec) {
+    // Quad panels + offset corrections + per-packed-row scales, with k
+    // reordered to (ki, kj, channel quad): the kernel reads each quad of
+    // the operand straight from channel-quad input planes.
+    const std::vector<std::int8_t> quads = conv_s8_quad_weights(
+        p.qvalues.data(), exec_rows, p.in_ch, p.geom.kernel);
+    p.qpacked.pack(quads.data(), exec_rows,
+                   p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
+    p.qoffsets = conv_s8_quad_offsets(p.in_ch, p.in_h, p.in_w, p.geom);
+    plan.prepacked_bytes =
+        p.qpacked.bytes() + static_cast<std::int64_t>(p.qoffsets.size()) * 4;
+    std::vector<std::int8_t>().swap(p.qvalues);
+  } else {
+    p.prepacked.pack(p.weight.data(), exec_rows, p.in_ch, p.geom,
+                     /*forward=*/true, /*dgrad=*/false);
+    plan.prepacked_bytes = p.prepacked.bytes();
+    std::vector<float>().swap(p.weight);
+  }
 }
 
 /// Folds conv (+ optional BN) into a PackedConv at the given input extent.
@@ -218,103 +250,31 @@ PackedConv pack_conv(const Conv2d& conv, const BatchNorm2d* bn, bool relu,
           bn->beta().value[oc]);
     }
   }
-  pack_weights(p, std::move(w), p.out_ch, ckk, p.out_h * p.out_w, options,
-               plans, /*allow_compact=*/true);
-  // Freeze the layer's executor with linalg's one tap rule, applied to the
-  // executed matrix (a channel-compact layer's kept rows hold all its
-  // nonzeros) whatever the format or precision: the format is what ships,
-  // not what runs. Taps resolve from the matrix the layer executes, the
-  // int8 sidecar for native layers, and their values replace it. Panels are
-  // packed once per compile instead of once per serve-time call; they are
-  // host-side acceleration, not part of the shippable encoding, so they are
-  // reported apart from packed_bytes. A layer keeps only what its executor
-  // reads.
-  LayerPlan& plan = plans.back();
-  const bool compact = p.format == PackedFormat::kChannelCompact;
-  const std::int64_t exec_rows =
-      compact ? static_cast<std::int64_t>(p.kept.size()) : p.out_ch;
-  if (p.int8_exec) {
-    p.qexec_scales.resize(static_cast<std::size_t>(exec_rows));
-    for (std::int64_t r = 0; r < exec_rows; ++r) {
-      p.qexec_scales[static_cast<std::size_t>(r)] = p.qscales[static_cast<
-          std::size_t>(compact ? p.kept[static_cast<std::size_t>(r)] : r)];
-    }
-    std::vector<float>().swap(p.weight);
-  } else {
-    // Simulated int8 (int8_native off or int8_bits < 8) runs the
-    // fake-quantized floats; nothing reads the integers.
-    std::vector<std::int8_t>().swap(p.qvalues);
-  }
-  if (conv_prefers_taps(plan.nnz, exec_rows, ckk, p.out_h * p.out_w)) {
-    if (p.int8_exec) {
-      std::vector<std::int8_t> values;
-      p.taps.resolve(p.qvalues.data(), exec_rows, p.in_ch, in_h, in_w,
-                     p.geom, values);
-      p.qvalues = std::move(values);
-    } else {
-      std::vector<float> values;
-      p.taps.resolve(p.weight.data(), exec_rows, p.in_ch, in_h, in_w, p.geom,
-                     values);
-      p.weight = std::move(values);
-    }
-  } else if (p.int8_exec) {
-    // Quad panels + offset corrections + per-packed-row scales, with k
-    // reordered to (ki, kj, channel quad): the kernel reads each quad of
-    // the operand straight from channel-quad input planes.
-    const std::vector<std::int8_t> quads = conv_s8_quad_weights(
-        p.qvalues.data(), exec_rows, p.in_ch, p.geom.kernel);
-    p.qpacked.pack(quads.data(), exec_rows,
-                   p.geom.kernel * p.geom.kernel * round_up4(p.in_ch));
-    p.qoffsets = conv_s8_quad_offsets(p.in_ch, in_h, in_w, p.geom);
-    plan.prepacked_bytes =
-        p.qpacked.bytes() + static_cast<std::int64_t>(p.qoffsets.size()) * 4;
-    std::vector<std::int8_t>().swap(p.qvalues);
-  } else {
-    p.prepacked.pack(p.weight.data(), exec_rows, p.in_ch, p.geom,
-                     /*forward=*/true, /*dgrad=*/false);
-    plan.prepacked_bytes = p.prepacked.bytes();
-    std::vector<float>().swap(p.weight);
-  }
+  pack_layer(p, std::move(w), options, plans);
   return p;
 }
 
-PackedLinear pack_linear(const Linear& lin, const CompileOptions& options,
-                         std::vector<LayerPlan>& plans) {
-  PackedLinear p;
+/// The classifier head as a 1x1 conv over the pooled features' 1x1 plane:
+/// its (classes, features) weight is that conv's weight, its bias fuses into
+/// the conv epilogue, and the conv's (n, classes, 1, 1) output is the (n,
+/// classes) logits.
+PackedConv pack_head(const Linear& lin, const CompileOptions& options,
+                     std::vector<LayerPlan>& plans) {
+  PackedConv p;
   p.name = base_name(lin.weight().name);
-  p.in_features = lin.in_features();
-  p.out_features = lin.out_features();
-  const Tensor& wv = lin.weight().value;
-  std::vector<float> w(wv.data(), wv.data() + wv.numel());
-  p.bias.assign(static_cast<std::size_t>(p.out_features), 0.0f);
+  p.geom = ConvGeometry{.kernel = 1, .stride = 1, .padding = 0};
+  p.in_ch = lin.in_features();
+  p.out_ch = lin.out_features();
+  p.in_h = p.in_w = p.out_h = p.out_w = 1;
+  p.bias.assign(static_cast<std::size_t>(p.out_ch), 0.0f);
   if (lin.bias() != nullptr) {
-    for (std::int64_t j = 0; j < p.out_features; ++j) {
+    for (std::int64_t j = 0; j < p.out_ch; ++j) {
       p.bias[static_cast<std::size_t>(j)] = lin.bias()->value[j];
     }
   }
-  pack_weights(p, std::move(w), p.out_features, p.in_features, 1, options,
-               plans, /*allow_compact=*/false);
-  if (p.int8_exec) {
-    // The head runs full-depth quad slivers in either format (a CSR head's
-    // values expand first; the layer is tiny), so its executor never
-    // depends on the shippable encoding. The slivers are the executable.
-    const std::int64_t rows = p.out_features, cols = p.in_features;
-    const std::vector<std::int8_t> q = p.format == PackedFormat::kCsr
-                                           ? expand_csr(p.csr, p.qvalues)
-                                           : p.qvalues;
-    p.qslivers.assign(static_cast<std::size_t>(s8_nt_sliver_bytes(rows, cols)),
-                      0);
-    pack_b_quads_s8_nt(q.data(), rows, cols, p.qslivers.data());
-    p.qcorr.resize(static_cast<std::size_t>(rows));
-    for (std::int64_t r = 0; r < rows; ++r) {
-      p.qcorr[static_cast<std::size_t>(r)] =
-          quad_row_offset_sum(q.data() + r * cols, cols);
-    }
-    plans.back().prepacked_bytes =
-        static_cast<std::int64_t>(p.qslivers.size()) + rows * 4;
-    std::vector<float>().swap(p.weight);
-    std::vector<float>().swap(p.csr.values);
-  }
+  const Tensor& wv = lin.weight().value;
+  pack_layer(p, std::vector<float>(wv.data(), wv.data() + wv.numel()),
+             options, plans);
   return p;
 }
 
@@ -429,14 +389,12 @@ CompiledTicket Engine::compile(const ResNet& model,
   t.feat_h_ = h;
   t.feat_w_ = w;
 
-  t.head_ = pack_linear(model.head(), options, t.layers_);
-  extents.plane = std::max(extents.plane,
-                           static_cast<std::int64_t>(t.feature_dim_));
+  t.head_ = pack_head(model.head(), options, t.layers_);
+  extents.cover(t.head_);
   t.max_plane_floats_ = extents.plane;
   t.max_ohw_ = extents.ohw;
   t.s8_quad_bytes_ = extents.s8_quad;
-  t.int8_native_ = options.int8_weights && options.int8_native &&
-                   options.int8_bits == 8;
+  t.int8_native_ = options.int8_weights && options.int8_native;
   return t;
 }
 

@@ -7,7 +7,6 @@
 
 #include "common/audit.hpp"
 #include "linalg/conv.hpp"
-#include "linalg/gemm.hpp"
 #include "linalg/gemm_s8.hpp"
 
 namespace rt {
@@ -51,6 +50,11 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
                                   const CompileOptions& options) {
   if (options.force_format) return *options.force_format;
   if (rows <= 0 || cols <= 0) return PackedFormat::kDense;
+  // Unstructured density at or below which a layer ships CSR (~80%
+  // sparsity, matching hw/storage), and the kept-row fraction at or below
+  // which a row-structured layer ships channel-compact.
+  constexpr float kCsrMaxDensity = 0.2f;
+  constexpr float kCompactMaxRowFraction = 0.95f;
   if (kept_rows == 0) return PackedFormat::kChannelCompact;
   const double density = static_cast<double>(nnz) /
                          static_cast<double>(rows * cols);
@@ -58,11 +62,11 @@ PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
                            static_cast<double>(rows);
   // Row-structured sparsity: the surviving rows are mostly dense, so compact
   // them and run the dense kernel at reduced height.
-  if (kept_frac <= options.compact_max_row_fraction &&
+  if (kept_frac <= kCompactMaxRowFraction &&
       density / kept_frac >= 0.5) {
     return PackedFormat::kChannelCompact;
   }
-  if (density <= options.csr_max_density) return PackedFormat::kCsr;
+  if (density <= kCsrMaxDensity) return PackedFormat::kCsr;
   return PackedFormat::kDense;
 }
 
@@ -76,19 +80,15 @@ Workspace::Workspace(const CompiledTicket& plan, int max_batch)
   act_[1] = arena_.data() + act;
   act_[2] = arena_.data() + 2 * act;
   if (plan.int8_native()) {
-    // Quantized-activation staging: one batch of the largest plane (+4
-    // bytes per sample so the head can quad-pad its feature rows in place)
-    // or of the largest channel-quad conv input, whichever is larger.
+    // Quantized-activation staging: one batch of the largest plane or of
+    // the largest channel-quad layer input, whichever is larger.
     qin_.assign(static_cast<std::size_t>(
-                    max_batch_ * std::max(plan.max_plane_floats() + 4,
+                    max_batch_ * std::max(plan.max_plane_floats(),
                                           plan.s8_quad_bytes())),
                 0);
     // int32 accumulator: a tap-executed layer's whole-batch row plane
-    // and the head's (n, num_classes) logits block drain through it.
-    const std::int64_t acc =
-        max_batch_ * std::max(plan.max_ohw(),
-                              static_cast<std::int64_t>(plan.num_classes()));
-    acc_.assign(static_cast<std::size_t>(acc), 0);
+    // drains through it.
+    acc_.assign(static_cast<std::size_t>(max_batch_ * plan.max_ohw()), 0);
   }
 }
 
@@ -185,43 +185,6 @@ RT_HOT void PackedConv::run_s8(const float* in, float* out, std::int64_t n,
   if (out_amax != nullptr) *out_amax = amax;
 }
 
-// ---- PackedLinear -----------------------------------------------------------
-
-RT_HOT void PackedLinear::run(const float* in, float* out, std::int64_t n,
-                              Workspace& ws, float in_amax) const {
-  if (int8_exec) {
-    // Offset-u8 feature rows (quad-padded with the zero encoding) against
-    // the prepacked weight slivers; bias fuses into the requant epilogue.
-    const std::int64_t k4 = round_up4(in_features);
-    const float sx = act_scale_for(in_amax);
-    std::uint8_t* qx = ws.qin();
-    for (std::int64_t i = 0; i < n; ++i) {
-      quantize_u8(in + i * in_features, in_features, sx, qx + i * k4);
-      for (std::int64_t p = in_features; p < k4; ++p) qx[i * k4 + p] = 128;
-    }
-    S8Epilogue ep;
-    ep.scales = qscales.data();
-    ep.act_scale = sx;
-    ep.corr = qcorr.data();
-    ep.bias = bias.data();
-    gemm_s8_nt(n, out_features, in_features, qx, k4, qslivers.data(),
-               ws.acc(), out, ep);
-    return;
-  }
-  if (format == PackedFormat::kCsr) {
-    spmm_csr_rhs_t(csr, n, in, out);
-  } else {
-    gemm_nt(n, out_features, in_features, in, weight.data(), out,
-            {.accumulate = false, .parallel = false});
-  }
-  for (std::int64_t i = 0; i < n; ++i) {
-    float* yrow = out + i * out_features;
-    for (std::int64_t j = 0; j < out_features; ++j) {
-      yrow[j] += bias[static_cast<std::size_t>(j)];
-    }
-  }
-}
-
 // ---- CompiledTicket ---------------------------------------------------------
 
 RT_HOT void CompiledTicket::run(const float* x, std::int64_t n, float* logits,
@@ -274,8 +237,10 @@ RT_HOT void CompiledTicket::run(const float* x, std::int64_t n, float* logits,
       cur = ia;
     }
   }
-  // Global average pooling into a free buffer, then the head. The pooled
-  // features' amax falls out of the same pass for the quantized head.
+  // Global average pooling into a free buffer, then the head: a 1x1 conv
+  // over the (n, feature_dim, 1, 1) features whose (n, num_classes, 1, 1)
+  // output is the logits. The pooled features' amax falls out of the same
+  // pass for the quantized head.
   const int fi = (cur + 1) % 3;
   const std::int64_t plane = feat_h_ * feat_w_;
   const float inv = 1.0f / static_cast<float>(plane);
@@ -291,7 +256,7 @@ RT_HOT void CompiledTicket::run(const float* x, std::int64_t n, float* logits,
     const float a = std::fabs(v);
     if (a > a_feat) a_feat = a;
   }
-  head_.run(feat, logits, n, ws, a_feat);
+  head_.run(feat, logits, n, ws, a_feat, nullptr);
 }
 
 void CompiledTicket::check_input(const Tensor& x) const {

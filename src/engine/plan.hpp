@@ -6,13 +6,16 @@
 //   - conv + batch-norm (+ ReLU) folding: each conv's weights are rescaled by
 //     gamma / sqrt(var + eps) and the normalization collapses into a per-
 //     channel bias, so inference never touches BatchNorm2d again;
+//   - the classifier head compiled as what it is on the pooled features: a
+//     1x1 conv on a 1x1 plane, so every plan layer is a PackedConv and runs
+//     the same executors;
 //   - per-layer weight packing into a shippable encoding chosen from the
 //     hw/storage taxonomy: dense row-major, channel-compact (kept rows
 //     stored contiguously — the right shape for row/channel-pruned tickets),
-//     or CSR (linalg/sparse.hpp) for unstructured high sparsity. The
-//     encoding does not fix the executor: linalg's one tap rule
-//     (conv_prefers_taps) runs each conv on a compile-resolved tap table at
-//     O(nonzeros) cost where it says taps win, on weight panels otherwise;
+//     or CSR for unstructured high sparsity. The encoding is priced, not
+//     executed: linalg's one tap rule (conv_prefers_taps) runs each layer on
+//     a compile-resolved tap table at O(nonzeros) cost where it says taps
+//     win, on weight panels otherwise;
 //   - optional int8 weight quantization via hw/quant (symmetric per-channel):
 //     the plan carries the int8 values + scales it ships, and by default
 //     EXECUTES them natively — weights packed into the int8 kernel layer's
@@ -34,7 +37,6 @@
 #include <vector>
 
 #include "linalg/gemm_s8.hpp"
-#include "linalg/sparse.hpp"
 #include "nn/conv.hpp"
 #include "tensor/tensor.hpp"
 
@@ -55,31 +57,23 @@ struct CompileOptions {
   std::int64_t width = 16;
 
   /// Per-layer packing override; unset selects per layer from the weight's
-  /// zero structure (see choose_packed_format).
+  /// zero structure (see choose_packed_format). The encoding is what ships:
+  /// a layer of any encoding runs taps or panels (conv_prefers_taps).
   std::optional<PackedFormat> force_format;
-  /// Unstructured density at or below which a layer is encoded CSR instead
-  /// of dense (~80% sparsity, matching hw/storage). The encoding is what
-  /// ships: a conv of any encoding runs taps or panels (conv_prefers_taps),
-  /// and a CSR head runs spmm_csr_rhs_t.
-  float csr_max_density = 0.2f;
-  /// Row-structured masks: channel-compact when the kept-row fraction is at
-  /// or below this and the surviving rows are mostly dense.
-  float compact_max_row_fraction = 0.95f;
 
-  /// Quantize folded weights to int8 (symmetric per output channel) before
-  /// packing; the plan's byte accounting prices the int8 encoding.
+  /// Quantize folded weights to 8 bits (symmetric per output channel)
+  /// before packing; the plan's byte accounting prices the int8 encoding.
   bool int8_weights = false;
-  int int8_bits = 8;
   /// Execute int8 plans natively on the quantized kernel layer (int32
   /// accumulation, dynamic per-batch activation scales) instead of the
-  /// legacy simulated-PTQ float path. Native execution requires the full
-  /// 8-bit encoding; narrower int8_bits settings (the bit-width sweeps in
-  /// analysis tooling) fall back to simulation automatically.
+  /// legacy simulated-PTQ float path.
   bool int8_native = true;
 };
 
 /// Chooses the packed encoding for a folded (rows, cols) weight matrix with
-/// the given nonzero count and surviving-row count.
+/// the given nonzero count and surviving-row count: channel-compact when at
+/// most 95% of the rows survive and they are mostly dense, CSR at density
+/// 0.2 or below (~80% sparsity, matching hw/storage), dense otherwise.
 PackedFormat choose_packed_format(std::int64_t rows, std::int64_t cols,
                                   std::int64_t nnz, std::int64_t kept_rows,
                                   const CompileOptions& options);
@@ -121,11 +115,10 @@ class Workspace {
   /// int8-native plans only (empty otherwise): the quantized-activation
   /// staging buffer — each layer quantizes its float input batch here in the
   /// flavor its kernel consumes (offset-u8 channel-quad planes for the
-  /// implicit-GEMM convs, offset-u8 rows for the head, signed s8 for
-  /// tap-executed convs).
+  /// implicit-GEMM layers, signed s8 for tap-executed ones).
   std::uint8_t* qin() { return qin_.data(); }
   /// int8-native plans only: the int32 accumulation plane the tap-executed
-  /// convs and the head drain through their requant epilogues.
+  /// layers drain through their requant epilogues.
   std::int32_t* acc() { return acc_.data(); }
 
  private:
@@ -138,7 +131,9 @@ class Workspace {
 };
 
 /// A conv with its batch norm folded in, weights packed, and an optional
-/// fused ReLU epilogue.
+/// fused ReLU epilogue. The classifier head is one too: a 1x1 conv with
+/// stride 1 and no padding on the pooled features' 1x1 plane, its bias the
+/// linear layer's.
 struct PackedConv {
   std::string name;
   PackedFormat format = PackedFormat::kDense;
@@ -215,29 +210,6 @@ struct PackedConv {
   float expand_kept_rows(float* out, std::int64_t n, float amax) const;
 };
 
-/// The classifier head with packed weights (dense or CSR).
-struct PackedLinear {
-  std::string name;
-  PackedFormat format = PackedFormat::kDense;
-  std::int64_t in_features = 0, out_features = 0;
-
-  std::vector<float> weight;  ///< (out, in) when kDense
-  CsrMatrix csr;
-  std::vector<float> bias;
-  std::vector<std::int8_t> qvalues;
-  std::vector<float> qscales;
-
-  // True int8 execution, in either format (a CSR head's values expand into
-  // the slivers at compile time): full-depth quad slivers of the (out, in)
-  // weights plus the per-output-feature offset correction.
-  bool int8_exec = false;
-  std::vector<std::int8_t> qslivers;
-  std::vector<std::int32_t> qcorr;
-
-  void run(const float* in, float* out, std::int64_t n, Workspace& ws,
-           float in_amax = 0.0f) const;
-};
-
 /// One residual block: convs fused with their BNs; the shortcut add and
 /// final ReLU are applied by the executor.
 struct CompiledBlock {
@@ -279,11 +251,12 @@ class CompiledTicket {
   std::int64_t dense_macs() const;
   std::int64_t effective_macs() const;
 
-  /// Largest per-sample activation plane across the plan (Workspace sizing).
+  /// Largest per-sample activation plane across the plan, the pooled
+  /// features included (Workspace sizing).
   std::int64_t max_plane_floats() const { return max_plane_floats_; }
-  /// Largest conv output spatial plane (Workspace int8 accumulator sizing).
+  /// Largest layer output spatial plane (Workspace int8 accumulator sizing).
   std::int64_t max_ohw() const { return max_ohw_; }
-  /// Per-sample bytes of the largest channel-quad input an int8 panel conv
+  /// Per-sample bytes of the largest channel-quad input an int8 panel layer
   /// quantizes into (Workspace::qin sizing); 0 when none does.
   std::int64_t s8_quad_bytes() const { return s8_quad_bytes_; }
   /// True when this plan executes the int8 kernel layer natively (the
@@ -295,7 +268,7 @@ class CompiledTicket {
 
   PackedConv stem_;
   std::vector<CompiledBlock> blocks_;
-  PackedLinear head_;
+  PackedConv head_;
 
   std::int64_t height_ = 0, width_ = 0, in_channels_ = 0;
   std::int64_t feat_h_ = 0, feat_w_ = 0;  ///< spatial extent entering GAP

@@ -25,8 +25,9 @@
 // other value, so an all-zero row of B (with a finite A) gives exact zeros
 // in C. Sparse
 // tickets save their time where the executor is chosen once per layer —
-// the conv tap rule (linalg/conv.hpp) and Engine::compile's CSR and
-// channel-compact plans — not per GEMM call.
+// the conv tap rule (linalg/conv.hpp), which Engine::compile freezes per
+// plan layer, and its channel-compact plans — not per GEMM call. The
+// engine's plans, the classifier head included, run no GEMM.
 
 #include <cstdint>
 

@@ -133,6 +133,16 @@ RT_HOT void quantize_u8_quads(const float* x, std::int64_t n, std::int64_t c,
                             n * s8_quad_plane_bytes(c, h, w, pad)));
     return;
   }
+  if (h * w == 1 && pad == 0) {
+    // A 1x1 unpadded plane (the head's pooled features): a sample's quads
+    // are its channels in order, quantized as one run and padded to whole
+    // quads with the zero encoding.
+    for (std::int64_t i = 0; i < n; ++i, x += c, q += 4 * cq) {
+      quantize_u8(x, c, scale, q);
+      std::memset(q + c, 128, static_cast<std::size_t>(4 * cq - c));
+    }
+    return;
+  }
   const float inv = 1.0f / scale;
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t g = 0; g < cq; ++g) {
@@ -262,72 +272,6 @@ void PackedS8::pack(const std::int8_t* q, std::int64_t rows,
   for (std::int64_t r = 0; r < rows; ++r) {
     corr_[static_cast<std::size_t>(r)] = quad_row_offset_sum(q + r * cols, cols);
   }
-}
-
-std::int64_t s8_nt_sliver_bytes(std::int64_t nrows, std::int64_t cols) {
-  return (nrows + kNrS8 - 1) / kNrS8 * kNrS8 * round_up4(cols);
-}
-
-void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
-                        std::int64_t cols, std::int8_t* bp) {
-  const std::int64_t cols4 = round_up4(cols);
-  for (std::int64_t jr = 0; jr < nrows; jr += kNrS8) {
-    const std::int64_t n_eff = std::min(kNrS8, nrows - jr);
-    std::int8_t* sliver = bp + jr * cols4;
-    for (std::int64_t q = 0; q < cols4 / 4; ++q) {
-      std::int8_t* dst = sliver + q * kNrS8 * 4;
-      for (std::int64_t j = 0; j < kNrS8; ++j) {
-        for (std::int64_t t = 0; t < 4; ++t) {
-          const std::int64_t k = 4 * q + t;
-          dst[j * 4 + t] = (j < n_eff && k < cols)
-                               ? b[(jr + j) * cols + k]
-                               : std::int8_t{0};
-        }
-      }
-    }
-  }
-}
-
-RT_HOT void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
-                       const std::uint8_t* x, std::int64_t ldx,
-                       const std::int8_t* w_slivers, std::int32_t* acc,
-                       float* c, const S8Epilogue& ep) {
-  const std::int64_t k4 = round_up4(k);
-  const std::int64_t kq = k4 / 4;
-  std::int32_t tile[kMrS8 * kNrS8];
-  for (std::int64_t ir = 0; ir < m; ir += kMrS8) {
-    const std::int64_t mr = std::min(kMrS8, m - ir);
-    for (std::int64_t jr = 0; jr < n; jr += kNrS8) {
-      const std::int64_t nr = std::min(kNrS8, n - jr);
-      detail::micro_u8x_block(kq, x + ir * ldx, ldx, mr, w_slivers + jr * k4,
-                              tile);
-      // Overwrite semantics: copy the clipped block instead of accumulating.
-      for (std::int64_t i = 0; i < mr; ++i) {
-        std::memcpy(acc + (ir + i) * n + jr, tile + i * kNrS8,
-                    static_cast<std::size_t>(nr) * sizeof(std::int32_t));
-      }
-    }
-  }
-  // Epilogue indexes output FEATURES, which are C's columns here: requant
-  // row-by-row with per-column parameters, in requant_rows' expression (one
-  // fused multiply-add), so the bits do not depend on whether the compiler
-  // contracts a separate multiply and add.
-  float amax = ep.amax ? *ep.amax : 0.0f;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int32_t* arow = acc + i * n;
-    float* yrow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const std::int32_t corr = ep.corr ? ep.corr[j] : 0;
-      float v = std::fma(static_cast<float>(arow[j] - corr),
-                         ep.act_scale * ep.scales[j],
-                         ep.bias ? ep.bias[j] : 0.0f);
-      if (ep.relu && v < 0.0f) v = 0.0f;
-      yrow[j] = v;
-      const float a = std::fabs(v);
-      if (a > amax) amax = a;
-    }
-  }
-  if (ep.amax) *ep.amax = amax;
 }
 
 }  // namespace rt

@@ -1,9 +1,12 @@
 #pragma once
-// True int8 GEMM: s8 weights x offset-u8 activations with int32 accumulation
-// and fused requantization epilogues. This is the execution layer behind the
-// engine's int8-native plans (engine/plan.cpp) — the hw/quant values+scales
-// sidecar defines the wire format, these kernels execute it without
-// dequantizing to float first.
+// The int8 kernel layer's shared pieces: s8 weights x offset-u8 activations
+// with int32 accumulation and fused requantization epilogues. The
+// activation quantizers, the requant epilogue and the PackedS8 weight
+// panels here feed linalg/conv's two int8 executors (conv2d_forward_s8 and
+// conv2d_forward_taps_s8), which run every layer of the engine's
+// int8-native plans, the classifier head included as a 1x1 conv
+// (engine/plan.cpp) — the hw/quant values+scales sidecar defines the wire
+// format, these kernels execute it without dequantizing to float first.
 //
 // Quantization scheme (matches hw/quant's symmetric fake-quant exactly):
 //   weights      q_w = clamp(round(w / s_w), -127, 127)   stored s8
@@ -26,9 +29,8 @@
 
 namespace rt {
 
-/// Per-output-row requantization parameters for the fused epilogue. For the
-/// nt (head) shape the "row" index runs over C's COLUMNS (output features);
-/// the field meanings are otherwise identical.
+/// Per-output-row requantization parameters for the fused epilogue; a row
+/// is one output channel (for the head, one class).
 struct S8Epilogue {
   const float* scales = nullptr;      ///< per-row weight scales s_w
   float act_scale = 0.0f;             ///< activation scale s_x
@@ -61,7 +63,9 @@ void quantize_u8(const float* x, std::int64_t n, float scale,
 /// quads, where byte t of quad (cq, y, x) is channel 4 * cq + t at pixel
 /// (y - pad, x - pad) in quantize_u8's encoding. Border quads and the bytes
 /// of channels >= c hold 128, the zero encoding. Writes n *
-/// s8_quad_plane_bytes(c, h, w, pad) bytes.
+/// s8_quad_plane_bytes(c, h, w, pad) bytes. On a 1x1 plane with pad 0 (the
+/// head's pooled features) a sample's quads are quantize_u8 of its c
+/// channels, padded to whole quads.
 void quantize_u8_quads(const float* x, std::int64_t n, std::int64_t c,
                        std::int64_t h, std::int64_t w, std::int64_t pad,
                        float scale, std::uint8_t* q);
@@ -72,7 +76,7 @@ inline std::int64_t s8_quad_plane_bytes(std::int64_t c, std::int64_t h,
   return (c + 3) / 4 * (h + 2 * pad) * (w + 2 * pad) * 4;
 }
 
-/// Quantizes n floats to signed s8 (no offset): the CSR/tap path uses this
+/// Quantizes n floats to signed s8 (no offset): the tap executor uses this
 /// flavor because border pixels see per-pixel tap subsets, which would make
 /// a u8 offset correction non-uniform.
 void quantize_s8(const float* x, std::int64_t n, float scale, std::int8_t* q);
@@ -86,8 +90,8 @@ void requant_rows(const std::int32_t* acc, std::int64_t lda,
                   std::int64_t rows, std::int64_t cols, const S8Epilogue& ep,
                   float* y, std::int64_t ldy);
 
-/// y[i] += v * x[i] over n signed s8 activations — the quantized CSR tap
-/// loop's inner axpy (vectorized where the build allows; exact int32 either
+/// y[i] += v * x[i] over n signed s8 activations — the int8 tap executor's
+/// inner axpy (vectorized where the build allows; exact int32 either
 /// way, so results are bitwise identical across paths).
 void axpy_s8_s32(const std::int8_t* x, std::int32_t v, std::int32_t* y,
                  std::int64_t n);
@@ -135,29 +139,5 @@ inline std::int32_t quad_row_offset_sum(const std::int8_t* row,
   for (std::int64_t k = 0; k < cols; ++k) s += row[k];
   return 128 * s;
 }
-
-/// Bytes of the full-depth quad slivers pack_b_quads_s8_nt writes for an
-/// (nrows, cols) weight: nrows rounded up to whole 16-lane slivers times
-/// round_up4(cols).
-std::int64_t s8_nt_sliver_bytes(std::int64_t nrows, std::int64_t cols);
-
-/// Packs a row-major s8 weight (nrows x cols, one source row per output
-/// lane: the nt layout) into full-depth 16-lane quad slivers at `bp`
-/// (s8_nt_sliver_bytes of them). Edge lanes and the k tail pack as zeros.
-/// Compile-time only.
-void pack_b_quads_s8_nt(const std::int8_t* b, std::int64_t nrows,
-                        std::int64_t cols, std::int8_t* bp);
-
-/// The head shape: C(m,n) float = requant(X_q(m,k) * W_q(n,k)^T). X is
-/// offset-u8 row-major with leading dimension ldx >= round_up4(k) (rows
-/// quad-padded with the zero encoding 128); W is prepacked full-depth quad
-/// slivers (pack_b_quads_s8_nt). Epilogue fields index C's columns (output
-/// features), and each output is requant_rows' one fused multiply-add, so
-/// the bits do not depend on the ISA. `acc` is caller scratch of at least
-/// m * n int32.
-void gemm_s8_nt(std::int64_t m, std::int64_t n, std::int64_t k,
-                const std::uint8_t* x, std::int64_t ldx,
-                const std::int8_t* w_slivers, std::int32_t* acc, float* c,
-                const S8Epilogue& ep);
 
 }  // namespace rt

@@ -1,8 +1,9 @@
 #pragma once
-// The int8 register-tiled micro-kernels and quad packing primitives behind
-// the quantized conv/head layer (linalg/gemm_s8.hpp, linalg/conv.cpp). One
-// 8 x 16 int32 accumulator block stays in registers while a packed A panel
-// and the B operand stream through it.
+// The int8 register-tiled micro-kernel and quad packing primitive behind
+// conv2d_forward_s8 (linalg/conv.cpp), which runs every panel-executed
+// int8 layer, the classifier head included as a 1x1 conv. One 8 x 16 int32
+// accumulator block stays in registers while a packed A panel and the B
+// operand stream through it.
 //
 // Layout contract (the "quad" is the unit: 4 consecutive k bytes):
 //   - A is packed into row panels of kMrS8 rows, quad-major: within one
@@ -14,6 +15,8 @@
 //     (quantize_u8_quads), i.e. one dword per lane — exactly the shape one
 //     vpdpbusd consumes. A lane whose 16 quads are consecutive (one stride-1
 //     output row run) loads them with one 64-byte load, otherwise one gather.
+//     On the head's 1x1 planes a lane is one sample, its quads that sample's
+//     channel quads, so every sliver gathers.
 //   - The kernels compute acc(i, j) = sum_q sum_t a_quad(i, q, t) *
 //     b_quad(j, q, t) with exact int32 arithmetic: results are bitwise
 //     identical across the VNNI and generic paths, which is what lets
@@ -26,12 +29,8 @@
 // per row, precomputed at pack time and subtracted in the requant epilogue —
 // so the corrected accumulator equals the exact signed product.
 //
-// Two call shapes share the arithmetic:
-//   - micro_s8_quads: conv shape — broadcast side is the SIGNED weight
-//     panel, vector side 16 lanes of unsigned activation quads.
-//   - micro_u8x_block: the head's nt shape — broadcast side is the UNSIGNED
-//     activation rows (read row-major, no packing needed: quads are
-//     contiguous), vector side the signed weight sliver.
+// One call shape, micro_s8_quads: the broadcast side is the SIGNED weight
+// panel, the vector side 16 lanes of unsigned activation quads.
 
 #include <algorithm>
 #include <cstdint>
@@ -126,42 +125,6 @@ inline void micro_s8_quads(std::int64_t kq, const std::int8_t* __restrict ap,
   if (ep.amax) *ep.amax = std::max(*ep.amax, _mm512_reduce_max_ps(vamax));
 }
 
-/// Head (nt) shape: the broadcast side is unsigned activation rows read
-/// row-major (stride ldx; a quad is 4 contiguous bytes, so no A packing),
-/// the vector side a signed weight sliver. Rows past mr clamp to the last
-/// valid row — their lanes compute garbage the caller discards, without
-/// reading out of bounds.
-inline void micro_u8x_block(std::int64_t kq, const std::uint8_t* __restrict x,
-                            std::int64_t ldx, std::int64_t mr,
-                            const std::int8_t* __restrict bp,
-                            std::int32_t* __restrict acc) {
-  const std::uint8_t* rows[kMrS8];
-  for (std::int64_t i = 0; i < kMrS8; ++i) {
-    rows[i] = x + (i < mr ? i : mr - 1) * ldx;
-  }
-  __m512i c0 = _mm512_setzero_si512(), c1 = c0, c2 = c0, c3 = c0, c4 = c0,
-          c5 = c0, c6 = c0, c7 = c0;
-  for (std::int64_t q = 0; q < kq; ++q) {
-    const __m512i wv = _mm512_loadu_si512(bp + q * kNrS8 * 4);
-    std::int32_t xq[kMrS8];
-    for (int i = 0; i < kMrS8; ++i) {
-      std::memcpy(&xq[i], rows[i] + q * 4, 4);
-    }
-    c0 = _mm512_dpbusd_epi32(c0, _mm512_set1_epi32(xq[0]), wv);
-    c1 = _mm512_dpbusd_epi32(c1, _mm512_set1_epi32(xq[1]), wv);
-    c2 = _mm512_dpbusd_epi32(c2, _mm512_set1_epi32(xq[2]), wv);
-    c3 = _mm512_dpbusd_epi32(c3, _mm512_set1_epi32(xq[3]), wv);
-    c4 = _mm512_dpbusd_epi32(c4, _mm512_set1_epi32(xq[4]), wv);
-    c5 = _mm512_dpbusd_epi32(c5, _mm512_set1_epi32(xq[5]), wv);
-    c6 = _mm512_dpbusd_epi32(c6, _mm512_set1_epi32(xq[6]), wv);
-    c7 = _mm512_dpbusd_epi32(c7, _mm512_set1_epi32(xq[7]), wv);
-  }
-  const __m512i out[kMrS8] = {c0, c1, c2, c3, c4, c5, c6, c7};
-  for (int i = 0; i < kMrS8; ++i) {
-    _mm512_storeu_si512(acc + i * kNrS8, out[i]);
-  }
-}
-
 #else  // generic fallback: identical integer semantics, portable ISA
 
 inline void micro_s8_quads(std::int64_t kq, const std::int8_t* __restrict ap,
@@ -186,27 +149,6 @@ inline void micro_s8_quads(std::int64_t kq, const std::int8_t* __restrict ap,
     }
   }
   requant_rows(acc, kNrS8, mr, nr, ep, y, ldy);
-}
-
-inline void micro_u8x_block(std::int64_t kq, const std::uint8_t* __restrict x,
-                            std::int64_t ldx, std::int64_t mr,
-                            const std::int8_t* __restrict bp,
-                            std::int32_t* __restrict acc) {
-  std::memset(acc, 0, static_cast<std::size_t>(kMrS8 * kNrS8) *
-                          sizeof(std::int32_t));
-  for (std::int64_t q = 0; q < kq; ++q) {
-    const std::int8_t* b = bp + q * kNrS8 * 4;
-    for (std::int64_t i = 0; i < kMrS8; ++i) {
-      const std::uint8_t* xrow = x + (i < mr ? i : mr - 1) * ldx + q * 4;
-      std::int32_t* arow = acc + i * kNrS8;
-      for (int t = 0; t < 4; ++t) {
-        const std::int32_t xv = xrow[t];
-        for (int j = 0; j < kNrS8; ++j) {
-          arow[j] += xv * static_cast<std::int32_t>(b[j * 4 + t]);
-        }
-      }
-    }
-  }
 }
 
 #endif  // RT_MICROKERNEL_S8_VNNI

@@ -144,10 +144,7 @@ std::string compile_options_fingerprint(const CompileOptions& options) {
       .add("fmt", options.force_format.has_value()
                       ? static_cast<int>(*options.force_format)
                       : -1)
-      .add("csr", static_cast<double>(options.csr_max_density))
-      .add("compact", static_cast<double>(options.compact_max_row_fraction))
       .add("int8", options.int8_weights)
-      .add("bits", options.int8_bits)
       // Native int8 execution and the simulated-PTQ reference produce
       // different logits bits; the compile cache must never alias them.
       .add("native", options.int8_native);

@@ -3,7 +3,8 @@
 // against a naive reference (im2col_plane / col2im_plane_add around triple
 // loops) across kernel x stride x padding x odd-extent geometries, batched
 // forward/dgrad calls bitwise equal to per-sample ones, batched weight
-// gradients over uneven sample counts and tile splits, the masked-weight
+// gradients over uneven sample counts and tile splits, the classifier
+// head's 1x1-conv-on-a-1x1-plane shape up to batch 64, the masked-weight
 // tap path against the same oracle, and a finite-difference gradcheck on a
 // masked Conv2d layer.
 #include <gtest/gtest.h>
@@ -267,6 +268,40 @@ void check_case(const Case& c, float weight_zero_fraction, bool taps,
   check_wgrad(c, x, gout, kBatch, {}, rng);
 }
 
+/// The packed forward over one n-sample call against the reference, and
+/// bitwise against its per-sample calls, with panels packed once as
+/// Engine::compile packs them.
+void check_forward_batch(const Case& c, std::int64_t n, Rng& rng) {
+  const std::int64_t ckk = c.c_in * c.g.kernel * c.g.kernel;
+  const std::int64_t in_plane = c.c_in * c.h * c.w;
+  const std::int64_t out_plane =
+      c.out_ch * c.g.out_extent(c.h) * c.g.out_extent(c.w);
+  const std::vector<float> x = random_vec(n * in_plane, rng, 0.0f);
+  const std::vector<float> w = random_vec(c.out_ch * ckk, rng, 0.0f);
+  const std::vector<float> bias = random_vec(c.out_ch, rng, 0.0f);
+  PackedWeights panels;
+  panels.pack(w.data(), c.out_ch, c.c_in, c.g, /*forward=*/true,
+              /*dgrad=*/false);
+  ConvScratch scratch;
+  ConvKernelOpts opts;
+  opts.packed_weights = &panels;
+  opts.scratch = &scratch;
+  std::vector<float> y(static_cast<std::size_t>(n * out_plane), -3.0f);
+  conv2d_forward(x.data(), n, c.c_in, c.h, c.w, c.g, w.data(), c.out_ch,
+                 y.data(), bias.data(), /*relu=*/false, opts);
+  std::vector<float> y_ref(y.size());
+  ref_forward(c, n, x.data(), w.data(), bias.data(), /*relu=*/false,
+              y_ref.data());
+  expect_near(y, y_ref, "forward", c);
+  std::vector<float> y_one(y.size(), -3.0f);
+  for (std::int64_t i = 0; i < n; ++i) {
+    conv2d_forward(x.data() + i * in_plane, 1, c.c_in, c.h, c.w, c.g,
+                   w.data(), c.out_ch, y_one.data() + i * out_plane,
+                   bias.data(), /*relu=*/false, opts);
+  }
+  expect_bitwise(y.data(), y_one.data(), n * out_plane, "forward", n, c);
+}
+
 TEST(ConvKernels, ImplicitMatchesIm2colAcrossGeometries) {
   Rng rng(0xC0DE);
   // kernel x stride x padding sweep at deliberately odd extents, plus
@@ -314,6 +349,14 @@ TEST(ConvKernels, ImplicitMatchesAtMicroResNetShapes) {
              rng);
   check_case({32, 32, 1, 1, ConvGeometry{1, 1, 0}}, 0.0f, /*taps=*/false,
              rng);
+  // The classifier head, a 1x1 conv on the pooled features' 1x1 plane:
+  // one column per sample, 64 features and a 5-feature panel tail, 10
+  // classes, at Session batch 1, 9 and 64.
+  for (const std::int64_t c_in : {64, 5}) {
+    for (const std::int64_t n : {1, 9, 64}) {
+      check_forward_batch({c_in, 10, 1, 1, ConvGeometry{1, 1, 0}}, n, rng);
+    }
+  }
   // Wide-plane stem shape: rows of several slivers plus a ragged tail.
   check_case({3, 8, 33, 35, ConvGeometry{3, 1, 1}}, 0.0f, /*taps=*/false,
              rng);

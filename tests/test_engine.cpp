@@ -367,7 +367,7 @@ TEST(EngineParity, Fp32CsrExecutorsAgreeWithDenseAndEager) {
     const CompiledTicket plan = Engine::compile(*model);
     ASSERT_FALSE(plan.int8_native());
     // prepacked_bytes is nonzero exactly when a conv carries panels. The
-    // head is the last layer record; only convs choose an executor.
+    // head, the last layer record, is left out: it is unpruned here.
     const std::vector<LayerPlan>& layers = plan.layers();
     int csr = 0;
     for (std::size_t i = 0; i + 1 < layers.size(); ++i) {

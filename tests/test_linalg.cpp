@@ -1,65 +1,15 @@
-// Tests for the symmetric eigensolver, PSD square root, feature statistics,
-// the Frechet distance, and the CSR sparse kernels behind the engine.
+// Tests for the symmetric eigensolver, PSD square root, feature statistics
+// and the Frechet distance.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "linalg/sparse.hpp"
 #include "linalg/stats.hpp"
 #include "linalg/sym_eig.hpp"
 
 namespace rt {
 namespace {
-
-std::vector<float> sparse_random(std::int64_t n, float density,
-                                 std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> v(static_cast<std::size_t>(n));
-  for (auto& x : v) {
-    x = rng.uniform() < density ? rng.normal() : 0.0f;
-  }
-  return v;
-}
-
-TEST(CsrMatrix, RoundTripsExactNonzeros) {
-  const std::int64_t rows = 7, cols = 13;
-  const std::vector<float> dense = sparse_random(rows * cols, 0.2f, 3);
-  const CsrMatrix m = csr_from_dense(rows, cols, dense.data());
-  std::int64_t expected_nnz = 0;
-  for (float x : dense) expected_nnz += x != 0.0f ? 1 : 0;
-  EXPECT_EQ(m.nnz(), expected_nnz);
-  // Scatter back and compare.
-  std::vector<float> back(static_cast<std::size_t>(rows * cols), 0.0f);
-  for (std::int64_t r = 0; r < rows; ++r) {
-    for (std::int32_t t = m.row_ptr[static_cast<std::size_t>(r)];
-         t < m.row_ptr[static_cast<std::size_t>(r) + 1]; ++t) {
-      back[static_cast<std::size_t>(r * cols + m.col_idx[t])] = m.values[t];
-    }
-  }
-  EXPECT_EQ(back, dense);
-}
-
-TEST(SpmmCsrRhsT, MatchesDenseProduct) {
-  const std::int64_t rows = 6, cols = 10, m_samples = 5;
-  const std::vector<float> a = sparse_random(rows * cols, 0.3f, 7);
-  const std::vector<float> x = sparse_random(m_samples * cols, 1.0f, 8);
-  const CsrMatrix m = csr_from_dense(rows, cols, a.data());
-
-  std::vector<float> got(static_cast<std::size_t>(m_samples * rows));
-  spmm_csr_rhs_t(m, m_samples, x.data(), got.data());
-  for (std::int64_t i = 0; i < m_samples; ++i) {
-    for (std::int64_t r = 0; r < rows; ++r) {
-      float ref = 0.0f;
-      for (std::int64_t k = 0; k < cols; ++k) {
-        ref += x[static_cast<std::size_t>(i * cols + k)] *
-               a[static_cast<std::size_t>(r * cols + k)];
-      }
-      EXPECT_NEAR(got[static_cast<std::size_t>(i * rows + r)], ref, 1e-4f);
-    }
-  }
-}
 
 TEST(SymEig, DiagonalMatrix) {
   Tensor a({3, 3});

@@ -2,18 +2,18 @@
 // linalg/conv s8 paths, engine int8-native plans):
 //
 //  - kernel-level parity against exact integer references at awkward extents
-//    (the int32 accumulator is exact, and the conv's and the head's float
-//    requant are one fused multiply-add per output on every ISA, so their
-//    outputs must match the std::fma reference EXACTLY), for both conv
-//    executors: the quad panels and the tap table,
+//    (the int32 accumulator is exact, and the float requant is one fused
+//    multiply-add per output on every ISA, so outputs must match the
+//    std::fma reference EXACTLY), for both conv executors: the quad panels
+//    and the tap table, the head's 1x1-conv-on-a-1x1-plane shape included,
 //  - the channel-quad quantizer must equal quantize_u8 byte for byte, and a
 //    conv batch must equal its samples run alone, whichever of the 64-byte
 //    load and the gather forms a sliver's operand,
 //  - end-to-end: native int8 vs the simulated-PTQ reference within a
 //    documented tolerance, bitwise determinism across runs, <= 1% top-1
 //    delta against fp32 serving for the dense and 90%-sparse micro-r18
-//    tickets, and CSR and channel-compact plans bitwise equal to the
-//    forced-dense plan.
+//    tickets, and CSR and channel-compact plans (row-pruned heads included)
+//    bitwise equal to the forced-dense plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -108,42 +108,40 @@ TEST(QuantHelpers, RequantRowsIsOneFusedMultiplyAdd) {
 }
 
 TEST(QuantHelpers, HeadEpilogueIsOneFusedMultiplyAdd) {
-  // gemm_s8_nt drains the head's logits through its own epilogue; it must
-  // round like requant_rows (one fused multiply-add per output), or the
-  // head's bits depend on whether the compiler contracts a multiply and an
-  // add. Large accumulators and random biases make a two-rounding epilogue
-  // miss some outputs by an ulp, which the teeth check below confirms.
+  // The head runs as a 1x1 conv on a 1x1 plane, so its logits drain
+  // through conv2d_forward_s8's register epilogue; it must round like
+  // requant_rows (one fused multiply-add per output), or the head's bits
+  // depend on whether the compiler contracts a multiply and an add. Large
+  // accumulators and random biases make a two-rounding epilogue miss some
+  // outputs by an ulp, which the teeth check below confirms. On a 1x1
+  // unpadded plane a sample's channel quads are its offset-u8 row, so the
+  // row-major inputs are the kernel's operand as they stand.
   Rng rng(31);
   const std::int64_t m = 7, n = 37, k = 96;
+  const ConvGeometry g{.kernel = 1, .stride = 1, .padding = 0};
   const auto qw = random_s8(n * k, rng, 0.0f);
   const auto qx = random_u8(m * k, rng);
-  std::vector<std::int8_t> slivers(
-      static_cast<std::size_t>(s8_nt_sliver_bytes(n, k)));
-  pack_b_quads_s8_nt(qw.data(), n, k, slivers.data());
+  PackedS8 packed;
+  packed.pack(conv_s8_quad_weights(qw.data(), n, k, 1).data(), n, k);
+  const std::vector<std::int32_t> offsets = conv_s8_quad_offsets(k, 1, 1, g);
   std::vector<float> scales(static_cast<std::size_t>(n));
   std::vector<float> bias(static_cast<std::size_t>(n));
-  std::vector<std::int32_t> corr(static_cast<std::size_t>(n));
   for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
   for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
-  for (std::int64_t j = 0; j < n; ++j) {
-    corr[static_cast<std::size_t>(j)] =
-        quad_row_offset_sum(qw.data() + j * k, k);
-  }
   const float sx = 0.0137f;
   for (const bool relu : {false, true}) {
     SCOPED_TRACE(testing::Message() << "relu=" << relu);
     S8Epilogue ep;
     ep.scales = scales.data();
     ep.act_scale = sx;
-    ep.corr = corr.data();
+    ep.corr = packed.corr();
     ep.bias = bias.data();
     ep.relu = relu;
     float amax = 0.0f;
     ep.amax = &amax;
-    std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
     std::vector<float> got(static_cast<std::size_t>(m * n));
-    gemm_s8_nt(m, n, k, qx.data(), k, slivers.data(), acc.data(), got.data(),
-               ep);
+    conv2d_forward_s8(qx.data(), m, k, 1, 1, g, packed.panels(),
+                      offsets.data(), n, got.data(), n, ep);
     float want_amax = 0.0f;
     int unfused_misses = 0;
     for (std::int64_t i = 0; i < m; ++i) {
@@ -154,15 +152,16 @@ TEST(QuantHelpers, HeadEpilogueIsOneFusedMultiplyAdd) {
                      qx[static_cast<std::size_t>(i * k + p)]) *
                  qw[static_cast<std::size_t>(j * k + p)];
         }
+        const std::int32_t corr = packed.corr()[j];
         const auto jj = static_cast<std::size_t>(j);
         const float want =
-            requant_ref(sum, corr[jj], sx, scales[jj], bias[jj], relu);
+            requant_ref(sum, corr, sx, scales[jj], bias[jj], relu);
         ASSERT_EQ(got[static_cast<std::size_t>(i * n + j)], want)
             << "i=" << i << " j=" << j;
         want_amax = std::max(want_amax, std::fabs(want));
         // The same output rounded twice (volatile blocks contraction).
         volatile float product =
-            static_cast<float>(sum - corr[jj]) * (sx * scales[jj]);
+            static_cast<float>(sum - corr) * (sx * scales[jj]);
         float twice = product + bias[jj];
         if (relu && twice < 0.0f) twice = 0.0f;
         if (twice != want) ++unfused_misses;
@@ -170,63 +169,6 @@ TEST(QuantHelpers, HeadEpilogueIsOneFusedMultiplyAdd) {
     }
     EXPECT_EQ(amax, want_amax);
     EXPECT_GT(unfused_misses, 0) << "no output separates one rounding from two";
-  }
-}
-
-TEST(QuantGemm, NtHeadShapeMatchesIntegerReference) {
-  Rng rng(11);
-  const std::int64_t m = 5, n = 13, k = 70;
-  const std::int64_t k4 = round_up4(k);
-  const auto qw = random_s8(n * k, rng, 0.0f);
-  auto qx = random_u8(m * k4, rng);
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t p = k; p < k4; ++p) {
-      qx[static_cast<std::size_t>(i * k4 + p)] = 128;  // quad pad = zero
-    }
-  }
-  std::vector<std::int8_t> slivers(
-      static_cast<std::size_t>(s8_nt_sliver_bytes(n, k)));
-  pack_b_quads_s8_nt(qw.data(), n, k, slivers.data());
-
-  std::vector<float> scales(static_cast<std::size_t>(n));
-  std::vector<float> bias(static_cast<std::size_t>(n));
-  std::vector<std::int32_t> corr(static_cast<std::size_t>(n));
-  for (auto& s : scales) s = rng.uniform(0.001f, 0.02f);
-  for (auto& b : bias) b = rng.uniform(-1.0f, 1.0f);
-  for (std::int64_t j = 0; j < n; ++j) {
-    std::int32_t sum = 0;
-    for (std::int64_t p = 0; p < k; ++p) {
-      sum += qw[static_cast<std::size_t>(j * k + p)];
-    }
-    corr[static_cast<std::size_t>(j)] = 128 * sum;
-  }
-  const float sx = 0.013f;
-  S8Epilogue ep;
-  ep.scales = scales.data();
-  ep.act_scale = sx;
-  ep.corr = corr.data();
-  ep.bias = bias.data();
-
-  std::vector<std::int32_t> acc(static_cast<std::size_t>(m * n));
-  std::vector<float> got(static_cast<std::size_t>(m * n));
-  gemm_s8_nt(m, n, k, qx.data(), k4, slivers.data(), acc.data(), got.data(),
-             ep);
-
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t sum = 0;
-      for (std::int64_t p = 0; p < k; ++p) {
-        sum += (static_cast<int>(qx[static_cast<std::size_t>(i * k4 + p)]) -
-                128) *
-               static_cast<int>(qw[static_cast<std::size_t>(j * k + p)]);
-      }
-      const float want = requant_ref(static_cast<std::int32_t>(sum), 0, sx,
-                                     scales[static_cast<std::size_t>(j)],
-                                     bias[static_cast<std::size_t>(j)],
-                                     false);
-      ASSERT_EQ(got[static_cast<std::size_t>(i * n + j)], want)
-          << "i=" << i << " j=" << j;
-    }
   }
 }
 
@@ -387,7 +329,10 @@ TEST(QuantConv, MatchesReference) {
   // slivers (n * OH*OW not a multiple of 16), slivers spanning 4 samples
   // (2x2 outputs), stride 2, 1x1 pad 0, 5x5 pad 2, and both operand forms:
   // 16-wide stride-1 output row runs load, everything else gathers (21-wide
-  // rows mix the two; 17-wide stride-2 rows must gather).
+  // rows mix the two; 17-wide stride-2 rows must gather). The 1x1 planes
+  // are the head's shape, a 1x1 conv over the pooled features: one lane
+  // per sample, c_in 64 and a 5-channel quad tail, at Session batch 1, 9
+  // and 64.
   Rng rng(17);
   const struct { std::int64_t n, ci, h, w, co, k, s, p; } cases[] = {
       {1, 3, 16, 16, 8, 3, 1, 1},  {1, 8, 16, 16, 16, 3, 2, 1},
@@ -396,15 +341,15 @@ TEST(QuantConv, MatchesReference) {
       {1, 4, 5, 5, 6, 5, 2, 2},    {1, 16, 8, 8, 12, 1, 1, 0},
       {5, 12, 2, 2, 20, 3, 1, 1},  {3, 5, 19, 21, 9, 3, 1, 1},
       {2, 3, 16, 16, 8, 3, 1, 1},  {1, 4, 33, 34, 8, 3, 2, 1},
+      {1, 64, 1, 1, 10, 1, 1, 0},  {9, 64, 1, 1, 10, 1, 1, 0},
+      {64, 64, 1, 1, 10, 1, 1, 0}, {1, 5, 1, 1, 10, 1, 1, 0},
+      {9, 5, 1, 1, 10, 1, 1, 0},   {64, 5, 1, 1, 10, 1, 1, 0},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(testing::Message() << "n=" << c.n << " ci=" << c.ci
                                     << " h=" << c.h << " w=" << c.w
                                     << " k=" << c.k << " s=" << c.s);
-    ConvGeometry g;
-    g.kernel = c.k;
-    g.stride = c.s;
-    g.padding = c.p;
+    const ConvGeometry g{.kernel = c.k, .stride = c.s, .padding = c.p};
     check_conv_s8(c.n, c.ci, c.h, c.w, c.co, g, rng);
   }
 }
@@ -537,42 +482,50 @@ TEST(QuantHelpers, QuadPlanesMatchQuantizeU8) {
   // 4cq + t at pixel (y - pad, x - pad), and 128 on the border and for
   // channels past c. Inputs hit exact .5 ties (scales 1 and 0.25 make
   // x / scale exact), the +-127 clamp, and a 19-wide row (one full and one
-  // partial 16-lane step); scale 0 stores the zero encoding everywhere.
+  // partial 16-lane step); scale 0 stores the zero encoding everywhere. The
+  // 1x1 pad-0 plane is the head's pooled features, quantized row by row.
   Rng rng(31);
-  const std::int64_t n = 2, c = 5, h = 3, w = 19;
-  std::vector<float> x(static_cast<std::size_t>(n * c * h * w));
+  const std::int64_t n = 2, c = 5;
   const float ties[] = {0.5f, -0.5f, 1.5f, -2.5f, 126.5f, -126.5f, 127.5f};
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] = i % 3 == 0 ? ties[i / 3 % 7]
-                      : (i % 3 == 1 ? rng.uniform(-300.0f, 300.0f)
-                                    : rng.uniform(-2.0f, 2.0f));
-  }
-  for (const float scale : {1.0f, 0.25f, 0.013f, 0.0f}) {
-    std::vector<std::uint8_t> plain(x.size());
-    quantize_u8(x.data(), static_cast<std::int64_t>(x.size()), scale,
-                plain.data());
-    for (const std::int64_t pad : {0, 1, 2}) {
-      SCOPED_TRACE(testing::Message() << "scale=" << scale << " pad=" << pad);
-      const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
-      const std::int64_t bytes = s8_quad_plane_bytes(c, h, w, pad);
-      ASSERT_EQ(bytes, 2 * ph * pw * 4);
-      std::vector<std::uint8_t> q(static_cast<std::size_t>(n * bytes), 7);
-      quantize_u8_quads(x.data(), n, c, h, w, pad, scale, q.data());
-      for (std::int64_t i = 0; i < n; ++i) {
-        for (std::int64_t ch = 0; ch < 8; ++ch) {
-          for (std::int64_t yy = 0; yy < ph; ++yy) {
-            for (std::int64_t xx = 0; xx < pw; ++xx) {
-              const std::int64_t iy = yy - pad, ix = xx - pad;
-              const bool inside =
-                  ch < c && iy >= 0 && iy < h && ix >= 0 && ix < w;
-              const std::uint8_t want =
-                  inside ? plain[static_cast<std::size_t>(
-                               ((i * c + ch) * h + iy) * w + ix)]
-                         : std::uint8_t{128};
-              const std::uint8_t got = q[static_cast<std::size_t>(
-                  i * bytes + ((ch / 4 * ph + yy) * pw + xx) * 4 + ch % 4)];
-              ASSERT_EQ(got, want) << "i=" << i << " ch=" << ch << " y=" << yy
-                                   << " x=" << xx;
+  const struct { std::int64_t h, w; std::vector<std::int64_t> pads; } shapes[] =
+      {{3, 19, {0, 1, 2}}, {1, 1, {0}}};
+  for (const auto& shape : shapes) {
+    const std::int64_t h = shape.h, w = shape.w;
+    std::vector<float> x(static_cast<std::size_t>(n * c * h * w));
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      x[i] = i % 3 == 0 ? ties[i / 3 % 7]
+                        : (i % 3 == 1 ? rng.uniform(-300.0f, 300.0f)
+                                      : rng.uniform(-2.0f, 2.0f));
+    }
+    for (const float scale : {1.0f, 0.25f, 0.013f, 0.0f}) {
+      std::vector<std::uint8_t> plain(x.size());
+      quantize_u8(x.data(), static_cast<std::int64_t>(x.size()), scale,
+                  plain.data());
+      for (const std::int64_t pad : shape.pads) {
+        SCOPED_TRACE(testing::Message() << "h=" << h << " w=" << w
+                                        << " scale=" << scale
+                                        << " pad=" << pad);
+        const std::int64_t ph = h + 2 * pad, pw = w + 2 * pad;
+        const std::int64_t bytes = s8_quad_plane_bytes(c, h, w, pad);
+        ASSERT_EQ(bytes, 2 * ph * pw * 4);
+        std::vector<std::uint8_t> q(static_cast<std::size_t>(n * bytes), 7);
+        quantize_u8_quads(x.data(), n, c, h, w, pad, scale, q.data());
+        for (std::int64_t i = 0; i < n; ++i) {
+          for (std::int64_t ch = 0; ch < 8; ++ch) {
+            for (std::int64_t yy = 0; yy < ph; ++yy) {
+              for (std::int64_t xx = 0; xx < pw; ++xx) {
+                const std::int64_t iy = yy - pad, ix = xx - pad;
+                const bool inside =
+                    ch < c && iy >= 0 && iy < h && ix >= 0 && ix < w;
+                const std::uint8_t want =
+                    inside ? plain[static_cast<std::size_t>(
+                                 ((i * c + ch) * h + iy) * w + ix)]
+                           : std::uint8_t{128};
+                const std::uint8_t got = q[static_cast<std::size_t>(
+                    i * bytes + ((ch / 4 * ph + yy) * pw + xx) * 4 + ch % 4)];
+                ASSERT_EQ(got, want) << "i=" << i << " ch=" << ch
+                                     << " y=" << yy << " x=" << xx;
+              }
             }
           }
         }
@@ -708,7 +661,7 @@ TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
     const CompiledTicket dense = Engine::compile(*model, options);
 
     // prepacked_bytes is nonzero exactly when a conv carries panels. The
-    // head is the last layer record; only convs choose an executor.
+    // head, the last layer record, is left out: it is unpruned here.
     const std::vector<LayerPlan>& layers = plan.layers();
     int csr = 0, csr_taps = 0;
     for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
@@ -744,11 +697,14 @@ TEST(QuantEndToEnd, CsrExecutorsAgreeBitwise) {
 
 TEST(QuantEndToEnd, ChannelCompactMatchesDenseBitwise) {
   // A channel-compact layer runs the dense layer's kernel over its kept
-  // rows with the same fused requant epilogue, and its pruned rows carry
+  // rows with the same fused epilogue, and its pruned rows carry
   // relu(bias), exactly what a dense epilogue computes over an all-zero row.
-  // So the compact plan must reproduce the forced-dense int8 plan bit for
-  // bit. Perturbed BN affine parameters give every channel its own nonzero
-  // folded bias, which is where a separate bias add would round apart.
+  // So the compact plan must reproduce the forced-dense plan bit for bit,
+  // int8 and fp32 alike. Perturbed BN affine parameters and head biases
+  // give every channel and class its own nonzero bias, which is where a
+  // separate bias add would round apart. The head is a 1x1 conv like the
+  // rest: with 3 of its 10 rows zeroed, or all of them, it ships
+  // channel-compact too, and its pruned classes' logits are their biases.
   Rng rng(9);
   auto model = make_micro_resnet18(10, rng);
   omp_prune(*model, OmpConfig{0.7f, Granularity::kChannel,
@@ -763,33 +719,63 @@ TEST(QuantEndToEnd, ChannelCompactMatchesDenseBitwise) {
           gamma ? rng.uniform(0.5f, 1.5f) : rng.uniform(-0.5f, 0.5f);
     }
   }
+  Tensor& head_bias = model->head().bias()->value;
+  for (std::int64_t j = 0; j < head_bias.numel(); ++j) {
+    head_bias.data()[j] = rng.uniform(-0.5f, 0.5f);
+  }
   model->set_training(false);
 
-  CompileOptions options;
-  options.int8_weights = true;
-  auto plan =
-      std::make_shared<const CompiledTicket>(Engine::compile(*model, options));
-  ASSERT_TRUE(plan->int8_native());
-  int compact = 0;
-  for (const LayerPlan& l : plan->layers()) {
-    if (l.format == PackedFormat::kChannelCompact) ++compact;
-  }
-  EXPECT_GT(compact, 0);
-  options.force_format = PackedFormat::kDense;
-  auto dense =
-      std::make_shared<const CompiledTicket>(Engine::compile(*model, options));
+  const Tensor x = Tensor::uniform({67, 3, 16, 16}, rng, 0.0f, 1.0f);
+  Tensor& head_w = model->head().weight().value;
+  const std::int64_t classes = head_w.dim(0), features = head_w.dim(1);
+  for (const std::int64_t zeroed_rows : {0, 3, 10}) {
+    // Rows 1, 4 and 7 of the 10, then every row.
+    for (std::int64_t r = 0; r < classes; ++r) {
+      if (zeroed_rows == classes || (zeroed_rows == 3 && r % 3 == 1 && r < 9)) {
+        std::fill_n(head_w.data() + r * features, features, 0.0f);
+      }
+    }
+    for (const bool int8 : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "zeroed head rows=" << zeroed_rows
+                                      << " int8=" << int8);
+      CompileOptions options;
+      options.int8_weights = int8;
+      auto plan = std::make_shared<const CompiledTicket>(
+          Engine::compile(*model, options));
+      ASSERT_EQ(plan->int8_native(), int8);
+      int compact = 0;
+      for (const LayerPlan& l : plan->layers()) {
+        if (l.format == PackedFormat::kChannelCompact) ++compact;
+      }
+      EXPECT_GT(compact, 0);
+      const LayerPlan& head = plan->layers().back();
+      if (zeroed_rows > 0) {
+        EXPECT_EQ(head.format, PackedFormat::kChannelCompact);
+        EXPECT_EQ(head.kept_rows, classes - zeroed_rows);
+      }
+      options.force_format = PackedFormat::kDense;
+      auto dense = std::make_shared<const CompiledTicket>(
+          Engine::compile(*model, options));
 
-  const Tensor x = Tensor::uniform({37, 3, 16, 16}, rng, 0.0f, 1.0f);
-  for (const int batch : {1, 16}) {
-    Session session(plan, batch), dense_session(dense, batch);
-    const Tensor got = session.predict(x);
-    const Tensor want = dense_session.predict(x);
-    ASSERT_EQ(got.numel(), want.numel());
-    EXPECT_EQ(std::memcmp(got.data(), want.data(),
-                          static_cast<std::size_t>(got.numel()) *
-                              sizeof(float)),
-              0)
-        << "batch " << batch << " linf " << got.linf_distance(want);
+      for (const int batch : {1, 16, 64}) {
+        Session session(plan, batch), dense_session(dense, batch);
+        const Tensor got = session.predict(x);
+        const Tensor want = dense_session.predict(x);
+        ASSERT_EQ(got.numel(), want.numel());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              static_cast<std::size_t>(got.numel()) *
+                                  sizeof(float)),
+                  0)
+            << "batch " << batch << " linf " << got.linf_distance(want);
+        if (zeroed_rows == classes) {
+          for (std::int64_t i = 0; i < got.dim(0); ++i) {
+            for (std::int64_t j = 0; j < classes; ++j) {
+              ASSERT_EQ(got.at(i, j), head_bias[j]) << "i=" << i;
+            }
+          }
+        }
+      }
+    }
   }
 }
 

@@ -29,6 +29,12 @@
 // kernels) trains different tickets, so only its dataset.*, rng.* and
 // int8.* lines, which involve no fp32 training, must match too; its fp32.*
 // lines differ because its fp32 kernels round each product on its own.
+//
+// tools/bitprint/expected.txt holds those dataset.*, rng.* and int8.* lines
+// as every build must print them, and CI diffs both the native and the
+// portable build against it, so a change that moves them on every build at
+// once fails as well. A change that moves them on purpose regenerates it
+// by keeping exactly those lines of ./build/bitprint's output, in order.
 
 #include <cinttypes>
 #include <cstdio>
